@@ -30,6 +30,7 @@ from .model import (
     CanonicalUnitaryPair,
     CharTriple,
     FundamentalPair,
+    PairAnalysis,
     canonical_unitary_pair,
     canonicity_transport,
     char_fn,

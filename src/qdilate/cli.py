@@ -19,10 +19,6 @@ from . import ando, hardy, lifts, matcore, model, pseudolift, qpair
 from .errors import NotCnuError, ParseError, QDilateError
 from .report import Report
 
-SUITES = ("ando", "schaffer", "douglas", "fundamental", "canonical",
-          "triple", "pseudo", "model")
-
-
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -38,6 +34,9 @@ def _load_pair(path: str, tol: float):
         return None, 2
     try:
         return qpair.pair_from_json(raw, tol=tol), 0
+    except ParseError as exc:
+        print(f"error: bad pair file {path}: {exc}", file=sys.stderr)
+        return None, 2
     except QDilateError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return None, 1
@@ -61,37 +60,33 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _suite_ando(pair, n, tol):
+def _suite_ando(an, n, tol):
     rep = Report("ando", {"tol": tol})
-    tup = ando.special_ando_tuple(pair)
-    star = ando.star_ando_tuple(pair)
-    rep.merge(ando.verify_tuple_invariants(tup, pair))
-    rep.merge(ando.verify_prop1(tup, pair, tol), prefix="fwd-")
-    rep.merge(ando.verify_prop2(star, pair, tol), prefix="star-")
+    rep.merge(ando.verify_tuple_invariants(an.tup, an.pair))
+    rep.merge(ando.verify_prop1(an.tup, an.pair, tol), prefix="fwd-")
+    rep.merge(ando.verify_prop2(an.star, an.pair, tol), prefix="star-")
     return rep
 
 
-def _suite_schaffer(pair, n, tol):
-    tup = ando.special_ando_tuple(pair)
-    lift = lifts.schaffer_lift(pair, tup, n)
-    rep = lifts.verify_lift(lift, pair)
-    rep.merge(lifts.minimality_check(lift, pair))
-    _, ext = lifts.extract_ando_from_lift(lift, pair)
+def _suite_schaffer(an, n, tol):
+    lift = lifts.schaffer_lift(an.pair, an.tup, n)
+    rep = lifts.verify_lift(lift, an)
+    rep.merge(lifts.minimality_check(lift, an.pair))
+    _, ext = lifts.extract_ando_from_lift(lift, an)
     rep.merge(ext, prefix="extract-")
     return rep
 
 
-def _suite_douglas(pair, n, tol):
-    star = ando.star_ando_tuple(pair)
-    lift = lifts.douglas_lift(pair, star, n)
-    rep = lifts.verify_lift(lift, pair)
-    rep.merge(lifts.minimality_check(lift, pair))
+def _suite_douglas(an, n, tol):
+    lift = lifts.douglas_lift(an, n)
+    rep = lifts.verify_lift(lift, an)
+    rep.merge(lifts.minimality_check(lift, an.pair))
     return rep
 
 
-def _suite_fundamental(pair, n, tol):
+def _suite_fundamental(an, n, tol):
     rep = Report("fundamental", {"tol": tol})
-    fund = model.fundamental_ops(pair)
+    fund = an.fundamental
     rep.check("fundamental-equations",
               "D_{T*} G_i D_{T*} matches the defining right-hand sides",
               fund.funeq_residual, 1e-10)
@@ -104,65 +99,26 @@ def _suite_fundamental(pair, n, tol):
     return rep
 
 
-def _suite_canonical(pair, n, tol):
-    cp = model.canonical_unitary_pair(pair)
-    return model.verify_canonical_pair(cp, pair)
+def _suite_canonical(an, n, tol):
+    return model.verify_canonical_pair(an.canonical, an.pair)
 
 
-def _suite_triple(pair, n, tol):
-    rep = Report("triple", {"tol": tol})
-    try:
-        triple = model.char_triple(pair)
-    except NotCnuError as exc:
-        rep.skip("not-cnu", "characteristic triple needs a cnu product",
-                 note=str(exc))
-        return rep
-    rep.check("theta-at-zero", "Theta(0) = -T restricted to ran D_T",
-              matcore.frob(triple.theta(0.0)
-                           + _compressed_product(triple)), 1e-13)
-    worst = 0.0
-    for r in np.linspace(0.1, 0.9, 8):
-        for k in range(16):
-            z = r * np.exp(2j * np.pi * k / 16)
-            worst = max(worst, max(0.0, matcore.opnorm(triple.theta(z)) - 1.0))
-    rep.check("theta-contractive", "||Theta(z)|| <= 1 on the disk grid", worst, 1e-9)
-    rep.check("unitary-part-collapse", "||Q_{T*}|| vanishes for cnu products",
-              triple.q_residual, 1e-6)
-    if triple.dt.dim:
-        theta0 = triple.theta(0.0)
-        slack = 1.0 - max(np.linalg.norm(theta0[:, j]) for j in range(triple.dt.dim))
-        rep.require("purely-contractive",
-                    "||Theta(0) f|| < ||f|| strictly on unit defect vectors",
-                    slack > 1e-12, note=f"slack {slack:.3e}")
-    boundary = 0.0
-    for k in range(64):
-        zeta = np.exp(2j * np.pi * k / 64)
-        th = triple.theta(zeta)
-        boundary = max(boundary, matcore.frob(
-            matcore.adj(th) @ th - matcore.eye(triple.dt.dim)))
-    rep.check("two-sided-inner", "I - Theta(zeta)*Theta(zeta) = 0 on the circle",
-              boundary, 1e-8)
-    return rep
+def _suite_triple(an, n, tol):
+    return model.verify_triple(an)
 
 
-def _compressed_product(triple):
-    """T compressed between the triple's defect bases."""
-    return (matcore.adj(triple.dstar.basis.columns) @ triple.product
-            @ triple.dt.basis.columns)
-
-
-def _suite_pseudo(pair, n, tol):
-    pi, triple = pseudolift.douglas_pseudo_lift(pair, n)
+def _suite_pseudo(an, n, tol):
+    pi, triple = pseudolift.douglas_pseudo_lift(an, n)
     rep = pseudolift.is_pseudo_triple(triple, tol)
-    rep.merge(pseudolift.is_pseudo_lift(pi, triple, pair, tol), prefix="lift-")
-    rep.merge(pseudolift.taylor_rigidity(triple, pair, tol), prefix="taylor-")
+    rep.merge(pseudolift.is_pseudo_lift(pi, triple, an.pair, tol), prefix="lift-")
+    rep.merge(pseudolift.taylor_rigidity(triple, an, tol), prefix="taylor-")
     return rep
 
 
-def _suite_model(pair, n, tol):
+def _suite_model(an, n, tol):
     rep = Report("model", {"tol": tol})
     try:
-        comp = model.model_compress(pair)
+        comp = model.model_compress(an)
     except NotCnuError as exc:
         rep.skip("not-cnu", "functional model needs a cnu product", note=str(exc))
         return rep
@@ -180,6 +136,7 @@ _SUITE_FNS = {
     "pseudo": _suite_pseudo,
     "model": _suite_model,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def cmd_verify(args) -> int:
@@ -194,9 +151,10 @@ def cmd_verify(args) -> int:
             return 2
     master = Report("verify", {"trunc": args.trunc, "tol": args.tol,
                                "seed": args.seed, "suites": suites})
+    an = model.PairAnalysis(pair)
     for s in suites:
         try:
-            rep = _SUITE_FNS[s](pair, args.trunc, args.tol)
+            rep = _SUITE_FNS[s](an, args.trunc, args.tol)
             master.merge(rep, prefix=f"{s}/")
         except QDilateError as exc:
             master.require(f"{s}/error", f"suite {s} raised", False, note=str(exc))
@@ -212,8 +170,11 @@ def cmd_charfn(args) -> int:
         return rc
     try:
         radii_n, angles_n = (int(x) for x in args.grid.split("x"))
+        if min(radii_n, angles_n) < 1:
+            raise ValueError("grid counts must be at least 1")
     except ValueError:
-        print(f"error: bad grid spec {args.grid!r}, expected RxA", file=sys.stderr)
+        print(f"error: bad grid spec {args.grid!r}, expected RxA with R, A >= 1",
+              file=sys.stderr)
         return 2
     t = pair.product()
     dt = ando.DefectData(*matcore.defect(t))
@@ -274,12 +235,13 @@ def cmd_lift(args) -> int:
     pair, rc = _load_pair(args.pair, args.tol)
     if pair is None:
         return rc
+    an = model.PairAnalysis(pair)
     if args.kind == "schaffer":
-        tup = ando.special_ando_tuple(pair)
-        rep = _suite_schaffer(pair, args.trunc, args.tol)
+        tup = an.tup
+        rep = _suite_schaffer(an, args.trunc, args.tol)
     else:
-        tup = ando.star_ando_tuple(pair)
-        rep = _suite_douglas(pair, args.trunc, args.tol)
+        tup = an.star
+        rep = _suite_douglas(an, args.trunc, args.tol)
     if args.dump_ando:
         Path(args.dump_ando).write_text(
             json.dumps(tup.to_json(), indent=2, sort_keys=True), encoding="utf-8")
@@ -293,12 +255,12 @@ def cmd_pseudo(args) -> int:
     pair, rc = _load_pair(args.pair, args.tol)
     if pair is None:
         return rc
-    pi, triple = pseudolift.douglas_pseudo_lift(pair, args.trunc)
-    rep = pseudolift.is_pseudo_triple(triple)
-    rep.merge(pseudolift.is_pseudo_lift(pi, triple, pair), prefix="lift-")
+    pi, triple = pseudolift.douglas_pseudo_lift(model.PairAnalysis(pair), args.trunc)
+    rep = pseudolift.is_pseudo_triple(triple, args.tol)
+    rep.merge(pseudolift.is_pseudo_lift(pi, triple, pair, args.tol), prefix="lift-")
     if args.perturb:
         bad = pseudolift.perturbed_triple(triple, args.perturb, seed=args.seed)
-        bad_rep = pseudolift.is_pseudo_triple(bad)
+        bad_rep = pseudolift.is_pseudo_triple(bad, args.tol)
         rep.require("perturbation-rejected",
                     f"off-diagonal perturbation of norm {args.perturb} violates "
                     "the axioms",

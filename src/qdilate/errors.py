@@ -85,10 +85,6 @@ class NotIntertwinerError(QDilateError):
     pass
 
 
-class CanonicalPairFailureError(QDilateError):
-    pass
-
-
 class ParseError(QDilateError):
     pass
 

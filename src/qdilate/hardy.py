@@ -46,14 +46,9 @@ class TruncHardy:
     def total_dim(self) -> int:
         return (self.max_degree + 1) * self.fiber_dim
 
-    def embed(self, k: int) -> np.ndarray:
-        """Embedding of the degrees <= k slice, total_dim x (k+1)*fiber_dim."""
-        k = min(k, self.max_degree)
-        if k < 0:
-            return np.zeros((self.total_dim, 0), dtype=np.complex128)
-        e = np.zeros((self.total_dim, (k + 1) * self.fiber_dim), dtype=np.complex128)
-        e[: (k + 1) * self.fiber_dim] = eye((k + 1) * self.fiber_dim)
-        return e
+    def low(self, k: int) -> slice:
+        """Index slice of the degrees <= k part (empty for k < 0)."""
+        return slice(0, max(min(k, self.max_degree) + 1, 0) * self.fiber_dim)
 
     def block(self, mat: np.ndarray, i: int, j: int, cod: "TruncHardy | None" = None):
         """Degree-(i, j) coefficient block of a matrix on this space."""
@@ -99,9 +94,6 @@ class TwistedSymbol:
         for k in range(self.degree, -1, -1):
             acc = z * acc + self.coeffs[k]
         return acc
-
-    def scaled(self, a: complex) -> "TwistedSymbol":
-        return TwistedSymbol(self.q, self.twist, tuple(a * c for c in self.coeffs))
 
 
 def identity_symbol(q: complex, fiber: int) -> TwistedSymbol:
@@ -166,14 +158,11 @@ class TruncOperator:
     codomain: object
     degree_shift: int
 
-    def restricted(self, d: int | None = None) -> np.ndarray:
-        """Matrix with inputs restricted to degrees <= N - d (d defaults to
-        the operator's own degree)."""
+    def restricted(self) -> np.ndarray:
+        """Matrix with inputs restricted to degrees <= N - (the operator's degree)."""
         if not isinstance(self.domain, TruncHardy):
             return self.matrix
-        if d is None:
-            d = self.degree_shift
-        return self.matrix @ self.domain.embed(self.domain.max_degree - d)
+        return self.matrix[:, self.domain.low(self.domain.max_degree - self.degree_shift)]
 
 
 def materialize(s: TwistedSymbol, n: int) -> TruncOperator:
@@ -289,7 +278,7 @@ def extract_symbol(a: TruncOperator, q: complex, tol: float = 1e-10):
     space = a.domain
     n, f = space.max_degree, space.fiber_dim
     mz = materialize(shift_symbol(q, f), n).matrix
-    pre = opnorm((a.matrix @ mz - q * (mz @ a.matrix)) @ space.embed(n - 1))
+    pre = opnorm((a.matrix @ mz - q * (mz @ a.matrix))[:, space.low(n - 1)])
     if pre > tol * max(1.0, opnorm(a.matrix)):
         raise NotQCommutantError(
             f"||A Mz - q Mz A|| = {pre:.3e} on degrees <= {n - 1}")
@@ -301,7 +290,7 @@ def extract_symbol(a: TruncOperator, q: complex, tol: float = 1e-10):
             deg = k
             break
     sym = TwistedSymbol(q, 1, tuple(coeffs[:deg + 1]))
-    resid = opnorm((a.matrix - materialize(sym, n).matrix) @ space.embed(n - deg))
+    resid = opnorm((a.matrix - materialize(sym, n).matrix)[:, space.low(n - deg)])
     return sym, resid
 
 

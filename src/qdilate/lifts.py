@@ -9,6 +9,11 @@ Two models are built at finite Hardy truncation N:
   multipliers plus the canonical unitary pair on the tail, with the
   observability column as the embedding.
 
+The Douglas pseudo lift, the same model written with the fundamental
+operators over ran D_{T*}, is built here too: it is the G-form against which
+the Douglas lift's intertwinings are checked.  Per-pair objects (tuples,
+fundamental and canonical pairs) come from the pair's `model.PairAnalysis`.
+
 Every verified identity carries a degree budget: an identity whose sides have
 maximal z-degree d is asserted on inputs of degree <= N - d only, where it
 holds exactly; Douglas embedding residuals are instead bounded by the exact
@@ -27,7 +32,7 @@ from .ando import AndoTuple
 from .errors import GeneratorError, NotModelFormError
 from .hardy import TruncHardy, TwistedSymbol, materialize, shift_symbol
 from .matcore import adj, eye, frob, opnorm
-from .model import CanonicalUnitaryPair
+from .model import CanonicalUnitaryPair, PairAnalysis
 from .qpair import QPair
 from .report import Report
 
@@ -44,15 +49,10 @@ class LiftSpace:
     def total_dim(self) -> int:
         return self.head_dim + self.hardy.total_dim + self.tail_dim
 
-    def embed_interior(self, d: int) -> np.ndarray:
-        """Embedding of head (+) degrees <= N-d (+) tail into the full space."""
-        blocks = [eye(self.head_dim), self.hardy.embed(self.hardy.max_degree - d),
-                  eye(self.tail_dim)]
-        return scipy.linalg.block_diag(*blocks).astype(np.complex128)
-
-    @property
-    def hardy_start(self) -> int:
-        return self.head_dim
+    def interior(self, d: int) -> np.ndarray:
+        """Indices of head (+) degrees <= N-d (+) tail in the full space."""
+        low = self.hardy.low(self.hardy.max_degree - d)
+        return np.r_[0:self.head_dim + low.stop, self.tail_start:self.total_dim]
 
     @property
     def tail_start(self) -> int:
@@ -68,8 +68,17 @@ class LiftRealization:
     v1: np.ndarray
     v2: np.ndarray
     trunc: int
-    tuple_: AndoTuple
     canonical: CanonicalUnitaryPair | None = None
+
+
+@dataclass(frozen=True)
+class PseudoTriple:
+    q: complex
+    space: LiftSpace
+    w1: np.ndarray
+    w2: np.ndarray
+    w: np.ndarray
+    trunc: int
 
 
 def schaffer_symbols(tup: AndoTuple, q: complex):
@@ -123,47 +132,68 @@ def schaffer_lift(pair: QPair, tup: AndoTuple, n: int = hardy.DEFAULT_TRUNC) -> 
     v2 = assemble(pair.t2, np.conj(q) * (adj(u) @ p_perp @ ell), hblock2)
     pi = np.zeros((space.total_dim, h_dim), dtype=np.complex128)
     pi[:h_dim] = eye(h_dim)
-    return LiftRealization("schaffer", q, space, pi, v1, v2, n, tup)
+    return LiftRealization("schaffer", q, space, pi, v1, v2, n)
 
 
-def douglas_lift(pair: QPair, star_tup: AndoTuple,
+def douglas_lift(pair: PairAnalysis | QPair,
                  n: int = hardy.DEFAULT_TRUNC) -> LiftRealization:
-    """Douglas-type lift on TruncHardy(F_*) (+) ran Q_{T*}.
+    """Douglas-type lift on TruncHardy(F_*) (+) ran Q_{T*}, from the starred
+    tuple (Lambda_*, P_*, U_*).
 
     V1 = M_{U_**((I-P_*)+zP_*)}R_q (+) W1, V2 = R_qbar M_{(P_*+z(I-P_*))U_*} (+) W2;
-    the embedding stacks the Lambda_*-dressed observability column on the
-    Q_{T*}-coordinates.
+    the embedding stacks the observability column, dressed by Lambda_* one
+    degree block at a time, on the Q_{T*}-coordinates.
     """
-    q = pair.q
-    t = pair.product()
-    cp = model.canonical_unitary_pair(pair)
-    f = star_tup.f_dim
-    space = LiftSpace(0, TruncHardy(f, n), cp.dim)
+    an = PairAnalysis.of(pair)
+    q = an.pair.q
+    star_tup, cp = an.star, an.canonical
+    space = LiftSpace(0, TruncHardy(star_tup.f_dim, n), cp.dim)
 
     sym1, sym2 = douglas_symbols(star_tup, q)
     v1 = scipy.linalg.block_diag(materialize(sym1, n).matrix, cp.w1).astype(np.complex128)
     v2 = scipy.linalg.block_diag(materialize(sym2, n).matrix, cp.w2).astype(np.complex128)
 
-    pi = np.zeros((space.total_dim, pair.dim), dtype=np.complex128)
-    block = star_tup.lam @ star_tup.defect_t.coords()
-    t_star = adj(t)
-    for deg in range(n + 1):
-        pi[deg * f:(deg + 1) * f] = block
-        block = block @ t_star
-    pi[space.tail_start:] = adj(cp.basis.columns) @ cp.q_op
-    return LiftRealization("douglas", q, space, pi, v1, v2, n, star_tup, cp)
+    obs = hardy.obs_op(an.product, an.dstar.basis, n).matrix
+    dressed = star_tup.lam @ obs.reshape(n + 1, an.dstar.dim, an.pair.dim)
+    pi = np.vstack([dressed.reshape(-1, an.pair.dim), cp.coords()])
+    return LiftRealization("douglas", q, space, pi, v1, v2, n, cp)
 
 
-def verify_lift(lift: LiftRealization, pair: QPair, tol: float = 1e-10) -> Report:
+def douglas_pseudo_lift(pair: PairAnalysis | QPair, n: int = hardy.DEFAULT_TRUNC):
+    """The pseudo lift over the Douglas embedding; returns (pi, PseudoTriple).
+
+    W1 = M_{G1*+zG2}R_q (+) W1^c, W2 = R_qbar M_{G2*+zG1} (+) W2^c,
+    W = M_z (+) W_D on TruncHardy(ran D_{T*}) (+) ran Q_{T*}; pi stacks the
+    observability column on the Q_{T*}-coordinates.
+    """
+    an = PairAnalysis.of(pair)
+    q = an.pair.q
+    fund, cp = an.fundamental, an.canonical
+    dstar = an.dstar
+    space = LiftSpace(0, TruncHardy(dstar.dim, n), cp.dim)
+    sym1, sym2 = model.model_symbols(q, fund.g1, fund.g2)
+    w1 = scipy.linalg.block_diag(materialize(sym1, n).matrix, cp.w1).astype(np.complex128)
+    w2 = scipy.linalg.block_diag(materialize(sym2, n).matrix, cp.w2).astype(np.complex128)
+    w = scipy.linalg.block_diag(materialize(shift_symbol(q, dstar.dim), n).matrix,
+                                cp.wd).astype(np.complex128)
+    obs = hardy.obs_op(an.product, dstar.basis, n).matrix
+    pi = np.vstack([obs, cp.coords()])
+    return pi, PseudoTriple(q, space, w1, w2, w, n)
+
+
+def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
+                tol: float = 1e-10) -> Report:
     """Residuals of the lift axioms under the degree-budget contract.
 
     Intertwinings are exact for the inclusion-type lift and tail-corrected
     for Douglas; isometry uses budget 1, q-commutation budget 2.  For Douglas
     the intertwinings of the plain observability embedding against the
-    fundamental-operator multipliers are checked as well.
+    fundamental-operator multipliers (the Douglas pseudo lift) are checked
+    as well.
     """
+    an = PairAnalysis.of(pair)
+    pair, t = an.pair, an.product
     q = pair.q
-    t = pair.product()
     n = lift.trunc
     rep = Report(f"lift-{lift.kind}", {"trunc": n, "tol": tol})
     tail = hardy.defect_tail_norm(t, n) if lift.kind == "douglas" else 0.0
@@ -173,14 +203,14 @@ def verify_lift(lift: LiftRealization, pair: QPair, tol: float = 1e-10) -> Repor
     for name, v, t_i in (("v1", lift.v1, pair.t1), ("v2", lift.v2, pair.t2)):
         rep.check(f"intertwine-{name}", f"V{name[-1]}* Pi = Pi T{name[-1]}*",
                   opnorm(adj(v) @ lift.pi - lift.pi @ adj(t_i)), int_tol)
-    e1 = lift.space.embed_interior(1)
-    e2 = lift.space.embed_interior(2)
+    e1 = lift.space.interior(1)
+    e2 = lift.space.interior(2)
     dim_total = lift.space.total_dim
     for name, v in (("v1", lift.v1), ("v2", lift.v2)):
         rep.check(f"isometry-{name}", f"{name}*{name} = I on degrees <= N-1",
-                  opnorm((adj(v) @ v - eye(dim_total)) @ e1), tol)
+                  opnorm((adj(v) @ v - eye(dim_total))[:, e1]), tol)
     rep.check("q-commute", "V1 V2 = q V2 V1 on degrees <= N-2",
-              opnorm((lift.v1 @ lift.v2 - q * lift.v2 @ lift.v1) @ e2), tol)
+              opnorm((lift.v1 @ lift.v2 - q * lift.v2 @ lift.v1)[:, e2]), tol)
 
     if lift.kind == "schaffer":
         rep.check("pi-isometry", "Pi*Pi = I (inclusion)",
@@ -196,34 +226,12 @@ def verify_lift(lift: LiftRealization, pair: QPair, tol: float = 1e-10) -> Repor
         mz = materialize(shift_symbol(q, lift.space.hardy.fiber_dim), n).matrix
         vd = scipy.linalg.block_diag(mz, cp.wd).astype(np.complex128)
         rep.check("product-structure", "V1 V2 = M_z (+) W_D on degrees <= N-2",
-                  opnorm((lift.v1 @ lift.v2 - vd) @ e2), tol)
-        rep.merge(_fundamental_intertwinings(lift, pair, tail))
-    return rep
-
-
-def _fundamental_intertwinings(lift: LiftRealization, pair: QPair,
-                               tail: float) -> Report:
-    """Intertwinings of the undressed Douglas embedding with the
-    fundamental-operator multipliers (the G-form of the lift adjoints)."""
-    rep = Report("douglas-gform", {})
-    q = pair.q
-    t = pair.product()
-    n = lift.trunc
-    star_tup = lift.tuple_
-    g1, g2 = model.fundamental_from_tuple(star_tup)
-    dstar = star_tup.defect_t
-    obs = hardy.obs_op(t, dstar.basis, n).matrix
-    cp = lift.canonical
-    rq = adj(cp.basis.columns) @ cp.q_op
-    pi_d = np.vstack([obs, rq])
-    sym1, sym2 = model.model_symbols(q, g1, g2)
-    w1 = scipy.linalg.block_diag(materialize(sym1, n).matrix, cp.w1)
-    w2 = scipy.linalg.block_diag(materialize(sym2, n).matrix, cp.w2)
-    tol = 1e-9 + 10.0 * tail
-    rep.check("gform-intertwine-1", "(M_{G1*+zG2}R_q (+) W1)* Pi_D = Pi_D T1*",
-              opnorm(adj(w1) @ pi_d - pi_d @ adj(pair.t1)), tol)
-    rep.check("gform-intertwine-2", "(R_qbar M_{G2*+zG1} (+) W2)* Pi_D = Pi_D T2*",
-              opnorm(adj(w2) @ pi_d - pi_d @ adj(pair.t2)), tol)
+                  opnorm((lift.v1 @ lift.v2 - vd)[:, e2]), tol)
+        pi_d, gform = douglas_pseudo_lift(an, n)
+        rep.check("gform-intertwine-1", "(M_{G1*+zG2}R_q (+) W1)* Pi_D = Pi_D T1*",
+                  opnorm(adj(gform.w1) @ pi_d - pi_d @ adj(pair.t1)), int_tol)
+        rep.check("gform-intertwine-2", "(R_qbar M_{G2*+zG1} (+) W2)* Pi_D = Pi_D T2*",
+                  opnorm(adj(gform.w2) @ pi_d - pi_d @ adj(pair.t2)), int_tol)
     return rep
 
 
@@ -268,7 +276,7 @@ class AndoFragments:
     upl_dt: np.ndarray     # U*(I-P) Lambda D_T : H -> F
 
 
-def extract_ando_from_lift(lift: LiftRealization, pair: QPair,
+def extract_ando_from_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
                            tol: float = 1e-10):
     """Recover (Lambda, PU Lambda D_T, U*(I-P) Lambda D_T) from a lift in
     inclusion model form, and verify their structural consistency.
@@ -278,14 +286,15 @@ def extract_ando_from_lift(lift: LiftRealization, pair: QPair,
     V = V1 V2 then satisfies C*C = I - T*T and M_z*C = 0 and factors through
     an isometry Lambda.
     """
+    an = PairAnalysis.of(pair)
+    pair, t = an.pair, an.product
     if lift.space.head_dim != pair.dim or lift.space.tail_dim != 0:
         raise NotModelFormError("expected an inclusion-type lift layout")
     q = pair.q
     h_dim = pair.dim
     f = lift.space.hardy.fiber_dim
     n = lift.trunc
-    hs = lift.space.hardy_start
-    t = pair.product()
+    hs = lift.space.head_dim
 
     for name, v in (("v1", lift.v1), ("v2", lift.v2)):
         upper = opnorm(v[:h_dim, hs:])
@@ -293,7 +302,7 @@ def extract_ando_from_lift(lift: LiftRealization, pair: QPair,
             raise NotModelFormError(f"{name} has a head->Hardy block of norm {upper:.3e}")
     v = lift.v1 @ lift.v2
     mz = materialize(shift_symbol(q, f), n).matrix
-    diag_res = opnorm((v[hs:, hs:] - mz) @ lift.space.hardy.embed(n - 1))
+    diag_res = opnorm((v[hs:, hs:] - mz)[:, lift.space.hardy.low(n - 1)])
     if diag_res > tol:
         raise NotModelFormError(
             f"Hardy diagonal of V1 V2 is not the shift: residual {diag_res:.3e}")
@@ -305,11 +314,10 @@ def extract_ando_from_lift(lift: LiftRealization, pair: QPair,
     rep.check("c-defect", "C*C = I - T*T",
               frob(adj(c0) @ c0 - (eye(h_dim) - adj(t) @ t)), tol)
 
-    d_t, b_t = matcore.defect(t)
-    x = adj(b_t.columns) @ d_t
+    x = an.dt.coords()
     lam_rec = c0 @ np.linalg.pinv(x)
     rep.check("lambda-isometry", "recovered Lambda is an isometry on ran D_T",
-              frob(adj(lam_rec) @ lam_rec - eye(b_t.dim)), tol)
+              frob(adj(lam_rec) @ lam_rec - eye(an.dt.dim)), tol)
     rep.check("lambda-consistency", "Lambda (ran D_T coords) reproduces C",
               frob(lam_rec @ x - c0), tol)
 
@@ -368,19 +376,19 @@ def nonisolifts_fixture(n: int, q: complex = np.exp(1j)) -> Report:
     v2a = materialize(shift_symbol(q, 1), n).matrix
     pi_a = np.zeros((hs.total_dim, 1), dtype=np.complex128)
     pi_a[0, 0] = 1.0
-    e1 = hs.embed(n - 1)
-    e2 = hs.embed(n - 2)
+    e1 = hs.low(n - 1)
+    e2 = hs.low(n - 2)
     rep.check("a-q-commute", "pair A: V1 V2 = q V2 V1 on degrees <= N-2",
-              opnorm((v1a @ v2a - q * v2a @ v1a) @ e2), 1e-12)
+              opnorm((v1a @ v2a - q * v2a @ v1a)[:, e2]), 1e-12)
     rep.check("a-isometry", "pair A: V_i*V_i = I on degrees <= N-1",
-              max(opnorm((adj(v1a) @ v1a - eye(hs.total_dim)) @ e1),
-                  opnorm((adj(v2a) @ v2a - eye(hs.total_dim)) @ e1)), 1e-12)
+              max(opnorm((adj(v1a) @ v1a - eye(hs.total_dim))[:, e1]),
+                  opnorm((adj(v2a) @ v2a - eye(hs.total_dim))[:, e1])), 1e-12)
     rep.check("a-lift", "pair A lifts (0,0): V_i* Pi = 0",
               max(opnorm(adj(v1a) @ pi_a), opnorm(adj(v2a) @ pi_a)), 1e-12)
     rank_a = matcore.greedy_orbit_rank([v1a, v2a], pi_a)
     rep.require("a-minimal", "pair A joint orbit spans the whole space",
                 rank_a == hs.total_dim, note=f"rank {rank_a} of {hs.total_dim}")
-    disc_a = opnorm((v2a @ adj(v1a) - q * adj(v1a) @ v2a) @ e1)
+    disc_a = opnorm((v2a @ adj(v1a) - q * adj(v1a) @ v2a)[:, e1])
     rep.require("a-not-doubly", "pair A discriminator ||V2 V1* - q V1* V2|| > 0.5",
                 disc_a > 0.5, note=f"discriminator {disc_a:.6f}")
 
@@ -390,27 +398,23 @@ def nonisolifts_fixture(n: int, q: complex = np.exp(1j)) -> Report:
     m = n + 1
     dim_b = m * m
 
-    def box_embed(a_max, b_max):
-        cols = [a * m + b for a in range(a_max + 1) for b in range(b_max + 1)]
-        e = np.zeros((dim_b, len(cols)), dtype=np.complex128)
-        for j, i in enumerate(cols):
-            e[i, j] = 1.0
-        return e
+    def box(a_max, b_max):
+        """Indices of the monomials z1^a z2^b with a <= a_max, b <= b_max."""
+        return [a * m + b for a in range(a_max + 1) for b in range(b_max + 1)]
 
-    e_int = box_embed(n - 1, n - 1)
     pi_b = np.zeros((dim_b, 1), dtype=np.complex128)
     pi_b[0, 0] = 1.0
     rep.check("b-q-commute", "pair B: V1 V2 = q V2 V1 on the interior box",
-              opnorm((v1b @ v2b - q * v2b @ v1b) @ e_int), 1e-12)
+              opnorm((v1b @ v2b - q * v2b @ v1b)[:, box(n - 1, n - 1)]), 1e-12)
     rep.check("b-isometry", "pair B: V_i*V_i = I on the interior box",
-              max(opnorm((adj(v1b) @ v1b - eye(dim_b)) @ box_embed(n - 1, n)),
-                  opnorm((adj(v2b) @ v2b - eye(dim_b)) @ box_embed(n, n - 1))), 1e-12)
+              max(opnorm((adj(v1b) @ v1b - eye(dim_b))[:, box(n - 1, n)]),
+                  opnorm((adj(v2b) @ v2b - eye(dim_b))[:, box(n, n - 1)])), 1e-12)
     rep.check("b-lift", "pair B lifts (0,0): V_i* Pi = 0",
               max(opnorm(adj(v1b) @ pi_b), opnorm(adj(v2b) @ pi_b)), 1e-12)
     rank_b = matcore.greedy_orbit_rank([v1b, v2b], pi_b)
     rep.require("b-minimal", "pair B joint orbit spans the whole space",
                 rank_b == dim_b, note=f"rank {rank_b} of {dim_b}")
-    disc_b = opnorm((v2b @ adj(v1b) - q * adj(v1b) @ v2b) @ box_embed(n, n - 1))
+    disc_b = opnorm((v2b @ adj(v1b) - q * adj(v1b) @ v2b)[:, box(n, n - 1)])
     rep.check("b-doubly", "pair B discriminator vanishes (doubly q-commuting)",
               disc_b, 1e-12)
     rep.require("separation", "discriminators separated by a factor >= 1e10",

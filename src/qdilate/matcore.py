@@ -22,6 +22,7 @@ from .errors import (
     NotContractionError,
     NotHermitianError,
     NotIsometricOnSourceError,
+    ParseError,
 )
 
 STRUCT_TOL = 1e-12
@@ -96,12 +97,17 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != rows * cols:
+    """Inverse of matrix_to_json; ParseError on missing keys or malformed entries."""
+    try:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        flat = np.array([complex(re, im) for re, im in obj["data"]], dtype=np.complex128)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed matrix JSON: {type(exc).__name__}: {exc}") from exc
+    if rows < 0 or cols < 0 or not np.isfinite(flat).all():
+        raise ParseError(f"malformed matrix JSON: size {rows}x{cols} or a non-finite entry")
+    if flat.size != rows * cols:
         raise DimensionMismatchError(
-            f"matrix JSON: {rows}x{cols} needs {rows * cols} entries, got {len(data)}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+            f"matrix JSON: {rows}x{cols} needs {rows * cols} entries, got {flat.size}")
     return flat.reshape(rows, cols)
 
 

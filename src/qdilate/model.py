@@ -2,22 +2,23 @@
 functional-model compression, coincidence and admissibility checks.
 
 Coordinate conventions: everything on the product defect spaces uses one
-fixed basis per pair.  The basis of ran D_T comes from defect(T); the basis
-of ran D_{T*} is the one carried by the starred Andô tuple (its product
-defect equals D_{T*} exactly).  Consumers that must agree (fundamental
-operators, Theta, model compression, coincidence) all draw from that shared
-data, so basis freedom inside degenerate eigenspaces cannot split them.
+fixed basis per pair, held by the pair's `PairAnalysis`.  Its `dt` is
+defect(T); its `dstar` is the product defect of the starred Andô tuple, which
+equals D_{T*} exactly.  The fundamental operators, Theta, the Douglas lift,
+the pseudo lift and the model compression all read these from the one
+analysis, so basis freedom inside degenerate eigenspaces cannot split them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import hardy, matcore
-from .ando import AndoTuple, DefectData, star_ando_tuple
+from .ando import AndoTuple, DefectData, special_ando_tuple, star_ando_tuple
 from .errors import (
     FundamentalEquationResidualError,
     NonUnitarySolutionError,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .hardy import TruncHardy, TwistedSymbol, materialize, obs_op, tail_norm
 from .matcore import SubspaceBasis, adj, as_cmatrix, eye, frob, opnorm
-from .qpair import QPair, cnu_decompose
+from .qpair import ProductDecomposition, QPair, cnu_decompose
 from .report import Report
 
 
@@ -60,6 +61,10 @@ class CanonicalUnitaryPair:
     def dim(self) -> int:
         return self.basis.dim
 
+    def coords(self) -> np.ndarray:
+        """Map H -> ran Q coordinates, h |-> basis* Q h."""
+        return adj(self.basis.columns) @ self.q_op
+
 
 @dataclass(frozen=True)
 class CharTriple:
@@ -80,33 +85,87 @@ class CharTriple:
     product: np.ndarray
 
     def theta_coeffs(self, degree: int) -> list[np.ndarray]:
-        return theta_taylor_coeffs(self.product, degree, self.dt, self.dstar)
+        """Taylor coefficients of Theta: Theta_0 = -T|, Theta_k = D_{T*}T*^{k-1}D_T|."""
+        b_t, b_s = self.dt.basis.columns, self.dstar.basis.columns
+        coeffs = [-adj(b_s) @ self.product @ b_t]
+        block = self.dstar.operator
+        t_star = adj(self.product)
+        for _ in range(degree):
+            coeffs.append(adj(b_s) @ block @ self.dt.operator @ b_t)
+            block = block @ t_star
+        return coeffs
 
 
-def fundamental_from_tuple(star_tup: AndoTuple):
-    """(G1, G2) = Lambda_** (P_*perp U_*, U_** P_*) Lambda_*."""
-    lam, p, u = star_tup.lam, star_tup.p, star_tup.u
-    p_perp = eye(star_tup.f_dim) - p
-    g1 = adj(lam) @ p_perp @ u @ lam
-    g2 = adj(lam) @ adj(u) @ p @ lam
-    return g1, g2
+@dataclass(eq=False)
+class PairAnalysis:
+    """The objects of one q-commuting pair: the product T, its defects dt and
+    dstar, the cnu split, the forward and starred Andô tuples tup and star,
+    and the fundamental and canonical pairs.  Each is built on first use and
+    then shared by every suite and builder that reads it.
+
+    Holds only objects of size O(dim^2), none of them N-dependent; lift-space
+    matrices stay with the suite that builds them.  The builders that read
+    these objects accept either a bare QPair or an analysis, through `of`.
+    """
+
+    pair: QPair
+
+    @classmethod
+    def of(cls, pair: PairAnalysis | QPair) -> PairAnalysis:
+        """`pair` itself if it is an analysis, else a fresh analysis of it."""
+        return pair if isinstance(pair, cls) else cls(pair)
+
+    @cached_property
+    def product(self) -> np.ndarray:
+        return self.pair.product()
+
+    @cached_property
+    def dt(self) -> DefectData:
+        return DefectData(*matcore.defect(self.product))
+
+    @property
+    def dstar(self) -> DefectData:
+        """D_{T*}, in the basis carried by the starred tuple."""
+        return self.star.defect_t
+
+    @cached_property
+    def cnu(self) -> ProductDecomposition:
+        return cnu_decompose(self.product)
+
+    @cached_property
+    def tup(self) -> AndoTuple:
+        return special_ando_tuple(self.pair)
+
+    @cached_property
+    def star(self) -> AndoTuple:
+        return star_ando_tuple(self.pair)
+
+    @cached_property
+    def fundamental(self) -> FundamentalPair:
+        return fundamental_ops(self)
+
+    @cached_property
+    def canonical(self) -> CanonicalUnitaryPair:
+        return canonical_unitary_pair(self)
 
 
-def fundamental_ops(pair: QPair, tol: float = 1e-10,
-                    star_tup: AndoTuple | None = None) -> FundamentalPair:
-    """Fundamental operators from the starred tuple, cross-checked against the
-    independent pseudoinverse solution of the defining equations.
+def fundamental_ops(pair: PairAnalysis | QPair, tol: float = 1e-10) -> FundamentalPair:
+    """Fundamental operators (G1, G2) = Lambda_** (P_*perp U_*, U_** P_*) Lambda_*
+    from the starred tuple, cross-checked against the independent
+    pseudoinverse solution of the defining equations.
 
     The oracle solves D G D = RHS in the kept defect coordinates, i.e.
     G_hat = (B*DB)^{-1} B* RHS B (B*DB)^{-1}; sandwiching by the basis keeps
     the inversion away from directions the rank cutoff already discarded.
     """
-    if star_tup is None:
-        star_tup = star_ando_tuple(pair)
-    g1, g2 = fundamental_from_tuple(star_tup)
+    an = PairAnalysis.of(pair)
+    pair, star_tup = an.pair, an.star
+    lam, p, u = star_tup.lam, star_tup.p, star_tup.u
+    p_perp = eye(star_tup.f_dim) - p
+    g1 = adj(lam) @ p_perp @ u @ lam
+    g2 = adj(lam) @ adj(u) @ p @ lam
     dstar = star_tup.defect_t
-    t = pair.product()
-    t_star = adj(t)
+    t_star = adj(an.product)
     rhs1 = adj(pair.t1) - pair.t2 @ t_star
     rhs2 = adj(pair.t2) - pair.q * pair.t1 @ t_star
     b = dstar.basis.columns
@@ -126,7 +185,7 @@ def fundamental_ops(pair: QPair, tol: float = 1e-10,
     return FundamentalPair(g1, g2, dstar, res, gap)
 
 
-def canonical_unitary_pair(pair: QPair, tol: float = 1e-8,
+def canonical_unitary_pair(pair: PairAnalysis | QPair, tol: float = 1e-8,
                            power_tol: float = 1e-13) -> CanonicalUnitaryPair:
     """Unitaries on ran Q_{T*} solving W_i* Q = Q T_i*, W_D* Q = Q T*.
 
@@ -134,7 +193,8 @@ def canonical_unitary_pair(pair: QPair, tol: float = 1e-8,
     the least-squares solutions are isometries on its range; unitarity is a
     checked postcondition, not an assumption.
     """
-    t = pair.product()
+    an = PairAnalysis.of(pair)
+    pair, t = an.pair, an.product
     a_lim = matcore.power_limit(t, tol=power_tol)
     q_op = matcore.psd_sqrt(a_lim)
     w, v = np.linalg.eigh(q_op)
@@ -161,7 +221,7 @@ def verify_canonical_pair(cp: CanonicalUnitaryPair, pair: QPair,
     """Residuals of the canonical-pair axioms."""
     rep = Report("canonical-pair", {"tol": tol})
     k = cp.dim
-    rq = adj(cp.basis.columns) @ cp.q_op
+    rq = cp.coords()
     rep.check("w1-intertwine", "W1* Q = Q T1*",
               frob(adj(cp.w1) @ rq - rq @ adj(pair.t1)), tol)
     rep.check("w2-intertwine", "W2* Q = Q T2*",
@@ -220,7 +280,7 @@ def verify_unique_canonical(pair: QPair, w1p: np.ndarray, w2p: np.ndarray,
         rep.skip("vacuous", "ran Q = 0: uniqueness vacuous")
         return True, rep
     w1p, w2p = as_cmatrix(w1p), as_cmatrix(w2p)
-    rq = adj(cp.basis.columns) @ cp.q_op
+    rq = cp.coords()
     ok = rep.check("pre-w1", "W1'* Q = Q T1*",
                    frob(adj(w1p) @ rq - rq @ adj(pair.t1)), tol)
     ok &= rep.check("pre-w2", "W2'* Q = Q T2*",
@@ -258,19 +318,6 @@ def char_fn(t: np.ndarray, z: complex, dt: DefectData | None = None,
     return adj(dstar.basis.columns) @ core @ dt.basis.columns
 
 
-def theta_taylor_coeffs(t: np.ndarray, degree: int, dt: DefectData,
-                        dstar: DefectData) -> list[np.ndarray]:
-    """Taylor coefficients of Theta: Theta_0 = -T|, Theta_k = D_{T*}T*^{k-1}D_T|."""
-    b_t, b_s = dt.basis.columns, dstar.basis.columns
-    coeffs = [-adj(b_s) @ t @ b_t]
-    block = dstar.operator
-    t_star = adj(t)
-    for _ in range(degree):
-        coeffs.append(adj(b_s) @ block @ dt.operator @ b_t)
-        block = block @ t_star
-    return coeffs
-
-
 def delta_fn(t: np.ndarray, zeta: complex, r: float | None = None,
              dt: DefectData | None = None, dstar: DefectData | None = None) -> np.ndarray:
     """Boundary defect (I - Theta(zeta)* Theta(zeta))^{1/2} on ran D_T.
@@ -285,28 +332,64 @@ def delta_fn(t: np.ndarray, zeta: complex, r: float | None = None,
     return matcore.psd_sqrt(eye(dt.dim) - adj(theta) @ theta)
 
 
-def char_triple(pair: QPair, cnu_tol: float = 1e-8) -> CharTriple:
+def char_triple(pair: PairAnalysis | QPair) -> CharTriple:
     """Characteristic triple of a pair whose product is cnu.
 
     The canonical unitary component is trivial at finite dimension; the
     collapse is asserted (||Q_{T*}|| recorded) rather than constructed.
     """
-    t = pair.product()
-    dec = cnu_decompose(t, cnu_tol)
+    an = PairAnalysis.of(pair)
+    t = an.product
+    dec = an.cnu
     if dec.unitary_part.dim:
         raise NotCnuError(
             f"product has a unitary part of dimension {dec.unitary_part.dim}; "
             "restrict to the cnu part first")
-    star_tup = star_ando_tuple(pair)
-    fund = fundamental_ops(pair, star_tup=star_tup)
+    fund = an.fundamental
     q_norm = opnorm(matcore.psd_sqrt(matcore.power_limit(t, tol=1e-14)))
-    dt = DefectData(*matcore.defect(t))
-    dstar = fund.defect
+    dt, dstar = an.dt, an.dstar
 
     def theta(z: complex) -> np.ndarray:
         return char_fn(t, z, dt, dstar)
 
-    return CharTriple(pair.q, fund, 0, q_norm, theta, dt, dstar, t)
+    return CharTriple(an.pair.q, fund, 0, q_norm, theta, dt, dstar, t)
+
+
+def verify_triple(pair: PairAnalysis | QPair) -> Report:
+    """Checks of the characteristic triple: Theta(0), contractivity on a disk
+    grid, the collapsed unitary part, pure contractivity and two-sided
+    innerness on the circle.  A product with a unitary part is a skip."""
+    rep = Report("triple")
+    try:
+        triple = char_triple(pair)
+    except NotCnuError as exc:
+        rep.skip("not-cnu", "characteristic triple needs a cnu product",
+                 note=str(exc))
+        return rep
+    theta0 = triple.theta(0.0)
+    rep.check("theta-at-zero", "Theta(0) = -T restricted to ran D_T",
+              frob(theta0 - triple.theta_coeffs(0)[0]), 1e-13)
+    worst = 0.0
+    for r in np.linspace(0.1, 0.9, 8):
+        for k in range(16):
+            z = r * np.exp(2j * np.pi * k / 16)
+            worst = max(worst, max(0.0, opnorm(triple.theta(z)) - 1.0))
+    rep.check("theta-contractive", "||Theta(z)|| <= 1 on the disk grid", worst, 1e-9)
+    rep.check("unitary-part-collapse", "||Q_{T*}|| vanishes for cnu products",
+              triple.q_residual, 1e-6)
+    if triple.dt.dim:
+        slack = 1.0 - max(np.linalg.norm(theta0[:, j]) for j in range(triple.dt.dim))
+        rep.require("purely-contractive",
+                    "||Theta(0) f|| < ||f|| strictly on unit defect vectors",
+                    slack > 1e-12, note=f"slack {slack:.3e}")
+    boundary = 0.0
+    for k in range(64):
+        zeta = np.exp(2j * np.pi * k / 64)
+        th = triple.theta(zeta)
+        boundary = max(boundary, frob(adj(th) @ th - eye(triple.dt.dim)))
+    rep.check("two-sided-inner", "I - Theta(zeta)*Theta(zeta) = 0 on the circle",
+              boundary, 1e-8)
+    return rep
 
 
 def model_space(t: np.ndarray, n: int, dstar_basis: SubspaceBasis | None = None,
@@ -340,25 +423,24 @@ def model_symbols(q: complex, g1: np.ndarray, g2: np.ndarray):
     return sym1, sym2
 
 
-def model_compress(pair: QPair, n: int | None = None, tail_tol: float = 1e-10,
-                   tol: float = 1e-8) -> ModelCompression:
+def model_compress(pair: PairAnalysis | QPair, n: int | None = None,
+                   tail_tol: float = 1e-10, tol: float = 1e-8) -> ModelCompression:
     """Compress the model multipliers to the truncated model space and verify
     unitary equivalence with the source pair, tail-corrected."""
-    t = pair.product()
-    dec = cnu_decompose(t)
-    if dec.unitary_part.dim:
+    an = PairAnalysis.of(pair)
+    pair, t = an.pair, an.product
+    if an.cnu.unitary_part.dim:
         raise NotCnuError("model compression needs a cnu product")
     if n is None:
         n = max(hardy.choose_trunc(t, tail_tol), 4)
     tail = tail_norm(t, n)
     if tail >= tail_tol:
         raise TailTooLargeError(f"||T*^{n + 1}|| = {tail:.3e} >= {tail_tol:.1e}")
-    star_tup = star_ando_tuple(pair)
-    fund = fundamental_ops(pair, star_tup=star_tup)
+    fund = an.fundamental
     sym1, sym2 = model_symbols(pair.q, fund.g1, fund.g2)
     mat1 = materialize(sym1, n).matrix
     mat2 = materialize(sym2, n).matrix
-    obs = obs_op(t, fund.defect.basis, n)
+    obs = obs_op(t, an.dstar.basis, n)
     basis = SubspaceBasis(matcore.orth_columns(obs.matrix))
     b = basis.columns
     m1 = adj(b) @ mat1 @ b
@@ -379,7 +461,7 @@ def model_compress(pair: QPair, n: int | None = None, tail_tol: float = 1e-10,
     rep.check("equivalence-defect",
               "compressed pair unitarily equivalent to the source pair",
               defect_val, corrected)
-    mz = materialize(hardy.shift_symbol(pair.q, fund.defect.dim), n).matrix
+    mz = materialize(hardy.shift_symbol(pair.q, an.dstar.dim), n).matrix
     rep.check("compressed-q-commute", "M1 M2 = q M2 M1 on the model space",
               opnorm(m1 @ m2 - pair.q * m2 @ m1), corrected)
     rep.check("compressed-product", "M1 M2 equals the compressed shift",
@@ -477,10 +559,8 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
     dom = TruncHardy(d_in, n)
     cod = TruncHardy(d_out, n)
     t_theta = materialize(theta_sym, n).matrix
-    q_cols = t_theta @ dom.embed(n - d_theta)
-    q_basis = matcore.orth_columns(q_cols)
-    interior = max(n - d_theta - 1, -1)
-    test_cols = matcore.orth_columns(t_theta @ dom.embed(interior))
+    q_basis = matcore.orth_columns(t_theta[:, dom.low(n - d_theta)])
+    test_cols = matcore.orth_columns(t_theta[:, dom.low(n - d_theta - 1)])
     mz = materialize(hardy.shift_symbol(q, d_out), n).matrix
     worst_inv = 0.0
     if test_cols.shape[1]:
@@ -498,10 +578,9 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
                  "compressed product identities on the model complement",
                  note="truncation too small to expose an interior complement")
         return rep
-    low = cod.embed(k_int)
-    w_cols = adj(low) @ (t_theta @ dom.embed(k_int))
-    x_red = _null_space(adj(w_cols))
-    x = low @ x_red
+    x_red = _null_space(adj(t_theta[cod.low(k_int), dom.low(k_int)]))
+    x = np.zeros((cod.total_dim, x_red.shape[1]), dtype=np.complex128)
+    x[cod.low(k_int)] = x_red
     if x.shape[1] == 0:
         rep.skip("cond4-compression",
                  "compressed product identities on the model complement",

@@ -5,54 +5,22 @@ W1 W = q W W1, W2 W = qbar W W2 and W1 = qbar W2* W.  Over the Douglas
 embedding these axioms are rigid: the off-diagonal blocks must vanish and the
 Hardy blocks must be the degree-one multipliers built from the fundamental
 operators.  Violating candidates are rejected by the axiom checks, so equality
-with the model triple is the only way to pass over a fixed embedding.
+with the model triple is the only way to pass over a fixed embedding.  The
+Douglas pseudo lift itself is built in `lifts`, next to the Douglas lift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
-import scipy.linalg
 
-from . import hardy, matcore, model
-from .hardy import TruncHardy, materialize, shift_symbol
-from .lifts import LiftSpace
+from . import hardy, matcore
+from .lifts import PseudoTriple, douglas_pseudo_lift
 from .matcore import adj, eye, opnorm
+from .model import PairAnalysis
 from .qpair import QPair
 from .report import Report
-
-
-@dataclass(frozen=True)
-class PseudoTriple:
-    q: complex
-    space: LiftSpace
-    w1: np.ndarray
-    w2: np.ndarray
-    w: np.ndarray
-    trunc: int
-
-
-def douglas_pseudo_lift(pair: QPair, n: int = hardy.DEFAULT_TRUNC):
-    """The pseudo lift over the Douglas embedding; returns (pi, PseudoTriple).
-
-    W1 = M_{G1*+zG2}R_q (+) W1^c, W2 = R_qbar M_{G2*+zG1} (+) W2^c,
-    W = M_z (+) W_D on TruncHardy(ran D_{T*}) (+) ran Q_{T*}.
-    """
-    q = pair.q
-    t = pair.product()
-    fund = model.fundamental_ops(pair)
-    cp = model.canonical_unitary_pair(pair)
-    dstar = fund.defect
-    space = LiftSpace(0, TruncHardy(dstar.dim, n), cp.dim)
-    sym1, sym2 = model.model_symbols(q, fund.g1, fund.g2)
-    w1 = scipy.linalg.block_diag(materialize(sym1, n).matrix, cp.w1).astype(np.complex128)
-    w2 = scipy.linalg.block_diag(materialize(sym2, n).matrix, cp.w2).astype(np.complex128)
-    w = scipy.linalg.block_diag(materialize(shift_symbol(q, dstar.dim), n).matrix,
-                                cp.wd).astype(np.complex128)
-    obs = hardy.obs_op(t, dstar.basis, n).matrix
-    pi = np.vstack([obs, adj(cp.basis.columns) @ cp.q_op])
-    return pi, PseudoTriple(q, space, w1, w2, w, n)
 
 
 def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
@@ -64,20 +32,20 @@ def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
     rep = Report("pseudo-triple", {"trunc": triple.trunc, "tol": tol})
     q = triple.q
     dim = triple.space.total_dim
-    e1 = triple.space.embed_interior(1)
-    e2 = triple.space.embed_interior(2)
+    e1 = triple.space.interior(1)
+    e2 = triple.space.interior(2)
     rep.check("axiom-i-contractions", "||W1||, ||W2|| <= 1",
-              max(0.0, max(opnorm(triple.w1 @ e1), opnorm(triple.w2 @ e1)) - 1.0),
+              max(0.0, max(opnorm(triple.w1[:, e1]), opnorm(triple.w2[:, e1])) - 1.0),
               1e-9)
     rep.check("axiom-i-isometry", "W*W = I on degrees <= N-1",
-              opnorm((adj(triple.w) @ triple.w - eye(dim)) @ e1), tol)
+              opnorm((adj(triple.w) @ triple.w - eye(dim))[:, e1]), tol)
     rep.check("axiom-ii-w1", "W1 W = q W W1 on degrees <= N-2",
-              opnorm((triple.w1 @ triple.w - q * triple.w @ triple.w1) @ e2), tol)
+              opnorm((triple.w1 @ triple.w - q * triple.w @ triple.w1)[:, e2]), tol)
     rep.check("axiom-ii-w2", "W2 W = qbar W W2 on degrees <= N-2",
-              opnorm((triple.w2 @ triple.w - np.conj(q) * triple.w @ triple.w2) @ e2),
+              opnorm((triple.w2 @ triple.w - np.conj(q) * triple.w @ triple.w2)[:, e2]),
               tol)
     rep.check("axiom-iii", "W1 = qbar W2* W on degrees <= N-1",
-              opnorm((triple.w1 - np.conj(q) * adj(triple.w2) @ triple.w) @ e1), tol)
+              opnorm((triple.w1 - np.conj(q) * adj(triple.w2) @ triple.w)[:, e1]), tol)
     return rep
 
 
@@ -124,18 +92,18 @@ def uniqueness_test(pair: QPair, candidate: PseudoTriple, tol: float = 1e-9,
         rep.check("tau-unitary", "supplied intertwiner is unitary",
                   opnorm(adj(tau) @ tau - eye(tau.shape[0])), 1e-10)
         w1, w2, w = (tau @ w1 @ adj(tau), tau @ w2 @ adj(tau), tau @ w @ adj(tau))
-    e1 = ref.space.embed_interior(1)
+    e1 = ref.space.interior(1)
     same_w = rep.check("same-douglas-isometry", "candidate W equals V_D",
-                       opnorm((w - ref.w) @ e1), tol)
+                       opnorm((w - ref.w)[:, e1]), tol)
     axioms = is_pseudo_triple(replace(candidate, w1=w1, w2=w2, w=w), tol)
     rep.merge(axioms, prefix="candidate-")
     lift_rep = is_pseudo_lift(pi_d, replace(candidate, w1=w1, w2=w2, w=w), pair, tol)
     rep.merge(lift_rep, prefix="candidate-")
     if same_w and axioms.overall and lift_rep.overall:
         rep.check("uniqueness-w1", "W1 = W1_D on degrees <= N-1",
-                  opnorm((w1 - ref.w1) @ e1), tol)
+                  opnorm((w1 - ref.w1)[:, e1]), tol)
         rep.check("uniqueness-w2", "W2 = W2_D on degrees <= N-1",
-                  opnorm((w2 - ref.w2) @ e1), tol)
+                  opnorm((w2 - ref.w2)[:, e1]), tol)
     else:
         rep.skip("uniqueness-equality", "(W1,W2) = (W1_D,W2_D)",
                  note="candidate failed the pseudo-lift preconditions; "
@@ -153,21 +121,20 @@ def perturbed_triple(triple: PseudoTriple, eps: float, seed: int = 0) -> PseudoT
         # no off-diagonal geometry: perturb the top-left corner instead
         block = rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
         w1[:1, :1] += eps * block / abs(block[0, 0])
-        return PseudoTriple(triple.q, triple.space, w1, triple.w2, triple.w,
-                            triple.trunc)
+        return replace(triple, w1=w1)
     block = rng.standard_normal((hd, tl)) + 1j * rng.standard_normal((hd, tl))
     block *= eps / opnorm(block)
     w1[:hd, hd:] += block
-    return PseudoTriple(triple.q, triple.space, w1, triple.w2, triple.w,
-                        triple.trunc)
+    return replace(triple, w1=w1)
 
 
-def taylor_rigidity(triple: PseudoTriple, pair: QPair, tol: float = 1e-9) -> Report:
+def taylor_rigidity(triple: PseudoTriple, pair: PairAnalysis | QPair,
+                    tol: float = 1e-9) -> Report:
     """Extract the Hardy-block symbols of a passing triple and match them to
     the fundamental operators: phi1 = G1* + z G2, phi2 = G2* + qbar z G1."""
     rep = Report("taylor-rigidity", {"trunc": triple.trunc, "tol": tol})
     q = triple.q
-    fund = model.fundamental_ops(pair)
+    fund = PairAnalysis.of(pair).fundamental
     hd = triple.space.hardy.total_dim
     space = triple.space.hardy
     a1 = hardy.TruncOperator(triple.w1[:hd, :hd], space, space, 1)

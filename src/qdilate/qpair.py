@@ -19,6 +19,7 @@ import scipy.linalg
 
 from . import matcore
 from .errors import (
+    DimensionMismatchError,
     GeneratorError,
     MixedTwistError,
     NotContractionError,
@@ -43,9 +44,6 @@ class QPair:
 
     def product(self) -> np.ndarray:
         return self.t1 @ self.t2
-
-    def adjoint(self) -> "QPair":
-        return adjoint_pair(self)
 
 
 @dataclass(frozen=True)
@@ -75,10 +73,6 @@ def validate(q: complex, t1, t2, tol: float = 1e-10) -> QPair:
     if res > tol:
         raise NotQCommutingError(f"||T1 T2 - q T2 T1||_F = {res:.3e} > {tol:.1e}")
     return QPair(q, t1, t2)
-
-
-def product(pair: QPair) -> np.ndarray:
-    return pair.product()
 
 
 def adjoint_pair(pair: QPair) -> QPair:
@@ -197,10 +191,6 @@ def cnu_decompose(t: np.ndarray, tol: float = 1e-8) -> ProductDecomposition:
     return ProductDecomposition(SubspaceBasis(b_u), SubspaceBasis(b_c), t_u, t_c)
 
 
-def is_cnu(t: np.ndarray, tol: float = 1e-8) -> bool:
-    return cnu_decompose(t, tol).unitary_part.dim == 0
-
-
 def check_lemma_prod(pair: QPair, n_max: int = 8) -> Report:
     """Residuals of the product-power twist relations, and factor isometry
     when the product is isometric."""
@@ -235,9 +225,14 @@ def pair_to_json(pair: QPair) -> dict:
 
 
 def pair_from_json(obj: dict, tol: float = 1e-10) -> QPair:
-    q = complex(obj["q"][0], obj["q"][1])
-    return validate(q, matcore.matrix_from_json(obj["T1"]),
-                    matcore.matrix_from_json(obj["T2"]), tol=tol)
+    """Read {"q": [re, im], "T1": matrix, "T2": matrix}; ParseError if malformed."""
+    try:
+        q = complex(obj["q"][0], obj["q"][1])
+        t1 = matcore.matrix_from_json(obj["T1"])
+        t2 = matcore.matrix_from_json(obj["T2"])
+    except (KeyError, IndexError, TypeError, ValueError, DimensionMismatchError) as exc:
+        raise ParseError(f"malformed pair JSON: {type(exc).__name__}: {exc}") from exc
+    return validate(q, t1, t2, tol=tol)
 
 
 def parse_complex(text: str) -> complex:

@@ -70,8 +70,7 @@ def test_criterion_3_douglas(corpus):
     worst_energy = 0.0
     cor_ok = True
     for name, pair, _ in corpus:
-        star = qd.star_ando_tuple(pair)
-        lift = qd.douglas_lift(pair, star, n)
+        lift = qd.douglas_lift(pair, n)
         t_star = adj(pair.product())
         tp = np.linalg.matrix_power(t_star, n + 1)
         q_op = lift.canonical.q_op

@@ -66,11 +66,15 @@ class TestVerify:
         path.write_text(json.dumps(obj))
         assert run(["verify", "--pair", path]) == 1
 
-    def test_unreadable_input_exits_2(self, tmp_path):
+    def test_unreadable_input_exits_2(self, tmp_path, pair_file):
         path = tmp_path / "junk.json"
-        path.write_text("{not json")
-        assert run(["verify", "--pair", path]) == 2
+        bad_entry = qpair.pair_to_json(qd.gen_clock_shift(2, 0.9))
+        bad_entry["T1"]["data"][0] = [0.5]
+        for text in ("{not json", "{}", "[1, 2]", json.dumps(bad_entry)):
+            path.write_text(text)
+            assert run(["verify", "--pair", path]) == 2, text
         assert run(["verify", "--pair", tmp_path / "missing.json"]) == 2
+        assert run(["charfn", "--pair", pair_file, "--grid=-1x4"]) == 2
 
     def test_unknown_suite_exits_2(self, pair_file):
         assert run(["verify", "--pair", pair_file, "--suites", "nope"]) == 2
@@ -158,6 +162,13 @@ class TestOtherCommands:
         rep = json.loads(out.read_text())
         ids = {r["id"]: r for r in rep["records"]}
         assert ids["perturbation-rejected"]["pass"] is True
+
+    def test_pseudo_applies_tol(self, tmp_path):
+        # exactly q-commuting, so --tol 1e-30 passes validation and reaches the axioms
+        path = tmp_path / "p.json"
+        run(["gen", "nilpotent:n=3,q=-1,c=0.9,d=0.8", "--out", path])
+        assert run(["pseudo", "--pair", path, "--trunc", 10]) == 0
+        assert run(["pseudo", "--pair", path, "--trunc", 10, "--tol", "1e-30"]) == 1
 
     def test_demo(self, tmp_path):
         out = tmp_path / "demo.json"

@@ -69,8 +69,8 @@ class TestCompose:
         prod = symbol_compose(s1, s2)
         lhs = materialize(s1, n).matrix @ materialize(s2, n).matrix
         rhs = materialize(prod, n).matrix
-        emb = TruncHardy(2, n).embed(n - s1.degree - s2.degree)
-        assert opnorm((lhs - rhs) @ emb) < 1e-13 * max(1.0, opnorm(rhs))
+        low = TruncHardy(2, n).low(n - s1.degree - s2.degree)
+        assert opnorm((lhs - rhs)[:, low]) < 1e-13 * max(1.0, opnorm(rhs))
 
 
 class TestInner:
@@ -97,8 +97,8 @@ class TestInner:
         s = TwistedSymbol(Q, 1, ((eye(2) - p) @ u, p @ u))
         n = 8
         m = materialize(s, n)
-        emb = TruncHardy(2, n).embed(n - 1)
-        assert opnorm((adj(m.matrix) @ m.matrix - eye(m.matrix.shape[0])) @ emb) < 1e-12
+        low = TruncHardy(2, n).low(n - 1)
+        assert opnorm((adj(m.matrix) @ m.matrix - eye(m.matrix.shape[0]))[:, low]) < 1e-12
 
 
 class TestMaterialize:
@@ -124,8 +124,8 @@ class TestMaterialize:
         n = 6
         mz = materialize(shift_symbol(Q, 2), n).matrix
         rq = materialize(rotation_symbol(Q, 2), n).matrix
-        emb = TruncHardy(2, n).embed(n - 1)
-        assert opnorm((rq @ mz - Q * mz @ rq) @ emb) < 1e-13
+        low = TruncHardy(2, n).low(n - 1)
+        assert opnorm((rq @ mz - Q * mz @ rq)[:, low]) < 1e-13
 
 
 class TestEv0:
