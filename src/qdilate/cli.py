@@ -71,7 +71,7 @@ def _suite_ando(an, n, tol):
 def _suite_schaffer(an, n, tol):
     lift = lifts.schaffer_lift(an.pair, an.tup, n)
     rep = lifts.verify_lift(lift, an)
-    rep.merge(lifts.minimality_check(lift, an.pair))
+    rep.merge(lifts.minimality_check(lift))
     _, ext = lifts.extract_ando_from_lift(lift, an)
     rep.merge(ext, prefix="extract-")
     return rep
@@ -80,7 +80,7 @@ def _suite_schaffer(an, n, tol):
 def _suite_douglas(an, n, tol):
     lift = lifts.douglas_lift(an, n)
     rep = lifts.verify_lift(lift, an)
-    rep.merge(lifts.minimality_check(lift, an.pair))
+    rep.merge(lifts.minimality_check(lift))
     return rep
 
 

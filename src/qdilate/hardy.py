@@ -279,10 +279,10 @@ def extract_symbol(a: TruncOperator, q: complex, tol: float = 1e-10):
     n, f = space.max_degree, space.fiber_dim
     mz = materialize(shift_symbol(q, f), n).matrix
     pre = opnorm((a.matrix @ mz - q * (mz @ a.matrix))[:, space.low(n - 1)])
-    if pre > tol * max(1.0, opnorm(a.matrix)):
+    scale = max(1.0, opnorm(a.matrix))
+    if pre > tol * scale:
         raise NotQCommutantError(
             f"||A Mz - q Mz A|| = {pre:.3e} on degrees <= {n - 1}")
-    scale = max(1.0, opnorm(a.matrix))
     coeffs = [np.array(space.block(a.matrix, k, 0)) for k in range(n + 1)]
     deg = 0
     for k in range(n, 0, -1):

@@ -235,8 +235,7 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
     return rep
 
 
-def minimality_check(lift: LiftRealization, pair: QPair,
-                     rank_tol: float = 1e-8) -> Report:
+def minimality_check(lift: LiftRealization, rank_tol: float = 1e-8) -> Report:
     """Product-Krylov reachability, cross-checked against a greedy orbit oracle.
 
     Rank of [Pi, V Pi, ..., V^{N+1} Pi] with V = V1 V2; both routes use the
@@ -244,15 +243,8 @@ def minimality_check(lift: LiftRealization, pair: QPair,
     consistently.  The report carries the achieved rank, the oracle rank and
     the full space dimension (the unreachable truncation slice is their gap).
     """
-    v = lift.v1 @ lift.v2
-    cols = [lift.pi]
-    block = lift.pi
-    for _ in range(lift.trunc + 1):
-        block = v @ block
-        cols.append(block)
-    kry = np.hstack(cols)
-    achieved = matcore.numerical_rank(kry, rank_tol=rank_tol)
-    oracle = matcore.greedy_orbit_rank(v, lift.pi, rank_tol=rank_tol)
+    achieved, oracle = matcore.krylov_ranks(lift.v1 @ lift.v2, lift.pi,
+                                            lift.trunc + 1, rank_tol)
     rep = Report("minimality", {
         "achieved_rank": achieved,
         "oracle_rank": oracle,

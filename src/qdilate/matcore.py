@@ -25,7 +25,6 @@ from .errors import (
     ParseError,
 )
 
-STRUCT_TOL = 1e-12
 EPS = float(np.finfo(np.float64).eps)
 
 
@@ -305,3 +304,14 @@ def greedy_orbit_rank(ops, seed_columns: np.ndarray, rank_tol: float = 1e-8,
         basis = np.hstack([basis, new])
         frontier = new
     return basis.shape[1]
+
+
+def krylov_ranks(op: np.ndarray, seed: np.ndarray, steps: int,
+                 rank_tol: float = 1e-8) -> tuple[int, int]:
+    """Rank of [seed, op seed, ..., op^steps seed], grown by D x k block
+    products, and the greedy orbit oracle's rank of that span, at one cutoff."""
+    blocks = [seed]
+    for _ in range(steps):
+        blocks.append(op @ blocks[-1])
+    return (numerical_rank(np.hstack(blocks), rank_tol=rank_tol),
+            greedy_orbit_rank(op, seed, rank_tol=rank_tol))

@@ -378,7 +378,7 @@ def verify_triple(pair: PairAnalysis | QPair) -> Report:
     rep.check("unitary-part-collapse", "||Q_{T*}|| vanishes for cnu products",
               triple.q_residual, 1e-6)
     if triple.dt.dim:
-        slack = 1.0 - max(np.linalg.norm(theta0[:, j]) for j in range(triple.dt.dim))
+        slack = 1.0 - opnorm(theta0)
         rep.require("purely-contractive",
                     "||Theta(0) f|| < ||f|| strictly on unit defect vectors",
                     slack > 1e-12, note=f"slack {slack:.3e}")
@@ -492,9 +492,8 @@ def verify_coincidence(triple_a: CharTriple, triple_b: CharTriple,
 
     (i) u_* Theta(z) = Theta'(z) u on a disk grid, (ii) conjugation of the
     fundamental pairs, (iii) unitary parts (trivial at finite dimension)."""
-    if radii is None:
-        radii = np.linspace(0.1, 0.9, 8)
-    rep = Report("coincidence", {"radii": len(list(radii)), "angles": angles,
+    radii = np.linspace(0.1, 0.9, 8) if radii is None else list(radii)
+    rep = Report("coincidence", {"radii": len(radii), "angles": angles,
                                  "tol": tol})
     u, u_star = as_cmatrix(u), as_cmatrix(u_star)
     worst = 0.0

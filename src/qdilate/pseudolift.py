@@ -64,10 +64,7 @@ def is_pseudo_lift(pi: np.ndarray, triple: PseudoTriple, pair: QPair,
               opnorm(adj(triple.w2) @ pi - pi @ adj(pair.t2)), corrected)
     rep.check("lift-w", "W* Pi = Pi T*",
               opnorm(adj(triple.w) @ pi - pi @ adj(t)), corrected)
-    achieved = matcore.numerical_rank(
-        np.hstack([np.linalg.matrix_power(triple.w, k) @ pi
-                   for k in range(triple.trunc + 2)]), rank_tol=rank_tol)
-    oracle = matcore.greedy_orbit_rank(triple.w, pi, rank_tol=rank_tol)
+    achieved, oracle = matcore.krylov_ranks(triple.w, pi, triple.trunc + 1, rank_tol)
     full = triple.space.total_dim
     rep.require("minimality", "span{W^n Ran Pi} is the whole lift space",
                 achieved == oracle == full,

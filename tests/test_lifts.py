@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import qdilate as qd
-from qdilate import hardy, lifts
+from qdilate import hardy, lifts, matcore
 from qdilate.errors import GeneratorError
 from qdilate.matcore import adj, eye, frob, opnorm
 
@@ -106,7 +106,7 @@ class TestMinimality:
         tup = qd.special_ando_tuple(pair)
         n = 6
         lift = qd.schaffer_lift(pair, tup, n)
-        rep = qd.minimality_check(lift, pair)
+        rep = qd.minimality_check(lift)
         assert rep.overall
         assert rep.environment["achieved_rank"] == 1 + (n + 1)
         assert rep.environment["space_dim"] == 1 + 2 * (n + 1)
@@ -115,7 +115,7 @@ class TestMinimality:
         pair = qd.gen_clock_shift(3, 1.0)
         tup = qd.special_ando_tuple(pair)
         lift = qd.schaffer_lift(pair, tup, 4)
-        rep = qd.minimality_check(lift, pair)
+        rep = qd.minimality_check(lift)
         assert rep.environment["achieved_rank"] == 3
 
     def test_douglas_zero_pair_rank(self):
@@ -123,16 +123,23 @@ class TestMinimality:
         pair = zero_pair()
         n = 6
         lift = qd.douglas_lift(pair, n)
-        rep = qd.minimality_check(lift, pair)
+        rep = qd.minimality_check(lift)
         assert rep.overall
         assert rep.environment["achieved_rank"] == n + 1
         assert rep.environment["space_dim"] == 2 * (n + 1)
 
     def test_corpus_consistency(self, corpus):
+        n = 10
         for name, pair, _ in corpus[::7]:
             tup = qd.special_ando_tuple(pair)
-            lift = qd.schaffer_lift(pair, tup, 10)
-            assert qd.minimality_check(lift, pair).overall, name
+            lift = qd.schaffer_lift(pair, tup, n)
+            rep = qd.minimality_check(lift)
+            assert rep.overall, name
+            # dense oracle: the stack rebuilt from explicit powers of V
+            v = lift.v1 @ lift.v2
+            dense = np.hstack([np.linalg.matrix_power(v, k) @ lift.pi for k in range(n + 2)])
+            assert rep.environment["achieved_rank"] == matcore.numerical_rank(
+                dense, rank_tol=1e-8), name
 
 
 class TestSymbolLevelProduct:

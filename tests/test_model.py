@@ -328,6 +328,11 @@ class TestCoincidence:
                     tri_a, tri_b,
                     phase_u * eye(1), phase_us * eye(1))
                 assert rep.records[0].residual > 1e-2
+        # a one-shot iterator of radii is scanned, not used up by the count
+        rep = qd.verify_coincidence(tri_a, tri_b, eye(1), eye(1),
+                                    radii=(r for r in np.linspace(0.1, 0.9, 8)))
+        assert rep.environment["radii"] == 8
+        assert rep.records[0].residual > 1e-2
 
 
 class TestAdmissible:
