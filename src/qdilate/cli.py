@@ -343,6 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.trunc < 0:
+        print(f"error: --trunc must be at least 0, got {args.trunc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except QDilateError as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import matcore
 from .errors import (
@@ -49,12 +50,6 @@ class TruncHardy:
     def low(self, k: int) -> slice:
         """Index slice of the degrees <= k part (empty for k < 0)."""
         return slice(0, max(min(k, self.max_degree) + 1, 0) * self.fiber_dim)
-
-    def block(self, mat: np.ndarray, i: int, j: int, cod: "TruncHardy | None" = None):
-        """Degree-(i, j) coefficient block of a matrix on this space."""
-        fr = (cod or self).fiber_dim
-        fc = self.fiber_dim
-        return mat[i * fr:(i + 1) * fr, j * fc:(j + 1) * fc]
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,7 @@ def symbol_is_inner(s: TwistedSymbol, tol: float = 1e-12):
 
 @dataclass(frozen=True)
 class TruncOperator:
-    """A materialized operator together with its truncation metadata."""
+    """A materialized operator (dense or sparse) with its truncation metadata."""
 
     matrix: np.ndarray
     domain: object    # TruncHardy or plain dimension
@@ -165,26 +160,37 @@ class TruncOperator:
         return self.matrix[:, self.domain.low(self.domain.max_degree - self.degree_shift)]
 
 
-def materialize(s: TwistedSymbol, n: int) -> TruncOperator:
-    """Matrix of M_phi R_{q^twist} on TruncHardy(fiber, n).
+def materialize_csr(s: TwistedSymbol, n: int) -> sp.csr_matrix:
+    """CSR matrix of M_phi R_{q^twist} on TruncHardy(fiber, n).
 
     Monomial action: z^j (x) xi  |->  sum_k q^{twist j} z^{j+k} (x) C_k xi,
-    coefficients beyond degree n dropped.
+    coefficients beyond degree n dropped: block (j+k, j) is q^{twist j} C_k.
     """
     if n < s.degree:
         raise DimensionMismatchError(f"truncation {n} below symbol degree {s.degree}")
-    dom = TruncHardy(s.fiber_in, n)
-    cod = TruncHardy(s.fiber_out, n)
-    mat = np.zeros((cod.total_dim, dom.total_dim), dtype=np.complex128)
     fi, fo = s.fiber_in, s.fiber_out
     qt = s.q ** s.twist
-    for j in range(n + 1):
-        phase = qt ** j
-        for k, c in enumerate(s.coeffs):
-            if j + k > n:
-                break
-            mat[(j + k) * fo:(j + k + 1) * fo, j * fi:(j + 1) * fi] += phase * c
-    return TruncOperator(mat, dom, cod, s.degree)
+    phase = np.array([qt ** j for j in range(n + 1)], dtype=np.complex128)
+    rows, cols, vals = [], [], []
+    for k, c in enumerate(s.coeffs):
+        j = np.arange(n + 1 - k)[:, None, None]
+        shape = (j.size, fo, fi)
+        vals.append((phase[j] * c).ravel())
+        rows.append(np.broadcast_to((j + k) * fo + np.arange(fo)[:, None], shape).ravel())
+        cols.append(np.broadcast_to(j * fi + np.arange(fi), shape).ravel())
+    vals = np.concatenate(vals)
+    keep = vals != 0
+    return sp.csr_matrix(
+        (vals[keep], (np.concatenate(rows)[keep], np.concatenate(cols)[keep])),
+        shape=((n + 1) * fo, (n + 1) * fi))
+
+
+def materialize(s: TwistedSymbol, n: int) -> TruncOperator:
+    """Dense matrix of M_phi R_{q^twist} on TruncHardy(fiber, n): the
+    `materialize_csr` matrix with its zeros filled in."""
+    mat = materialize_csr(s, n).toarray()
+    return TruncOperator(mat, TruncHardy(s.fiber_in, n), TruncHardy(s.fiber_out, n),
+                         s.degree)
 
 
 def ev0(n: int, fiber_dim: int) -> TruncOperator:
@@ -271,26 +277,29 @@ def extract_symbol(a: TruncOperator, q: complex, tol: float = 1e-10):
 
     Precondition (checked on degrees <= N-1): A M_z = q M_z A.  The Taylor
     coefficients are A's action on the degree-0 block; returns the symbol and
-    the restricted reconstruction residual.
+    the restricted reconstruction residual.  A's matrix may be dense or
+    sparse; the residuals are formed sparsely.
     """
     if not isinstance(a.domain, TruncHardy) or a.domain != a.codomain:
         raise DimensionMismatchError("extract_symbol needs an endomorphism of TruncHardy")
     space = a.domain
     n, f = space.max_degree, space.fiber_dim
-    mz = materialize(shift_symbol(q, f), n).matrix
-    pre = opnorm((a.matrix @ mz - q * (mz @ a.matrix))[:, space.low(n - 1)])
-    scale = max(1.0, opnorm(a.matrix))
+    mat = matcore.as_csr(a.matrix)
+    mz = materialize_csr(shift_symbol(q, f), n)
+    pre = opnorm((mat @ mz - q * (mz @ mat))[:, space.low(n - 1)])
+    scale = max(1.0, opnorm(mat))
     if pre > tol * scale:
         raise NotQCommutantError(
             f"||A Mz - q Mz A|| = {pre:.3e} on degrees <= {n - 1}")
-    coeffs = [np.array(space.block(a.matrix, k, 0)) for k in range(n + 1)]
+    first = mat[:, :f].toarray()
+    coeffs = [first[k * f:(k + 1) * f] for k in range(n + 1)]
     deg = 0
     for k in range(n, 0, -1):
         if frob(coeffs[k]) > tol * scale:
             deg = k
             break
     sym = TwistedSymbol(q, 1, tuple(coeffs[:deg + 1]))
-    resid = opnorm((a.matrix - materialize(sym, n).matrix)[:, space.low(n - deg)])
+    resid = opnorm((mat - materialize_csr(sym, n))[:, space.low(n - deg)])
     return sym, resid
 
 

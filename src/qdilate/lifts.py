@@ -18,6 +18,10 @@ Every verified identity carries a degree budget: an identity whose sides have
 maximal z-degree d is asserted on inputs of degree <= N - d only, where it
 holds exactly; Douglas embedding residuals are instead bounded by the exact
 tail quantity ||D_{T*} T*^{N+1}|| of the observability column.
+
+The lift and pseudo-lift operators are CSR matrices built from the symbol
+blocks, and their residuals are formed sparsely; the embeddings Pi are dense
+D x dim columns.  The verifiers also accept dense operators.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
 
 from . import hardy, matcore, model
 from .ando import AndoTuple
 from .errors import GeneratorError, NotModelFormError
-from .hardy import TruncHardy, TwistedSymbol, materialize, shift_symbol
-from .matcore import adj, eye, frob, opnorm
+from .hardy import TruncHardy, TwistedSymbol, materialize, materialize_csr, shift_symbol
+from .matcore import adj, as_csr, block_csr, eye, frob, opnorm, speye
 from .model import CanonicalUnitaryPair, PairAnalysis
 from .qpair import QPair
 from .report import Report
@@ -65,8 +69,8 @@ class LiftRealization:
     q: complex
     space: LiftSpace
     pi: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
+    v1: sp.csr_matrix
+    v2: sp.csr_matrix
     trunc: int
     canonical: CanonicalUnitaryPair | None = None
 
@@ -75,9 +79,9 @@ class LiftRealization:
 class PseudoTriple:
     q: complex
     space: LiftSpace
-    w1: np.ndarray
-    w2: np.ndarray
-    w: np.ndarray
+    w1: sp.csr_matrix
+    w2: sp.csr_matrix
+    w: sp.csr_matrix
     trunc: int
 
 
@@ -118,15 +122,12 @@ def schaffer_lift(pair: QPair, tup: AndoTuple, n: int = hardy.DEFAULT_TRUNC) -> 
     ell = tup.lam_dt()
 
     sym1, sym2 = schaffer_symbols(tup, q)
-    hblock1 = q * materialize(sym1, n).matrix
-    hblock2 = np.conj(q) * materialize(sym2, n).matrix
+    hblock1 = q * materialize_csr(sym1, n)
+    hblock2 = np.conj(q) * materialize_csr(sym2, n)
 
     def assemble(head, const_row, hblock):
-        v = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
-        v[:h_dim, :h_dim] = head
-        v[h_dim:h_dim + f, :h_dim] = const_row
-        v[h_dim:, h_dim:] = hblock
-        return v
+        return block_csr((space.total_dim, space.total_dim),
+                         [(0, 0, head), (h_dim, 0, const_row), (h_dim, h_dim, hblock)])
 
     v1 = assemble(pair.t1, p @ u @ ell, hblock1)
     v2 = assemble(pair.t2, np.conj(q) * (adj(u) @ p_perp @ ell), hblock2)
@@ -150,8 +151,8 @@ def douglas_lift(pair: PairAnalysis | QPair,
     space = LiftSpace(0, TruncHardy(star_tup.f_dim, n), cp.dim)
 
     sym1, sym2 = douglas_symbols(star_tup, q)
-    v1 = scipy.linalg.block_diag(materialize(sym1, n).matrix, cp.w1).astype(np.complex128)
-    v2 = scipy.linalg.block_diag(materialize(sym2, n).matrix, cp.w2).astype(np.complex128)
+    v1 = _block_diag(materialize_csr(sym1, n), cp.w1)
+    v2 = _block_diag(materialize_csr(sym2, n), cp.w2)
 
     obs = hardy.obs_op(an.product, an.dstar.basis, n).matrix
     dressed = star_tup.lam @ obs.reshape(n + 1, an.dstar.dim, an.pair.dim)
@@ -172,13 +173,18 @@ def douglas_pseudo_lift(pair: PairAnalysis | QPair, n: int = hardy.DEFAULT_TRUNC
     dstar = an.dstar
     space = LiftSpace(0, TruncHardy(dstar.dim, n), cp.dim)
     sym1, sym2 = model.model_symbols(q, fund.g1, fund.g2)
-    w1 = scipy.linalg.block_diag(materialize(sym1, n).matrix, cp.w1).astype(np.complex128)
-    w2 = scipy.linalg.block_diag(materialize(sym2, n).matrix, cp.w2).astype(np.complex128)
-    w = scipy.linalg.block_diag(materialize(shift_symbol(q, dstar.dim), n).matrix,
-                                cp.wd).astype(np.complex128)
+    w1 = _block_diag(materialize_csr(sym1, n), cp.w1)
+    w2 = _block_diag(materialize_csr(sym2, n), cp.w2)
+    w = _block_diag(materialize_csr(shift_symbol(q, dstar.dim), n), cp.wd)
     obs = hardy.obs_op(an.product, dstar.basis, n).matrix
     pi = np.vstack([obs, cp.coords()])
     return pi, PseudoTriple(q, space, w1, w2, w, n)
+
+
+def _block_diag(hardy_block, tail_block) -> sp.csr_matrix:
+    """The Hardy part (+) the unitary tail, as one CSR matrix."""
+    (h, _), (k, _) = hardy_block.shape, tail_block.shape
+    return block_csr((h + k, h + k), [(0, 0, hardy_block), (h, h, tail_block)])
 
 
 def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
@@ -200,17 +206,19 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
     rep.environment["tail"] = tail
 
     int_tol = 1e-11 if lift.kind == "schaffer" else 1e-9 + 10.0 * tail
-    for name, v, t_i in (("v1", lift.v1, pair.t1), ("v2", lift.v2, pair.t2)):
+    v1, v2 = as_csr(lift.v1), as_csr(lift.v2)
+    for name, v, t_i in (("v1", v1, pair.t1), ("v2", v2, pair.t2)):
         rep.check(f"intertwine-{name}", f"V{name[-1]}* Pi = Pi T{name[-1]}*",
                   opnorm(adj(v) @ lift.pi - lift.pi @ adj(t_i)), int_tol)
     e1 = lift.space.interior(1)
     e2 = lift.space.interior(2)
-    dim_total = lift.space.total_dim
-    for name, v in (("v1", lift.v1), ("v2", lift.v2)):
+    ident = speye(lift.space.total_dim)
+    for name, v in (("v1", v1), ("v2", v2)):
         rep.check(f"isometry-{name}", f"{name}*{name} = I on degrees <= N-1",
-                  opnorm((adj(v) @ v - eye(dim_total))[:, e1]), tol)
+                  opnorm((adj(v) @ v - ident)[:, e1]), tol)
+    v12 = v1 @ v2
     rep.check("q-commute", "V1 V2 = q V2 V1 on degrees <= N-2",
-              opnorm((lift.v1 @ lift.v2 - q * lift.v2 @ lift.v1)[:, e2]), tol)
+              opnorm((v12 - q * v2 @ v1)[:, e2]), tol)
 
     if lift.kind == "schaffer":
         rep.check("pi-isometry", "Pi*Pi = I (inclusion)",
@@ -223,10 +231,9 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
         rep.check("pi-energy",
                   "Pi*Pi = I - T^{N+1}T*^{N+1} + Q^2 (exact finite-N identity)",
                   frob(adj(lift.pi) @ lift.pi - gram_target), 1e-11)
-        mz = materialize(shift_symbol(q, lift.space.hardy.fiber_dim), n).matrix
-        vd = scipy.linalg.block_diag(mz, cp.wd).astype(np.complex128)
+        mz = materialize_csr(shift_symbol(q, lift.space.hardy.fiber_dim), n)
         rep.check("product-structure", "V1 V2 = M_z (+) W_D on degrees <= N-2",
-                  opnorm((lift.v1 @ lift.v2 - vd)[:, e2]), tol)
+                  opnorm((v12 - _block_diag(mz, cp.wd))[:, e2]), tol)
         pi_d, gform = douglas_pseudo_lift(an, n)
         rep.check("gform-intertwine-1", "(M_{G1*+zG2}R_q (+) W1)* Pi_D = Pi_D T1*",
                   opnorm(adj(gform.w1) @ pi_d - pi_d @ adj(pair.t1)), int_tol)
@@ -287,18 +294,19 @@ def extract_ando_from_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
     f = lift.space.hardy.fiber_dim
     n = lift.trunc
     hs = lift.space.head_dim
+    v1, v2 = as_csr(lift.v1), as_csr(lift.v2)
 
-    for name, v in (("v1", lift.v1), ("v2", lift.v2)):
+    for name, v in (("v1", v1), ("v2", v2)):
         upper = opnorm(v[:h_dim, hs:])
         if upper > tol:
             raise NotModelFormError(f"{name} has a head->Hardy block of norm {upper:.3e}")
-    v = lift.v1 @ lift.v2
-    mz = materialize(shift_symbol(q, f), n).matrix
+    v = v1 @ v2
+    mz = materialize_csr(shift_symbol(q, f), n)
     diag_res = opnorm((v[hs:, hs:] - mz)[:, lift.space.hardy.low(n - 1)])
     if diag_res > tol:
         raise NotModelFormError(
             f"Hardy diagonal of V1 V2 is not the shift: residual {diag_res:.3e}")
-    c_block = v[hs:, :h_dim]
+    c_block = v[hs:, :h_dim].toarray()
     rep = Report("ando-extract", {"tol": tol})
     rep.check("mzstar-c", "M_z* C = 0 (C is a constant column)",
               opnorm(c_block[f:]), tol)
@@ -313,8 +321,8 @@ def extract_ando_from_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
     rep.check("lambda-consistency", "Lambda (ran D_T coords) reproduces C",
               frob(lam_rec @ x - c0), tol)
 
-    a1 = lift.v1[hs:hs + f, :h_dim]
-    a2 = q * lift.v2[hs:hs + f, :h_dim]
+    a1 = v1[hs:hs + f, :h_dim].toarray()
+    a2 = q * v2[hs:hs + f, :h_dim].toarray()
     rep.check("frag-t1", "T1*T1 + (PUL)*(PUL) = I",
               frob(adj(pair.t1) @ pair.t1 + adj(a1) @ a1 - eye(h_dim)), tol)
     rep.check("frag-t2", "T2*T2 + (U*(I-P)L)*(U*(I-P)L) = I",

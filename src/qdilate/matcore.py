@@ -1,7 +1,10 @@
-"""Dense complex-matrix primitives used by every other module.
+"""Complex-matrix primitives used by every other module.
 
-Operators are plain complex128 numpy arrays.  Subspaces are wrapped in
-:class:`SubspaceBasis`, which checks orthonormality once at construction.
+Operators are complex128 numpy arrays, except the lift-space operators, which
+are `scipy.sparse` CSR matrices (`as_csr`, `speye` and `block_csr` build
+them); `opnorm`, `greedy_orbit_rank` and `krylov_ranks` accept both.
+Subspaces are wrapped in :class:`SubspaceBasis`, which checks orthonormality
+once at construction.
 All routines are pure and deterministic: random input never enters here, and
 the one genuinely non-canonical construction (completing a partial isometry
 to a unitary) is pinned to a fixed pivoted-QR convention so results are
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatchError,
@@ -37,13 +41,62 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a)) if a.size else 0.0
 
 
-def opnorm(a: np.ndarray) -> float:
-    """Spectral norm; 0 for empty matrices."""
+def opnorm(a) -> float:
+    """Spectral norm; 0 for empty matrices.
+
+    Dense input goes through the SVD.  For sparse input the norm is the root
+    of the largest eigenvalue of the smaller Gram matrix, A*A or AA*, which is
+    banded for the lift-space operators; LAPACK's banded Hermitian
+    eigensolver (?hbevd, eigenvalues only) computes it.  Selecting just the
+    top eigenvalue (?hbevx) is not used: its bisection cannot separate that
+    index from a cluster, and a contraction whose norm is attained on several
+    directions makes one.  A is first divided by its largest |entry|, so the
+    Gram neither underflows nor overflows.
+    """
+    if sp.issparse(a):
+        return _sparse_opnorm(a)
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
+
+
+def _sparse_opnorm(a) -> float:
+    a = sp.csr_matrix(a)
+    scale = float(np.abs(a.data).max()) if a.nnz else 0.0
+    if scale == 0.0:
+        return 0.0
+    a = a / scale
+    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+    gram = gram.tocoo()
+    gram.sum_duplicates()
+    lower = gram.row >= gram.col
+    offset, col = gram.row[lower] - gram.col[lower], gram.col[lower]
+    band = np.zeros((offset.max() + 1, gram.shape[0]), dtype=np.complex128)
+    band[offset, col] = gram.data[lower]
+    top = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)[-1]
+    return scale * float(np.sqrt(max(top, 0.0)))
 
 
 def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
+
+
+def speye(n: int) -> sp.csr_matrix:
+    return sp.identity(n, dtype=np.complex128, format="csr")
+
+
+def as_csr(a) -> sp.csr_matrix:
+    """A dense or sparse matrix as complex128 CSR (no copy if it already is)."""
+    return sp.csr_matrix(a, dtype=np.complex128)
+
+
+def block_csr(shape: tuple[int, int], blocks) -> sp.csr_matrix:
+    """CSR matrix of `shape` holding each dense or sparse block of `blocks`,
+    given as (row offset, column offset, block), at its offset; the blocks
+    must not overlap, and entries not covered by any block are 0."""
+    parts = [(sp.coo_matrix(b), r0, c0) for r0, c0, b in blocks]
+    data = np.concatenate([b.data for b, _, _ in parts])
+    rows = np.concatenate([b.row + r0 for b, r0, _ in parts])
+    cols = np.concatenate([b.col + c0 for b, _, c0 in parts])
+    return sp.csr_matrix((data.astype(np.complex128), (rows, cols)), shape=shape)
 
 
 def as_cmatrix(data) -> np.ndarray:
@@ -281,11 +334,11 @@ def greedy_orbit_rank(ops, seed_columns: np.ndarray, rank_tol: float = 1e-8,
 
     Independent route to the Krylov rank: grows an orthonormal basis one
     application at a time, discarding directions below rank_tol.  `ops` is a
-    single matrix or an iterable of matrices (joint orbit).
+    single dense or sparse matrix or an iterable of them (joint orbit).
     """
-    if isinstance(ops, np.ndarray):
+    if isinstance(ops, np.ndarray) or sp.issparse(ops):
         ops = [ops]
-    ops = [as_cmatrix(o) for o in ops]
+    ops = [o if sp.issparse(o) else as_cmatrix(o) for o in ops]
     n = seed_columns.shape[0]
     basis = orth_columns(seed_columns, rank_tol=rank_tol)
     if max_rounds is None:
@@ -306,10 +359,11 @@ def greedy_orbit_rank(ops, seed_columns: np.ndarray, rank_tol: float = 1e-8,
     return basis.shape[1]
 
 
-def krylov_ranks(op: np.ndarray, seed: np.ndarray, steps: int,
+def krylov_ranks(op, seed: np.ndarray, steps: int,
                  rank_tol: float = 1e-8) -> tuple[int, int]:
     """Rank of [seed, op seed, ..., op^steps seed], grown by D x k block
-    products, and the greedy orbit oracle's rank of that span, at one cutoff."""
+    products, and the greedy orbit oracle's rank of that span, at one cutoff.
+    `op` is dense or sparse; the stack is dense."""
     blocks = [seed]
     for _ in range(steps):
         blocks.append(op @ blocks[-1])

@@ -12,7 +12,6 @@ analysis, so basis freedom inside degenerate eigenspaces cannot split them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import (
     NonUnitarySolutionError,
     NotCnuError,
     NotIntertwinerError,
+    QDilateError,
     SingularResolventError,
     TailTooLargeError,
 )
@@ -96,12 +96,39 @@ class CharTriple:
         return coeffs
 
 
+class _cached:
+    """Like functools.cached_property, but a build that raises a QDilateError
+    is not retried: every later read re-raises the stored error."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        failed = obj.__dict__.setdefault("_failed", {})
+        if self.name in failed:
+            raise failed[self.name]
+        try:
+            value = self.build(obj)
+        except QDilateError as exc:
+            failed[self.name] = exc
+            raise
+        obj.__dict__[self.name] = value
+        return value
+
+
 @dataclass(eq=False)
 class PairAnalysis:
     """The objects of one q-commuting pair: the product T, its defects dt and
     dstar, the cnu split, the forward and starred Andô tuples tup and star,
     and the fundamental and canonical pairs.  Each is built on first use and
-    then shared by every suite and builder that reads it.
+    then shared by every suite and builder that reads it; a build that fails
+    is not repeated, later reads raise the same error.
 
     Holds only objects of size O(dim^2), none of them N-dependent; lift-space
     matrices stay with the suite that builds them.  The builders that read
@@ -115,11 +142,11 @@ class PairAnalysis:
         """`pair` itself if it is an analysis, else a fresh analysis of it."""
         return pair if isinstance(pair, cls) else cls(pair)
 
-    @cached_property
+    @_cached
     def product(self) -> np.ndarray:
         return self.pair.product()
 
-    @cached_property
+    @_cached
     def dt(self) -> DefectData:
         return DefectData(*matcore.defect(self.product))
 
@@ -128,23 +155,23 @@ class PairAnalysis:
         """D_{T*}, in the basis carried by the starred tuple."""
         return self.star.defect_t
 
-    @cached_property
+    @_cached
     def cnu(self) -> ProductDecomposition:
         return cnu_decompose(self.product)
 
-    @cached_property
+    @_cached
     def tup(self) -> AndoTuple:
         return special_ando_tuple(self.pair)
 
-    @cached_property
+    @_cached
     def star(self) -> AndoTuple:
         return star_ando_tuple(self.pair)
 
-    @cached_property
+    @_cached
     def fundamental(self) -> FundamentalPair:
         return fundamental_ops(self)
 
-    @cached_property
+    @_cached
     def canonical(self) -> CanonicalUnitaryPair:
         return canonical_unitary_pair(self)
 
@@ -448,8 +475,9 @@ def model_compress(pair: PairAnalysis | QPair, n: int | None = None,
     pihat = adj(b) @ obs.matrix
 
     rep = Report("model-compress", {"trunc": n, "tol": tol, "tail": tail})
-    r1 = opnorm(adj(mat1) @ obs.matrix - obs.matrix @ adj(pair.t1))
-    r2 = opnorm(adj(mat2) @ obs.matrix - obs.matrix @ adj(pair.t2))
+    # M* Pi as (Pi* M)*: no conjugate copy of the D x D multiplier
+    r1 = opnorm(adj(adj(obs.matrix) @ mat1) - obs.matrix @ adj(pair.t1))
+    r2 = opnorm(adj(adj(obs.matrix) @ mat2) - obs.matrix @ adj(pair.t2))
     corrected = tol + 10.0 * tail
     rep.check("intertwine-1", "M1* Pi = Pi T1* (tail-corrected)", r1, corrected)
     rep.check("intertwine-2", "M2* Pi = Pi T2* (tail-corrected)", r2, corrected)
@@ -461,11 +489,11 @@ def model_compress(pair: PairAnalysis | QPair, n: int | None = None,
     rep.check("equivalence-defect",
               "compressed pair unitarily equivalent to the source pair",
               defect_val, corrected)
-    mz = materialize(hardy.shift_symbol(pair.q, an.dstar.dim), n).matrix
+    mz = hardy.materialize_csr(hardy.shift_symbol(pair.q, an.dstar.dim), n)
     rep.check("compressed-q-commute", "M1 M2 = q M2 M1 on the model space",
               opnorm(m1 @ m2 - pair.q * m2 @ m1), corrected)
     rep.check("compressed-product", "M1 M2 equals the compressed shift",
-              opnorm(m1 @ m2 - adj(b) @ mz @ b), corrected)
+              opnorm(m1 @ m2 - adj(b) @ (mz @ b)), corrected)
     return ModelCompression(m1, m2, basis, n, tail, defect_val, rep)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import hardy, matcore
 from .lifts import PseudoTriple, douglas_pseudo_lift
-from .matcore import adj, eye, opnorm
+from .matcore import adj, as_csr, block_csr, eye, opnorm, speye
 from .model import PairAnalysis
 from .qpair import QPair
 from .report import Report
@@ -31,21 +31,20 @@ def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
     """
     rep = Report("pseudo-triple", {"trunc": triple.trunc, "tol": tol})
     q = triple.q
-    dim = triple.space.total_dim
+    w1, w2, w = as_csr(triple.w1), as_csr(triple.w2), as_csr(triple.w)
     e1 = triple.space.interior(1)
     e2 = triple.space.interior(2)
     rep.check("axiom-i-contractions", "||W1||, ||W2|| <= 1",
-              max(0.0, max(opnorm(triple.w1[:, e1]), opnorm(triple.w2[:, e1])) - 1.0),
+              max(0.0, max(opnorm(w1[:, e1]), opnorm(w2[:, e1])) - 1.0),
               1e-9)
     rep.check("axiom-i-isometry", "W*W = I on degrees <= N-1",
-              opnorm((adj(triple.w) @ triple.w - eye(dim))[:, e1]), tol)
+              opnorm((adj(w) @ w - speye(triple.space.total_dim))[:, e1]), tol)
     rep.check("axiom-ii-w1", "W1 W = q W W1 on degrees <= N-2",
-              opnorm((triple.w1 @ triple.w - q * triple.w @ triple.w1)[:, e2]), tol)
+              opnorm((w1 @ w - q * w @ w1)[:, e2]), tol)
     rep.check("axiom-ii-w2", "W2 W = qbar W W2 on degrees <= N-2",
-              opnorm((triple.w2 @ triple.w - np.conj(q) * triple.w @ triple.w2)[:, e2]),
-              tol)
+              opnorm((w2 @ w - np.conj(q) * w @ w2)[:, e2]), tol)
     rep.check("axiom-iii", "W1 = qbar W2* W on degrees <= N-1",
-              opnorm((triple.w1 - np.conj(q) * adj(triple.w2) @ triple.w)[:, e1]), tol)
+              opnorm((w1 - np.conj(q) * adj(w2) @ w)[:, e1]), tol)
     return rep
 
 
@@ -83,12 +82,12 @@ def uniqueness_test(pair: QPair, candidate: PseudoTriple, tol: float = 1e-9,
     """
     pi_d, ref = douglas_pseudo_lift(pair, candidate.trunc)
     rep = Report("pseudo-uniqueness", {"trunc": candidate.trunc, "tol": tol})
-    w1, w2, w = candidate.w1, candidate.w2, candidate.w
+    w1, w2, w = as_csr(candidate.w1), as_csr(candidate.w2), as_csr(candidate.w)
     if tau is not None:
         tau = matcore.as_cmatrix(tau)
         rep.check("tau-unitary", "supplied intertwiner is unitary",
                   opnorm(adj(tau) @ tau - eye(tau.shape[0])), 1e-10)
-        w1, w2, w = (tau @ w1 @ adj(tau), tau @ w2 @ adj(tau), tau @ w @ adj(tau))
+        w1, w2, w = (as_csr(tau @ (x @ adj(tau))) for x in (w1, w2, w))
     e1 = ref.space.interior(1)
     same_w = rep.check("same-douglas-isometry", "candidate W equals V_D",
                        opnorm((w - ref.w)[:, e1]), tol)
@@ -111,18 +110,17 @@ def uniqueness_test(pair: QPair, candidate: PseudoTriple, tol: float = 1e-9,
 def perturbed_triple(triple: PseudoTriple, eps: float, seed: int = 0) -> PseudoTriple:
     """Inject a random Hardy<->tail block of norm eps into W1 (rigidity probe)."""
     rng = np.random.default_rng(seed)
-    w1 = triple.w1.copy()
+    w1 = as_csr(triple.w1)
     hd = triple.space.hardy.total_dim
     tl = triple.space.tail_dim
     if tl == 0 or hd == 0:
         # no off-diagonal geometry: perturb the top-left corner instead
         block = rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
-        w1[:1, :1] += eps * block / abs(block[0, 0])
-        return replace(triple, w1=w1)
+        bump = block_csr(w1.shape, [(0, 0, eps * block / abs(block[0, 0]))])
+        return replace(triple, w1=w1 + bump)
     block = rng.standard_normal((hd, tl)) + 1j * rng.standard_normal((hd, tl))
     block *= eps / opnorm(block)
-    w1[:hd, hd:] += block
-    return replace(triple, w1=w1)
+    return replace(triple, w1=w1 + block_csr(w1.shape, [(0, hd, block)]))
 
 
 def taylor_rigidity(triple: PseudoTriple, pair: PairAnalysis | QPair,

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import qdilate as qd
-from qdilate import qpair
+from qdilate import ando, cli, model, qpair
 from qdilate.cli import main
 
 
@@ -75,6 +75,7 @@ class TestVerify:
             assert run(["verify", "--pair", path]) == 2, text
         assert run(["verify", "--pair", tmp_path / "missing.json"]) == 2
         assert run(["charfn", "--pair", pair_file, "--grid=-1x4"]) == 2
+        assert run(["verify", "--pair", pair_file, "--trunc", -1]) == 2
 
     def test_unknown_suite_exits_2(self, pair_file):
         assert run(["verify", "--pair", pair_file, "--suites", "nope"]) == 2
@@ -93,6 +94,34 @@ class TestVerify:
         rep = json.loads(out.read_text())
         ids = {r["id"].split("/")[0] for r in rep["records"]}
         assert ids == {"ando", "fundamental"}
+
+    def test_failed_tuple_built_once(self, tmp_path, monkeypatch):
+        # both Ando tuples of this pair fail to build; each is built once per
+        # verify, and every suite that reads one reports the stored error
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps(qpair.pair_to_json(qd.gen_clock_shift(3, 1 - 1e-9))))
+        builds = []
+        build = ando.special_ando_tuple
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ando, "special_ando_tuple", counted)
+        monkeypatch.setattr(model, "special_ando_tuple", counted)
+        out = tmp_path / "all.json"
+        assert run(["verify", "--pair", path, "--out", out]) == 1
+        assert len(builds) == 2
+        # a run per suite builds everything afresh: the same records, byte for byte
+        fresh = []
+        for suite in cli.SUITES:
+            one = tmp_path / f"{suite}.json"
+            run(["verify", "--pair", path, "--suites", suite, "--out", one])
+            fresh += json.loads(one.read_text())["records"]
+        cached = json.loads(out.read_text())["records"]
+        assert sum(r["id"].endswith("/error") for r in cached) == 7
+        assert ([json.dumps(r, sort_keys=True) for r in cached]
+                == [json.dumps(r, sort_keys=True) for r in fresh])
 
 
 class TestCharfn:

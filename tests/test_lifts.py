@@ -25,12 +25,12 @@ class TestSchafferConstruction:
         pair = zero_pair()
         tup = qd.special_ando_tuple(pair)
         lift = qd.schaffer_lift(pair, tup, 4)
-        col = lift.v1[1:, 0]
+        col = lift.v1.toarray()[1:, 0]
         assert np.allclose(col[:2], [1.0, 0.0])
         assert frob(col[2:].reshape(-1, 1)) == 0.0
         # V2's column passes through the completed part of U, so only its
         # size is convention-free
-        col2 = lift.v2[1:, 0]
+        col2 = lift.v2.toarray()[1:, 0]
         assert abs(np.linalg.norm(col2) - 1.0) < 1e-12
         assert frob(col2[2:].reshape(-1, 1)) == 0.0
 
@@ -39,14 +39,14 @@ class TestSchafferConstruction:
         tup = qd.special_ando_tuple(pair)
         lift = qd.schaffer_lift(pair, tup, 6)
         assert lift.space.total_dim == 3
-        assert frob(lift.v1 - pair.t1) < 1e-12
-        assert frob(lift.v2 - pair.t2) < 1e-12
+        assert frob(lift.v1.toarray() - pair.t1) < 1e-12
+        assert frob(lift.v2.toarray() - pair.t2) < 1e-12
 
     def test_product_model_form(self):
         pair = qd.gen_clock_shift(3, 0.9)
         tup = qd.special_ando_tuple(pair)
         lift = qd.schaffer_lift(pair, tup, 8)
-        v = lift.v1 @ lift.v2
+        v = (lift.v1 @ lift.v2).toarray()
         # head block is T, Hardy diagonal is the plain shift
         assert frob(v[:3, :3] - pair.product()) < 1e-13
         mz = hardy.materialize(hardy.shift_symbol(pair.q, tup.f_dim), 8).matrix
@@ -73,8 +73,8 @@ class TestDouglasConstruction:
         assert lift.space.hardy.total_dim == 0
         assert lift.space.tail_dim == 3
         b = lift.canonical.basis.columns
-        assert frob(b @ lift.v1 @ adj(b) - pair.t1) < 1e-12
-        assert frob(b @ lift.v2 @ adj(b) - pair.t2) < 1e-12
+        assert frob(b @ lift.v1.toarray() @ adj(b) - pair.t1) < 1e-12
+        assert frob(b @ lift.v2.toarray() @ adj(b) - pair.t2) < 1e-12
 
     def test_mixed_pair(self):
         pair = mixed_pair()
@@ -136,7 +136,7 @@ class TestMinimality:
             rep = qd.minimality_check(lift)
             assert rep.overall, name
             # dense oracle: the stack rebuilt from explicit powers of V
-            v = lift.v1 @ lift.v2
+            v = (lift.v1 @ lift.v2).toarray()
             dense = np.hstack([np.linalg.matrix_power(v, k) @ lift.pi for k in range(n + 2)])
             assert rep.environment["achieved_rank"] == matcore.numerical_rank(
                 dense, rank_tol=1e-8), name
@@ -205,7 +205,7 @@ class TestExtractAndo:
                                       np.kron(eye(n + 1), w_f)).astype(complex)
         rotated = lifts.LiftRealization(
             "schaffer", lift.q, lift.space, big @ lift.pi,
-            big @ lift.v1 @ adj(big), big @ lift.v2 @ adj(big),
+            big @ lift.v1.toarray() @ adj(big), big @ lift.v2.toarray() @ adj(big),
             n, tup)
         frag, rep = qd.extract_ando_from_lift(rotated, pair)
         assert rep.overall, rep.summary_lines()
@@ -215,7 +215,7 @@ class TestExtractAndo:
         pair = qd.gen_clock_shift(2, 0.5)
         tup = qd.special_ando_tuple(pair)
         lift = qd.schaffer_lift(pair, tup, 6)
-        v1_bad = lift.v1.copy()
+        v1_bad = lift.v1.toarray()
         v1_bad[0, 3] = 0.5
         bad = lifts.LiftRealization("schaffer", lift.q, lift.space, lift.pi,
                                     v1_bad, lift.v2, 6, tup)

@@ -19,10 +19,10 @@ class TestDouglasPseudoLift:
     def test_zero_pair_blocks(self):
         # G = 0 makes both Hardy blocks vanish while W stays the shift
         pi, tri = pseudolift.douglas_pseudo_lift(zero_pair(), 6)
-        assert frob(tri.w1) == 0.0
-        assert frob(tri.w2) == 0.0
+        assert frob(tri.w1.toarray()) == 0.0
+        assert frob(tri.w2.toarray()) == 0.0
         mz = hardy.materialize(hardy.shift_symbol(1.0 + 0j, 1), 6).matrix
-        assert frob(tri.w - mz) < 1e-14
+        assert frob(tri.w.toarray() - mz) < 1e-14
         assert pseudolift.is_pseudo_triple(tri).overall
         assert pseudolift.is_pseudo_lift(pi, tri, zero_pair()).overall
 
@@ -48,7 +48,8 @@ class TestDouglasPseudoLift:
             assert pseudolift.is_pseudo_triple(tri).overall, name
             assert pseudolift.is_pseudo_lift(pi, tri, pair).overall, name
             # dense oracle: the stack rebuilt from explicit powers of W
-            dense = np.hstack([np.linalg.matrix_power(tri.w, k) @ pi for k in range(n + 2)])
+            w = tri.w.toarray()
+            dense = np.hstack([np.linalg.matrix_power(w, k) @ pi for k in range(n + 2)])
             achieved, _ = matcore.krylov_ranks(tri.w, pi, n + 1)
             assert achieved == matcore.numerical_rank(dense, rank_tol=1e-8), name
 
@@ -67,7 +68,7 @@ class TestAxiomViolations:
         pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
         _, tri = pseudolift.douglas_pseudo_lift(pair, 10)
         cand = pseudolift.PseudoTriple(tri.q, tri.space, tri.w1,
-                                       np.zeros_like(tri.w2), tri.w, tri.trunc)
+                                       np.zeros(tri.w2.shape), tri.w, tri.trunc)
         rep = pseudolift.is_pseudo_triple(cand)
         by_id = {r.check_id: r for r in rep.records}
         # axiom iii residual is exactly ||W1|| on the interior block
@@ -85,7 +86,7 @@ class TestAxiomViolations:
     def test_perturbed_w1_fails_intertwining(self):
         pair = qd.gen_nilpotent(2, 1j, 0.8, 0.8)
         pi, tri = pseudolift.douglas_pseudo_lift(pair, 10)
-        w1_bad = tri.w1.copy()
+        w1_bad = tri.w1.toarray()
         w1_bad[0, 0] += 0.1
         bad = pseudolift.PseudoTriple(tri.q, tri.space, w1_bad, tri.w2, tri.w,
                                       tri.trunc)

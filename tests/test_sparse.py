@@ -1,0 +1,212 @@
+"""Sparse lift-space operators and the banded spectral norm.
+
+The lift and pseudo-lift operators are CSR matrices and their residuals are
+formed sparsely.  These tests check the sparse `opnorm` against the dense SVD
+norm, every `verify_lift` and `is_pseudo_triple` residual against the dense
+formula it replaced (kept here as the oracle, at small D), and that the
+operators stay sparse.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import qdilate as qd
+from qdilate import hardy, lifts, matcore, pseudolift
+from qdilate.matcore import adj, eye, frob, opnorm
+
+
+def dense_norm(a) -> float:
+    d = a.toarray()
+    return float(np.linalg.norm(d, 2)) if d.size else 0.0
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Banded, block-structured (a head block, one constant column and a
+    block-bidiagonal part, as in the lifts) or full-pattern sparse matrices,
+    at unit, tiny or huge scale."""
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["band", "blocks", "full"]))
+    scale = draw(st.sampled_from([1.0, 1e-200, 1e150]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    i, j = np.indices((m, n))
+    if kind == "band":
+        below, above = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        mask = (i - j <= below) & (j - i <= above)
+    elif kind == "blocks":
+        head, f = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+        gap = (i - head) // f - (j - head) // f
+        mask = (i >= head) & (j >= head) & (gap >= 0) & (gap <= 1)
+        mask |= (i < head) & (j < head)
+        mask |= (j < head) & (i >= head) & (i < head + f)
+    else:
+        mask = np.ones((m, n), dtype=bool)
+    vals = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    return sp.csr_matrix(np.where(mask, vals, 0.0) * scale)
+
+
+class TestSparseOpnorm:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sparse_matrices())
+    @example(sp.csr_matrix((5, 7), dtype=complex))                 # all zero
+    @example(sp.csr_matrix((0, 4), dtype=complex))                 # empty
+    @example(sp.csr_matrix(np.diag([1e-200, 3e-200, 2e-200])))     # tiny entries
+    @example(sp.csr_matrix(np.ones((12, 9))))                      # full band
+    def test_matches_dense_svd(self, a):
+        ref = dense_norm(a)
+        got = opnorm(a)
+        assert abs(got - ref) <= 1e-12 * ref, (got, ref)
+
+    def test_explicit_zeros(self):
+        a = sp.csr_matrix((np.zeros(3), ([0, 1, 2], [0, 2, 1])), shape=(3, 4))
+        assert a.nnz == 3 and opnorm(a) == 0.0
+
+    def test_empty_shapes(self):
+        for shape in ((0, 0), (0, 3), (3, 0)):
+            assert opnorm(sp.csr_matrix(shape, dtype=complex)) == 0.0
+
+    def test_repeated_top_singular_value(self):
+        # every singular value equal: selecting the top eigenvalue by index
+        # (LAPACK ?hbevx) fails on this cluster; the full banded solve does not
+        w = qd.gen_clock_shift(5, 1.0).t1
+        big = sp.block_diag([w] * 6 + [sp.identity(4)], format="csr")
+        assert abs(opnorm(big) - 1.0) <= 1e-14
+        assert abs(opnorm(matcore.speye(30)) - 1.0) <= 1e-14
+
+    def test_no_underflow_of_tiny_residuals(self):
+        a = sp.csr_matrix(np.diag([1e-170, 5e-170, 2e-170]))
+        assert abs(opnorm(a) - 5e-170) <= 1e-12 * 5e-170
+
+
+def close(got: float, ref: float, tol: float) -> bool:
+    """Within 1e-10 relative, or both at most 1e-3 of the check's tolerance."""
+    return abs(got - ref) <= 1e-10 * max(got, ref) or max(got, ref) <= 1e-3 * tol
+
+
+def dense_lift_residuals(lift, pair, n):
+    """The residuals of `verify_lift`, by the dense formulas it replaced."""
+    v1, v2, pi, q = lift.v1.toarray(), lift.v2.toarray(), lift.pi, pair.q
+    e1, e2 = lift.space.interior(1), lift.space.interior(2)
+    ident = eye(lift.space.total_dim)
+    out = {
+        "intertwine-v1": opnorm(adj(v1) @ pi - pi @ adj(pair.t1)),
+        "intertwine-v2": opnorm(adj(v2) @ pi - pi @ adj(pair.t2)),
+        "isometry-v1": opnorm((adj(v1) @ v1 - ident)[:, e1]),
+        "isometry-v2": opnorm((adj(v2) @ v2 - ident)[:, e1]),
+        "q-commute": opnorm((v1 @ v2 - q * v2 @ v1)[:, e2]),
+    }
+    if lift.kind == "schaffer":
+        out["pi-isometry"] = frob(adj(pi) @ pi - eye(pair.dim))
+    else:
+        cp, t = lift.canonical, pair.product()
+        tp = np.linalg.matrix_power(t, n + 1)
+        out["pi-energy"] = frob(adj(pi) @ pi
+                                - (eye(pair.dim) - tp @ adj(tp) + cp.q_op @ cp.q_op))
+        mz = hardy.materialize(hardy.shift_symbol(q, lift.space.hardy.fiber_dim), n).matrix
+        vd = scipy.linalg.block_diag(mz, cp.wd)
+        out["product-structure"] = opnorm((v1 @ v2 - vd)[:, e2])
+        pi_d, g = lifts.douglas_pseudo_lift(pair, n)
+        out["gform-intertwine-1"] = opnorm(adj(g.w1.toarray()) @ pi_d - pi_d @ adj(pair.t1))
+        out["gform-intertwine-2"] = opnorm(adj(g.w2.toarray()) @ pi_d - pi_d @ adj(pair.t2))
+    return out
+
+
+def dense_triple_residuals(tri):
+    """The residuals of `is_pseudo_triple`, by the dense formulas it replaced."""
+    w1, w2, w, q = tri.w1.toarray(), tri.w2.toarray(), tri.w.toarray(), tri.q
+    e1, e2 = tri.space.interior(1), tri.space.interior(2)
+    return {
+        "axiom-i-contractions": max(0.0, max(opnorm(w1[:, e1]), opnorm(w2[:, e1])) - 1.0),
+        "axiom-i-isometry": opnorm((adj(w) @ w - eye(tri.space.total_dim))[:, e1]),
+        "axiom-ii-w1": opnorm((w1 @ w - q * w @ w1)[:, e2]),
+        "axiom-ii-w2": opnorm((w2 @ w - np.conj(q) * w @ w2)[:, e2]),
+        "axiom-iii": opnorm((w1 - np.conj(q) * adj(w2) @ w)[:, e1]),
+    }
+
+
+def assert_residuals_match(rep, oracle):
+    by_id = {r.check_id: r for r in rep.records}
+    assert set(oracle) == set(by_id), (sorted(oracle), sorted(by_id))
+    for cid, ref in oracle.items():
+        rec = by_id[cid]
+        assert close(rec.residual, ref, rec.tolerance), (cid, rec.residual, ref)
+
+
+class TestDenseOracle:
+    N = 6
+
+    def lifts_of(self, pair):
+        yield qd.schaffer_lift(pair, qd.special_ando_tuple(pair), self.N)
+        yield qd.douglas_lift(pair, self.N)
+
+    def test_verify_lift_corpus(self, corpus):
+        for name, pair, _ in corpus[::3]:
+            for lift in self.lifts_of(pair):
+                rep = qd.verify_lift(lift, pair)
+                assert_residuals_match(rep, dense_lift_residuals(lift, pair, self.N))
+
+    def test_verify_lift_swapped_factors(self, corpus):
+        # V1 and V2 exchanged: the residuals are of order one, not rounding
+        for name, pair, _ in corpus[1::9]:
+            for lift in self.lifts_of(pair):
+                swapped = lifts.LiftRealization(lift.kind, lift.q, lift.space, lift.pi,
+                                                lift.v2, lift.v1, lift.trunc,
+                                                lift.canonical)
+                rep = qd.verify_lift(swapped, pair)
+                oracle = dense_lift_residuals(swapped, pair, self.N)
+                assert_residuals_match(rep, oracle)
+
+    def test_pseudo_triple_corpus(self, corpus):
+        for name, pair, _ in corpus[::3]:
+            _, tri = pseudolift.douglas_pseudo_lift(pair, self.N)
+            for cand in (tri, pseudolift.perturbed_triple(tri, 0.01, seed=2)):
+                rep = pseudolift.is_pseudo_triple(cand)
+                assert_residuals_match(rep, dense_triple_residuals(cand))
+
+    def test_dense_operators_accepted(self):
+        pair = qd.gen_direct_sum([qd.gen_clock_shift(2, 1.0),
+                                  qd.gen_nilpotent(3, -1.0, 0.9, 0.8)])
+        lift = qd.douglas_lift(pair, self.N)
+        dense = lifts.LiftRealization(lift.kind, lift.q, lift.space, lift.pi,
+                                      lift.v1.toarray(), lift.v2.toarray(),
+                                      lift.trunc, lift.canonical)
+        a = qd.verify_lift(lift, pair)
+        b = qd.verify_lift(dense, pair)
+        assert [r.check_id for r in a.records] == [r.check_id for r in b.records]
+        for ra, rb in zip(a.records, b.records):
+            assert close(ra.residual, rb.residual, ra.tolerance), ra.check_id
+
+
+class TestSparsity:
+    def test_lift_operators_are_sparse(self):
+        # N = 64: the benchmark's lift-scale truncation
+        base = qd.gen_direct_sum([qd.gen_clock_shift(2, 1.0),
+                                  qd.gen_nilpotent(4, -1.0, 0.9, 0.8)])
+        pair = qd.gen_conjugated(base, seed=1)[0]
+        n = 64
+        ops = []
+        lift = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), n)
+        ops += [("schaffer-v1", lift.v1), ("schaffer-v2", lift.v2)]
+        lift = qd.douglas_lift(pair, n)
+        ops += [("douglas-v1", lift.v1), ("douglas-v2", lift.v2)]
+        _, tri = pseudolift.douglas_pseudo_lift(pair, n)
+        ops += [("pseudo-w1", tri.w1), ("pseudo-w2", tri.w2), ("pseudo-w", tri.w)]
+        for name, op in ops:
+            assert sp.issparse(op) and op.format == "csr", name
+            d = op.shape[0]
+            assert d > 200, name
+            assert op.nnz < 0.05 * d * d, (name, op.nnz, d)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_materialize_is_the_dense_csr(self, n):
+        rng = np.random.default_rng(n)
+        coeffs = tuple(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+                       for _ in range(2))
+        sym = hardy.TwistedSymbol(np.exp(0.3j), -1, coeffs)
+        csr = hardy.materialize_csr(sym, n)
+        assert np.array_equal(csr.toarray(), hardy.materialize(sym, n).matrix)
+        assert csr.nnz == 2 * 3 * 2 * n + 3 * 2
