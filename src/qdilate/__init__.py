@@ -28,6 +28,7 @@ from .lifts import (
 from .matcore import SubspaceBasis, complete_to_unitary, defect, power_limit, psd_sqrt
 from .model import (
     CanonicalUnitaryPair,
+    CharFn,
     CharTriple,
     FundamentalPair,
     PairAnalysis,

@@ -177,10 +177,9 @@ def cmd_charfn(args) -> int:
               file=sys.stderr)
         return 2
     t = pair.product()
-    dt = ando.DefectData(*matcore.defect(t))
-    dstar = ando.DefectData(*matcore.defect(matcore.adj(t)))
+    theta_fn = model.CharFn(t)
     lines = ["re_z,im_z,singular_values,delta_norm"]
-    if dt.dim == 0:
+    if theta_fn.dt.dim == 0:
         lines.append("# empty defect: product is unitary, Theta lives on {0}")
         _write_or_print("\n".join(lines) + "\n", args.out)
         return 0
@@ -191,12 +190,11 @@ def cmd_charfn(args) -> int:
     for r in radii:
         for k in range(angles_n):
             z = r * np.exp(2j * np.pi * k / angles_n)
-            theta = model.char_fn(t, z, dt, dstar)
+            theta = theta_fn(z)
             svals = np.linalg.svd(theta, compute_uv=False)
             sv_text = ";".join(f"{s:.12e}" for s in svals)
             if r == 1.0:
-                delta = model.delta_fn(t, z, dt=dt, dstar=dstar)
-                d_text = f"{matcore.opnorm(delta):.12e}"
+                d_text = f"{matcore.opnorm(model.theta_defect(theta)):.12e}"
             else:
                 d_text = ""
             lines.append(f"{z.real:.12e},{z.imag:.12e},{sv_text},{d_text}")

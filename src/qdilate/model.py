@@ -12,7 +12,6 @@ analysis, so basis freedom inside degenerate eigenspaces cannot split them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -79,7 +78,7 @@ class CharTriple:
     fundamental: FundamentalPair
     unitary_dim: int
     q_residual: float
-    theta: Callable[[complex], np.ndarray]
+    theta: CharFn
     dt: DefectData
     dstar: DefectData
     product: np.ndarray
@@ -319,30 +318,47 @@ def verify_unique_canonical(pair: QPair, w1p: np.ndarray, w2p: np.ndarray,
     return bool(ok), rep
 
 
-def _resolvent_apply(t_star: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndarray:
-    n = t_star.shape[0]
-    a = eye(n) - z * t_star
-    try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolventError(f"I - z T* singular at z = {z}") from exc
-    if frob(a @ x - rhs) > 1e-8 * max(1.0, frob(rhs)):
-        raise SingularResolventError(f"I - z T* numerically singular at z = {z}")
-    return x
+class CharFn:
+    """Characteristic function Theta(z) = -T + z D_{T*}(I - zT*)^{-1} D_T of one
+    contraction T, as a matrix between the defect-space coordinates.
+
+    T is checked once and its defects are built here unless given; every
+    evaluation is then one LU solve of I - zT* and the products around it.
+    """
+
+    def __init__(self, t: np.ndarray, dt: DefectData | None = None,
+                 dstar: DefectData | None = None):
+        t = matcore.check_contraction(t)
+        self.dt = DefectData(*matcore.defect(t)) if dt is None else dt
+        self.dstar = DefectData(*matcore.defect(adj(t))) if dstar is None else dstar
+        self._neg_t, self._t_star, self._eye = -t, adj(t), eye(t.shape[0])
+        self._out = adj(self.dstar.basis.columns)
+        self._tol = 1e-8 * max(1.0, frob(self.dt.operator))
+
+    def __call__(self, z: complex) -> np.ndarray:
+        a = self._eye - z * self._t_star
+        rhs = self.dt.operator
+        try:
+            x = np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularResolventError(f"I - z T* singular at z = {z}") from exc
+        res = frob(a @ x - rhs)
+        if not np.isfinite(res) or res > self._tol:
+            raise SingularResolventError(f"I - z T* numerically singular at z = {z}")
+        core = self._neg_t + z * self.dstar.operator @ x
+        return self._out @ core @ self.dt.basis.columns
 
 
 def char_fn(t: np.ndarray, z: complex, dt: DefectData | None = None,
             dstar: DefectData | None = None) -> np.ndarray:
-    """Characteristic function Theta(z) = -T + z D_{T*}(I - zT*)^{-1} D_T,
-    returned as a matrix between the defect-space coordinates."""
-    t = matcore.check_contraction(t)
-    if dt is None:
-        dt = DefectData(*matcore.defect(t))
-    if dstar is None:
-        dstar = DefectData(*matcore.defect(adj(t)))
-    t_star = adj(t)
-    core = -t + z * dstar.operator @ _resolvent_apply(t_star, z, dt.operator)
-    return adj(dstar.basis.columns) @ core @ dt.basis.columns
+    """Characteristic function Theta(z) at one point; `CharFn` evaluates it
+    at many points of one contraction."""
+    return CharFn(t, dt, dstar)(z)
+
+
+def theta_defect(theta: np.ndarray) -> np.ndarray:
+    """(I - Theta* Theta)^{1/2} on ran D_T, for a value Theta = Theta(z)."""
+    return matcore.psd_sqrt(eye(theta.shape[1]) - adj(theta) @ theta)
 
 
 def delta_fn(t: np.ndarray, zeta: complex, r: float | None = None,
@@ -353,10 +369,7 @@ def delta_fn(t: np.ndarray, zeta: complex, r: float | None = None,
     radial parameter r < 1 to evaluate at r * zeta.
     """
     z = zeta if r is None else r * zeta
-    if dt is None:
-        dt = DefectData(*matcore.defect(t))
-    theta = char_fn(t, z, dt, dstar)
-    return matcore.psd_sqrt(eye(dt.dim) - adj(theta) @ theta)
+    return theta_defect(char_fn(t, z, dt, dstar))
 
 
 def char_triple(pair: PairAnalysis | QPair) -> CharTriple:
@@ -374,12 +387,8 @@ def char_triple(pair: PairAnalysis | QPair) -> CharTriple:
             "restrict to the cnu part first")
     fund = an.fundamental
     q_norm = opnorm(matcore.psd_sqrt(matcore.power_limit(t, tol=1e-14)))
-    dt, dstar = an.dt, an.dstar
-
-    def theta(z: complex) -> np.ndarray:
-        return char_fn(t, z, dt, dstar)
-
-    return CharTriple(an.pair.q, fund, 0, q_norm, theta, dt, dstar, t)
+    theta = CharFn(t, an.dt, an.dstar)
+    return CharTriple(an.pair.q, fund, 0, q_norm, theta, an.dt, an.dstar, t)
 
 
 def verify_triple(pair: PairAnalysis | QPair) -> Report:

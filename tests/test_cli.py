@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 import qdilate as qd
-from qdilate import ando, cli, model, qpair
+from qdilate import ando, cli, matcore, model, qpair
 from qdilate.cli import main
 
 
@@ -148,6 +149,37 @@ class TestCharfn:
                 assert float(dnorm) < 1e-7  # boundary rows carry ||Delta||
                 checked += 1
         assert checked  # boundary rows present for a cnu product
+
+    def test_boundary_delta_column(self, pair_file, tmp_path):
+        # the ring's ||Delta|| comes from the Theta of its own row; it must
+        # read exactly as the standalone delta_fn at that point
+        pair = qpair.pair_from_json(json.loads(pair_file.read_text()))
+        t = pair.product()
+        dt = ando.DefectData(*matcore.defect(t))
+        dstar = ando.DefectData(*matcore.defect(matcore.adj(t)))
+        out = tmp_path / "grid.csv"
+        assert run(["charfn", "--pair", pair_file, "--grid", "2x8", "--out", out]) == 0
+        ring = [row.split(",") for row in out.read_text().strip().splitlines()[1:]
+                if not row.endswith(",")]
+        assert len(ring) == 8
+        for k, row in enumerate(ring):
+            z = 1.0 * np.exp(2j * np.pi * k / 8)
+            assert row[:2] == [f"{z.real:.12e}", f"{z.imag:.12e}"]
+            delta = model.delta_fn(t, z, dt=dt, dstar=dstar)
+            assert row[3] == f"{matcore.opnorm(delta):.12e}"
+
+    def test_validates_once(self, pair_file, tmp_path, monkeypatch):
+        calls = []
+        check = matcore.check_contraction
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(matcore, "check_contraction", counted)
+        out = tmp_path / "grid.csv"
+        assert run(["charfn", "--pair", pair_file, "--grid", "4x8", "--out", out]) == 0
+        assert len(calls) <= 5
 
     def test_unitary_product_header_only(self, tmp_path):
         path = tmp_path / "u.json"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import qdilate as qd
-from qdilate import model
+from qdilate import matcore, model
+from qdilate.ando import DefectData
 from qdilate.errors import (
     NotCnuError,
     NotIntertwinerError,
@@ -183,6 +184,55 @@ class TestCharFn:
                     z = r * np.exp(2j * np.pi * k / 8)
                     worst = max(worst, opnorm(qd.char_fn(t, z, dt, dstar)))
             assert worst <= 1 + 1e-9, name
+
+    @pytest.mark.parametrize("z", [complex("nan"), complex("inf"), float("inf"),
+                                   complex(0.5, float("nan"))])
+    def test_non_finite_point_raises(self, z):
+        with np.errstate(invalid="ignore"), pytest.raises(SingularResolventError):
+            qd.char_fn(np.array([[0.5]]), z)
+
+    def test_one_code_path(self, corpus):
+        # the evaluator, the one-shot wrapper, the triple's Theta and the
+        # plain formula give the same bits at every point
+        for name, pair, _ in corpus[::6]:
+            t = pair.product()
+            dt = DefectData(*matcore.defect(t))
+            ds = DefectData(*matcore.defect(adj(t)))
+            theta_fn = qd.CharFn(t, dt, ds)
+            points = [r * np.exp(2j * np.pi * k / 8) for r in (0.3, 0.8)
+                      for k in range(8)]
+            if max(abs(np.linalg.eigvals(t))) < 1.0 - 1e-12:
+                points += [np.exp(2j * np.pi * k / 8) for k in range(8)]
+            cnu = qd.cnu_decompose(t).unitary_part.dim == 0
+            triple = qd.char_triple(pair) if cnu else None
+            for z in points:
+                theta = theta_fn(z)
+                x = np.linalg.solve(eye(t.shape[0]) - z * adj(t), dt.operator)
+                plain = adj(ds.basis.columns) @ (-t + z * ds.operator @ x) \
+                    @ dt.basis.columns
+                assert np.array_equal(theta, qd.char_fn(t, z, dt, ds)), name
+                assert np.array_equal(theta, plain), name
+                if triple is not None:
+                    assert np.array_equal(
+                        triple.theta(z),
+                        qd.char_fn(t, z, triple.dt, triple.dstar)), name
+
+    def test_triple_validates_once(self, cnu_corpus, monkeypatch):
+        # the pair-level objects are built once per analysis (5 checks: the
+        # cnu split, the three starred defects, D_T); verify_triple then adds
+        # the power limit and the one evaluator, not one check per point
+        an = model.PairAnalysis(cnu_corpus[0][1])
+        an.cnu, an.dt, an.fundamental
+        calls = []
+        check = matcore.check_contraction
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(matcore, "check_contraction", counted)
+        assert model.verify_triple(an).overall
+        assert len(calls) <= 5
 
 
 class TestDelta:
