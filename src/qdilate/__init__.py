@@ -39,7 +39,6 @@ from .model import (
     delta_fn,
     fundamental_ops,
     model_compress,
-    model_space,
     verify_admissible,
     verify_coincidence,
     verify_unique_canonical,

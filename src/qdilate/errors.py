@@ -91,3 +91,7 @@ class ParseError(QDilateError):
 
 class GeneratorError(QDilateError):
     pass
+
+
+class EmptyGridError(QDilateError):
+    pass

@@ -151,13 +151,6 @@ class TruncOperator:
     matrix: np.ndarray
     domain: object    # TruncHardy or plain dimension
     codomain: object
-    degree_shift: int
-
-    def restricted(self) -> np.ndarray:
-        """Matrix with inputs restricted to degrees <= N - (the operator's degree)."""
-        if not isinstance(self.domain, TruncHardy):
-            return self.matrix
-        return self.matrix[:, self.domain.low(self.domain.max_degree - self.degree_shift)]
 
 
 def materialize_csr(s: TwistedSymbol, n: int) -> sp.csr_matrix:
@@ -189,8 +182,7 @@ def materialize(s: TwistedSymbol, n: int) -> TruncOperator:
     """Dense matrix of M_phi R_{q^twist} on TruncHardy(fiber, n): the
     `materialize_csr` matrix with its zeros filled in."""
     mat = materialize_csr(s, n).toarray()
-    return TruncOperator(mat, TruncHardy(s.fiber_in, n), TruncHardy(s.fiber_out, n),
-                         s.degree)
+    return TruncOperator(mat, TruncHardy(s.fiber_in, n), TruncHardy(s.fiber_out, n))
 
 
 def ev0(n: int, fiber_dim: int) -> TruncOperator:
@@ -198,7 +190,7 @@ def ev0(n: int, fiber_dim: int) -> TruncOperator:
     space = TruncHardy(fiber_dim, n)
     mat = np.zeros((fiber_dim, space.total_dim), dtype=np.complex128)
     mat[:, :fiber_dim] = eye(fiber_dim)
-    return TruncOperator(mat, space, fiber_dim, 0)
+    return TruncOperator(mat, space, fiber_dim)
 
 
 def obs_op(t: np.ndarray, defect_basis, n: int) -> TruncOperator:
@@ -216,7 +208,7 @@ def obs_op(t: np.ndarray, defect_basis, n: int) -> TruncOperator:
     for deg in range(n + 1):
         mat[deg * k:(deg + 1) * k] = block
         block = block @ tstar
-    return TruncOperator(mat, dim, space, 0)
+    return TruncOperator(mat, dim, space)
 
 
 def psd_defect_star(t: np.ndarray) -> np.ndarray:
@@ -245,15 +237,10 @@ def obs_tail_identity(t: np.ndarray, n: int, h: np.ndarray):
     return lhs, rhs
 
 
-def tail_norm(t: np.ndarray, n: int) -> float:
-    """||T*^{n+1}||, the exact truncation-error scale at degree n."""
-    return opnorm(np.linalg.matrix_power(adj(t), n + 1))
-
-
 def defect_tail_norm(t: np.ndarray, n: int) -> float:
     """||D_{T*} T*^{n+1}||: the truncation error of the observability column.
 
-    Sharper than tail_norm when T has a unitary part, on which the defect
+    Sharper than ||T*^{n+1}|| when T has a unitary part, on which the defect
     vanishes; this is the quantity that actually bounds the missing
     degree-(n+1) coefficient.
     """

@@ -142,8 +142,8 @@ def douglas_lift(pair: PairAnalysis | QPair,
     tuple (Lambda_*, P_*, U_*).
 
     V1 = M_{U_**((I-P_*)+zP_*)}R_q (+) W1, V2 = R_qbar M_{(P_*+z(I-P_*))U_*} (+) W2;
-    the embedding stacks the observability column, dressed by Lambda_* one
-    degree block at a time, on the Q_{T*}-coordinates.
+    the embedding stacks the observability column of the pseudo lift,
+    dressed by Lambda_* one degree block at a time, on the Q_{T*}-coordinates.
     """
     an = PairAnalysis.of(pair)
     q = an.pair.q
@@ -154,9 +154,10 @@ def douglas_lift(pair: PairAnalysis | QPair,
     v1 = _block_diag(materialize_csr(sym1, n), cp.w1)
     v2 = _block_diag(materialize_csr(sym2, n), cp.w2)
 
-    obs = hardy.obs_op(an.product, an.dstar.basis, n).matrix
-    dressed = star_tup.lam @ obs.reshape(n + 1, an.dstar.dim, an.pair.dim)
-    pi = np.vstack([dressed.reshape(-1, an.pair.dim), cp.coords()])
+    pi_d, _ = douglas_pseudo_lift(an, n)
+    k = (n + 1) * an.dstar.dim
+    dressed = star_tup.lam @ pi_d[:k].reshape(n + 1, an.dstar.dim, an.pair.dim)
+    pi = np.vstack([dressed.reshape(-1, an.pair.dim), pi_d[k:]])
     return LiftRealization("douglas", q, space, pi, v1, v2, n, cp)
 
 
@@ -165,9 +166,11 @@ def douglas_pseudo_lift(pair: PairAnalysis | QPair, n: int = hardy.DEFAULT_TRUNC
 
     W1 = M_{G1*+zG2}R_q (+) W1^c, W2 = R_qbar M_{G2*+zG1} (+) W2^c,
     W = M_z (+) W_D on TruncHardy(ran D_{T*}) (+) ran Q_{T*}; pi stacks the
-    observability column on the Q_{T*}-coordinates.
+    observability column on the Q_{T*}-coordinates.  Cached per analysis and N.
     """
     an = PairAnalysis.of(pair)
+    if n in an.pseudo_lifts:
+        return an.pseudo_lifts[n]
     q = an.pair.q
     fund, cp = an.fundamental, an.canonical
     dstar = an.dstar
@@ -178,7 +181,8 @@ def douglas_pseudo_lift(pair: PairAnalysis | QPair, n: int = hardy.DEFAULT_TRUNC
     w = _block_diag(materialize_csr(shift_symbol(q, dstar.dim), n), cp.wd)
     obs = hardy.obs_op(an.product, dstar.basis, n).matrix
     pi = np.vstack([obs, cp.coords()])
-    return pi, PseudoTriple(q, space, w1, w2, w, n)
+    an.pseudo_lifts[n] = pi, PseudoTriple(q, space, w1, w2, w, n)
+    return an.pseudo_lifts[n]
 
 
 def _block_diag(hardy_block, tail_block) -> sp.csr_matrix:

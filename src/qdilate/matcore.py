@@ -304,6 +304,24 @@ def power_limit(t: np.ndarray, tol: float = 1e-12, max_doublings: int = 64) -> n
         f"power limit not converged after {max_doublings} doublings; last gap {gap:.3e}")
 
 
+def stein_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X = sum_{k>=0} a^k c b^k, the solution of the Stein equation X - aXb = c.
+
+    Doubling: after j steps x holds the first 2^j terms and the remainder is
+    exactly a^(2^j) X b^(2^j), so stopping once ||a^(2^j)||_F ||b^(2^j)||_F
+    <= eps drops at most eps ||X||.
+    """
+    x = c
+    for _ in range(64):
+        if frob(a) * frob(b) <= EPS:
+            return x
+        x = x + a @ x @ b
+        a, b = a @ a, b @ b
+    raise MaxIterationsExceededError(
+        "Stein sum not converged after 64 doublings; "
+        f"||a^(2^j)||_F ||b^(2^j)||_F = {frob(a) * frob(b):.3e}")
+
+
 def orth_columns(a: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     """Orthonormal basis (SVD left vectors) of the column space of a."""
     a = as_cmatrix(a)

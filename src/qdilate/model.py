@@ -11,22 +11,22 @@ analysis, so basis freedom inside degenerate eigenspaces cannot split them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import hardy, matcore
 from .ando import AndoTuple, DefectData, special_ando_tuple, star_ando_tuple
 from .errors import (
+    EmptyGridError,
     FundamentalEquationResidualError,
     NonUnitarySolutionError,
     NotCnuError,
     NotIntertwinerError,
     QDilateError,
     SingularResolventError,
-    TailTooLargeError,
 )
-from .hardy import TruncHardy, TwistedSymbol, materialize, obs_op, tail_norm
+from .hardy import TruncHardy, TwistedSymbol, materialize_csr
 from .matcore import SubspaceBasis, adj, as_cmatrix, eye, frob, opnorm
 from .qpair import ProductDecomposition, QPair, cnu_decompose
 from .report import Report
@@ -129,12 +129,13 @@ class PairAnalysis:
     then shared by every suite and builder that reads it; a build that fails
     is not repeated, later reads raise the same error.
 
-    Holds only objects of size O(dim^2), none of them N-dependent; lift-space
-    matrices stay with the suite that builds them.  The builders that read
+    It also keeps the Douglas pseudo lift of each N that the douglas and
+    pseudo suites share (CSR, O(N dim^2) nonzeros).  The builders that read
     these objects accept either a bare QPair or an analysis, through `of`.
     """
 
     pair: QPair
+    pseudo_lifts: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, pair: PairAnalysis | QPair) -> PairAnalysis:
@@ -428,25 +429,12 @@ def verify_triple(pair: PairAnalysis | QPair) -> Report:
     return rep
 
 
-def model_space(t: np.ndarray, n: int, dstar_basis: SubspaceBasis | None = None,
-                tail_tol: float = 1e-10) -> SubspaceBasis:
-    """Orthonormal basis of ran(obs column) inside TruncHardy(ran D_{T*})."""
-    tail = tail_norm(t, n)
-    if tail >= tail_tol:
-        raise TailTooLargeError(f"||T*^{n + 1}|| = {tail:.3e} >= {tail_tol:.1e}")
-    if dstar_basis is None:
-        _, dstar_basis = matcore.defect(adj(t))
-    obs = obs_op(t, dstar_basis, n)
-    return SubspaceBasis(matcore.orth_columns(obs.matrix))
-
-
 @dataclass(frozen=True)
 class ModelCompression:
+    """K_i = Pi* M_i Pi in the coordinates of H; defect max_i ||Pi*(M_i* Pi - Pi T_i*)||."""
+
     m1: np.ndarray
     m2: np.ndarray
-    basis: SubspaceBasis
-    trunc: int
-    tail: float
     defect: float
     report: Report
 
@@ -459,51 +447,48 @@ def model_symbols(q: complex, g1: np.ndarray, g2: np.ndarray):
     return sym1, sym2
 
 
-def model_compress(pair: PairAnalysis | QPair, n: int | None = None,
-                   tail_tol: float = 1e-10, tol: float = 1e-8) -> ModelCompression:
-    """Compress the model multipliers to the truncated model space and verify
-    unitary equivalence with the source pair, tail-corrected."""
+def model_compress(pair: PairAnalysis | QPair, tol: float = 1e-8) -> ModelCompression:
+    """Compress the model multipliers to ran Pi and verify unitary equivalence
+    with the source pair over all degrees: every sum is a Stein sum.
+
+    Pi h = sum_k z^k C T*^k h, C = D_{T*} in dstar coordinates.  T1 T2 = q T2 T1
+    gives T* T_i* = qbar^m T_i* T* for the multiplier A0 + z A1 of twist m, so
+    degree k of M_i* Pi - Pi T_i* is qbar^(mk) E_i T*^k, E_i = A0* C + A1* C T*
+    - C T_i*: its norm is the root of lambda_max(sum_k T^k E_i*E_i T*^k), and
+    P_i = Pi*(M_i* Pi - Pi T_i*) = sum_k (qbar^m T)^k C*E_i T*^k gives the
+    compression K_i = Pi* M_i Pi = (Pi*Pi T_i* + P_i)*.
+    """
     an = PairAnalysis.of(pair)
     pair, t = an.pair, an.product
     if an.cnu.unitary_part.dim:
         raise NotCnuError("model compression needs a cnu product")
-    if n is None:
-        n = max(hardy.choose_trunc(t, tail_tol), 4)
-    tail = tail_norm(t, n)
-    if tail >= tail_tol:
-        raise TailTooLargeError(f"||T*^{n + 1}|| = {tail:.3e} >= {tail_tol:.1e}")
-    fund = an.fundamental
-    sym1, sym2 = model_symbols(pair.q, fund.g1, fund.g2)
-    mat1 = materialize(sym1, n).matrix
-    mat2 = materialize(sym2, n).matrix
-    obs = obs_op(t, an.dstar.basis, n)
-    basis = SubspaceBasis(matcore.orth_columns(obs.matrix))
-    b = basis.columns
-    m1 = adj(b) @ mat1 @ b
-    m2 = adj(b) @ mat2 @ b
-    pihat = adj(b) @ obs.matrix
-
-    rep = Report("model-compress", {"trunc": n, "tol": tol, "tail": tail})
-    # M* Pi as (Pi* M)*: no conjugate copy of the D x D multiplier
-    r1 = opnorm(adj(adj(obs.matrix) @ mat1) - obs.matrix @ adj(pair.t1))
-    r2 = opnorm(adj(adj(obs.matrix) @ mat2) - obs.matrix @ adj(pair.t2))
-    corrected = tol + 10.0 * tail
-    rep.check("intertwine-1", "M1* Pi = Pi T1* (tail-corrected)", r1, corrected)
-    rep.check("intertwine-2", "M2* Pi = Pi T2* (tail-corrected)", r2, corrected)
-    rep.check("pi-isometry", "Pi*Pi = I up to the exact tail",
-              frob(adj(pihat) @ pihat - eye(pair.dim)), tol + 10.0 * tail ** 2)
-    e1 = opnorm(pihat @ adj(pair.t1) - adj(m1) @ pihat)
-    e2 = opnorm(pihat @ adj(pair.t2) - adj(m2) @ pihat)
-    defect_val = max(e1, e2)
+    t_star = adj(t)
+    c = an.dstar.coords()
+    gram = matcore.stein_sum(t, t_star, adj(c) @ c)
+    g1, g2 = an.fundamental.g1, an.fundamental.g2
+    rep = Report("model-compress", {"tol": tol})
+    defects, ks = [], []
+    for i, (sym, t_i) in enumerate(zip(model_symbols(pair.q, g1, g2), (pair.t1, pair.t2)), 1):
+        a0, a1 = sym.coeffs
+        phase = np.conj(pair.q) ** sym.twist
+        twist = opnorm(t_star @ adj(t_i) - phase * adj(t_i) @ t_star)
+        e = adj(a0) @ c + adj(a1) @ c @ t_star - c @ adj(t_i)
+        rep.check(f"intertwine-{i}", f"M{i}* Pi = Pi T{i}* (all degrees)",
+                  np.sqrt(opnorm(matcore.stein_sum(t, t_star, adj(e) @ e))), tol,
+                  note=f"degrees >= 1 use ||T* T{i}* - qbar^m T{i}* T*|| = {twist:.3e}")
+        p = matcore.stein_sum(phase * t, t_star, adj(c) @ e)
+        defects.append(opnorm(p))
+        ks.append(adj(gram @ adj(t_i) + p))
+    k1, k2 = ks
+    rep.check("pi-isometry", "Pi*Pi = I", frob(gram - eye(pair.dim)), tol)
     rep.check("equivalence-defect",
               "compressed pair unitarily equivalent to the source pair",
-              defect_val, corrected)
-    mz = hardy.materialize_csr(hardy.shift_symbol(pair.q, an.dstar.dim), n)
+              max(defects), tol)
     rep.check("compressed-q-commute", "M1 M2 = q M2 M1 on the model space",
-              opnorm(m1 @ m2 - pair.q * m2 @ m1), corrected)
-    rep.check("compressed-product", "M1 M2 equals the compressed shift",
-              opnorm(m1 @ m2 - adj(b) @ (mz @ b)), corrected)
-    return ModelCompression(m1, m2, basis, n, tail, defect_val, rep)
+              opnorm(k1 @ k2 - pair.q * k2 @ k1), tol)
+    rep.check("compressed-product", "M1 M2 equals the compressed shift, T Pi*Pi",
+              opnorm(k1 @ k2 - t @ gram), tol)
+    return ModelCompression(k1, k2, max(defects), rep)
 
 
 def induced_defect_unitaries(triple_a: CharTriple, triple_b: CharTriple,
@@ -530,6 +515,9 @@ def verify_coincidence(triple_a: CharTriple, triple_b: CharTriple,
     (i) u_* Theta(z) = Theta'(z) u on a disk grid, (ii) conjugation of the
     fundamental pairs, (iii) unitary parts (trivial at finite dimension)."""
     radii = np.linspace(0.1, 0.9, 8) if radii is None else list(radii)
+    if len(radii) == 0 or angles < 1:
+        raise EmptyGridError(f"coincidence grid is empty: {len(radii)} radii "
+                             f"x {angles} angles")
     rep = Report("coincidence", {"radii": len(radii), "angles": angles,
                                  "tol": tol})
     u, u_star = as_cmatrix(u), as_cmatrix(u_star)
@@ -570,9 +558,9 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
     rep = Report("admissible", {"trunc": n, "tol": tol})
 
     sym1, sym2 = model_symbols(q, g1, g2)
-    op1 = materialize(sym1, n)
-    op2 = materialize(sym2, n)
-    excess = max(opnorm(op1.restricted()), opnorm(op2.restricted())) - 1.0
+    a1, a2 = materialize_csr(sym1, n), materialize_csr(sym2, n)
+    head = TruncHardy(sym1.fiber_in, n).low(n - 1)
+    excess = max(opnorm(a1[:, head]), opnorm(a2[:, head])) - 1.0
     rep.check("cond1-contractive",
               "M_{G1*+zG2}R_q and R_qbar M_{G2*+zG1} are contractions",
               max(0.0, excess), 1e-9)
@@ -594,13 +582,13 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
 
     dom = TruncHardy(d_in, n)
     cod = TruncHardy(d_out, n)
-    t_theta = materialize(theta_sym, n).matrix
-    q_basis = matcore.orth_columns(t_theta[:, dom.low(n - d_theta)])
-    test_cols = matcore.orth_columns(t_theta[:, dom.low(n - d_theta - 1)])
-    mz = materialize(hardy.shift_symbol(q, d_out), n).matrix
+    t_theta = materialize_csr(theta_sym, n)
+    q_basis = matcore.orth_columns(t_theta[:, dom.low(n - d_theta)].toarray())
+    test_cols = matcore.orth_columns(t_theta[:, dom.low(n - d_theta - 1)].toarray())
+    mz = materialize_csr(hardy.shift_symbol(q, d_out), n)
     worst_inv = 0.0
     if test_cols.shape[1]:
-        for a_mat in (op1.matrix, op2.matrix, mz):
+        for a_mat in (a1, a2, mz):
             image = a_mat @ test_cols
             worst_inv = max(worst_inv,
                             opnorm(image - q_basis @ (adj(q_basis) @ image)))
@@ -614,7 +602,7 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
                  "compressed product identities on the model complement",
                  note="truncation too small to expose an interior complement")
         return rep
-    x_red = _null_space(adj(t_theta[cod.low(k_int), dom.low(k_int)]))
+    x_red = _null_space(adj(t_theta[cod.low(k_int), dom.low(k_int)].toarray()))
     x = np.zeros((cod.total_dim, x_red.shape[1]), dtype=np.complex128)
     x[cod.low(k_int)] = x_red
     if x.shape[1] == 0:
@@ -622,7 +610,6 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
                  "compressed product identities on the model complement",
                  note="model complement has no low-degree vectors at this truncation")
         return rep
-    a1, a2 = op1.matrix, op2.matrix
     prod12 = adj(a1) @ (adj(a2) @ x)
     prod21 = adj(a2) @ (adj(a1) @ x)
     r4a = opnorm(prod12 - q * prod21)

@@ -132,8 +132,8 @@ def taylor_rigidity(triple: PseudoTriple, pair: PairAnalysis | QPair,
     fund = PairAnalysis.of(pair).fundamental
     hd = triple.space.hardy.total_dim
     space = triple.space.hardy
-    a1 = hardy.TruncOperator(triple.w1[:hd, :hd], space, space, 1)
-    a2 = hardy.TruncOperator(triple.w2[:hd, :hd], space, space, 1)
+    a1 = hardy.TruncOperator(triple.w1[:hd, :hd], space, space)
+    a2 = hardy.TruncOperator(triple.w2[:hd, :hd], space, space)
     sym1, res1 = hardy.extract_symbol(a1, q)
     sym2, res2 = hardy.extract_symbol(a2, np.conj(q))
     rep.check("reconstruct-1", "W1 Hardy block is a degree-1 twisted multiplier",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qdilate as qd
-from qdilate import ando, cli, matcore, model, qpair
+from qdilate import ando, cli, hardy, lifts, matcore, model, qpair
 from qdilate.cli import main
 
 
@@ -123,6 +123,26 @@ class TestVerify:
         assert sum(r["id"].endswith("/error") for r in cached) == 7
         assert ([json.dumps(r, sort_keys=True) for r in cached]
                 == [json.dumps(r, sort_keys=True) for r in fresh])
+
+    def test_pseudo_lift_built_once(self, pair_file, tmp_path, monkeypatch):
+        # the douglas and pseudo suites share one Douglas pseudo lift, and the
+        # Douglas lift dresses its observability column
+        obs_builds, pseudo_builds = [], []
+        obs_op, pseudo_triple = hardy.obs_op, lifts.PseudoTriple
+
+        def counted_obs(*args, **kwargs):
+            obs_builds.append(1)
+            return obs_op(*args, **kwargs)
+
+        def counted_triple(*args, **kwargs):
+            pseudo_builds.append(1)
+            return pseudo_triple(*args, **kwargs)
+
+        monkeypatch.setattr(hardy, "obs_op", counted_obs)
+        monkeypatch.setattr(lifts, "PseudoTriple", counted_triple)
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--pair", pair_file, "--trunc", 8, "--out", out]) == 0
+        assert (len(obs_builds), len(pseudo_builds)) == (1, 1)
 
 
 class TestCharfn:

@@ -232,7 +232,7 @@ class TestExtract:
         n = 6
         proj = np.zeros(((n + 1), (n + 1)), dtype=complex)
         proj[0, 0] = 1.0
-        op = hardy.TruncOperator(proj, TruncHardy(1, n), TruncHardy(1, n), 0)
+        op = hardy.TruncOperator(proj, TruncHardy(1, n), TruncHardy(1, n))
         with pytest.raises(NotQCommutantError):
             extract_symbol(op, Q)
 

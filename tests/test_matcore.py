@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qdilate as qd
 from qdilate import matcore
 from qdilate.errors import (
     DimensionMismatchError,
@@ -19,6 +20,7 @@ from qdilate.matcore import (
     frob,
     power_limit,
     psd_sqrt,
+    stein_sum,
 )
 
 from conftest import rand_psd
@@ -172,6 +174,47 @@ class TestPowerLimit:
         t = np.diag([1.0 - 1e-14]).astype(complex)
         with pytest.raises(MaxIterationsExceededError):
             power_limit(t, tol=1e-30, max_doublings=3)
+
+
+class TestSteinSum:
+    def test_nilpotent_is_a_finite_sum(self):
+        t = qd.gen_nilpotent(4, 1j, 0.9, 0.8).product()   # t^4 = 0
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        partial = sum(np.linalg.matrix_power(t, k) @ c @ np.linalg.matrix_power(adj(t), k)
+                      for k in range(4))
+        assert frob(stein_sum(t, adj(t), c) - partial) < 1e-14 * frob(partial)
+
+    def test_zero_input(self):
+        c = np.arange(6, dtype=complex).reshape(2, 3)
+        assert np.array_equal(stein_sum(np.zeros((2, 2)), np.zeros((3, 3)), c), c)
+        t = np.diag([0.5, 0.9]).astype(complex)
+        assert not stein_sum(t, adj(t), np.zeros((2, 2))).any()
+
+    @pytest.mark.parametrize("scale", [0.9, 0.999, 1 - 1e-6])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_conjugated_clock_shift_gramian(self, scale, seed):
+        # sum_k T^k (I - TT*) T*^k = I for a pure T, here with rho = scale^2
+        t = qd.gen_conjugated(qd.gen_clock_shift(3, scale), seed)[0].product()
+        c = eye(3) - t @ adj(t)
+        x = stein_sum(t, adj(t), c)
+        assert frob(x - t @ x @ adj(t) - c) < 1e-14
+        assert frob(x - eye(3)) < 10 * matcore.EPS / (1 - scale ** 2)
+
+    def test_phase_against_kronecker_solve(self):
+        # X - aXb = c with a = qbar T, b = T*: vec(aXb) = (b^T kron a) vec(X)
+        pair = qd.gen_conjugated(qd.gen_clock_shift(4, 0.95), 5)[0]
+        t = pair.product()
+        a, b = np.conj(pair.q) * t, adj(t)
+        rng = np.random.default_rng(8)
+        c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        vec = np.linalg.solve(eye(16) - np.kron(b.T, a), c.reshape(-1, order="F"))
+        want = vec.reshape(4, 4, order="F")
+        assert frob(stein_sum(a, b, c) - want) < 1e-12 * frob(want)
+
+    def test_max_iterations(self):
+        with pytest.raises(MaxIterationsExceededError):
+            stein_sum(eye(1), eye(1), eye(1))
 
 
 class TestJson:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ import qdilate as qd
 from qdilate import matcore, model
 from qdilate.ando import DefectData
 from qdilate.errors import (
+    EmptyGridError,
     NotCnuError,
     NotIntertwinerError,
     SingularResolventError,
-    TailTooLargeError,
 )
 from qdilate.matcore import adj, eye, frob, opnorm
+
+from model_oracle import truncated_compress
 
 
 def scalar_pair(c, q=1.0):
@@ -293,42 +297,16 @@ class TestCharTriple:
             assert worst < 1.0 - 1e-12, name
 
 
-class TestModelSpace:
-    def test_zero_contraction_constants(self):
-        t = np.zeros((2, 2), dtype=complex)
-        basis = qd.model_space(t, 6)
-        assert basis.dim == 2
-        # spanned by constants: no weight above degree 0
-        assert frob(basis.columns[2:]) < 1e-12
-
-    def test_scalar(self):
-        t = np.array([[0.5]], dtype=complex)
-        n = 40
-        basis = qd.model_space(t, n)
-        assert basis.dim == 1
-
-    def test_dim3_cnu(self):
-        pair = qd.gen_clock_shift(3, 0.6)
-        t = pair.product()
-        n = 24
-        basis = qd.model_space(t, n)
-        assert basis.dim == 3
-
-    def test_tail_too_large(self):
-        with pytest.raises(TailTooLargeError):
-            qd.model_space(np.array([[0.99]], dtype=complex), 4)
-
-
 class TestModelCompress:
     def test_zero_pair(self):
-        comp = qd.model_compress(zero_pair(), n=6)
+        comp = qd.model_compress(zero_pair())
         assert comp.m1.shape == (1, 1)
         assert abs(comp.m1[0, 0]) < 1e-12
         assert comp.report.overall
 
     def test_scalar_compression(self):
         c = 0.5
-        comp = qd.model_compress(scalar_pair(c), n=40)
+        comp = qd.model_compress(scalar_pair(c))
         assert abs(comp.m1[0, 0] - c) < 1e-8
         assert comp.report.overall
 
@@ -342,11 +320,42 @@ class TestModelCompress:
         with pytest.raises(NotCnuError):
             qd.model_compress(qd.gen_clock_shift(2, 1.0))
 
+    @pytest.mark.parametrize("scale", [0.999, 1 - 1e-6])
+    def test_spectral_radius_near_one(self, scale):
+        # rho(T) = scale^2: no truncation below 10^4 degrees reaches a 1e-10 tail
+        comp = qd.model_compress(qd.gen_clock_shift(2, scale))
+        assert [r.check_id for r in comp.report.records] == [
+            "intertwine-1", "intertwine-2", "pi-isometry", "equivalence-defect",
+            "compressed-q-commute", "compressed-product"]
+        assert comp.report.overall, comp.report.summary_lines()
+
+    def test_matches_truncated_oracle(self, cnu_corpus):
+        # K_i = Pi* M_i Pi is the oracle's compression m_i in H coordinates
+        for name, pair, _ in cnu_corpus[::6]:
+            comp = qd.model_compress(pair)
+            oracle = truncated_compress(pair)
+            for k, m in ((comp.m1, oracle.m1), (comp.m2, oracle.m2)):
+                assert frob(oracle.pihat @ k @ adj(oracle.pihat) - m) < 1e-9, name
+
+    def test_perturbed_g1_matches_oracle_norm(self, cnu_corpus):
+        # negative control: with G1 moved by 1e-3 the intertwining fails, and
+        # the exact all-degree norm is the truncated norm at N = 400
+        rng = np.random.default_rng(7)
+        for name, pair, _ in cnu_corpus[::6]:
+            an = model.PairAnalysis(pair)
+            fund = an.fundamental
+            bump = rng.standard_normal(fund.g1.shape) + 1j * rng.standard_normal(fund.g1.shape)
+            an.fundamental = replace(fund, g1=fund.g1 + 1e-3 * bump / opnorm(bump))
+            rec = qd.model_compress(an).report.records[0]
+            assert rec.check_id == "intertwine-1" and not rec.passed, name
+            want = truncated_compress(an, n=400).intertwine[0]
+            assert abs(rec.residual - want) <= 1e-10 * want, name
+
     def test_defect_shrinks_with_n(self):
         pair = qd.gen_clock_shift(3, 0.6)
-        n = qd.model_compress(pair).trunc
-        comp_n = qd.model_compress(pair, n=n)
-        comp_2n = qd.model_compress(pair, n=2 * n)
+        n = truncated_compress(pair).trunc
+        comp_n = truncated_compress(pair, n=n)
+        comp_2n = truncated_compress(pair, n=2 * n)
         # tail-driven: the defect at 2N must be consistent with rho^N decay
         if comp_n.defect > 1e-13:
             c_n = comp_n.defect / max(comp_n.tail, 1e-300)
@@ -383,6 +392,10 @@ class TestCoincidence:
                                     radii=(r for r in np.linspace(0.1, 0.9, 8)))
         assert rep.environment["radii"] == 8
         assert rep.records[0].residual > 1e-2
+        # an empty grid compares nothing: an error, not a vacuous pass
+        for grid in ({"radii": []}, {"angles": 0}):
+            with pytest.raises(EmptyGridError, match="grid is empty"):
+                qd.verify_coincidence(tri_a, tri_b, eye(1), eye(1), **grid)
 
 
 class TestAdmissible:
