@@ -249,10 +249,14 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
 def minimality_check(lift: LiftRealization, rank_tol: float = 1e-8) -> Report:
     """Product-Krylov reachability, cross-checked against a greedy orbit oracle.
 
-    Rank of [Pi, V Pi, ..., V^{N+1} Pi] with V = V1 V2; both routes use the
-    same explicit cutoff so direction weights ~rho^N below it are dropped
-    consistently.  The report carries the achieved rank, the oracle rank and
-    the full space dimension (the unreachable truncation slice is their gap).
+    Rank of [Pi, V Pi, ..., V^{N+1} Pi] with V = V1 V2.  The two routes cut
+    differently: the SVD route drops singular values below rank_tol times the
+    stack's largest (relative), the greedy route drops directions below
+    rank_tol itself (absolute).  They agree while ||Pi|| is of order 1, as
+    for every lift built here, and then both drop the direction weights
+    ~rho^N below the cutoff.  The report carries the achieved rank, the
+    oracle rank and the full space dimension (the unreachable truncation
+    slice is their gap).
     """
     achieved, oracle = matcore.krylov_ranks(lift.v1 @ lift.v2, lift.pi,
                                             lift.trunc + 1, rank_tol)

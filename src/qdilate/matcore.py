@@ -44,18 +44,32 @@ def frob(a: np.ndarray) -> float:
 def opnorm(a) -> float:
     """Spectral norm; 0 for empty matrices.
 
-    Dense input goes through the SVD.  For sparse input the norm is the root
-    of the largest eigenvalue of the smaller Gram matrix, A*A or AA*, which is
-    banded for the lift-space operators; LAPACK's banded Hermitian
-    eigensolver (?hbevd, eigenvalues only) computes it.  Selecting just the
-    top eigenvalue (?hbevx) is not used: its bisection cannot separate that
-    index from a cluster, and a contraction whose norm is attained on several
-    directions makes one.  A is first divided by its largest |entry|, so the
-    Gram neither underflows nor overflows.
+    Dense input goes through the SVD.  Sparse input is split into the
+    connected components of its bipartite row/column graph: permuting rows
+    and columns makes A block diagonal with one block per component, so
+    ||A|| is the largest of the block norms, and each is computed exactly.
+    Blocks of at most `_SMALL_BLOCK` rows plus columns are zero-padded into
+    one stack and go through a single batched SVD (padding adds only zero
+    singular values).  A larger block, or the whole matrix when it is one
+    block, has as norm the root of the largest eigenvalue of its smaller
+    Gram matrix, A*A or AA*, which is banded for the lift-space operators;
+    LAPACK's banded Hermitian eigensolver (?hbevd, eigenvalues only)
+    computes it.  Selecting just the top eigenvalue (?hbevx) is not used: its
+    bisection cannot separate that index from a cluster, and a contraction
+    whose norm is attained on several directions makes one.  A is first
+    divided by its largest |entry|, so the Gram neither underflows nor
+    overflows.
     """
     if sp.issparse(a):
         return _sparse_opnorm(a)
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
+
+
+# Blocks of at most this many rows plus columns share one batched dense SVD,
+# which costs O(k^3) for a block of k nodes; a banded Gram eigensolve costs
+# O(n^2 b) at width n and is kept for larger blocks.  A small block pads to at
+# most 31 x 31, so the stack stays small however many blocks there are.
+_SMALL_BLOCK = 32
 
 
 def _sparse_opnorm(a) -> float:
@@ -64,6 +78,71 @@ def _sparse_opnorm(a) -> float:
     if scale == 0.0:
         return 0.0
     a = a / scale
+    # one nonzero stored entry per position: the scatter below assigns, and
+    # every block then has a nonzero entry for the banded path
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    m, n = a.shape
+    coo = a.tocoo()
+    labels = _component_labels(coo.row, coo.col + m, m + n)
+    row_lab, col_lab = labels[:m], labels[m:]
+    rows_per = np.bincount(row_lab, minlength=m + n)
+    cols_per = np.bincount(col_lab, minlength=m + n)
+    live = (rows_per > 0) & (cols_per > 0)
+    if np.count_nonzero(live) == 1:
+        return scale * _gram_norm(a)
+    large = live & (rows_per + cols_per > _SMALL_BLOCK)
+    top = max((_gram_norm(a[row_lab == k][:, col_lab == k]) for k in np.flatnonzero(large)),
+              default=0.0)
+    small = live & ~large
+    if small.any():
+        lab = row_lab[coo.row]
+        keep = small[lab]
+        slot = np.cumsum(small) - 1
+        stack = np.zeros((np.count_nonzero(small), rows_per[small].max(),
+                          cols_per[small].max()), dtype=np.complex128)
+        stack[slot[lab[keep]], _local_index(row_lab, rows_per)[coo.row[keep]],
+              _local_index(col_lab, cols_per)[coo.col[keep]]] = coo.data[keep]
+        top = max(top, float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()))
+    return scale * top
+
+
+def _component_labels(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+    """Connected components of the graph on `size` nodes with edges (u, v):
+    each node is labelled with the smallest node of its component.
+
+    Labels are parent pointers to smaller nodes.  Each round hooks every
+    root under the smallest root it shares an edge with, then lets pointers
+    jump until each points at its root, so every tree with a smaller
+    neighbouring tree merges.  (scipy.sparse.csgraph labels components too,
+    but importing it loads scipy.sparse.linalg, ~3 MB of resident memory per
+    process.)
+    """
+    lab = np.arange(size)
+    while True:
+        lu, lv = lab[u], lab[v]
+        split = lu != lv
+        if not split.any():
+            return lab
+        np.minimum.at(lab, np.maximum(lu, lv)[split], np.minimum(lu, lv)[split])
+        while True:
+            up = lab[lab]
+            if np.array_equal(up, lab):
+                break
+            lab = up
+
+
+def _local_index(labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Position of each node among the nodes of its own component."""
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    local = np.empty_like(order)
+    local[order] = np.arange(labels.size) - starts[labels[order]]
+    return local
+
+
+def _gram_norm(a) -> float:
+    """Norm of a sparse A with entries of order 1, by the banded Gram solve."""
     gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
     gram = gram.tocoo()
     gram.sum_duplicates()
@@ -72,7 +151,7 @@ def _sparse_opnorm(a) -> float:
     band = np.zeros((offset.max() + 1, gram.shape[0]), dtype=np.complex128)
     band[offset, col] = gram.data[lower]
     top = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)[-1]
-    return scale * float(np.sqrt(max(top, 0.0)))
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def eye(n: int) -> np.ndarray:
@@ -358,30 +437,43 @@ def greedy_orbit_rank(ops, seed_columns: np.ndarray, rank_tol: float = 1e-8,
         ops = [ops]
     ops = [o if sp.issparse(o) else as_cmatrix(o) for o in ops]
     n = seed_columns.shape[0]
-    basis = orth_columns(seed_columns, rank_tol=rank_tol)
+    frontier = orth_columns(seed_columns, rank_tol=rank_tol)
+    # the basis fills the leading columns of one buffer; pages of columns
+    # never written are never touched
+    buf = np.empty((n, n), dtype=np.complex128, order="F")
+    r = frontier.shape[1]
+    buf[:, :r] = frontier
     if max_rounds is None:
         max_rounds = n + 1
-    frontier = basis
     for _ in range(max_rounds):
-        if basis.shape[1] >= n or frontier.shape[1] == 0:
+        if r >= n or frontier.shape[1] == 0:
             break
+        basis = buf[:, :r]
         images = np.hstack([op @ frontier for op in ops]) if ops else frontier
-        resid = images - basis @ (adj(basis) @ images)
+        # basis* x as (basis^T conj(x))*: conjugates the k new columns, not the basis
+        resid = images - basis @ (basis.T @ images.conj()).conj()
         # second projection pass guards against loss of orthogonality
-        resid = resid - basis @ (adj(basis) @ resid)
-        new = orth_columns(resid, rank_tol=rank_tol)
-        if new.shape[1] == 0:
+        resid = resid - basis @ (basis.T @ resid.conj()).conj()
+        frontier = orth_columns(resid, rank_tol=rank_tol)
+        k = frontier.shape[1]
+        if k == 0:
             break
-        basis = np.hstack([basis, new])
-        frontier = new
-    return basis.shape[1]
+        if r + k >= n:
+            # the span is full; rounding can even leave more than n - r
+            # directions above the absolute rank_tol, and all of them count
+            return r + k
+        buf[:, r:r + k] = frontier
+        r += k
+    return r
 
 
 def krylov_ranks(op, seed: np.ndarray, steps: int,
                  rank_tol: float = 1e-8) -> tuple[int, int]:
     """Rank of [seed, op seed, ..., op^steps seed], grown by D x k block
-    products, and the greedy orbit oracle's rank of that span, at one cutoff.
-    `op` is dense or sparse; the stack is dense."""
+    products, and the greedy orbit oracle's rank of that span.  The first
+    cuts singular values at rank_tol times the stack's largest (relative),
+    the oracle at rank_tol itself (absolute), so the two agree only while
+    that largest value is of order 1.  `op` is dense or sparse; the stack is dense."""
     blocks = [seed]
     for _ in range(steps):
         blocks.append(op @ blocks[-1])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import qdilate as qd
-from qdilate import matcore
+from qdilate import lifts, matcore, pseudolift
 from qdilate.errors import (
     DimensionMismatchError,
     MaxIterationsExceededError,
@@ -18,6 +19,7 @@ from qdilate.matcore import (
     defect,
     eye,
     frob,
+    orth_columns,
     power_limit,
     psd_sqrt,
     stein_sum,
@@ -249,3 +251,98 @@ class TestRankHelpers:
     def test_numerical_rank(self):
         a = np.diag([1.0, 1e-3, 1e-12]).astype(complex)
         assert matcore.numerical_rank(a, rank_tol=1e-8) == 2
+
+
+def hstack_orbit_rank(ops, seed_columns, rank_tol=1e-8, max_rounds=None):
+    """The greedy orbit rank as first written: the basis regrown by hstack and
+    projected through adj(basis) every round.  Oracle for the in-place one."""
+    if isinstance(ops, np.ndarray) or sp.issparse(ops):
+        ops = [ops]
+    ops = [o if sp.issparse(o) else matcore.as_cmatrix(o) for o in ops]
+    n = seed_columns.shape[0]
+    basis = orth_columns(seed_columns, rank_tol=rank_tol)
+    if max_rounds is None:
+        max_rounds = n + 1
+    frontier = basis
+    for _ in range(max_rounds):
+        if basis.shape[1] >= n or frontier.shape[1] == 0:
+            break
+        images = np.hstack([op @ frontier for op in ops]) if ops else frontier
+        resid = images - basis @ (adj(basis) @ images)
+        resid = resid - basis @ (adj(basis) @ resid)
+        new = orth_columns(resid, rank_tol=rank_tol)
+        if new.shape[1] == 0:
+            break
+        basis = np.hstack([basis, new])
+        frontier = new
+    return basis.shape[1]
+
+
+def assert_same_rank(ops, seed, **kwargs):
+    got = matcore.greedy_orbit_rank(ops, seed, **kwargs)
+    assert got == hstack_orbit_rank(ops, seed, **kwargs)
+    return got
+
+
+class TestGreedyOrbitRank:
+    TRUNC = 12
+
+    def test_lift_orbits_match_oracle(self, corpus):
+        for name, pair, _ in corpus[::3]:
+            schaffer = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), self.TRUNC)
+            douglas = qd.douglas_lift(pair, self.TRUNC)
+            pi, tri = pseudolift.douglas_pseudo_lift(pair, self.TRUNC)
+            for op, seed in ((schaffer.v1 @ schaffer.v2, schaffer.pi),
+                             (douglas.v1 @ douglas.v2, douglas.pi), (tri.w, pi)):
+                assert_same_rank(op, seed)
+
+    def test_joint_orbits(self):
+        # the two-variable pair of the two-lifts fixture, and a sparse pair
+        n, q = 6, np.exp(1j)
+        mz1, mz2, rot = lifts._bidisk_ops(n, q)
+        seed = np.zeros(((n + 1) ** 2, 1), dtype=complex)
+        seed[0, 0] = 1.0
+        assert assert_same_rank([rot @ mz1, mz2], seed) == (n + 1) ** 2
+        assert assert_same_rank([sp.csr_matrix(mz1), sp.csr_matrix(mz2)], seed) == (n + 1) ** 2
+        rng = np.random.default_rng(7)
+        ops = [np.diag(rng.standard_normal(9)).astype(complex), np.eye(9, k=-3, dtype=complex)]
+        seed = (rng.standard_normal((9, 1)) + 0j)
+        assert_same_rank(ops, seed)
+
+    def test_full_rank_seed(self):
+        # the shift reaches all of C^n from e_0, and a full seed is done at once
+        n = 9
+        s = np.eye(n, k=-1, dtype=complex)
+        seed = np.zeros((n, 1), dtype=complex)
+        seed[0, 0] = 1.0
+        assert assert_same_rank(s, seed) == n
+        assert assert_same_rank(s, eye(n)) == n
+
+    def test_rank_deficient_seed(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
+        t = np.diag(np.r_[np.ones(4), np.full(4, 0.5)]).astype(complex)
+        seed = np.hstack([x, 2.0 * x, -1j * x])
+        assert assert_same_rank(t, seed) == 2
+        assert assert_same_rank(t, np.zeros((8, 3), dtype=complex)) == 0
+
+    def test_max_rounds(self):
+        s = np.eye(7, k=-1, dtype=complex)
+        seed = np.zeros((7, 1), dtype=complex)
+        seed[0, 0] = 1.0
+        assert assert_same_rank(s, seed, max_rounds=1) == 2
+        assert assert_same_rank(s, seed, max_rounds=0) == 1
+
+    def test_empty_ops(self):
+        rng = np.random.default_rng(9)
+        seed = rng.standard_normal((6, 2)) + 0j
+        assert assert_same_rank([], seed) == 2
+
+    def test_overfull_last_round(self):
+        # images of size 1e12: rounding leaves more directions above the
+        # absolute cutoff than the space has room for, and each one counts
+        rng = np.random.default_rng(1)
+        ops = [1e12 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+               for _ in range(3)]
+        seed = np.array([[1.0], [0.0]], dtype=complex)
+        assert assert_same_rank(ops, seed) == 3

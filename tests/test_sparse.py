@@ -1,21 +1,24 @@
 """Sparse lift-space operators and the banded spectral norm.
 
 The lift and pseudo-lift operators are CSR matrices and their residuals are
-formed sparsely.  These tests check the sparse `opnorm` against the dense SVD
-norm, every `verify_lift` and `is_pseudo_triple` residual against the dense
-formula it replaced (kept here as the oracle, at small D), and that the
-operators stay sparse.
+formed sparsely.  These tests check the sparse `opnorm`, whole and split into
+connected blocks, against the dense SVD norm, every `verify_lift` and
+`is_pseudo_triple` residual against the dense formula it replaced (kept here
+as the oracle, at small D), and that the operators stay sparse.
 """
+
+import json
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdilate as qd
-from qdilate import hardy, lifts, matcore, pseudolift
+from qdilate import cli, hardy, lifts, matcore, pseudolift, qpair
 from qdilate.matcore import adj, eye, frob, opnorm
 
 
@@ -80,6 +83,152 @@ class TestSparseOpnorm:
     def test_no_underflow_of_tiny_residuals(self):
         a = sp.csr_matrix(np.diag([1e-170, 5e-170, 2e-170]))
         assert abs(opnorm(a) - 5e-170) <= 1e-12 * 5e-170
+
+
+def permuted_block_diag(blocks, rng) -> sp.csr_matrix:
+    """The direct sum of dense `blocks` with its rows and columns shuffled by
+    uniformly random permutations."""
+    m, n = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)
+    out = np.zeros((m, n), dtype=np.complex128)
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return sp.csr_matrix(out[rng.permutation(m)][:, rng.permutation(n)])
+
+
+def rand_block(rng, rows: int, cols: int) -> np.ndarray:
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+@st.composite
+def block_diagonal_matrices(draw):
+    """Permuted direct sums: many blocks of 1-4 rows plus columns, one block
+    too large for the batched path among tiny ones, or rectangular blocks;
+    blocks with no rows or no columns add empty columns or rows."""
+    kind = draw(st.sampled_from(["tiny", "giant", "rect"]))
+    scale = draw(st.sampled_from([1.0, 1e-200, 1e150]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shapes = []
+    if kind == "tiny":
+        for _ in range(draw(st.integers(1, 40))):
+            rows = draw(st.integers(1, 3))
+            shapes.append((rows, draw(st.integers(1, 4 - rows))))
+    elif kind == "giant":
+        shapes.append((draw(st.integers(17, 40)), draw(st.integers(17, 40))))
+        shapes += [(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+                   for _ in range(draw(st.integers(0, 12)))]
+    else:
+        shapes += [(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+                   for _ in range(draw(st.integers(1, 8)))]
+    shapes += [(draw(st.integers(0, 1)), 0) for _ in range(draw(st.integers(0, 3)))]
+    shapes += [(0, draw(st.integers(0, 1))) for _ in range(draw(st.integers(0, 3)))]
+    blocks = [rand_block(rng, *shape) for shape in shapes]
+    return permuted_block_diag(blocks, rng) * scale
+
+
+class TestBlockOpnorm:
+    """The sparse norm taken one connected block at a time."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(block_diagonal_matrices())
+    def test_matches_dense_svd(self, a):
+        ref = dense_norm(a)
+        got = opnorm(a)
+        assert abs(got - ref) <= 1e-12 * ref, (got, ref)
+
+    @pytest.mark.parametrize("order", ["random", "bit-reversed", "zigzag"])
+    def test_component_labels_match_csgraph(self, order):
+        # paths visiting the nodes in an order that makes many rounds of hooking,
+        # plus random extra edges and isolated nodes
+        rng = np.random.default_rng(6)
+        size = 1024
+        if order == "random":
+            path = rng.permutation(size)
+        elif order == "bit-reversed":
+            path = np.array([int(f"{i:010b}"[::-1], 2) for i in range(size)])
+        else:
+            path = np.ravel(np.column_stack([np.arange(size // 2), size - 1 - np.arange(size // 2)]))
+        path = path[:900]
+        extra = rng.integers(0, size, (2, 300))
+        u, v = np.r_[path[:-1], extra[0]], np.r_[path[1:], extra[1]]
+        labels = matcore._component_labels(u, v, size)
+        graph = sp.csr_matrix((np.ones(u.size), (u, v)), shape=(size, size))
+        count, ref = connected_components(graph, directed=False)
+        assert len(set(zip(labels.tolist(), ref.tolist()))) == len(set(labels.tolist())) == count
+
+    def test_top_value_repeated_across_blocks(self):
+        # two small blocks and one large one, each with singular values 2, 1, 1/2
+        rng = np.random.default_rng(3)
+
+        def block(n):
+            u = np.linalg.qr(rand_block(rng, n, n))[0]
+            v = np.linalg.qr(rand_block(rng, n, n))[0]
+            return u @ np.diag(np.r_[2.0, 1.0, 0.5, np.full(n - 3, 0.25)]) @ v
+
+        a = permuted_block_diag([block(3), block(4), block(20)], rng)
+        assert abs(opnorm(a) - 2.0) <= 1e-14 * 2.0
+
+    def test_largest_norm_in_large_block(self):
+        rng = np.random.default_rng(4)
+        big = rand_block(rng, 30, 25)
+        big *= 5.0 / np.linalg.norm(big, 2)
+        small = [rand_block(rng, 2, 2) for _ in range(30)]
+        small = [b / np.linalg.norm(b, 2) for b in small]
+        a = permuted_block_diag(small[:15] + [big] + small[15:], rng)
+        assert abs(opnorm(a) - 5.0) <= 1e-12 * 5.0
+
+    def test_largest_norm_in_a_later_block(self):
+        # several large and small blocks: the norm is not the first block's
+        rng = np.random.default_rng(5)
+        norms = [1.0, 2.0, 3.0, 4.0, 6.0, 5.0]
+        shapes = [(20, 20), (2, 2), (25, 18), (1, 3), (22, 24), (3, 1)]
+        blocks = []
+        for nrm, shape in zip(norms, shapes):
+            b = rand_block(rng, *shape)
+            blocks.append(b * (nrm / np.linalg.norm(b, 2)))
+        a = permuted_block_diag(blocks, rng)
+        assert abs(opnorm(a) - 6.0) <= 1e-12 * 6.0
+        small_top = permuted_block_diag([blocks[0], blocks[1] * 4.0, blocks[2]], rng)
+        assert abs(opnorm(small_top) - 8.0) <= 1e-12 * 8.0
+
+    def test_padding_adds_no_singular_value(self):
+        # blocks of 1 x 3 and 3 x 1 pad each other to 3 x 3
+        a = sp.csr_matrix(scipy.linalg.block_diag(np.full((1, 3), 1.0),
+                                                  np.full((3, 1), 0.5)))
+        assert abs(opnorm(a) - np.sqrt(3.0)) <= 1e-15 * np.sqrt(3.0)
+
+    def test_single_entry(self):
+        a = sp.csr_matrix(([3.0 - 4.0j], ([3], [5])), shape=(7, 9))
+        assert opnorm(a) == 5.0
+
+    def test_zero_blocks(self):
+        # duplicates that cancel leave no edge beside two nonzero blocks
+        a = sp.csr_matrix((np.array([1.0, -1.0, 2.0, 1.0]), [1, 1, 3, 4], [0, 2, 2, 3, 4]),
+                          shape=(4, 5))
+        assert opnorm(a) == 2.0
+        # duplicates that cancel, next to explicit zeros: every block is zero
+        a = sp.coo_matrix(([1.0, -1.0, 0.0], ([0, 0, 2], [1, 1, 3])), shape=(4, 5))
+        assert opnorm(a.tocsr()) == 0.0
+
+    def test_fewer_banded_solves_per_verify(self, tmp_path, monkeypatch):
+        # the lift-space residuals that split into small blocks skip the
+        # banded Gram eigensolve; the whole-matrix route made 18 per run
+        base = qd.gen_direct_sum([qd.gen_clock_shift(2, 1.0),
+                                  qd.gen_nilpotent(4, -1.0, 0.9, 0.8)])
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(qpair.pair_to_json(qd.gen_conjugated(base, seed=1)[0])))
+        solves = []
+        eig_banded = scipy.linalg.eig_banded
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return eig_banded(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eig_banded", counted)
+        assert cli.main(["verify", "--pair", str(path), "--suites", "schaffer,douglas,pseudo",
+                         "--trunc", "16", "--out", str(tmp_path / "rep.json")]) == 0
+        assert 0 < len(solves) < 18
 
 
 def close(got: float, ref: float, tol: float) -> bool:
