@@ -9,6 +9,8 @@ fixed (input, seed, trunc, tol) always produces identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -18,6 +20,45 @@ import numpy as np
 from . import ando, hardy, lifts, matcore, model, pseudolift, qpair
 from .errors import NotCnuError, ParseError, QDilateError
 from .report import Report
+
+
+def dumps(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte.
+
+    With `indent` set, `json` uses its pure-Python encoder, which spends
+    several times the cost of `float.__repr__` on every float.  So lists of
+    [re, im] float pairs (the `matrix_to_json` payloads) are written by one
+    join over `float.__repr__`; every other value goes through `json`."""
+    return _dumps(obj, "")
+
+
+# what json writes for the non-finite floats, in place of float.__repr__
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps(obj, indent: str) -> str:
+    inner = indent + "  "
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        items = (f"{inner}{json.dumps(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj))
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if type(obj) is list and obj:
+        if (set(map(type, obj)) == {list} and set(map(len, obj)) == {2}
+                and set(map(type, itertools.chain.from_iterable(obj))) == {float}):
+            return _float_pairs(obj, indent)
+        return "[\n" + ",\n".join(inner + _dumps(x, inner) for x in obj) + "\n" + indent + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _float_pairs(pairs: list, indent: str) -> str:
+    inner, leaf = indent + "  ", indent + "    "
+    texts = list(map(float.__repr__, itertools.chain.from_iterable(pairs)))
+    # finite reprs are digits, '.', 'e' and signs; only nan and inf spell an 'n'
+    if "n" in "".join(texts):
+        texts = [_NON_FINITE.get(t, t) for t in texts]
+    it = iter(texts)
+    body = f"\n{inner}],\n{inner}[\n{leaf}".join(map(f",\n{leaf}".join, zip(it, it)))
+    return f"[\n{inner}[\n{leaf}{body}\n{inner}]\n{indent}]"
+
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
@@ -51,7 +92,7 @@ def cmd_gen(args) -> int:
     except QDilateError as exc:
         print(f"generator error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(qpair.pair_to_json(pair), indent=2, sort_keys=True)
+    text = dumps(qpair.pair_to_json(pair))
     _write_or_print(text, args.out)
     print(f"generated {args.spec}: dim {pair.dim}, q = {pair.q:.6f}, "
           f"||T1 T2 - q T2 T1|| = "
@@ -188,16 +229,15 @@ def cmd_charfn(args) -> int:
     if boundary_ok:
         radii.append(1.0)
     for r in radii:
-        for k in range(angles_n):
-            z = r * np.exp(2j * np.pi * k / angles_n)
-            theta = theta_fn(z)
-            svals = np.linalg.svd(theta, compute_uv=False)
-            sv_text = ";".join(f"{s:.12e}" for s in svals)
-            if r == 1.0:
-                d_text = f"{matcore.opnorm(model.theta_defect(theta)):.12e}"
-            else:
-                d_text = ""
-            lines.append(f"{z.real:.12e},{z.imag:.12e},{sv_text},{d_text}")
+        ring = [r * np.exp(2j * np.pi * k / angles_n) for k in range(angles_n)]
+        for zs, thetas in theta_fn.many(ring):
+            for z, theta, svals in zip(zs, thetas, np.linalg.svd(thetas, compute_uv=False)):
+                sv_text = ";".join(map("{:.12e}".format, svals.tolist()))
+                if r == 1.0:
+                    d_text = f"{matcore.opnorm(model.theta_defect(theta)):.12e}"
+                else:
+                    d_text = ""
+                lines.append(f"{z.real:.12e},{z.imag:.12e},{sv_text},{d_text}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -211,11 +251,9 @@ def cmd_triple(args) -> int:
     except NotCnuError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
-    samples = []
-    for r in (0.0, 0.3, 0.6, 0.9):
-        z = complex(r, 0.0)
-        samples.append({"z": [z.real, z.imag],
-                        "theta": matcore.matrix_to_json(triple.theta(z))})
+    samples = [{"z": [float(z.real), float(z.imag)], "theta": matcore.matrix_to_json(theta)}
+               for zs, thetas in triple.theta.many([0.0, 0.3, 0.6, 0.9])
+               for z, theta in zip(zs, thetas)]
     obj = {
         "q": [float(pair.q.real), float(pair.q.imag)],
         "G1": matcore.matrix_to_json(triple.fundamental.g1),
@@ -225,7 +263,7 @@ def cmd_triple(args) -> int:
         "defect_dims": {"dt": triple.dt.dim, "dstar": triple.dstar.dim},
         "theta_samples": samples,
     }
-    _write_or_print(json.dumps(obj, indent=2, sort_keys=True), args.out)
+    _write_or_print(dumps(obj), args.out)
     return 0
 
 
@@ -241,8 +279,7 @@ def cmd_lift(args) -> int:
         tup = an.star
         rep = _suite_douglas(an, args.trunc, args.tol)
     if args.dump_ando:
-        Path(args.dump_ando).write_text(
-            json.dumps(tup.to_json(), indent=2, sort_keys=True), encoding="utf-8")
+        Path(args.dump_ando).write_text(dumps(tup.to_json()), encoding="utf-8")
     _write_or_print(rep.to_json(), args.report)
     for line in rep.summary_lines():
         print(line, file=sys.stderr)
@@ -281,7 +318,10 @@ def cmd_demo(args) -> int:
     return 0 if rep.overall else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `qdilate` parser, built once per process: `parse_args` leaves it
+    unchanged, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="qdilate",
         description="Construct and verify dilation/model objects for "

@@ -252,9 +252,9 @@ def minimality_check(lift: LiftRealization, rank_tol: float = 1e-8) -> Report:
     Rank of [Pi, V Pi, ..., V^{N+1} Pi] with V = V1 V2.  The two routes cut
     differently: the SVD route drops singular values below rank_tol times the
     stack's largest (relative), the greedy route drops directions below
-    rank_tol itself (absolute).  They agree while ||Pi|| is of order 1, as
-    for every lift built here, and then both drop the direction weights
-    ~rho^N below the cutoff.  The report carries the achieved rank, the
+    rank_tol itself (absolute).  `krylov_ranks` divides Pi by its norm
+    first, so they agree whatever the scale of Pi, and both drop the
+    direction weights ~rho^N below the cutoff.  The report carries the achieved rank, the
     oracle rank and the full space dimension (the unreachable truncation
     slice is their gap).
     """

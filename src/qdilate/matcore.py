@@ -65,6 +65,12 @@ def opnorm(a) -> float:
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
+def stack_opnorms(a: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix of a (k, m, n) stack, from one batched SVD;
+    0 for empty matrices."""
+    return np.linalg.svd(a, compute_uv=False)[:, 0] if a.size else np.zeros(len(a))
+
+
 # Blocks of at most this many rows plus columns share one batched dense SVD,
 # which costs O(k^3) for a block of k nodes; a banded Gram eigensolve costs
 # O(n^2 b) at width n and is kept for larger blocks.  A small block pads to at
@@ -103,7 +109,7 @@ def _sparse_opnorm(a) -> float:
                           cols_per[small].max()), dtype=np.complex128)
         stack[slot[lab[keep]], _local_index(row_lab, rows_per)[coo.row[keep]],
               _local_index(col_lab, cols_per)[coo.col[keep]]] = coo.data[keep]
-        top = max(top, float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()))
+        top = max(top, float(stack_opnorms(stack).max()))
     return scale * top
 
 
@@ -222,8 +228,8 @@ class SubspaceBasis:
 
 def matrix_to_json(a: np.ndarray) -> dict:
     """Serialize as {"rows", "cols", "data": [[re, im], ...]} row-major."""
-    a = as_cmatrix(a)
-    data = [[float(x.real), float(x.imag)] for x in a.ravel(order="C")]
+    a = np.ascontiguousarray(as_cmatrix(a))
+    data = a.view(np.float64).reshape(-1, 2).tolist()
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
@@ -472,10 +478,18 @@ def krylov_ranks(op, seed: np.ndarray, steps: int,
     """Rank of [seed, op seed, ..., op^steps seed], grown by D x k block
     products, and the greedy orbit oracle's rank of that span.  The first
     cuts singular values at rank_tol times the stack's largest (relative),
-    the oracle at rank_tol itself (absolute), so the two agree only while
-    that largest value is of order 1.  `op` is dense or sparse; the stack is dense."""
-    blocks = [seed]
-    for _ in range(steps):
-        blocks.append(op @ blocks[-1])
-    return (numerical_rank(np.hstack(blocks), rank_tol=rank_tol),
-            greedy_orbit_rank(op, seed, rank_tol=rank_tol))
+    the oracle at rank_tol itself (absolute).  Both routes see the seed
+    divided by its spectral norm, which leaves the relative cut as it is and
+    makes the absolute one relative to the seed, so the two ranks do not
+    depend on its scale.  `op` is dense or sparse; seed and stack are dense,
+    and the stack is filled in place, block by block."""
+    k = seed.shape[1]
+    stack = np.empty((seed.shape[0], (steps + 1) * k), dtype=np.complex128)
+    stack[:, :k] = seed
+    norm = np.linalg.norm(seed, 2) if seed.size else 0.0
+    if norm > 0.0:
+        stack[:, :k] /= norm
+    for i in range(steps):
+        stack[:, (i + 1) * k:(i + 2) * k] = op @ stack[:, i * k:(i + 1) * k]
+    return (numerical_rank(stack, rank_tol=rank_tol),
+            greedy_orbit_rank(op, stack[:, :k], rank_tol=rank_tol))

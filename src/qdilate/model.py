@@ -27,7 +27,7 @@ from .errors import (
     SingularResolventError,
 )
 from .hardy import TruncHardy, TwistedSymbol, materialize_csr
-from .matcore import SubspaceBasis, adj, as_cmatrix, eye, frob, opnorm
+from .matcore import SubspaceBasis, adj, as_cmatrix, eye, frob, opnorm, stack_opnorms
 from .qpair import ProductDecomposition, QPair, cnu_decompose
 from .report import Report
 
@@ -319,12 +319,21 @@ def verify_unique_canonical(pair: QPair, w1p: np.ndarray, w2p: np.ndarray,
     return bool(ok), rep
 
 
+# Entries one stacked temporary of `CharFn.many` may hold: a chunk takes as
+# many points as fit n x n matrices into it, and at least one.
+_STACK_ENTRIES = 2 ** 14
+
+
 class CharFn:
     """Characteristic function Theta(z) = -T + z D_{T*}(I - zT*)^{-1} D_T of one
     contraction T, as a matrix between the defect-space coordinates.
 
-    T is checked once and its defects are built here unless given; every
-    evaluation is then one LU solve of I - zT* and the products around it.
+    T is checked once and its defects are built here unless given.  The
+    constant factors are folded once: with B, B_* the bases of ran D_T and
+    ran D_{T*}, Theta(z) = Theta0 + z L (I - zT*)^{-1} R for Theta0 = B_*^*(-T)B,
+    L = B_*^* D_{T*} and R = D_T B.  `many` evaluates a point set in chunks,
+    each one stacked LU solve of I - zT* against R; a single point is a
+    chunk of one, so both give the same bits.
     """
 
     def __init__(self, t: np.ndarray, dt: DefectData | None = None,
@@ -332,22 +341,50 @@ class CharFn:
         t = matcore.check_contraction(t)
         self.dt = DefectData(*matcore.defect(t)) if dt is None else dt
         self.dstar = DefectData(*matcore.defect(adj(t))) if dstar is None else dstar
-        self._neg_t, self._t_star, self._eye = -t, adj(t), eye(t.shape[0])
-        self._out = adj(self.dstar.basis.columns)
+        b_t, b_s = self.dt.basis.columns, self.dstar.basis.columns
+        self._theta0 = adj(b_s) @ -t @ b_t
+        self._left = adj(b_s) @ self.dstar.operator
+        self._right = self.dt.operator @ b_t
+        self._t_star, self._eye = adj(t), eye(t.shape[0])
         self._tol = 1e-8 * max(1.0, frob(self.dt.operator))
+        self._chunk = max(1, _STACK_ENTRIES // max(1, t.size))
 
     def __call__(self, z: complex) -> np.ndarray:
-        a = self._eye - z * self._t_star
-        rhs = self.dt.operator
+        return next(self.many((z,)))[1][0]
+
+    def many(self, zs):
+        """Yield (z, Theta(z)) for consecutive chunks of the points `zs`: a
+        vector of points and the (points, dim D_{T*}, dim D_T) stack of values.
+        Raises SingularResolventError at a non-finite point or where
+        I - zT* is singular."""
+        zs = np.asarray(zs, dtype=np.complex128).ravel()
+        for start in range(0, zs.size, self._chunk):
+            z = zs[start:start + self._chunk]
+            yield z, self._stack(z)
+
+    def _stack(self, z: np.ndarray) -> np.ndarray:
+        if not np.isfinite(z).all():
+            raise SingularResolventError(
+                f"I - z T* undefined at z = {z[~np.isfinite(z)][0]}")
+        a = self._eye - z[:, None, None] * self._t_star
+        rhs = np.broadcast_to(self._right, (z.size, *self._right.shape))
         try:
             x = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularResolventError(f"I - z T* singular at z = {z}") from exc
-        res = frob(a @ x - rhs)
-        if not np.isfinite(res) or res > self._tol:
-            raise SingularResolventError(f"I - z T* numerically singular at z = {z}")
-        core = self._neg_t + z * self.dstar.operator @ x
-        return self._out @ core @ self.dt.basis.columns
+        except np.linalg.LinAlgError:
+            # name the first point whose own solve fails
+            for zk, ak in zip(z, a):
+                try:
+                    np.linalg.solve(ak, self._right)
+                except np.linalg.LinAlgError as exc:
+                    raise SingularResolventError(f"I - z T* singular at z = {zk}") from exc
+            raise
+        # the residual guard of each point; a NaN residual fails it too
+        res = np.linalg.norm(a @ x - rhs, axis=(1, 2))
+        bad = ~(res <= self._tol)
+        if bad.any():
+            raise SingularResolventError(
+                f"I - z T* numerically singular at z = {z[bad][0]}")
+        return self._theta0 + z[:, None, None] * (self._left @ x)
 
 
 def char_fn(t: np.ndarray, z: complex, dt: DefectData | None = None,
@@ -406,11 +443,11 @@ def verify_triple(pair: PairAnalysis | QPair) -> Report:
     theta0 = triple.theta(0.0)
     rep.check("theta-at-zero", "Theta(0) = -T restricted to ran D_T",
               frob(theta0 - triple.theta_coeffs(0)[0]), 1e-13)
+    grid = [r * np.exp(2j * np.pi * k / 16) for r in np.linspace(0.1, 0.9, 8)
+            for k in range(16)]
     worst = 0.0
-    for r in np.linspace(0.1, 0.9, 8):
-        for k in range(16):
-            z = r * np.exp(2j * np.pi * k / 16)
-            worst = max(worst, max(0.0, opnorm(triple.theta(z)) - 1.0))
+    for _, thetas in triple.theta.many(grid):
+        worst = max(worst, float(stack_opnorms(thetas).max()) - 1.0)
     rep.check("theta-contractive", "||Theta(z)|| <= 1 on the disk grid", worst, 1e-9)
     rep.check("unitary-part-collapse", "||Q_{T*}|| vanishes for cnu products",
               triple.q_residual, 1e-6)
@@ -420,10 +457,9 @@ def verify_triple(pair: PairAnalysis | QPair) -> Report:
                     "||Theta(0) f|| < ||f|| strictly on unit defect vectors",
                     slack > 1e-12, note=f"slack {slack:.3e}")
     boundary = 0.0
-    for k in range(64):
-        zeta = np.exp(2j * np.pi * k / 64)
-        th = triple.theta(zeta)
-        boundary = max(boundary, frob(adj(th) @ th - eye(triple.dt.dim)))
+    for _, thetas in triple.theta.many([np.exp(2j * np.pi * k / 64) for k in range(64)]):
+        defect = thetas.conj().swapaxes(1, 2) @ thetas - eye(triple.dt.dim)
+        boundary = max(boundary, float(np.linalg.norm(defect, axis=(1, 2)).max()))
     rep.check("two-sided-inner", "I - Theta(zeta)*Theta(zeta) = 0 on the circle",
               boundary, 1e-8)
     return rep
@@ -521,12 +557,15 @@ def verify_coincidence(triple_a: CharTriple, triple_b: CharTriple,
     rep = Report("coincidence", {"radii": len(radii), "angles": angles,
                                  "tol": tol})
     u, u_star = as_cmatrix(u), as_cmatrix(u_star)
+    grid = [r * np.exp(2j * np.pi * k / angles) for r in radii for k in range(angles)]
     worst = 0.0
-    for r in radii:
-        for k in range(angles):
-            z = r * np.exp(2j * np.pi * k / angles)
-            worst = max(worst, frob(u_star @ triple_a.theta(z)
-                                    - triple_b.theta(z) @ u))
+    for z, thetas_a in triple_a.theta.many(grid):
+        # the two evaluators may chunk differently when their dimensions differ
+        done = 0
+        for zb, thetas_b in triple_b.theta.many(z):
+            diff = u_star @ thetas_a[done:done + zb.size] - thetas_b @ u
+            worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
+            done += zb.size
     rep.check("theta-coincide", "u_* Theta(z) = Theta'(z) u on the grid",
               worst, tol)
     g_res = max(frob(triple_b.fundamental.g1 - u_star @ triple_a.fundamental.g1 @ adj(u_star)),

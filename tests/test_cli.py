@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qdilate as qd
 from qdilate import ando, cli, hardy, lifts, matcore, model, qpair
@@ -258,3 +264,101 @@ class TestOtherCommands:
 
     def test_demo_trunc_too_small(self):
         assert run(["demo", "--trunc", 1]) == 2
+
+
+def fresh_run(args, tmp_path):
+    """Run `qdilate` in a new interpreter; return its exit code."""
+    src = str(Path(qd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "qdilate.cli", *map(str, args)],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=300)
+    return done.returncode
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_option_leaks_between_calls(self, pair_file, tmp_path):
+        # every option of the first call differs from its default; the second
+        # call must see the defaults, as a fresh process does
+        first = ["verify", "--pair", pair_file, "--suites", "fundamental,canonical",
+                 "--trunc", 3, "--tol", 1e-6, "--seed", 5]
+        second = ["verify", "--pair", pair_file, "--suites", "triple"]
+        for name, args in (("first", first), ("second", second)):
+            assert run([*args, "--out", tmp_path / f"{name}-in.json"]) == 0
+        for name, args in (("first", first), ("second", second)):
+            assert fresh_run([*args, "--out", tmp_path / f"{name}-fresh.json"], tmp_path) == 0
+            in_process = (tmp_path / f"{name}-in.json").read_bytes()
+            assert in_process == (tmp_path / f"{name}-fresh.json").read_bytes(), name
+        env = json.loads((tmp_path / "second-in.json").read_text())["environment"]
+        assert (env["trunc"], env["tol"], env["seed"], env["suites"]) == (
+            hardy.DEFAULT_TRUNC, 1e-9, 0, ["triple"])
+
+
+def json_leaves():
+    floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+        [-0.0, 5e-324, -5e-324, 1e308, -1e308, float("nan"), float("inf"), float("-inf")])
+    return floats | st.integers() | st.booleans() | st.none() | st.text(max_size=6)
+
+
+@st.composite
+def matrices(draw):
+    """`matrix_to_json` of a random complex matrix; either side may be 0."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    return matcore.matrix_to_json(
+        scale * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))))
+
+
+def pair_lists():
+    """Lists of two-item lists: float pairs (any float), and near misses."""
+    floats = json_leaves().filter(lambda x: type(x) is float)
+    pair = st.lists(floats, min_size=2, max_size=2)
+    near = st.lists(json_leaves(), min_size=1, max_size=3) | st.tuples(floats, floats)
+    return st.lists(pair, max_size=4) | st.lists(pair | near, min_size=1, max_size=4)
+
+
+json_objects = st.recursive(
+    json_leaves() | matrices() | pair_lists(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(json_objects)
+    @example({"m": matcore.matrix_to_json(np.array([[-0.0 + 5e-324j, 1e308 - 0.0j]]))})
+    @example([matcore.matrix_to_json(np.zeros((0, 3))), matcore.matrix_to_json(np.zeros((3, 0)))])
+    @example({"nan": [[float("nan"), float("inf")], [float("-inf"), -0.0]]})
+    @example([[1.0, 2], [True, 1.0], (1.0, 2.0), [1.0, 2.0, 3.0]])
+    @example({"b": {"a": [[0.5, -0.0]], "c": {}}, "a": [], "d": {2: [[0.5, 1.0]], 1: "x"}})
+    def test_matches_json_dumps(self, obj):
+        assert cli.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_triple_reads_back(self, tmp_path):
+        path = tmp_path / "p.json"
+        assert run(["gen", "nilpotent:n=4,q=i,c=0.9,d=0.8",
+                    "--out", path]) == 0
+        out = tmp_path / "triple.json"
+        assert run(["triple", "--pair", path, "--out", out]) == 0
+        text = out.read_text()
+        obj = json.loads(text)
+        assert text == json.dumps(obj, indent=2, sort_keys=True)
+        triple = model.char_triple(qpair.pair_from_json(json.loads(path.read_text())))
+        assert np.array_equal(matcore.matrix_from_json(obj["G1"]), triple.fundamental.g1)
+        assert np.array_equal(matcore.matrix_from_json(obj["G2"]), triple.fundamental.g2)
+        for sample in obj["theta_samples"]:
+            z = complex(*sample["z"])
+            assert np.array_equal(matcore.matrix_from_json(sample["theta"]), triple.theta(z))
+
+    def test_gen_and_dump_ando_match_json_dumps(self, pair_file, tmp_path):
+        dump = tmp_path / "tuple.json"
+        assert run(["lift", "--pair", pair_file, "--kind", "douglas", "--trunc", 4,
+                    "--report", tmp_path / "rep.json", "--dump-ando", dump]) == 0
+        for path in (pair_file, dump):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)

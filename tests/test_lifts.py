@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -140,6 +142,18 @@ class TestMinimality:
             dense = np.hstack([np.linalg.matrix_power(v, k) @ lift.pi for k in range(n + 2)])
             assert rep.environment["achieved_rank"] == matcore.numerical_rank(
                 dense, rank_tol=1e-8), name
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e6])
+    def test_ranks_do_not_depend_on_the_scale_of_pi(self, scale):
+        # both rank routes see Pi divided by its norm: the greedy oracle's
+        # absolute cutoff would otherwise drop every direction of 1e-9 Pi
+        pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
+        lift = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), 6)
+        scaled = dataclasses.replace(lift, pi=scale * lift.pi)
+        rep, ref = qd.minimality_check(scaled), qd.minimality_check(lift)
+        assert ref.overall and rep.overall, rep.summary_lines()
+        for key in ("achieved_rank", "oracle_rank"):
+            assert rep.environment[key] == ref.environment[key]
 
 
 class TestSymbolLevelProduct:

@@ -197,7 +197,9 @@ class TestCharFn:
 
     def test_one_code_path(self, corpus):
         # the evaluator, the one-shot wrapper, the triple's Theta and the
-        # plain formula give the same bits at every point
+        # plain folded formula give the same bits at every point; the
+        # unfolded formula -T + z D_{T*}(I - zT*)^{-1} D_T, restricted to
+        # the defect bases, agrees to rounding
         for name, pair, _ in corpus[::6]:
             t = pair.product()
             dt = DefectData(*matcore.defect(t))
@@ -209,17 +211,90 @@ class TestCharFn:
                 points += [np.exp(2j * np.pi * k / 8) for k in range(8)]
             cnu = qd.cnu_decompose(t).unitary_part.dim == 0
             triple = qd.char_triple(pair) if cnu else None
+            b_t, b_s = dt.basis.columns, ds.basis.columns
             for z in points:
                 theta = theta_fn(z)
-                x = np.linalg.solve(eye(t.shape[0]) - z * adj(t), dt.operator)
-                plain = adj(ds.basis.columns) @ (-t + z * ds.operator @ x) \
-                    @ dt.basis.columns
+                x = np.linalg.solve(eye(t.shape[0]) - z * adj(t), dt.operator @ b_t)
+                plain = adj(b_s) @ -t @ b_t + z * (adj(b_s) @ ds.operator @ x)
                 assert np.array_equal(theta, qd.char_fn(t, z, dt, ds)), name
                 assert np.array_equal(theta, plain), name
+                x = np.linalg.solve(eye(t.shape[0]) - z * adj(t), dt.operator)
+                unfolded = adj(b_s) @ (-t + z * ds.operator @ x) @ b_t
+                assert frob(theta - unfolded) <= 1e-14 * max(1.0, opnorm(theta)), name
                 if triple is not None:
                     assert np.array_equal(
                         triple.theta(z),
                         qd.char_fn(t, z, triple.dt, triple.dstar)), name
+
+    @staticmethod
+    def _points(count):
+        rng = np.random.default_rng(count)
+        return 0.95 * np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
+
+    @pytest.mark.parametrize("n", [1, 6, 64])
+    def test_many_matches_scalar_across_chunks(self, n):
+        # a point count that is not a multiple of the chunk: full chunks and
+        # a short last one, each point equal to its own scalar call
+        base = qd.gen_nilpotent(max(n, 2), 1j, 0.9, 0.8)
+        t = base.product()[:n, :n]
+        fn = qd.CharFn(t)
+        chunk = max(1, model._STACK_ENTRIES // (n * n))
+        zs = self._points(2 * chunk + 3 if n > 1 else chunk + 3)
+        sizes, done = [], 0
+        for z, thetas in fn.many(zs):
+            assert np.array_equal(z, zs[done:done + z.size])
+            assert thetas.shape == (z.size, fn.dstar.dim, fn.dt.dim)
+            # at n = 1 a chunk holds 16384 points: compare its two ends
+            for k in (range(z.size) if n > 1 else (0, z.size - 1)):
+                assert np.array_equal(thetas[k], fn(z[k]))
+            sizes.append(z.size)
+            done += z.size
+        assert sizes[:-1] == [chunk] * (len(sizes) - 1) and sizes[-1] == 3
+        assert done == zs.size
+
+    def test_many_with_empty_defect(self):
+        # a unitary T: D_T = 0 and every value is 0 x 0
+        t = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+        fn = qd.CharFn(t)
+        assert fn.dt.dim == 0
+        zs = self._points(7)
+        (z, thetas), = fn.many(zs)
+        assert thetas.shape == (7, 0, 0)
+        assert all(np.array_equal(th, fn(zk)) for zk, th in zip(z, thetas))
+        # the solve still factors I - zT*: singular at a conjugate eigenvalue
+        with pytest.raises(SingularResolventError, match="singular"):
+            list(fn.many([0.5, 1.0]))
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"),
+                                     complex(0.5, float("-inf"))])
+    def test_non_finite_point_inside_a_stack_raises(self, bad):
+        fn = qd.CharFn(qd.gen_nilpotent(3, 1j, 0.9, 0.8).product())
+        with np.errstate(invalid="ignore"), pytest.raises(SingularResolventError):
+            list(fn.many([0.1, 0.2j, bad, 0.3]))
+
+    def test_singular_point_inside_a_stack_is_named(self):
+        fn = qd.CharFn(np.array([[1.0]]))
+        with pytest.raises(SingularResolventError, match=r"z = \(1\+0j\)"):
+            list(fn.many([0.5, 0.25j, 1.0, 0.1]))
+
+    @pytest.mark.parametrize("n, count", [(6, 1000), (64, 30), (130, 5)])
+    def test_stacked_solve_within_budget(self, n, count, monkeypatch):
+        shapes = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            shapes.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        t = qd.gen_nilpotent(n, 1j, 0.9, 0.8).product()
+        fn = qd.CharFn(t)
+        for _ in fn.many(self._points(count)):
+            pass
+        assert sum(s[0] for s in shapes) == count
+        for k, rows, cols in shapes:
+            assert rows == cols == n
+            assert k * n * n <= model._STACK_ENTRIES or k == 1
 
     def test_triple_validates_once(self, cnu_corpus, monkeypatch):
         # the pair-level objects are built once per analysis (5 checks: the
@@ -396,6 +471,22 @@ class TestCoincidence:
         for grid in ({"radii": []}, {"angles": 0}):
             with pytest.raises(EmptyGridError, match="grid is empty"):
                 qd.verify_coincidence(tri_a, tri_b, eye(1), eye(1), **grid)
+
+    def test_evaluators_of_different_dimension_stay_aligned(self):
+        # Theta_a(z) = z of the zero pair on C^1, Theta_b of the 2 x 2 Jordan
+        # block is z^2 up to phases; their chunks hold 16384 and 4096 points,
+        # so a grid of 5120 points splits differently on the two sides
+        tri_a = qd.char_triple(zero_pair())
+        jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+        tri_b = qd.char_triple(qd.validate(1.0, jordan, eye(2)))
+        assert (tri_a.dt.dim, tri_b.dt.dim) == (1, 1)
+        radii, angles = np.linspace(0.1, 0.9, 40), 128
+        rep = qd.verify_coincidence(tri_a, tri_b, eye(1), eye(1), radii=radii,
+                                    angles=angles)
+        worst = max(frob(tri_a.theta(z) - tri_b.theta(z))
+                    for r in radii for z in r * np.exp(2j * np.pi * np.arange(angles) / angles))
+        assert not rep.overall
+        assert rep.records[0].residual == pytest.approx(worst, rel=1e-12)
 
 
 class TestAdmissible:
