@@ -332,7 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trunc", type=int, default=hardy.DEFAULT_TRUNC,
                        help="Hardy truncation degree (default 24)")
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="verification tolerance (default 1e-9)")
+                       help="tolerance of pair validation, of the ando suite's "
+                            "prop1/prop2 checks and of the pseudo suite and "
+                            "command; every other check keeps the fixed "
+                            "tolerance its report record carries (default 1e-9)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if pair_arg:

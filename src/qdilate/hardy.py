@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import matcore
+from .ando import DefectData
 from .errors import (
     DimensionMismatchError,
     FiberMismatchError,
@@ -193,13 +194,13 @@ def ev0(n: int, fiber_dim: int) -> TruncOperator:
     return TruncOperator(mat, space, fiber_dim)
 
 
-def obs_op(t: np.ndarray, defect_basis, n: int) -> TruncOperator:
+def obs_op(t: np.ndarray, dstar: DefectData, n: int) -> TruncOperator:
     """Observability column H -> TruncHardy(D_{T*}): degree-k block
-    D_{T*} T*^k in the supplied defect basis of ran D_{T*}."""
+    D_{T*} T*^k in the coordinates of `dstar`, the defect D_{T*} with its
+    basis of ran D_{T*}; the degree-0 block is `dstar.coords()` itself."""
     t = matcore.check_contraction(t)
     dim = t.shape[0]
-    dstar = psd_defect_star(t)
-    coords = adj(defect_basis.columns) @ dstar
+    coords = dstar.coords()
     k = coords.shape[0]
     space = TruncHardy(k, n)
     mat = np.zeros((space.total_dim, dim), dtype=np.complex128)

@@ -179,7 +179,7 @@ def douglas_pseudo_lift(pair: PairAnalysis | QPair, n: int = hardy.DEFAULT_TRUNC
     w1 = _block_diag(materialize_csr(sym1, n), cp.w1)
     w2 = _block_diag(materialize_csr(sym2, n), cp.w2)
     w = _block_diag(materialize_csr(shift_symbol(q, dstar.dim), n), cp.wd)
-    obs = hardy.obs_op(an.product, dstar.basis, n).matrix
+    obs = hardy.obs_op(an.product, dstar, n).matrix
     pi = np.vstack([obs, cp.coords()])
     an.pseudo_lifts[n] = pi, PseudoTriple(q, space, w1, w2, w, n)
     return an.pseudo_lifts[n]

@@ -5,8 +5,11 @@ Coordinate conventions: everything on the product defect spaces uses one
 fixed basis per pair, held by the pair's `PairAnalysis`.  Its `dt` is
 defect(T); its `dstar` is the product defect of the starred Andô tuple, which
 equals D_{T*} exactly.  The fundamental operators, Theta, the Douglas lift,
-the pseudo lift and the model compression all read these from the one
-analysis, so basis freedom inside degenerate eigenspaces cannot split them.
+the pseudo lift, the observability column Pi and the model compression all
+read these from the one analysis, so basis freedom inside degenerate
+eigenspaces cannot split them.  Q = (lim T^n T*^n)^{1/2} and ran Q, the unitary
+part of T, are the analysis' one cnu split: the canonical pair, the triple's
+||Q|| and the cnu tests all read it.
 """
 
 from __future__ import annotations
@@ -212,30 +215,24 @@ def fundamental_ops(pair: PairAnalysis | QPair, tol: float = 1e-10) -> Fundament
     return FundamentalPair(g1, g2, dstar, res, gap)
 
 
-def canonical_unitary_pair(pair: PairAnalysis | QPair, tol: float = 1e-8,
-                           power_tol: float = 1e-13) -> CanonicalUnitaryPair:
+def canonical_unitary_pair(pair: PairAnalysis | QPair,
+                           tol: float = 1e-8) -> CanonicalUnitaryPair:
     """Unitaries on ran Q_{T*} solving W_i* Q = Q T_i*, W_D* Q = Q T*.
 
+    Q and the basis of its range are the analysis' cnu split (`an.cnu`):
     Q^2 = lim T^n T*^n is an orthogonal projection in finite dimensions, so
     the least-squares solutions are isometries on its range; unitarity is a
     checked postcondition, not an assumption.
     """
     an = PairAnalysis.of(pair)
     pair, t = an.pair, an.product
-    a_lim = matcore.power_limit(t, tol=power_tol)
-    q_op = matcore.psd_sqrt(a_lim)
-    w, v = np.linalg.eigh(q_op)
-    order = np.argsort(w)[::-1]
-    keep = [i for i in order if w[i] > 0.5]
-    n = t.shape[0]
-    basis = SubspaceBasis(v[:, keep] if keep else np.zeros((n, 0), np.complex128))
+    basis, q_op = an.cnu.unitary_part, an.cnu.q_op
     rq = adj(basis.columns) @ q_op
     rq_pinv = np.linalg.pinv(rq) if basis.dim else rq.T.conj()
     ws = []
     for op in (pair.t1, pair.t2, t):
         x_star = (rq @ adj(op)) @ rq_pinv
-        k = basis.dim
-        if k and frob(adj(x_star) @ x_star - eye(k)) > tol:
+        if basis.dim and frob(adj(x_star) @ x_star - eye(basis.dim)) > tol:
             raise NonUnitarySolutionError(
                 "intertwining solution on ran Q is not unitary; "
                 "rank tolerance likely misconfigured")
@@ -414,7 +411,8 @@ def char_triple(pair: PairAnalysis | QPair) -> CharTriple:
     """Characteristic triple of a pair whose product is cnu.
 
     The canonical unitary component is trivial at finite dimension; the
-    collapse is asserted (||Q_{T*}|| recorded) rather than constructed.
+    collapse is asserted (||Q_{T*}|| of the analysis' cnu split recorded)
+    rather than constructed.
     """
     an = PairAnalysis.of(pair)
     t = an.product
@@ -423,10 +421,9 @@ def char_triple(pair: PairAnalysis | QPair) -> CharTriple:
         raise NotCnuError(
             f"product has a unitary part of dimension {dec.unitary_part.dim}; "
             "restrict to the cnu part first")
-    fund = an.fundamental
-    q_norm = opnorm(matcore.psd_sqrt(matcore.power_limit(t, tol=1e-14)))
     theta = CharFn(t, an.dt, an.dstar)
-    return CharTriple(an.pair.q, fund, 0, q_norm, theta, an.dt, an.dstar, t)
+    return CharTriple(an.pair.q, an.fundamental, 0, opnorm(dec.q_op), theta,
+                      an.dt, an.dstar, t)
 
 
 def verify_triple(pair: PairAnalysis | QPair) -> Report:

@@ -52,6 +52,7 @@ class ProductDecomposition:
     cnu_part: SubspaceBasis
     t_unitary: np.ndarray
     t_cnu: np.ndarray
+    q_op: np.ndarray  # Q = (lim T^n T*^n)^{1/2}; ran Q is the unitary part
 
 
 def validate(q: complex, t1, t2, tol: float = 1e-10) -> QPair:
@@ -160,35 +161,32 @@ def gen_direct_sum(pairs) -> QPair:
     return validate(q, t1, t2)
 
 
-def cnu_decompose(t: np.ndarray, tol: float = 1e-8) -> ProductDecomposition:
+def cnu_decompose(t: np.ndarray) -> ProductDecomposition:
     """Split a contraction into its unitary and completely-non-unitary parts.
 
-    In finite dimensions the unitary part is spanned by eigenvectors with
-    unimodular eigenvalues, which automatically reduce a contraction; the cnu
-    criterion on the complement is spectral radius < 1.
+    The unitary part is ran Q for Q = (lim T^n T*^n)^{1/2}, the power limit
+    at tolerance 1e-13: Q^2 is an orthogonal projection in finite dimensions,
+    so the eigenvectors of Q above 1/2, by decreasing eigenvalue, are its
+    basis, and the cnu part is their complement.  The split must reduce T and
+    T must compress to a unitary on ran Q, or NotReducingError is raised.
     """
     t = matcore.check_contraction(t)
     n = t.shape[0]
-    if n == 0:
-        empty = SubspaceBasis(np.zeros((0, 0), dtype=np.complex128))
-        return ProductDecomposition(empty, empty, t, t)
-    w, vecs = np.linalg.eig(t)
-    uni = np.abs(w) > 1.0 - tol
-    if np.any(uni):
-        b_u = matcore.orth_columns(vecs[:, uni])
-    else:
-        b_u = np.zeros((n, 0), dtype=np.complex128)
+    q_op = matcore.psd_sqrt(matcore.power_limit(t, tol=1e-13))
+    w, v = np.linalg.eigh(q_op)
+    keep = [i for i in np.argsort(w)[::-1] if w[i] > 0.5]
+    b_u = v[:, keep] if keep else np.zeros((n, 0), dtype=np.complex128)
     b_c = matcore.complement_basis(b_u @ adj(b_u), n - b_u.shape[1])
     cross1 = opnorm(adj(b_c) @ t @ b_u)
     cross2 = opnorm(adj(b_u) @ t @ b_c)
     if max(cross1, cross2) > 1e-10:
         raise NotReducingError(
-            f"unimodular eigenspace fails to reduce: residuals {cross1:.3e}, {cross2:.3e}")
+            f"ran Q fails to reduce T: residuals {cross1:.3e}, {cross2:.3e}")
     t_u = adj(b_u) @ t @ b_u
     t_c = adj(b_c) @ t @ b_c
     if b_u.shape[1] and frob(adj(t_u) @ t_u - eye(b_u.shape[1])) > 1e-10:
-        raise NotReducingError("compression to the unimodular eigenspace is not unitary")
-    return ProductDecomposition(SubspaceBasis(b_u), SubspaceBasis(b_c), t_u, t_c)
+        raise NotReducingError("compression of T to ran Q is not unitary")
+    return ProductDecomposition(SubspaceBasis(b_u), SubspaceBasis(b_c), t_u, t_c, q_op)
 
 
 def check_lemma_prod(pair: QPair, n_max: int = 8) -> Report:

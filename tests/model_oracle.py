@@ -42,7 +42,7 @@ def truncated_compress(pair, n: int | None = None,
     sym1, sym2 = model.model_symbols(pair.q, fund.g1, fund.g2)
     mat1 = hardy.materialize_csr(sym1, n)
     mat2 = hardy.materialize_csr(sym2, n)
-    obs = hardy.obs_op(t, an.dstar.basis, n).matrix
+    obs = hardy.obs_op(t, an.dstar, n).matrix
     b = matcore.orth_columns(obs)
     m1 = adj(b) @ (mat1 @ b)
     m2 = adj(b) @ (mat2 @ b)

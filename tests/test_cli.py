@@ -150,6 +150,27 @@ class TestVerify:
         assert run(["verify", "--pair", pair_file, "--trunc", 8, "--out", out]) == 0
         assert (len(obs_builds), len(pseudo_builds)) == (1, 1)
 
+    def test_unitary_part_computed_once(self, pair_file, tmp_path, monkeypatch):
+        # the cnu split is the one place that takes the power limit: the
+        # canonical pair and the triple read its Q, and no eigendecomposition
+        # of T is made
+        limits, eigs = [], []
+        power_limit, eig = matcore.power_limit, np.linalg.eig
+
+        def counted_limit(*args, **kwargs):
+            limits.append(1)
+            return power_limit(*args, **kwargs)
+
+        def counted_eig(*args, **kwargs):
+            eigs.append(1)
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(matcore, "power_limit", counted_limit)
+        monkeypatch.setattr(np.linalg, "eig", counted_eig)
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--pair", pair_file, "--trunc", 8, "--out", out]) == 0
+        assert (len(limits), len(eigs)) == (1, 0)
+
 
 class TestCharfn:
     def test_scalar_blaschke_grid(self, tmp_path):

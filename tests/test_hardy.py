@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdilate import hardy
+from qdilate.ando import DefectData
 from qdilate.errors import FiberMismatchError, NotQCommutantError, TailTooLargeError
 from qdilate.hardy import (
     TruncHardy,
@@ -145,7 +146,7 @@ class TestObservability:
     def test_zero_contraction(self):
         t = np.zeros((2, 2), dtype=complex)
         _, basis = defect(adj(t))
-        col = obs_op(t, basis, 3).matrix
+        col = obs_op(t, DefectData(*defect(adj(t))), 3).matrix
         assert col.shape == (8, 2)
         assert frob(col[:2] @ basis.columns - eye(2)) < 1e-14
         assert frob(col[2:]) == 0.0
@@ -154,13 +155,13 @@ class TestObservability:
         t = np.diag([1j, -1j]).astype(complex)
         _, basis = defect(adj(t))
         assert basis.dim == 0
-        col = obs_op(t, basis, 3).matrix
+        col = obs_op(t, DefectData(*defect(adj(t))), 3).matrix
         assert col.shape == (0, 2)
 
     def test_scalar_geometric(self):
         t = np.array([[0.5]], dtype=complex)
         _, basis = defect(adj(t))
-        col = obs_op(t, basis, 4).matrix
+        col = obs_op(t, DefectData(*defect(adj(t))), 4).matrix
         expected = np.sqrt(0.75) * 0.5 ** np.arange(5)
         assert np.allclose(np.abs(col.ravel()), expected)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qdilate as qd
-from qdilate import hardy, matcore, pseudolift
+from qdilate import hardy, matcore, model, pseudolift
 from qdilate.matcore import eye, frob
 
 
@@ -16,6 +16,15 @@ def mixed_pair():
 
 
 class TestDouglasPseudoLift:
+    def test_pi_reads_the_analysis_dstar(self, corpus):
+        # Pi's degree-0 block is the model suite's C = D_{T*} in the starred
+        # tuple's basis, bit for bit: no second square root of I - TT*
+        for name, pair, _ in corpus[::3]:
+            an = model.PairAnalysis(pair)
+            pi, _ = pseudolift.douglas_pseudo_lift(an, 4)
+            c = an.dstar.coords()
+            assert np.array_equal(pi[:c.shape[0]], c), name
+
     def test_zero_pair_blocks(self):
         # G = 0 makes both Hardy blocks vanish while W stays the shift
         pi, tri = pseudolift.douglas_pseudo_lift(zero_pair(), 6)
