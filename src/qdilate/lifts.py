@@ -72,6 +72,7 @@ class LiftRealization:
     v1: sp.csr_matrix
     v2: sp.csr_matrix
     trunc: int
+    reachable_dim: int     # dimension of the minimal dilation space at N
     canonical: CanonicalUnitaryPair | None = None
 
 
@@ -133,7 +134,8 @@ def schaffer_lift(pair: QPair, tup: AndoTuple, n: int = hardy.DEFAULT_TRUNC) -> 
     v2 = assemble(pair.t2, np.conj(q) * (adj(u) @ p_perp @ ell), hblock2)
     pi = np.zeros((space.total_dim, h_dim), dtype=np.complex128)
     pi[:h_dim] = eye(h_dim)
-    return LiftRealization("schaffer", q, space, pi, v1, v2, n)
+    return LiftRealization("schaffer", q, space, pi, v1, v2, n,
+                           h_dim + (n + 1) * tup.dt_dim)
 
 
 def douglas_lift(pair: PairAnalysis | QPair,
@@ -158,7 +160,8 @@ def douglas_lift(pair: PairAnalysis | QPair,
     k = (n + 1) * an.dstar.dim
     dressed = star_tup.lam @ pi_d[:k].reshape(n + 1, an.dstar.dim, an.pair.dim)
     pi = np.vstack([dressed.reshape(-1, an.pair.dim), pi_d[k:]])
-    return LiftRealization("douglas", q, space, pi, v1, v2, n, cp)
+    return LiftRealization("douglas", q, space, pi, v1, v2, n,
+                           (n + 1) * an.dstar.dim + cp.dim, cp)
 
 
 def douglas_pseudo_lift(pair: PairAnalysis | QPair, n: int = hardy.DEFAULT_TRUNC):
@@ -247,29 +250,30 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
 
 
 def minimality_check(lift: LiftRealization, rank_tol: float = 1e-8) -> Report:
-    """Product-Krylov reachability, cross-checked against a greedy orbit oracle.
+    """Measured orbit of V = V1 V2 against the minimal dilation space.
 
-    Rank of [Pi, V Pi, ..., V^{N+1} Pi] with V = V1 V2.  The two routes cut
-    differently: the SVD route drops singular values below rank_tol times the
-    stack's largest (relative), the greedy route drops directions below
-    rank_tol itself (absolute).  `krylov_ranks` divides Pi by its norm
-    first, so they agree whatever the scale of Pi, and both drop the
-    direction weights ~rho^N below the cutoff.  The report carries the achieved rank, the
-    oracle rank and the full space dimension (the unreachable truncation
-    slice is their gap).
+    A minimal lift reaches, at truncation N, a space of known dimension
+    (`lift.reachable_dim`): dim H + (N+1) dim ran D_T for the inclusion-type
+    lift, (N+1) dim ran D_{T*} + dim ran Q for the Douglas lift.  The greedy
+    orbit rank of V seeded with Pi / ||Pi|| must equal it.  The seed is
+    scaled so that the greedy route's absolute cutoff rank_tol acts relative
+    to Pi; a zero Pi stays zero and fails.  The report carries the measured
+    rank, the predicted one and the full space dimension (the unreachable
+    truncation slice is the gap between the last two).
     """
-    achieved, oracle = matcore.krylov_ranks(lift.v1 @ lift.v2, lift.pi,
-                                            lift.trunc + 1, rank_tol)
+    norm = np.linalg.norm(lift.pi, 2) if lift.pi.size else 0.0
+    seed = lift.pi / norm if norm > 0.0 else lift.pi
+    greedy = matcore.greedy_orbit_rank(lift.v1 @ lift.v2, seed, rank_tol)
     rep = Report("minimality", {
-        "achieved_rank": achieved,
-        "oracle_rank": oracle,
+        "oracle_rank": greedy,
+        "reachable_dim": lift.reachable_dim,
         "space_dim": lift.space.total_dim,
         "rank_tol": rank_tol,
     })
     rep.require("rank-consistency",
-                "SVD Krylov rank equals the greedy orbit oracle",
-                achieved == oracle,
-                note=f"achieved {achieved}, oracle {oracle}, "
+                "greedy orbit rank of V on Pi equals the minimal dilation dimension",
+                greedy == lift.reachable_dim,
+                note=f"orbit {greedy}, predicted {lift.reachable_dim}, "
                      f"space {lift.space.total_dim}")
     return rep
 

@@ -2,7 +2,7 @@
 
 Operators are complex128 numpy arrays, except the lift-space operators, which
 are `scipy.sparse` CSR matrices (`as_csr`, `speye` and `block_csr` build
-them); `opnorm`, `greedy_orbit_rank` and `krylov_ranks` accept both.
+them); `opnorm` and `greedy_orbit_rank` accept both.
 Subspaces are wrapped in :class:`SubspaceBasis`, which checks orthonormality
 once at construction.
 All routines are pure and deterministic: random input never enters here, and
@@ -420,6 +420,11 @@ def orth_columns(a: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
 
 
 def numerical_rank(a: np.ndarray, rank_tol: float | None = None) -> int:
+    """Number of singular values of a above rank_tol times the largest one.
+
+    The cut is relative, unlike the absolute rank_tol of `orth_columns` and
+    `greedy_orbit_rank`; without rank_tol it is max(shape)·eps·s_max.
+    """
     a = as_cmatrix(a)
     if a.size == 0:
         return 0
@@ -435,9 +440,10 @@ def greedy_orbit_rank(ops, seed_columns: np.ndarray, rank_tol: float = 1e-8,
                       max_rounds: int | None = None) -> int:
     """Dimension of span{op_{i1}...op_{ik} seed} by greedy re-orthogonalization.
 
-    Independent route to the Krylov rank: grows an orthonormal basis one
-    application at a time, discarding directions below rank_tol.  `ops` is a
-    single dense or sparse matrix or an iterable of them (joint orbit).
+    The measured side of the lift minimality checks: grows an orthonormal
+    basis one application at a time, discarding directions below rank_tol.
+    `ops` is a single dense or sparse matrix or an iterable of them (joint
+    orbit).
     """
     if isinstance(ops, np.ndarray) or sp.issparse(ops):
         ops = [ops]
@@ -472,24 +478,3 @@ def greedy_orbit_rank(ops, seed_columns: np.ndarray, rank_tol: float = 1e-8,
         r += k
     return r
 
-
-def krylov_ranks(op, seed: np.ndarray, steps: int,
-                 rank_tol: float = 1e-8) -> tuple[int, int]:
-    """Rank of [seed, op seed, ..., op^steps seed], grown by D x k block
-    products, and the greedy orbit oracle's rank of that span.  The first
-    cuts singular values at rank_tol times the stack's largest (relative),
-    the oracle at rank_tol itself (absolute).  Both routes see the seed
-    divided by its spectral norm, which leaves the relative cut as it is and
-    makes the absolute one relative to the seed, so the two ranks do not
-    depend on its scale.  `op` is dense or sparse; seed and stack are dense,
-    and the stack is filled in place, block by block."""
-    k = seed.shape[1]
-    stack = np.empty((seed.shape[0], (steps + 1) * k), dtype=np.complex128)
-    stack[:, :k] = seed
-    norm = np.linalg.norm(seed, 2) if seed.size else 0.0
-    if norm > 0.0:
-        stack[:, :k] /= norm
-    for i in range(steps):
-        stack[:, (i + 1) * k:(i + 2) * k] = op @ stack[:, i * k:(i + 1) * k]
-    return (numerical_rank(stack, rank_tol=rank_tol),
-            greedy_orbit_rank(op, stack[:, :k], rank_tol=rank_tol))

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import qdilate as qd
-from qdilate import hardy, lifts, matcore
+from qdilate import hardy, lifts, matcore, model, pseudolift, qpair
 from qdilate.errors import GeneratorError
 from qdilate.matcore import adj, eye, frob, opnorm
 
@@ -101,6 +101,46 @@ class TestDouglasConstruction:
             assert abs(lhs - rhs) < 1e-11 * max(1.0, rhs)
 
 
+def boundary_pairs():
+    """Near-boundary pairs whose lifts build: near-isometric factors, rho(T)
+    near 1, a unitary product, and conjugated clock-shift (+) nilpotent sums."""
+    nilp = qd.gen_nilpotent(5, qpair.CORPUS_TWISTS["e1"], 0.99, 0.99)
+    sums = [qd.gen_conjugated(qd.gen_direct_sum(
+        [qd.gen_clock_shift(n, 1 - 1e-6),
+         qd.gen_nilpotent(n, np.exp(2j * np.pi / n), 0.7, 0.6)]), 5)[0]
+        for n in (2, 3)]
+    return [qd.gen_clock_shift(2, 0.999), qd.gen_clock_shift(2, 1 - 1e-6),
+            qd.gen_clock_shift(3, 1.0), qd.gen_conjugated(nilp, 100)[0], *sums]
+
+
+def dense_orbit_rank(op, pi, n):
+    """Dense oracle: numerical rank of [Pi, V Pi, ..., V^{N+1} Pi], each block
+    an explicit power of the dense V applied to the one before."""
+    v = op.toarray()
+    blocks = [pi]
+    for _ in range(n + 1):
+        blocks.append(v @ blocks[-1])
+    return matcore.numerical_rank(np.hstack(blocks), rank_tol=1e-8)
+
+
+def minimality_records(an, n):
+    """(kind, orbit operator, Pi, closed-form dimension, minimality record) of the
+    Schaffer lift, the Douglas lift and the Douglas pseudo lift."""
+    schaffer = qd.schaffer_lift(an.pair, an.tup, n)
+    douglas = qd.douglas_lift(an, n)
+    pi, tri = pseudolift.douglas_pseudo_lift(an, n)
+    pair = an.pair
+    douglas_dim = (n + 1) * an.dstar.dim + an.canonical.dim
+    assert schaffer.reachable_dim == pair.dim + (n + 1) * an.tup.dt_dim
+    assert douglas.reachable_dim == douglas_dim == tri.space.total_dim
+    by_id = {r.check_id: r for r in pseudolift.is_pseudo_lift(pi, tri, pair).records}
+    return [("schaffer", schaffer.v1 @ schaffer.v2, schaffer.pi, schaffer.reachable_dim,
+             qd.minimality_check(schaffer).records[0]),
+            ("douglas", douglas.v1 @ douglas.v2, douglas.pi, douglas.reachable_dim,
+             qd.minimality_check(douglas).records[0]),
+            ("pseudo", tri.w, pi, douglas_dim, by_id["minimality"])]
+
+
 class TestMinimality:
     def test_schaffer_zero_pair_rank(self):
         # reachable space: H plus one fiber direction per degree
@@ -110,7 +150,7 @@ class TestMinimality:
         lift = qd.schaffer_lift(pair, tup, n)
         rep = qd.minimality_check(lift)
         assert rep.overall
-        assert rep.environment["achieved_rank"] == 1 + (n + 1)
+        assert rep.environment["oracle_rank"] == rep.environment["reachable_dim"] == 1 + (n + 1)
         assert rep.environment["space_dim"] == 1 + 2 * (n + 1)
 
     def test_unitary_pair_rank(self):
@@ -118,7 +158,8 @@ class TestMinimality:
         tup = qd.special_ando_tuple(pair)
         lift = qd.schaffer_lift(pair, tup, 4)
         rep = qd.minimality_check(lift)
-        assert rep.environment["achieved_rank"] == 3
+        assert rep.overall
+        assert rep.environment["oracle_rank"] == rep.environment["reachable_dim"] == 3
 
     def test_douglas_zero_pair_rank(self):
         # dressed fiber is C^2 but the orbit stays inside the Lambda-image
@@ -127,32 +168,65 @@ class TestMinimality:
         lift = qd.douglas_lift(pair, n)
         rep = qd.minimality_check(lift)
         assert rep.overall
-        assert rep.environment["achieved_rank"] == n + 1
+        assert rep.environment["oracle_rank"] == rep.environment["reachable_dim"] == n + 1
         assert rep.environment["space_dim"] == 2 * (n + 1)
 
-    def test_corpus_consistency(self, corpus):
-        n = 10
-        for name, pair, _ in corpus[::7]:
-            tup = qd.special_ando_tuple(pair)
-            lift = qd.schaffer_lift(pair, tup, n)
-            rep = qd.minimality_check(lift)
-            assert rep.overall, name
-            # dense oracle: the stack rebuilt from explicit powers of V
-            v = (lift.v1 @ lift.v2).toarray()
-            dense = np.hstack([np.linalg.matrix_power(v, k) @ lift.pi for k in range(n + 2)])
-            assert rep.environment["achieved_rank"] == matcore.numerical_rank(
-                dense, rank_tol=1e-8), name
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_closed_form_matches_dense_oracle(self, corpus, n):
+        # the greedy orbit rank, the dense stack rank and the dimension of the
+        # minimal dilation space agree for all three lifts of every pair
+        pairs = [pair for _, pair, _ in corpus] + boundary_pairs()
+        for i, pair in enumerate(pairs):
+            an = model.PairAnalysis(pair)
+            for kind, op, pi, predicted, rec in minimality_records(an, n):
+                # the record passes when the greedy orbit rank equals predicted
+                assert rec.passed, (i, kind, rec.note)
+                assert dense_orbit_rank(op, pi, n) == predicted, (i, kind)
+
+    def test_orbit_missing_the_predicted_space_fails(self):
+        # with the constant columns of V1 and V2 zeroed, the orbit of Pi stays
+        # in H, short of H (+) H^2_N(D_T) by (N+1) dim ran D_T
+        pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
+        n = 6
+        lift = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), n)
+        h = pair.dim
+
+        def cut(v):
+            v = v.tolil()
+            v[h:, :h] = 0.0
+            return v.tocsr()
+
+        bad = dataclasses.replace(lift, v1=cut(lift.v1), v2=cut(lift.v2))
+        rep = qd.minimality_check(bad)
+        rec = rep.records[0]
+        assert rec.check_id == "rank-consistency" and not rec.passed
+        assert lift.reachable_dim > h
+        assert f"orbit {h}," in rec.note
+        assert f"predicted {lift.reachable_dim}," in rec.note
+
+    def test_zero_pi_fails_the_check(self):
+        # a zero seed is not divided by its norm: no NaN reaches the SVD
+        pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
+        lift = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), 6)
+        rep = qd.minimality_check(dataclasses.replace(lift, pi=np.zeros_like(lift.pi)))
+        assert not rep.overall
+        assert rep.environment["oracle_rank"] == 0
+        pi, tri = pseudolift.douglas_pseudo_lift(pair, 6)
+        rep = pseudolift.is_pseudo_lift(np.zeros_like(pi), tri, pair)
+        by_id = {r.check_id: r for r in rep.records}
+        assert not by_id["minimality"].passed
+        assert by_id["minimality"].note.startswith("orbit 0,")
 
     @pytest.mark.parametrize("scale", [1e-9, 1e6])
     def test_ranks_do_not_depend_on_the_scale_of_pi(self, scale):
-        # both rank routes see Pi divided by its norm: the greedy oracle's
-        # absolute cutoff would otherwise drop every direction of 1e-9 Pi
+        # the greedy route sees Pi divided by its norm: its absolute cutoff
+        # would otherwise drop every direction of 1e-9 Pi
         pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
         lift = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), 6)
         scaled = dataclasses.replace(lift, pi=scale * lift.pi)
         rep, ref = qd.minimality_check(scaled), qd.minimality_check(lift)
         assert ref.overall and rep.overall, rep.summary_lines()
-        for key in ("achieved_rank", "oracle_rank"):
+        for key in ("oracle_rank", "reachable_dim"):
             assert rep.environment[key] == ref.environment[key]
 
 
@@ -217,10 +291,9 @@ class TestExtractAndo:
                            + 1j * rng.standard_normal((f, f)))[0]
         big = scipy.linalg.block_diag(eye(pair.dim),
                                       np.kron(eye(n + 1), w_f)).astype(complex)
-        rotated = lifts.LiftRealization(
-            "schaffer", lift.q, lift.space, big @ lift.pi,
-            big @ lift.v1.toarray() @ adj(big), big @ lift.v2.toarray() @ adj(big),
-            n, tup)
+        rotated = dataclasses.replace(
+            lift, pi=big @ lift.pi,
+            v1=big @ lift.v1.toarray() @ adj(big), v2=big @ lift.v2.toarray() @ adj(big))
         frag, rep = qd.extract_ando_from_lift(rotated, pair)
         assert rep.overall, rep.summary_lines()
         assert frob(frag.lam - w_f @ tup.lam) < 1e-10
@@ -231,8 +304,7 @@ class TestExtractAndo:
         lift = qd.schaffer_lift(pair, tup, 6)
         v1_bad = lift.v1.toarray()
         v1_bad[0, 3] = 0.5
-        bad = lifts.LiftRealization("schaffer", lift.q, lift.space, lift.pi,
-                                    v1_bad, lift.v2, 6, tup)
+        bad = dataclasses.replace(lift, v1=v1_bad)
         with pytest.raises(qd.QDilateError):
             qd.extract_ando_from_lift(bad, pair)
 

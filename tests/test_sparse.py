@@ -7,6 +7,7 @@ connected blocks, against the dense SVD norm, every `verify_lift` and
 as the oracle, at small D), and that the operators stay sparse.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -302,9 +303,7 @@ class TestDenseOracle:
         # V1 and V2 exchanged: the residuals are of order one, not rounding
         for name, pair, _ in corpus[1::9]:
             for lift in self.lifts_of(pair):
-                swapped = lifts.LiftRealization(lift.kind, lift.q, lift.space, lift.pi,
-                                                lift.v2, lift.v1, lift.trunc,
-                                                lift.canonical)
+                swapped = dataclasses.replace(lift, v1=lift.v2, v2=lift.v1)
                 rep = qd.verify_lift(swapped, pair)
                 oracle = dense_lift_residuals(swapped, pair, self.N)
                 assert_residuals_match(rep, oracle)
@@ -320,9 +319,7 @@ class TestDenseOracle:
         pair = qd.gen_direct_sum([qd.gen_clock_shift(2, 1.0),
                                   qd.gen_nilpotent(3, -1.0, 0.9, 0.8)])
         lift = qd.douglas_lift(pair, self.N)
-        dense = lifts.LiftRealization(lift.kind, lift.q, lift.space, lift.pi,
-                                      lift.v1.toarray(), lift.v2.toarray(),
-                                      lift.trunc, lift.canonical)
+        dense = dataclasses.replace(lift, v1=lift.v1.toarray(), v2=lift.v2.toarray())
         a = qd.verify_lift(lift, pair)
         b = qd.verify_lift(dense, pair)
         assert [r.check_id for r in a.records] == [r.check_id for r in b.records]
