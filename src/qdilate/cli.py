@@ -234,7 +234,7 @@ def cmd_charfn(args) -> int:
             for z, theta, svals in zip(zs, thetas, np.linalg.svd(thetas, compute_uv=False)):
                 sv_text = ";".join(map("{:.12e}".format, svals.tolist()))
                 if r == 1.0:
-                    d_text = f"{matcore.opnorm(model.theta_defect(theta)):.12e}"
+                    d_text = f"{model.theta_defect_norm(theta):.12e}"
                 else:
                     d_text = ""
                 lines.append(f"{z.real:.12e},{z.imag:.12e},{sv_text},{d_text}")

@@ -249,32 +249,137 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
     return rep
 
 
+# Frobenius tolerance of the block-shape residuals of the minimality proof
+SHAPE_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class OrbitProof:
+    """dim span{V^k Pi h : k >= 0, h in H}, decided from the block shapes of
+    V and Pi (`orbit_dimension`); `dim` is None when a shape condition fails,
+    and `failure` then says which."""
+
+    dim: int | None
+    shape_residual: float
+    ranks: dict            # block name -> (rank, smallest kept, largest dropped sigma)
+    failure: str = ""
+
+    def note(self, sizes: str) -> str:
+        """"orbit <dim>, <sizes>", then the failure and the rank margins."""
+        head = f"orbit {'undecided' if self.dim is None else self.dim}, {sizes}"
+        parts = [head, self.failure] if self.failure else [head]
+        parts += [f"rank {name} {r} (sigma kept {_sigma(kept)}, dropped {_sigma(dropped)})"
+                  for name, (r, kept, dropped) in self.ranks.items()]
+        return "; ".join(parts)
+
+    def environment(self) -> dict:
+        return {
+            "orbit_rank": self.dim,
+            "shape_residual": self.shape_residual,
+            "rank_gaps": {name: {"rank": r, "kept_sigma": kept, "dropped_sigma": dropped}
+                          for name, (r, kept, dropped) in self.ranks.items()},
+        }
+
+
+def _sigma(s: float | None) -> str:
+    return "none" if s is None else f"{s:.3e}"
+
+
+def _shape_residual(v, space: LiftSpace) -> float:
+    """Frobenius distance, over all columns, of V from the block shape
+    [[A, 0, 0], [E0 C, M_z, 0], [0, 0, W]] on head (+) TruncHardy(F, N) (+)
+    tail, with A, the constant column C (degree 0 only) and W read from V."""
+    h, f, ts = space.head_dim, space.hardy.fiber_dim, space.tail_start
+    mz = materialize_csr(shift_symbol(1.0, f), space.hardy.max_degree)
+    r = (as_csr(v) - block_csr(v.shape, [(h, h, mz)])).tocoo()
+    free = ((r.col < h) & (r.row < h + f)) | ((r.row >= ts) & (r.col >= ts))
+    return float(np.linalg.norm(r.data[~free]))
+
+
+def orbit_dimension(v, pi: np.ndarray, space: LiftSpace,
+                    rank_tol: float = 1e-8) -> OrbitProof:
+    """Dimension of the orbit span{V^k Pi h}, proved from block shapes at
+    dim-sized cost instead of grown on the lift space.
+
+    V must have the shape of `_shape_residual`, within SHAPE_TOL.  Ranks are
+    taken at the absolute rank_tol on blocks of Pi / ||Pi||_2 and on the
+    constant column C_0 of V.
+    * Inclusion form (a head): Pi = [P; 0; 0] with rank P = dim head.  The
+      orbit is then head (+) span{z^j ran C_0 : j <= N}, of dimension
+      dim head + (N+1) rank C_0.
+    * Observability form (no head): W unitary, rank [Pi_0 | ... | Pi_N] =
+      rank Pi_0 over the degree blocks, and tail rows of rank dim tail.
+      Since W^(N+1) maps the tail onto itself while M_z^(N+1) = 0, the orbit
+      is span{z^j ran Pi_0 : j <= N} (+) tail, of dimension
+      (N+1) rank Pi_0 + dim tail.
+    A zero Pi has the zero orbit.  If a shape condition fails, the dimension
+    is left undecided.
+    """
+    v = as_csr(v)
+    res = _shape_residual(v, space)
+    norm = np.linalg.norm(pi, 2) if pi.size else 0.0
+    if norm == 0.0:
+        return OrbitProof(0, res, {})
+    if res > SHAPE_TOL:
+        return OrbitProof(None, res, {}, f"block shape residual {res:.3e} > {SHAPE_TOL:g}")
+    seed = pi / norm
+    h, hd, tail = space.head_dim, space.hardy.total_dim, space.tail_dim
+    f, n = space.hardy.fiber_dim, space.hardy.max_degree
+    if h:
+        ranks = {"P": matcore.rank_gap(seed[:h], rank_tol),
+                 "C0": matcore.rank_gap(v[h:h + f, :h].toarray(), rank_tol)}
+        below = frob(seed[h:])
+        if below > SHAPE_TOL:
+            failure = f"Pi shape residual below the head {below:.3e} > {SHAPE_TOL:g}"
+        elif ranks["P"][0] < h:
+            failure = f"rank P {ranks['P'][0]} < dim head {h}"
+        else:
+            return OrbitProof(h + (n + 1) * ranks["C0"][0], res, ranks)
+        return OrbitProof(None, res, ranks, failure)
+    k = pi.shape[1]
+    blocks = seed[:hd].reshape(n + 1, f, k)
+    ranks = {"Pi0": matcore.rank_gap(blocks[0], rank_tol),
+             "Pi_0..N": matcore.rank_gap(blocks.transpose(1, 0, 2).reshape(f, (n + 1) * k),
+                                         rank_tol),
+             "Pi_tail": matcore.rank_gap(seed[hd:], rank_tol)}
+    w = v[hd:, hd:].toarray()
+    unitary = frob(adj(w) @ w - eye(tail))
+    if unitary > SHAPE_TOL:
+        failure = f"tail block unitarity residual {unitary:.3e} > {SHAPE_TOL:g}"
+    elif ranks["Pi_0..N"][0] > ranks["Pi0"][0]:
+        failure = (f"rank Pi_0..N {ranks['Pi_0..N'][0]} > rank Pi0 {ranks['Pi0'][0]}: "
+                   "a degree block leaves ran Pi0")
+    elif ranks["Pi_tail"][0] < tail:
+        failure = f"rank Pi_tail {ranks['Pi_tail'][0]} < dim tail {tail}"
+    else:
+        return OrbitProof((n + 1) * ranks["Pi0"][0] + tail, res, ranks)
+    return OrbitProof(None, res, ranks, failure)
+
+
 def minimality_check(lift: LiftRealization, rank_tol: float = 1e-8) -> Report:
-    """Measured orbit of V = V1 V2 against the minimal dilation space.
+    """Orbit of V = V1 V2 on Pi against the minimal dilation space.
 
     A minimal lift reaches, at truncation N, a space of known dimension
     (`lift.reachable_dim`): dim H + (N+1) dim ran D_T for the inclusion-type
-    lift, (N+1) dim ran D_{T*} + dim ran Q for the Douglas lift.  The greedy
-    orbit rank of V seeded with Pi / ||Pi|| must equal it.  The seed is
-    scaled so that the greedy route's absolute cutoff rank_tol acts relative
-    to Pi; a zero Pi stays zero and fails.  The report carries the measured
-    rank, the predicted one and the full space dimension (the unreachable
-    truncation slice is the gap between the last two).
+    lift, (N+1) dim ran D_{T*} + dim ran Q for the Douglas lift.  The orbit
+    dimension of V on Pi, proved from the block shapes by `orbit_dimension`,
+    must equal it; a shape that fails leaves it undecided, and the check
+    fails.  The report carries the orbit dimension, the predicted one, the
+    full space dimension (the unreachable truncation slice is the gap between
+    the last two) and the singular-value margin of every rank it used.
     """
-    norm = np.linalg.norm(lift.pi, 2) if lift.pi.size else 0.0
-    seed = lift.pi / norm if norm > 0.0 else lift.pi
-    greedy = matcore.greedy_orbit_rank(lift.v1 @ lift.v2, seed, rank_tol)
+    proof = orbit_dimension(lift.v1 @ lift.v2, lift.pi, lift.space, rank_tol)
     rep = Report("minimality", {
-        "oracle_rank": greedy,
+        **proof.environment(),
         "reachable_dim": lift.reachable_dim,
         "space_dim": lift.space.total_dim,
         "rank_tol": rank_tol,
     })
     rep.require("rank-consistency",
-                "greedy orbit rank of V on Pi equals the minimal dilation dimension",
-                greedy == lift.reachable_dim,
-                note=f"orbit {greedy}, predicted {lift.reachable_dim}, "
-                     f"space {lift.space.total_dim}")
+                "orbit dimension of V on Pi equals the minimal dilation dimension",
+                proof.dim == lift.reachable_dim,
+                note=proof.note(f"predicted {lift.reachable_dim}, "
+                                f"space {lift.space.total_dim}"))
     return rep
 
 

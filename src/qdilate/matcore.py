@@ -2,7 +2,10 @@
 
 Operators are complex128 numpy arrays, except the lift-space operators, which
 are `scipy.sparse` CSR matrices (`as_csr`, `speye` and `block_csr` build
-them); `opnorm` and `greedy_orbit_rank` accept both.
+them); `opnorm` and `greedy_orbit_rank` accept both.  `rank_gap` decides a
+rank at an absolute cutoff and reports its singular-value margin; the lift
+minimality proofs use it on dim-sized blocks, and `greedy_orbit_rank`, which
+grows a basis on the whole space, is left to joint orbits and test oracles.
 Subspaces are wrapped in :class:`SubspaceBasis`, which checks orthonormality
 once at construction.
 All routines are pure and deterministic: random input never enters here, and
@@ -282,6 +285,13 @@ def psd_sqrt(h: np.ndarray, clamp_tol: float | None = None) -> np.ndarray:
     return hermitize(s)
 
 
+def psd_sqrt_norm(h: np.ndarray, clamp_tol: float | None = None) -> float:
+    """||psd_sqrt(h)||, the root of the largest clamped eigenvalue of h, from
+    the same checked eigendecomposition (so the same errors are raised)."""
+    w, _ = _checked_eigh(h, clamp_tol)
+    return float(np.sqrt(w[-1])) if w.size else 0.0
+
+
 def check_contraction(t: np.ndarray, slack: float = 1e-10) -> np.ndarray:
     t = as_cmatrix(t)
     if t.shape[0] != t.shape[1]:
@@ -419,6 +429,15 @@ def orth_columns(a: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     return np.ascontiguousarray(u[:, :r])
 
 
+def rank_gap(a: np.ndarray, rank_tol: float) -> tuple[int, float | None, float | None]:
+    """Number of singular values of a above the absolute rank_tol, with the
+    smallest kept and the largest dropped one (None where there is none):
+    the margin by which the rank is decided."""
+    s = np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(0)
+    r = int(np.count_nonzero(s > rank_tol))
+    return r, (float(s[r - 1]) if r else None), (float(s[r]) if r < s.size else None)
+
+
 def numerical_rank(a: np.ndarray, rank_tol: float | None = None) -> int:
     """Number of singular values of a above rank_tol times the largest one.
 
@@ -440,10 +459,12 @@ def greedy_orbit_rank(ops, seed_columns: np.ndarray, rank_tol: float = 1e-8,
                       max_rounds: int | None = None) -> int:
     """Dimension of span{op_{i1}...op_{ik} seed} by greedy re-orthogonalization.
 
-    The measured side of the lift minimality checks: grows an orthonormal
-    basis one application at a time, discarding directions below rank_tol.
-    `ops` is a single dense or sparse matrix or an iterable of them (joint
-    orbit).
+    Grows an orthonormal basis one application at a time, discarding
+    directions below rank_tol.  `ops` is a single dense or sparse matrix or an
+    iterable of them (joint orbit).  It measures the joint orbits of
+    `lifts.nonisolifts_fixture` and is the test oracle of the structured lift
+    minimality proof (`lifts.orbit_dimension`); its basis is an n x n buffer,
+    so the verifiers do not call it on the lift space.
     """
     if isinstance(ops, np.ndarray) or sp.issparse(ops):
         ops = [ops]

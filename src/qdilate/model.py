@@ -396,6 +396,11 @@ def theta_defect(theta: np.ndarray) -> np.ndarray:
     return matcore.psd_sqrt(eye(theta.shape[1]) - adj(theta) @ theta)
 
 
+def theta_defect_norm(theta: np.ndarray) -> float:
+    """||(I - Theta* Theta)^{1/2}||, without forming the square root."""
+    return matcore.psd_sqrt_norm(eye(theta.shape[1]) - adj(theta) @ theta)
+
+
 def delta_fn(t: np.ndarray, zeta: complex, r: float | None = None,
              dt: DefectData | None = None, dstar: DefectData | None = None) -> np.ndarray:
     """Boundary defect (I - Theta(zeta)* Theta(zeta))^{1/2} on ran D_T.

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import hardy, matcore
-from .lifts import PseudoTriple, douglas_pseudo_lift
+from .lifts import PseudoTriple, douglas_pseudo_lift, orbit_dimension
 from .matcore import adj, as_csr, block_csr, eye, opnorm, speye
 from .model import PairAnalysis
 from .qpair import QPair
@@ -51,8 +51,9 @@ def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
 def is_pseudo_lift(pi: np.ndarray, triple: PseudoTriple, pair: QPair,
                    tol: float = 1e-9, rank_tol: float = 1e-8) -> Report:
     """Lift intertwinings (tail-corrected) plus minimality of (Pi, W): the
-    greedy orbit rank of W seeded with Pi / ||Pi|| must be the whole lift
-    space, (N+1) dim ran D_{T*} + dim ran Q, the minimal dilation space."""
+    orbit dimension of W on Pi, proved from the block shapes by
+    `lifts.orbit_dimension`, must be the whole lift space,
+    (N+1) dim ran D_{T*} + dim ran Q, the minimal dilation space."""
     rep = Report("pseudo-lift", {"trunc": triple.trunc, "tol": tol})
     t = pair.product()
     tail = hardy.defect_tail_norm(t, triple.trunc)
@@ -64,11 +65,11 @@ def is_pseudo_lift(pi: np.ndarray, triple: PseudoTriple, pair: QPair,
               opnorm(adj(triple.w2) @ pi - pi @ adj(pair.t2)), corrected)
     rep.check("lift-w", "W* Pi = Pi T*",
               opnorm(adj(triple.w) @ pi - pi @ adj(t)), corrected)
-    norm = np.linalg.norm(pi, 2) if pi.size else 0.0
-    greedy = matcore.greedy_orbit_rank(triple.w, pi / norm if norm > 0.0 else pi, rank_tol)
+    proof = orbit_dimension(triple.w, pi, triple.space, rank_tol)
+    rep.environment.update(proof.environment())
     full = triple.space.total_dim
     rep.require("minimality", "span{W^n Ran Pi} is the whole lift space",
-                greedy == full, note=f"orbit {greedy}, space {full}")
+                proof.dim == full, note=proof.note(f"space {full}"))
     return rep
 
 

@@ -215,6 +215,27 @@ class TestCharfn:
             delta = model.delta_fn(t, z, dt=dt, dstar=dstar)
             assert row[3] == f"{matcore.opnorm(delta):.12e}"
 
+    @pytest.mark.parametrize("spec", ["nilpotent:n=6,q=0.5403+0.8415i,c=0.9,d=0.9",
+                                      "clock-shift:n=6,scale=0.9"])
+    def test_delta_column_matches_the_square_root_route(self, spec, tmp_path):
+        # the column is the root of the top clamped eigenvalue of I - Theta*Theta;
+        # it agrees with the spectral norm of the formed square root
+        path, out = tmp_path / "p.json", tmp_path / "grid.csv"
+        assert run(["gen", spec, "--seed", 4, "--out", path]) == 0
+        pair = qpair.pair_from_json(json.loads(path.read_text()))
+        theta = model.CharFn(pair.product())
+        assert run(["charfn", "--pair", path, "--grid", "1x24", "--out", out]) == 0
+        ring = [row.split(",") for row in out.read_text().strip().splitlines()[1:]
+                if not row.endswith(",")]
+        assert len(ring) == 24
+        # Theta over the ring in one call, as the command evaluates it: near an
+        # inner Theta the norm is roundoff, which depends on the evaluation
+        points = [np.exp(2j * np.pi * k / 24) for k in range(24)]
+        values = [v for _, chunk in theta.many(points) for v in chunk]
+        for row, value in zip(ring, values):
+            old = matcore.opnorm(model.theta_defect(value))
+            assert abs(float(row[3]) - old) <= 1e-12 * old
+
     def test_validates_once(self, pair_file, tmp_path, monkeypatch):
         calls = []
         check = matcore.check_contraction

@@ -1,11 +1,15 @@
+import contextlib
 import dataclasses
+import io
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import qdilate as qd
-from qdilate import hardy, lifts, matcore, model, pseudolift, qpair
+from qdilate import cli, hardy, lifts, matcore, model, pseudolift, qpair
 from qdilate.errors import GeneratorError
 from qdilate.matcore import adj, eye, frob, opnorm
 
@@ -150,7 +154,7 @@ class TestMinimality:
         lift = qd.schaffer_lift(pair, tup, n)
         rep = qd.minimality_check(lift)
         assert rep.overall
-        assert rep.environment["oracle_rank"] == rep.environment["reachable_dim"] == 1 + (n + 1)
+        assert rep.environment["orbit_rank"] == rep.environment["reachable_dim"] == 1 + (n + 1)
         assert rep.environment["space_dim"] == 1 + 2 * (n + 1)
 
     def test_unitary_pair_rank(self):
@@ -159,7 +163,7 @@ class TestMinimality:
         lift = qd.schaffer_lift(pair, tup, 4)
         rep = qd.minimality_check(lift)
         assert rep.overall
-        assert rep.environment["oracle_rank"] == rep.environment["reachable_dim"] == 3
+        assert rep.environment["orbit_rank"] == rep.environment["reachable_dim"] == 3
 
     def test_douglas_zero_pair_rank(self):
         # dressed fiber is C^2 but the orbit stays inside the Lambda-image
@@ -168,19 +172,23 @@ class TestMinimality:
         lift = qd.douglas_lift(pair, n)
         rep = qd.minimality_check(lift)
         assert rep.overall
-        assert rep.environment["oracle_rank"] == rep.environment["reachable_dim"] == n + 1
+        assert rep.environment["orbit_rank"] == rep.environment["reachable_dim"] == n + 1
         assert rep.environment["space_dim"] == 2 * (n + 1)
 
     @pytest.mark.parametrize("n", [6, 12])
     def test_closed_form_matches_dense_oracle(self, corpus, n):
-        # the greedy orbit rank, the dense stack rank and the dimension of the
-        # minimal dilation space agree for all three lifts of every pair
+        # the structured orbit dimension, the greedy orbit rank, the dense
+        # stack rank and the dimension of the minimal dilation space agree for
+        # all three lifts of every pair
         pairs = [pair for _, pair, _ in corpus] + boundary_pairs()
         for i, pair in enumerate(pairs):
             an = model.PairAnalysis(pair)
             for kind, op, pi, predicted, rec in minimality_records(an, n):
-                # the record passes when the greedy orbit rank equals predicted
+                # the record passes when the structured orbit dimension equals predicted
                 assert rec.passed, (i, kind, rec.note)
+                assert rec.note.startswith(f"orbit {predicted},"), (i, kind, rec.note)
+                seed = pi / np.linalg.norm(pi, 2)
+                assert matcore.greedy_orbit_rank(op, seed, 1e-8) == predicted, (i, kind)
                 assert dense_orbit_rank(op, pi, n) == predicted, (i, kind)
 
     def test_orbit_missing_the_predicted_space_fails(self):
@@ -210,24 +218,113 @@ class TestMinimality:
         lift = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), 6)
         rep = qd.minimality_check(dataclasses.replace(lift, pi=np.zeros_like(lift.pi)))
         assert not rep.overall
-        assert rep.environment["oracle_rank"] == 0
+        assert rep.environment["orbit_rank"] == 0
         pi, tri = pseudolift.douglas_pseudo_lift(pair, 6)
         rep = pseudolift.is_pseudo_lift(np.zeros_like(pi), tri, pair)
         by_id = {r.check_id: r for r in rep.records}
         assert not by_id["minimality"].passed
         assert by_id["minimality"].note.startswith("orbit 0,")
 
+    def test_head_to_hardy_block_fails_the_shape(self):
+        # V1 coupled from the Hardy part back into the head: V = V1 V2 leaves
+        # the block lower triangular shape and the orbit is not decided
+        pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
+        lift = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), 6)
+        v1 = lift.v1.tolil()
+        v1[0, pair.dim + 1] = 1e-3
+        rec = qd.minimality_check(dataclasses.replace(lift, v1=v1.tocsr())).records[0]
+        assert rec.check_id == "rank-consistency" and not rec.passed
+        assert rec.note.startswith("orbit undecided,")
+        assert "block shape residual" in rec.note
+
+    def test_off_toeplitz_hardy_entry_fails_the_shape(self):
+        # one subdiagonal entry of the shift moved by 1e-6: the greedy orbit
+        # still fills the predicted space, but the shape residual (Frobenius,
+        # all columns, 1e-10) rejects it
+        pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
+        n = 6
+        lift = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), n)
+        h, f = pair.dim, lift.space.hardy.fiber_dim
+        v = (lift.v1 @ lift.v2).tolil()
+        v[h + 3 * f, h + 2 * f] += 1e-6
+        bad = dataclasses.replace(lift, v1=v.tocsr(), v2=matcore.speye(lift.space.total_dim))
+        seed = lift.pi / np.linalg.norm(lift.pi, 2)
+        assert matcore.greedy_orbit_rank(bad.v1, seed) == lift.reachable_dim
+        rep = qd.minimality_check(bad)
+        rec = rep.records[0]
+        assert rec.check_id == "rank-consistency" and not rec.passed
+        assert "block shape residual 1.000e-06" in rec.note
+        assert rep.environment["orbit_rank"] is None
+
+    def test_rank_margins_are_reported(self):
+        pair = mixed_pair()
+        for lift in (qd.schaffer_lift(pair, qd.special_ando_tuple(pair), 6),
+                     qd.douglas_lift(pair, 6)):
+            rep = qd.minimality_check(lift)
+            assert rep.overall
+            gaps = rep.environment["rank_gaps"]
+            assert gaps, lift.kind
+            for name, gap in gaps.items():
+                assert f"rank {name} {gap['rank']} (sigma kept" in rep.records[0].note
+                assert gap["kept_sigma"] > 1e-8
+                assert gap["dropped_sigma"] is None or gap["dropped_sigma"] <= 1e-8
+
     @pytest.mark.parametrize("scale", [1e-9, 1e6])
     def test_ranks_do_not_depend_on_the_scale_of_pi(self, scale):
-        # the greedy route sees Pi divided by its norm: its absolute cutoff
+        # the ranks are taken on Pi divided by its norm: the absolute cutoff
         # would otherwise drop every direction of 1e-9 Pi
         pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
         lift = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), 6)
         scaled = dataclasses.replace(lift, pi=scale * lift.pi)
         rep, ref = qd.minimality_check(scaled), qd.minimality_check(lift)
         assert ref.overall and rep.overall, rep.summary_lines()
-        for key in ("oracle_rank", "reachable_dim"):
+        for key in ("orbit_rank", "reachable_dim"):
             assert rep.environment[key] == ref.environment[key]
+
+
+class TestVerifyPathGuard:
+    """The schaffer, douglas and pseudo suites decide minimality at dim-sized
+    cost: no greedy orbit on the lift space and no D x D dense buffer."""
+
+    @staticmethod
+    def verify(pair, tmp_path, n):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(qpair.pair_to_json(pair)))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return cli.main(["verify", "--pair", str(path), "--trunc", str(n),
+                             "--suites", "schaffer,douglas,pseudo"])
+
+    @pytest.fixture(autouse=True)
+    def no_greedy(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("greedy_orbit_rank called on the verify path")
+
+        monkeypatch.setattr(matcore, "greedy_orbit_rank", forbidden)
+
+    def test_suites_pass_without_the_greedy_orbit(self, tmp_path):
+        pairs = [zero_pair(), mixed_pair(), qd.gen_clock_shift(3, 1.0),
+                 qd.gen_conjugated(qd.gen_nilpotent(4, 1j, 0.9, 0.8), 2)[0]]
+        for pair in pairs:
+            assert self.verify(pair, tmp_path, 12) == 0
+
+    def test_no_lift_space_square_buffer(self, tmp_path):
+        # at D = 520 one D x D complex buffer is 4.3 MB; the traced peak of the
+        # whole run stays under half of that
+        pair = qd.gen_conjugated(qd.gen_direct_sum(
+            [qd.gen_clock_shift(2, 1.0), qd.gen_nilpotent(2, -1.0 + 0j, 0.9, 0.8)]), 3)[0]
+        n = 128
+        an = model.PairAnalysis(pair)
+        d = qd.schaffer_lift(an.pair, an.tup, n).space.total_dim
+        assert d == 520
+        self.verify(pair, tmp_path, n)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            assert self.verify(pair, tmp_path, n) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 16 / 2, peak
 
 
 class TestSymbolLevelProduct:

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qdilate as qd
-from qdilate import hardy, model, pseudolift
+from qdilate import hardy, matcore, model, pseudolift
 from qdilate.matcore import eye, frob
 
 
@@ -86,6 +88,22 @@ class TestAxiomViolations:
         rep = pseudolift.is_pseudo_lift(pi_bad, tri, pair)
         by_id = {r.check_id: r for r in rep.records}
         assert not by_id["minimality"].passed
+
+    def test_hardy_tail_coupling_fails_minimality(self):
+        # W = M_z (+) W_D with a small Hardy<->tail block: no longer block
+        # diagonal, so the orbit dimension is not decided and minimality fails
+        pair = mixed_pair()
+        pi, tri = pseudolift.douglas_pseudo_lift(pair, 10)
+        hd, tail = tri.space.hardy.total_dim, tri.space.tail_dim
+        assert tail > 0
+        coupling = matcore.block_csr(tri.w.shape, [(0, hd, 1e-4 * np.ones((1, tail)))])
+        bad = dataclasses.replace(tri, w=tri.w + coupling)
+        rep = pseudolift.is_pseudo_lift(pi, bad, pair)
+        by_id = {r.check_id: r for r in rep.records}
+        assert not by_id["minimality"].passed
+        assert by_id["minimality"].note.startswith("orbit undecided,")
+        assert "block shape residual" in by_id["minimality"].note
+        assert rep.environment["shape_residual"] > 1e-10
 
     def test_perturbed_w1_fails_intertwining(self):
         pair = qd.gen_nilpotent(2, 1j, 0.8, 0.8)
