@@ -266,7 +266,8 @@ def extract_symbol(a: TruncOperator, q: complex, tol: float = 1e-10):
     Precondition (checked on degrees <= N-1): A M_z = q M_z A.  The Taylor
     coefficients are A's action on the degree-0 block; returns the symbol and
     the restricted reconstruction residual.  A's matrix may be dense or
-    sparse; the residuals are formed sparsely.
+    sparse; the residuals are formed sparsely and measured in Frobenius norm,
+    against tolerances scaled by the spectral max(1, ||A||).
     """
     if not isinstance(a.domain, TruncHardy) or a.domain != a.codomain:
         raise DimensionMismatchError("extract_symbol needs an endomorphism of TruncHardy")
@@ -274,11 +275,11 @@ def extract_symbol(a: TruncOperator, q: complex, tol: float = 1e-10):
     n, f = space.max_degree, space.fiber_dim
     mat = matcore.as_csr(a.matrix)
     mz = materialize_csr(shift_symbol(q, f), n)
-    pre = opnorm((mat @ mz - q * (mz @ mat))[:, space.low(n - 1)])
+    pre = frob((mat @ mz - q * (mz @ mat))[:, space.low(n - 1)])
     scale = max(1.0, opnorm(mat))
     if pre > tol * scale:
         raise NotQCommutantError(
-            f"||A Mz - q Mz A|| = {pre:.3e} on degrees <= {n - 1}")
+            f"||A Mz - q Mz A||_F = {pre:.3e} on degrees <= {n - 1}")
     first = mat[:, :f].toarray()
     coeffs = [first[k * f:(k + 1) * f] for k in range(n + 1)]
     deg = 0
@@ -287,7 +288,7 @@ def extract_symbol(a: TruncOperator, q: complex, tol: float = 1e-10):
             deg = k
             break
     sym = TwistedSymbol(q, 1, tuple(coeffs[:deg + 1]))
-    resid = opnorm((mat - materialize_csr(sym, n))[:, space.low(n - deg)])
+    resid = frob((mat - materialize_csr(sym, n))[:, space.low(n - deg)])
     return sym, resid
 
 

@@ -2,10 +2,13 @@
 
 Operators are complex128 numpy arrays, except the lift-space operators, which
 are `scipy.sparse` CSR matrices (`as_csr`, `speye` and `block_csr` build
-them); `opnorm` and `greedy_orbit_rank` accept both.  `rank_gap` decides a
-rank at an absolute cutoff and reports its singular-value margin; the lift
-minimality proofs use it on dim-sized blocks, and `greedy_orbit_rank`, which
-grows a basis on the whole space, is left to joint orbits and test oracles.
+them); `frob`, `opnorm` and `greedy_orbit_rank` accept both.  Identity
+residuals whose true value is 0 are gated on `frob`, one pass over the
+stored entries and never below the spectral norm; `opnorm` is kept where the
+spectral norm itself is gated.  `rank_gap` decides a rank at an absolute
+cutoff and reports its singular-value margin; the lift minimality proofs use
+it on dim-sized blocks, and `greedy_orbit_rank`, which grows a basis on the
+whole space, is left to joint orbits and test oracles.
 Subspaces are wrapped in :class:`SubspaceBasis`, which checks orthonormality
 once at construction.
 All routines are pure and deterministic: random input never enters here, and
@@ -40,12 +43,33 @@ def adj(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def frob(a: np.ndarray) -> float:
+def frob(a) -> float:
+    """Frobenius norm; 0 for empty matrices.
+
+    Sparse input costs one pass over its stored entries: duplicate entries
+    are summed first (on a copy), so the norm of `.data` is the norm of the
+    matrix.  ||A||_2 <= ||A||_F, so a residual gated on `frob` is held at
+    least as strictly as on `opnorm`.
+    """
+    if sp.issparse(a):
+        a = a.tocsr()
+        if not a.has_canonical_format:
+            a = a.copy()
+            a.sum_duplicates()
+        return float(np.linalg.norm(a.data))
     return float(np.linalg.norm(a)) if a.size else 0.0
 
 
 def opnorm(a) -> float:
     """Spectral norm; 0 for empty matrices.
+
+    It costs an SVD or an eigensolve.  On the lift paths it is kept only
+    where `frob` would loosen a check or change its meaning: the
+    contractivity of W1, W2 (`pseudolift.is_pseudo_triple`), where the norm
+    itself is gated; the tolerance scale max(1, ||A||) of
+    `hardy.extract_symbol`; the discriminator lower bound of
+    `lifts.nonisolifts_fixture`; the dense D x dim intertwining residuals,
+    held to tail-corrected tolerances; and `model.verify_admissible`.
 
     Dense input goes through the SVD.  Sparse input is split into the
     connected components of its bipartite row/column graph: permuting rows

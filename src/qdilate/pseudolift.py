@@ -17,7 +17,7 @@ import numpy as np
 
 from . import hardy, matcore
 from .lifts import PseudoTriple, douglas_pseudo_lift, orbit_dimension
-from .matcore import adj, as_csr, block_csr, eye, opnorm, speye
+from .matcore import adj, as_csr, block_csr, eye, frob, opnorm, speye
 from .model import PairAnalysis
 from .qpair import QPair
 from .report import Report
@@ -27,7 +27,9 @@ def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
     """Per-axiom residuals of the pseudo-triple conditions.
 
     Degree budgets: contractivity and the linear axiom consume one degree,
-    the two twisted commutations consume two.
+    the two twisted commutations consume two.  Contractivity gates the
+    spectral norms ||W_i|| themselves; the identity residuals are gated on
+    their Frobenius norm, which is never below the spectral one.
     """
     rep = Report("pseudo-triple", {"trunc": triple.trunc, "tol": tol})
     q = triple.q
@@ -38,13 +40,13 @@ def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
               max(0.0, max(opnorm(w1[:, e1]), opnorm(w2[:, e1])) - 1.0),
               1e-9)
     rep.check("axiom-i-isometry", "W*W = I on degrees <= N-1",
-              opnorm((adj(w) @ w - speye(triple.space.total_dim))[:, e1]), tol)
+              frob((adj(w) @ w - speye(triple.space.total_dim))[:, e1]), tol)
     rep.check("axiom-ii-w1", "W1 W = q W W1 on degrees <= N-2",
-              opnorm((w1 @ w - q * w @ w1)[:, e2]), tol)
+              frob((w1 @ w - q * w @ w1)[:, e2]), tol)
     rep.check("axiom-ii-w2", "W2 W = qbar W W2 on degrees <= N-2",
-              opnorm((w2 @ w - np.conj(q) * w @ w2)[:, e2]), tol)
+              frob((w2 @ w - np.conj(q) * w @ w2)[:, e2]), tol)
     rep.check("axiom-iii", "W1 = qbar W2* W on degrees <= N-1",
-              opnorm((w1 - np.conj(q) * adj(w2) @ w)[:, e1]), tol)
+              frob((w1 - np.conj(q) * adj(w2) @ w)[:, e1]), tol)
     return rep
 
 
@@ -92,16 +94,16 @@ def uniqueness_test(pair: QPair, candidate: PseudoTriple, tol: float = 1e-9,
         w1, w2, w = (as_csr(tau @ (x @ adj(tau))) for x in (w1, w2, w))
     e1 = ref.space.interior(1)
     same_w = rep.check("same-douglas-isometry", "candidate W equals V_D",
-                       opnorm((w - ref.w)[:, e1]), tol)
+                       frob((w - ref.w)[:, e1]), tol)
     axioms = is_pseudo_triple(replace(candidate, w1=w1, w2=w2, w=w), tol)
     rep.merge(axioms, prefix="candidate-")
     lift_rep = is_pseudo_lift(pi_d, replace(candidate, w1=w1, w2=w2, w=w), pair, tol)
     rep.merge(lift_rep, prefix="candidate-")
     if same_w and axioms.overall and lift_rep.overall:
         rep.check("uniqueness-w1", "W1 = W1_D on degrees <= N-1",
-                  opnorm((w1 - ref.w1)[:, e1]), tol)
+                  frob((w1 - ref.w1)[:, e1]), tol)
         rep.check("uniqueness-w2", "W2 = W2_D on degrees <= N-1",
-                  opnorm((w2 - ref.w2)[:, e1]), tol)
+                  frob((w2 - ref.w2)[:, e1]), tol)
     else:
         rep.skip("uniqueness-equality", "(W1,W2) = (W1_D,W2_D)",
                  note="candidate failed the pseudo-lift preconditions; "
@@ -150,12 +152,12 @@ def taylor_rigidity(triple: PseudoTriple, pair: PairAnalysis | QPair,
             return sym.coeffs[k]
         return np.zeros_like(sym.coeffs[0])
 
-    r = max(matcore.frob(coeff(sym1, 0) - adj(fund.g1)),
-            matcore.frob(coeff(sym1, 1) - fund.g2),
-            matcore.frob(coeff(sym2, 0) - adj(fund.g2)),
-            matcore.frob(coeff(sym2, 1) - np.conj(q) * fund.g1))
+    r = max(frob(coeff(sym1, 0) - adj(fund.g1)),
+            frob(coeff(sym1, 1) - fund.g2),
+            frob(coeff(sym2, 0) - adj(fund.g2)),
+            frob(coeff(sym2, 1) - np.conj(q) * fund.g1))
     rep.check("match-fundamental", "Taylor coefficients reproduce (G1, G2)",
               r, tol)
     rep.check("linear-pencil", "phi_{1,0} = qbar phi_{2,1}*",
-              matcore.frob(coeff(sym1, 0) - np.conj(q) * adj(coeff(sym2, 1))), tol)
+              frob(coeff(sym1, 0) - np.conj(q) * adj(coeff(sym2, 1))), tol)
     return rep

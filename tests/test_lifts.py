@@ -2,11 +2,13 @@ import contextlib
 import dataclasses
 import io
 import json
+import traceback
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import qdilate as qd
 from qdilate import cli, hardy, lifts, matcore, model, pseudolift, qpair
@@ -325,6 +327,104 @@ class TestVerifyPathGuard:
         finally:
             tracemalloc.stop()
         assert peak < d * d * 16 / 2, peak
+
+    def test_banded_eigensolve_only_where_the_norm_is_gated(self, tmp_path, monkeypatch):
+        # the identity residuals are Frobenius norms; the banded Gram solve is
+        # left to ||W1||, ||W2|| (axiom-i-contractions) and to extract_symbol's
+        # tolerance scale max(1, ||A||), called once per pseudo-lift operator
+        pair = qd.gen_conjugated(mixed_pair(), 4)[0]
+        callers = []
+        gram_norm = matcore._gram_norm
+
+        def counted(a):
+            frames = traceback.extract_stack()[:-1]
+            callers.append(next(f.name for f in reversed(frames)
+                                if not f.filename.endswith("matcore.py")))
+            return gram_norm(a)
+
+        monkeypatch.setattr(matcore, "_gram_norm", counted)
+        assert self.verify(pair, tmp_path, 64) == 0
+        assert 0 < len(callers) <= 4, callers
+        assert set(callers) <= {"is_pseudo_triple", "extract_symbol"}, callers
+
+
+class TestFrobeniusGates:
+    """The lift-space identity residuals are gated on their Frobenius norm,
+    which is never below the spectral norm the gates used before."""
+
+    SWITCHED = {"isometry-v1", "isometry-v2", "q-commute", "product-structure",
+                "axiom-i-isometry", "axiom-ii-w1", "axiom-ii-w2", "axiom-iii",
+                "reconstruct-1", "reconstruct-2", "same-douglas-isometry",
+                "uniqueness-w1", "uniqueness-w2"}
+
+    @staticmethod
+    def record_sparse_frob(monkeypatch):
+        """Patch `frob` in the lift modules to record (Frobenius, dense
+        spectral) of every sparse residual it measures; on these paths the
+        sparse calls are exactly the switched gates."""
+        seen = []
+
+        def recording(a):
+            value = matcore.frob(a)
+            if sp.issparse(a):
+                d = a.toarray()
+                seen.append((value, float(np.linalg.norm(d, 2)) if d.size else 0.0))
+            return value
+
+        for mod in (lifts, pseudolift, hardy):
+            monkeypatch.setattr(mod, "frob", recording)
+        return seen
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_switched_residuals_dominate_the_spectral_norm(self, corpus, monkeypatch, n):
+        seen = self.record_sparse_frob(monkeypatch)
+        pairs = [pair for _, pair, _ in corpus[::7]] + boundary_pairs()
+        for i, pair in enumerate(pairs):
+            an = model.PairAnalysis(pair)
+            seen.clear()
+            schaffer = qd.schaffer_lift(an.pair, an.tup, n)
+            reps = [qd.verify_lift(schaffer, an), qd.extract_ando_from_lift(schaffer, an)[1],
+                    qd.verify_lift(qd.douglas_lift(an, n), an)]
+            pi, tri = pseudolift.douglas_pseudo_lift(an, n)
+            reps.append(pseudolift.is_pseudo_triple(tri))
+            reps.append(pseudolift.taylor_rigidity(tri, an))
+            # rounding-level moves of the model triple keep every axiom, so
+            # the uniqueness gates run on nonzero residuals
+            cand = dataclasses.replace(tri, w1=tri.w1 * (1 + 2e-13),
+                                       w2=tri.w2 * (1 - 3e-13), w=tri.w * (1 + 1e-13))
+            uniq = pseudolift.uniqueness_test(an.pair, cand)
+            assert "uniqueness-w1" in {r.check_id for r in uniq.records}, i
+            reps.append(uniq)
+            # schaffer 3 + 3 model-form guards, douglas 4, pseudo 4 + 2 x 2
+            # (extract_symbol), uniqueness 3 + the candidate's 4 axioms
+            assert len(seen) == 25, (i, len(seen))
+            for value, spectral in seen:
+                assert value >= spectral - 1e-15, (i, value, spectral)
+            recorded = {value for value, _ in seen}
+            switched = [r for rep in reps for r in rep.records
+                        if r.check_id.removeprefix("candidate-") in self.SWITCHED]
+            assert len(switched) == 20, i
+            for r in switched:
+                assert r.residual in recorded, (i, r.check_id)
+
+    def test_isometry_gate_is_stricter_than_the_spectral_one(self):
+        # W scaled by 1 + delta: W*W - I is (2 delta + delta^2) I on the e1
+        # columns, so its spectral norm stays below tol while its Frobenius
+        # norm, sqrt(#e1) times larger, exceeds it
+        tol, n = 1e-9, 6
+        _, tri = pseudolift.douglas_pseudo_lift(mixed_pair(), n)
+        e1 = tri.space.interior(1)
+        delta = tol / 4
+        excess = 2 * delta + delta ** 2
+        assert excess < tol < excess * np.sqrt(len(e1))
+        scaled = dataclasses.replace(tri, w=tri.w * (1 + delta))
+        w = scaled.w.toarray()
+        spectral = np.linalg.norm((adj(w) @ w - eye(w.shape[0]))[:, e1], 2)
+        assert spectral < tol
+        rec = {r.check_id: r for r in pseudolift.is_pseudo_triple(scaled, tol).records}
+        assert not rec["axiom-i-isometry"].passed
+        assert abs(rec["axiom-i-isometry"].residual - excess * np.sqrt(len(e1))) <= 1e-3 * tol
+        assert pseudolift.is_pseudo_triple(tri, tol).overall
 
 
 class TestSymbolLevelProduct:

@@ -2,9 +2,10 @@
 
 The lift and pseudo-lift operators are CSR matrices and their residuals are
 formed sparsely.  These tests check the sparse `opnorm`, whole and split into
-connected blocks, against the dense SVD norm, every `verify_lift` and
-`is_pseudo_triple` residual against the dense formula it replaced (kept here
-as the oracle, at small D), and that the operators stay sparse.
+connected blocks, against the dense SVD norm, the sparse `frob` against the
+dense Frobenius norm, every `verify_lift` and `is_pseudo_triple` residual
+against the dense formula it replaced (kept here as the oracle, at small D),
+and that the operators stay sparse.
 """
 
 import dataclasses
@@ -84,6 +85,46 @@ class TestSparseOpnorm:
     def test_no_underflow_of_tiny_residuals(self):
         a = sp.csr_matrix(np.diag([1e-170, 5e-170, 2e-170]))
         assert abs(opnorm(a) - 5e-170) <= 1e-12 * 5e-170
+
+
+class TestSparseFrob:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(sparse_matrices())
+    def test_matches_dense_norm(self, a):
+        ref = float(np.linalg.norm(a.toarray()))
+        assert abs(frob(a) - ref) <= 1e-12 * ref, (frob(a), ref)
+
+    def test_duplicate_coo_entries(self):
+        # (0, 1) is stored as 1 and 2: the entry is 3, so the norm is 5, not
+        # sqrt(1 + 4 + 16)
+        a = sp.coo_matrix(([1.0, 2.0, 4.0j], ([0, 0, 2], [1, 1, 0])), shape=(3, 2))
+        assert frob(a) == float(np.linalg.norm(a.toarray())) == 5.0
+        csr = sp.csr_matrix((np.array([1.0, 2.0, 4.0j]), [1, 1, 0], [0, 2, 2, 3]),
+                            shape=(3, 2))
+        assert not csr.has_canonical_format
+        assert frob(csr) == 5.0
+        # the input keeps its stored entries
+        assert csr.nnz == 3 and not csr.has_canonical_format
+
+    def test_cancelling_duplicates_and_explicit_zeros(self):
+        a = sp.coo_matrix(([1.0, -1.0, 0.0, 2.0], ([0, 0, 2, 1], [1, 1, 3, 0])),
+                          shape=(4, 5))
+        assert frob(a) == 2.0
+        z = sp.csr_matrix((np.zeros(3), ([0, 1, 2], [0, 2, 1])), shape=(3, 4))
+        assert z.nnz == 3 and frob(z) == 0.0
+
+    def test_empty(self):
+        for shape in ((0, 0), (0, 3), (3, 0), (4, 5)):
+            assert frob(sp.csr_matrix(shape, dtype=complex)) == 0.0
+
+    def test_column_slice(self):
+        rng = np.random.default_rng(3)
+        d = rng.standard_normal((9, 12)) + 1j * rng.standard_normal((9, 12))
+        d[np.abs(d) < 1.0] = 0.0
+        a = sp.csr_matrix(d)
+        for cols in (np.r_[0:4, 7:12], slice(2, 9), np.array([], dtype=int)):
+            ref = float(np.linalg.norm(d[:, cols])) if d[:, cols].size else 0.0
+            assert abs(frob(a[:, cols]) - ref) <= 1e-14 * max(ref, 1.0)
 
 
 def permuted_block_diag(blocks, rng) -> sp.csr_matrix:
@@ -238,16 +279,17 @@ def close(got: float, ref: float, tol: float) -> bool:
 
 
 def dense_lift_residuals(lift, pair, n):
-    """The residuals of `verify_lift`, by the dense formulas it replaced."""
+    """The residuals of `verify_lift`, by the dense formulas it replaced: the
+    lift-space identity residuals in Frobenius norm, the rest as before."""
     v1, v2, pi, q = lift.v1.toarray(), lift.v2.toarray(), lift.pi, pair.q
     e1, e2 = lift.space.interior(1), lift.space.interior(2)
     ident = eye(lift.space.total_dim)
     out = {
         "intertwine-v1": opnorm(adj(v1) @ pi - pi @ adj(pair.t1)),
         "intertwine-v2": opnorm(adj(v2) @ pi - pi @ adj(pair.t2)),
-        "isometry-v1": opnorm((adj(v1) @ v1 - ident)[:, e1]),
-        "isometry-v2": opnorm((adj(v2) @ v2 - ident)[:, e1]),
-        "q-commute": opnorm((v1 @ v2 - q * v2 @ v1)[:, e2]),
+        "isometry-v1": frob((adj(v1) @ v1 - ident)[:, e1]),
+        "isometry-v2": frob((adj(v2) @ v2 - ident)[:, e1]),
+        "q-commute": frob((v1 @ v2 - q * v2 @ v1)[:, e2]),
     }
     if lift.kind == "schaffer":
         out["pi-isometry"] = frob(adj(pi) @ pi - eye(pair.dim))
@@ -258,7 +300,7 @@ def dense_lift_residuals(lift, pair, n):
                                 - (eye(pair.dim) - tp @ adj(tp) + cp.q_op @ cp.q_op))
         mz = hardy.materialize(hardy.shift_symbol(q, lift.space.hardy.fiber_dim), n).matrix
         vd = scipy.linalg.block_diag(mz, cp.wd)
-        out["product-structure"] = opnorm((v1 @ v2 - vd)[:, e2])
+        out["product-structure"] = frob((v1 @ v2 - vd)[:, e2])
         pi_d, g = lifts.douglas_pseudo_lift(pair, n)
         out["gform-intertwine-1"] = opnorm(adj(g.w1.toarray()) @ pi_d - pi_d @ adj(pair.t1))
         out["gform-intertwine-2"] = opnorm(adj(g.w2.toarray()) @ pi_d - pi_d @ adj(pair.t2))
@@ -266,15 +308,17 @@ def dense_lift_residuals(lift, pair, n):
 
 
 def dense_triple_residuals(tri):
-    """The residuals of `is_pseudo_triple`, by the dense formulas it replaced."""
+    """The residuals of `is_pseudo_triple`, by the dense formulas it replaced:
+    the contractivity by spectral norms, the identity residuals in Frobenius
+    norm."""
     w1, w2, w, q = tri.w1.toarray(), tri.w2.toarray(), tri.w.toarray(), tri.q
     e1, e2 = tri.space.interior(1), tri.space.interior(2)
     return {
         "axiom-i-contractions": max(0.0, max(opnorm(w1[:, e1]), opnorm(w2[:, e1])) - 1.0),
-        "axiom-i-isometry": opnorm((adj(w) @ w - eye(tri.space.total_dim))[:, e1]),
-        "axiom-ii-w1": opnorm((w1 @ w - q * w @ w1)[:, e2]),
-        "axiom-ii-w2": opnorm((w2 @ w - np.conj(q) * w @ w2)[:, e2]),
-        "axiom-iii": opnorm((w1 - np.conj(q) * adj(w2) @ w)[:, e1]),
+        "axiom-i-isometry": frob((adj(w) @ w - eye(tri.space.total_dim))[:, e1]),
+        "axiom-ii-w1": frob((w1 @ w - q * w @ w1)[:, e2]),
+        "axiom-ii-w2": frob((w2 @ w - np.conj(q) * w @ w2)[:, e2]),
+        "axiom-iii": frob((w1 - np.conj(q) * adj(w2) @ w)[:, e1]),
     }
 
 
