@@ -5,7 +5,9 @@ are `scipy.sparse` CSR matrices (`as_csr`, `speye` and `block_csr` build
 them); `frob`, `opnorm` and `greedy_orbit_rank` accept both.  Identity
 residuals whose true value is 0 are gated on `frob`, one pass over the
 stored entries and never below the spectral norm; `opnorm` is kept where the
-spectral norm itself is gated.  `rank_gap` decides a rank at an absolute
+spectral norm itself is gated.  A tolerance scale needs only a lower bound
+for the norm, which keeps its gate at least as strict (`hardy.extract_symbol`
+takes the largest column norm).  `rank_gap` decides a rank at an absolute
 cutoff and reports its singular-value margin; the lift minimality proofs use
 it on dim-sized blocks, and `greedy_orbit_rank`, which grows a basis on the
 whole space, is left to joint orbits and test oracles.
@@ -66,8 +68,7 @@ def opnorm(a) -> float:
     It costs an SVD or an eigensolve.  On the lift paths it is kept only
     where `frob` would loosen a check or change its meaning: the
     contractivity of W1, W2 (`pseudolift.is_pseudo_triple`), where the norm
-    itself is gated; the tolerance scale max(1, ||A||) of
-    `hardy.extract_symbol`; the discriminator lower bound of
+    itself is gated; the discriminator lower bound of
     `lifts.nonisolifts_fixture`; the dense D x dim intertwining residuals,
     held to tail-corrected tolerances; and `model.verify_admissible`.
 

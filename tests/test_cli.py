@@ -308,14 +308,36 @@ class TestOtherCommands:
         assert run(["demo", "--trunc", 1]) == 2
 
 
-def fresh_run(args, tmp_path):
-    """Run `qdilate` in a new interpreter; return its exit code."""
+def fresh_python(args, tmp_path):
+    """Run the interpreter with `args` in a new process that imports this
+    checkout's `qdilate`; return the finished process."""
     src = str(Path(qd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-m", "qdilate.cli", *map(str, args)],
+    return subprocess.run([sys.executable, *map(str, args)],
                           cwd=tmp_path, env=env, capture_output=True, timeout=300)
-    return done.returncode
+
+
+def fresh_run(args, tmp_path):
+    """Run `qdilate` in a new interpreter; return its exit code."""
+    return fresh_python(["-m", "qdilate.cli", *args], tmp_path).returncode
+
+
+class TestImports:
+    def test_pseudo_suite_leaves_sparse_linalg_unloaded(self, pair_file, tmp_path):
+        # every norm on the pseudo path is a pass over stored entries or a
+        # dense/banded LAPACK call; scipy.sparse.linalg (norm, svds) and
+        # scipy.sparse.csgraph are not needed and would raise the peak RSS
+        script = ("import sys, qdilate\n"
+                  "from qdilate import cli\n"
+                  f"rc = cli.main(['verify', '--pair', {str(pair_file)!r}, "
+                  "'--suites', 'pseudo', '--out', 'rep.json'])\n"
+                  "print(rc, [m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') "
+                  "if m in sys.modules])\n")
+        done = fresh_python(["-c", script], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().splitlines()[-1] == "0 []", done.stdout
+        assert json.loads((tmp_path / "rep.json").read_text())["overall"] is True
 
 
 class TestParser:
