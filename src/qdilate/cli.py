@@ -151,7 +151,7 @@ def _suite_triple(an, n, tol):
 def _suite_pseudo(an, n, tol):
     pi, triple = pseudolift.douglas_pseudo_lift(an, n)
     rep = pseudolift.is_pseudo_triple(triple, tol)
-    rep.merge(pseudolift.is_pseudo_lift(pi, triple, an.pair, tol), prefix="lift-")
+    rep.merge(pseudolift.is_pseudo_lift(pi, triple, an, tol), prefix="lift-")
     rep.merge(pseudolift.taylor_rigidity(triple, an, tol), prefix="taylor-")
     return rep
 
@@ -290,9 +290,10 @@ def cmd_pseudo(args) -> int:
     pair, rc = _load_pair(args.pair, args.tol)
     if pair is None:
         return rc
-    pi, triple = pseudolift.douglas_pseudo_lift(model.PairAnalysis(pair), args.trunc)
+    an = model.PairAnalysis(pair)
+    pi, triple = pseudolift.douglas_pseudo_lift(an, args.trunc)
     rep = pseudolift.is_pseudo_triple(triple, args.tol)
-    rep.merge(pseudolift.is_pseudo_lift(pi, triple, pair, args.tol), prefix="lift-")
+    rep.merge(pseudolift.is_pseudo_lift(pi, triple, an, args.tol), prefix="lift-")
     if args.perturb:
         bad = pseudolift.perturbed_triple(triple, args.perturb, seed=args.seed)
         bad_rep = pseudolift.is_pseudo_triple(bad, args.tol)

@@ -129,19 +129,32 @@ def symbol_compose(s1: TwistedSymbol, s2: TwistedSymbol) -> TwistedSymbol:
     return TwistedSymbol(s1.q, s1.twist + s2.twist, tuple(out))
 
 
+def gram_coeff(s1: TwistedSymbol, s2: TwistedSymbol, lag: int,
+               top: int | None = None) -> np.ndarray:
+    """sum_k C1_k* C2_{k+lag} over k >= max(0, -lag) with k + lag <= top
+    (default: every coefficient of s2): the Laurent coefficient of phi1* phi2
+    on the circle, and, up to a unimodular phase, the block of the Gram
+    product (M_phi1 R)*(M_phi2 R) that sits lag degrees below the diagonal.
+    `top` cuts s2's coefficients at a truncation: on a column of degree j of
+    TruncHardy(N) it is N - j."""
+    top = s2.degree if top is None else min(top, s2.degree)
+    acc = np.zeros((s1.fiber_in, s2.fiber_in), dtype=np.complex128)
+    for k in range(max(0, -lag), min(s1.degree, top - lag) + 1):
+        acc += adj(s1.coeffs[k]) @ s2.coeffs[k + lag]
+    return acc
+
+
 def symbol_is_inner(s: TwistedSymbol, tol: float = 1e-12):
     """Whether M_phi R is isometric: sum_k C_k* C_{k+j} = delta_{j0} I.
 
-    The rotation is unitary, so only the coefficient Toeplitz test matters.
-    Returns (bool, worst residual).
+    The rotation is unitary, so only the coefficient Toeplitz test matters:
+    these are the Laurent sums `gram_coeff`, which the lift verifiers also
+    read for V*V = I on the interior degrees.  Returns (bool, worst residual).
     """
     worst = 0.0
     for j in range(s.degree + 1):
-        acc = np.zeros((s.fiber_in, s.fiber_in), dtype=np.complex128)
-        for k in range(s.degree + 1 - j):
-            acc += adj(s.coeffs[k]) @ s.coeffs[k + j]
         target = eye(s.fiber_in) if j == 0 else 0.0
-        worst = max(worst, frob(acc - target))
+        worst = max(worst, frob(gram_coeff(s, s, j) - target))
     return worst <= tol, worst
 
 
@@ -154,29 +167,43 @@ class TruncOperator:
     codomain: object
 
 
-def materialize_csr(s: TwistedSymbol, n: int) -> sp.csr_matrix:
+def materialize_csr(s: TwistedSymbol, n: int, offset: int = 0, shape=None,
+                    blocks=()) -> sp.csr_matrix:
     """CSR matrix of M_phi R_{q^twist} on TruncHardy(fiber, n).
 
     Monomial action: z^j (x) xi  |->  sum_k q^{twist j} z^{j+k} (x) C_k xi,
     coefficients beyond degree n dropped: block (j+k, j) is q^{twist j} C_k.
+    With `offset` and `shape`, that matrix sits at (offset, offset) of one of
+    `shape`, next to the dense `blocks` given as (row offset, column offset,
+    block); all of it is built from one set of triplets, which is how a
+    `lifts.LiftOperator` is materialized.
     """
     if n < s.degree:
         raise DimensionMismatchError(f"truncation {n} below symbol degree {s.degree}")
     fi, fo = s.fiber_in, s.fiber_out
+    shape = shape or ((n + 1) * fo, (n + 1) * fi)
     qt = s.q ** s.twist
     phase = np.array([qt ** j for j in range(n + 1)], dtype=np.complex128)
-    rows, cols, vals = [], [], []
-    for k, c in enumerate(s.coeffs):
-        j = np.arange(n + 1 - k)[:, None, None]
-        shape = (j.size, fo, fi)
-        vals.append((phase[j] * c).ravel())
-        rows.append(np.broadcast_to((j + k) * fo + np.arange(fo)[:, None], shape).ravel())
-        cols.append(np.broadcast_to(j * fi + np.arange(fi), shape).ravel())
+    k, j = (a.ravel() for a in np.meshgrid(np.arange(s.degree + 1), np.arange(n + 1),
+                                            indexing="ij"))
+    k, j = k[j + k <= n, None, None], j[j + k <= n, None, None]
+    size = (k.size, fo, fi)
+    rows = [np.broadcast_to(offset + (j + k) * fo + np.arange(fo)[:, None], size).ravel()]
+    cols = [np.broadcast_to(offset + j * fi + np.arange(fi), size).ravel()]
+    vals = [(phase[j] * np.array(s.coeffs)[k[:, 0, 0]]).ravel()]
+    for r0, c0, block in blocks:
+        r, c = np.nonzero(block)
+        rows.append(r + r0)
+        cols.append(c + c0)
+        vals.append(block[r, c])
     vals = np.concatenate(vals)
-    keep = vals != 0
-    return sp.csr_matrix(
-        (vals[keep], (np.concatenate(rows)[keep], np.concatenate(cols)[keep])),
-        shape=((n + 1) * fo, (n + 1) * fi))
+    keep = np.flatnonzero(vals != 0)
+    rows, cols = np.concatenate(rows)[keep], np.concatenate(cols)[keep]
+    # the triplets sorted by row, then column, are the CSR arrays
+    order = np.argsort(rows * shape[1] + cols, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((vals[keep][order], cols[order], indptr), shape=shape)
 
 
 def materialize(s: TwistedSymbol, n: int) -> TruncOperator:
@@ -306,17 +333,3 @@ def extract_symbol(a: TruncOperator, q: complex, tol: float = 1e-10):
     sym = TwistedSymbol(q, 1, tuple(coeffs[:deg + 1]))
     resid = frob((mat - materialize_csr(sym, n))[:, space.low(n - deg)])
     return sym, resid
-
-
-def symbol_to_json(s: TwistedSymbol) -> dict:
-    return {
-        "q": [float(s.q.real), float(s.q.imag)],
-        "twist": s.twist,
-        "coeffs": [matcore.matrix_to_json(c) for c in s.coeffs],
-    }
-
-
-def symbol_from_json(obj: dict) -> TwistedSymbol:
-    q = complex(obj["q"][0], obj["q"][1])
-    coeffs = tuple(matcore.matrix_from_json(c) for c in obj["coeffs"])
-    return TwistedSymbol(q, int(obj["twist"]), coeffs)

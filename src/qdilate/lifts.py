@@ -19,24 +19,39 @@ maximal z-degree d is asserted on inputs of degree <= N - d only, where it
 holds exactly; Douglas embedding residuals are instead bounded by the exact
 tail quantity ||D_{T*} T*^{N+1}|| of the observability column.
 
-The lift and pseudo-lift operators are CSR matrices built from the symbol
-blocks, and their residuals are formed sparsely; the embeddings Pi are dense
-D x dim columns.  The verifiers also accept dense operators.
+The builders return each lift and pseudo-lift operator in block form, a
+`LiftOperator`: a head, a column polynomial, one twisted symbol and a tail.
+Its residuals are computed from those dim-sized blocks, with closed-form
+counts of the interior columns, so their cost does not depend on N; the
+embeddings Pi are dense D x dim columns, and V* Pi is applied block by block.
+`matcore.as_csr` materializes a LiftOperator (once, cached) for the
+extraction checks.  The verifiers also accept CSR and dense operators, for
+which every residual is formed by sparse products, as the reference route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from . import hardy, matcore, model
 from .ando import AndoTuple
-from .errors import GeneratorError, NotModelFormError
-from .hardy import TruncHardy, TwistedSymbol, materialize, materialize_csr, shift_symbol
-from .matcore import adj, as_csr, block_csr, eye, frob, opnorm, speye
+from .errors import DimensionMismatchError, GeneratorError, NotModelFormError
+from .hardy import (
+    TruncHardy,
+    TwistedSymbol,
+    gram_coeff,
+    materialize,
+    materialize_csr,
+    shift_symbol,
+    symbol_compose,
+)
+from .matcore import adj, as_csr, eye, frob, opnorm, speye
 from .model import CanonicalUnitaryPair, PairAnalysis
 from .qpair import QPair
 from .report import Report
@@ -64,32 +79,109 @@ class LiftSpace:
         return self.head_dim + self.hardy.total_dim
 
 
+@dataclass(frozen=True, eq=False)
+class LiftOperator:
+    """[[A, 0, 0], [C, M_phi R_{q^m}, 0], [0, 0, W]] on head (+) TruncHardy(f, N)
+    (+) tail, in block form.
+
+    `column` holds C(z) = sum_i z^i C_i, from the head into the Hardy part;
+    every scalar factor is folded into the symbol's coefficients.  Symbol and
+    column have degree <= N, so the materialization drops nothing: block
+    (j+k, j) of the Hardy part is q^{mj} phi_k, as in `hardy.materialize_csr`.
+    """
+
+    space: LiftSpace
+    head: np.ndarray
+    column: tuple
+    symbol: TwistedSymbol
+    tail: np.ndarray
+
+    def __post_init__(self):
+        n = self.space.hardy.max_degree
+        degree = max(self.symbol.degree, len(self.column) - 1)
+        if degree > n:
+            raise DimensionMismatchError(f"truncation {n} below symbol degree {degree}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.space.total_dim, self.space.total_dim)
+
+    @cached_property
+    def csr(self) -> sp.csr_matrix:
+        """The CSR matrix, built once (what `matcore.as_csr` returns)."""
+        h, ts = self.space.head_dim, self.space.tail_start
+        blocks = [(0, 0, self.head), (ts, ts, self.tail)]
+        if self.column:
+            blocks.append((h, 0, np.vstack(self.column)))
+        return materialize_csr(self.symbol, self.space.hardy.max_degree, h, self.shape, blocks)
+
+    def __matmul__(self, other):
+        """The product, from the symbol composition plus the head and column
+        terms: the column of V1 V2 is C1 A2 + M_phi1 R_{q^m} C2, of degree j
+        sum_{k+r=j} phi1_k q^{mr} C2_r."""
+        if not isinstance(other, LiftOperator):
+            return NotImplemented
+        n, sym1 = self.space.hardy.max_degree, self.symbol
+        sym = symbol_compose(sym1, other.symbol)
+        if sym.degree > n:
+            sym = TwistedSymbol(sym.q, sym.twist, sym.coeffs[:n + 1])
+        column = {i: c @ other.head for i, c in enumerate(self.column)}
+        qm = sym1.q ** sym1.twist
+        for r, c2 in enumerate(other.column):
+            for k, phi in enumerate(sym1.coeffs[:n + 1 - r]):
+                column[k + r] = column.get(k + r, 0.0) + phi @ ((qm ** r) * c2)
+        return LiftOperator(self.space, self.head @ other.head,
+                            tuple(column[i] for i in sorted(column)), sym,
+                            self.tail @ other.tail)
+
+
+_EMPTY = np.zeros((0, 0), dtype=np.complex128)
+
+
+def _diagonal(space: LiftSpace, sym: TwistedSymbol, tail: np.ndarray) -> LiftOperator:
+    """The Hardy part M_phi R (+) the unitary tail, on a space without a head."""
+    return LiftOperator(space, _EMPTY, (), sym, tail)
+
+
+def _identity(space: LiftSpace, q: complex) -> LiftOperator:
+    return LiftOperator(space, eye(space.head_dim), (),
+                        TwistedSymbol(q, 0, (eye(space.hardy.fiber_dim),)),
+                        eye(space.tail_dim))
+
+
+def _product(x, y):
+    """X Y: in block form when both are LiftOperators, else as CSR."""
+    if isinstance(x, LiftOperator) and isinstance(y, LiftOperator):
+        return x @ y
+    return as_csr(x) @ as_csr(y)
+
+
 @dataclass(frozen=True)
 class LiftRealization:
     kind: str
     q: complex
     space: LiftSpace
     pi: np.ndarray
-    v1: sp.csr_matrix
-    v2: sp.csr_matrix
+    v1: LiftOperator | sp.csr_matrix | np.ndarray
+    v2: LiftOperator | sp.csr_matrix | np.ndarray
     trunc: int
     reachable_dim: int     # dimension of the minimal dilation space at N
     canonical: CanonicalUnitaryPair | None = None
 
     @cached_property
-    def product(self) -> sp.csr_matrix:
-        """V = V1 V2 as CSR, formed once for the axiom checks, the minimality
-        proof and the defect-data extraction."""
-        return as_csr(self.v1) @ as_csr(self.v2)
+    def product(self):
+        """V = V1 V2, formed once for the axiom checks and the minimality
+        proof: a LiftOperator when V1 and V2 are."""
+        return _product(self.v1, self.v2)
 
 
 @dataclass(frozen=True)
 class PseudoTriple:
     q: complex
     space: LiftSpace
-    w1: sp.csr_matrix
-    w2: sp.csr_matrix
-    w: sp.csr_matrix
+    w1: LiftOperator | sp.csr_matrix | np.ndarray
+    w2: LiftOperator | sp.csr_matrix | np.ndarray
+    w: LiftOperator | sp.csr_matrix | np.ndarray
     trunc: int
 
 
@@ -129,16 +221,13 @@ def schaffer_lift(pair: QPair, tup: AndoTuple, n: int = hardy.DEFAULT_TRUNC) -> 
     p_perp = eye(f) - p
     ell = tup.lam_dt()
 
+    def assemble(head, const, scalar, sym):
+        coeffs = tuple(scalar * c for c in sym.coeffs)
+        return LiftOperator(space, head, (const,), TwistedSymbol(q, sym.twist, coeffs), _EMPTY)
+
     sym1, sym2 = schaffer_symbols(tup, q)
-    hblock1 = q * materialize_csr(sym1, n)
-    hblock2 = np.conj(q) * materialize_csr(sym2, n)
-
-    def assemble(head, const_row, hblock):
-        return block_csr((space.total_dim, space.total_dim),
-                         [(0, 0, head), (h_dim, 0, const_row), (h_dim, h_dim, hblock)])
-
-    v1 = assemble(pair.t1, p @ u @ ell, hblock1)
-    v2 = assemble(pair.t2, np.conj(q) * (adj(u) @ p_perp @ ell), hblock2)
+    v1 = assemble(pair.t1, p @ u @ ell, q, sym1)
+    v2 = assemble(pair.t2, np.conj(q) * (adj(u) @ p_perp @ ell), np.conj(q), sym2)
     pi = np.zeros((space.total_dim, h_dim), dtype=np.complex128)
     pi[:h_dim] = eye(h_dim)
     return LiftRealization("schaffer", q, space, pi, v1, v2, n,
@@ -160,8 +249,8 @@ def douglas_lift(pair: PairAnalysis | QPair,
     space = LiftSpace(0, TruncHardy(star_tup.f_dim, n), cp.dim)
 
     sym1, sym2 = douglas_symbols(star_tup, q)
-    v1 = _block_diag(materialize_csr(sym1, n), cp.w1)
-    v2 = _block_diag(materialize_csr(sym2, n), cp.w2)
+    v1 = _diagonal(space, sym1, cp.w1)
+    v2 = _diagonal(space, sym2, cp.w2)
 
     pi_d, _ = douglas_pseudo_lift(an, n)
     k = (n + 1) * an.dstar.dim
@@ -186,19 +275,187 @@ def douglas_pseudo_lift(pair: PairAnalysis | QPair, n: int = hardy.DEFAULT_TRUNC
     dstar = an.dstar
     space = LiftSpace(0, TruncHardy(dstar.dim, n), cp.dim)
     sym1, sym2 = model.model_symbols(q, fund.g1, fund.g2)
-    w1 = _block_diag(materialize_csr(sym1, n), cp.w1)
-    w2 = _block_diag(materialize_csr(sym2, n), cp.w2)
-    w = _block_diag(materialize_csr(shift_symbol(q, dstar.dim), n), cp.wd)
+    w1 = _diagonal(space, sym1, cp.w1)
+    w2 = _diagonal(space, sym2, cp.w2)
+    w = _diagonal(space, shift_symbol(q, dstar.dim), cp.wd)
     obs = hardy.obs_op(an.product, dstar, n).matrix
     pi = np.vstack([obs, cp.coords()])
     an.pseudo_lifts[n] = pi, PseudoTriple(q, space, w1, w2, w, n)
     return an.pseudo_lifts[n]
 
 
-def _block_diag(hardy_block, tail_block) -> sp.csr_matrix:
-    """The Hardy part (+) the unitary tail, as one CSR matrix."""
-    (h, _), (k, _) = hardy_block.shape, tail_block.shape
-    return block_csr((h + k, h + k), [(0, 0, hardy_block), (h, h, tail_block)])
+# -- residuals ---------------------------------------------------------------
+# Each takes LiftOperators through their blocks, and any other operator (CSR
+# or dense) through sparse products, the reference route; a mix takes the
+# sparse route.
+
+
+def _sq(a: np.ndarray) -> float:
+    """||a||_F^2."""
+    return float(np.vdot(a, a).real)
+
+
+def _block_frob(space: LiftSpace, d: int, terms) -> float:
+    """||(sum of terms)[:, interior(d)]||_F from the blocks of LiftOperators:
+    a term (c, X) stands for c X, a term (c, X, Y) for c X* Y.
+
+    Hardy column j of c X holds q^{mj} c phi_k in the rows of degree j + k;
+    that of c X* Y holds c q^{(m_Y - m_X) j - m_X s} gram_coeff(phi_X, phi_Y, s)
+    in the rows of degree j + s, and c q^{m_Y j} sum_k C_{X,j+k}* phi_{Y,k} in
+    the head rows.  Away from degree 0 (top rows cut off, head rows) and
+    degree N (coefficients cut off) a column's norm does not depend on j when
+    the terms share one column phase, so those columns count as one column
+    times their number.  Otherwise every column is summed.
+    """
+    n, f, h = space.hardy.max_degree, space.hardy.fiber_dim, space.head_dim
+    last = n - d
+    head = np.zeros((h, h), dtype=np.complex128)
+    below = {}             # Hardy degree -> rows of the head columns
+    tail = np.zeros((space.tail_dim,) * 2, dtype=np.complex128)
+    lo = hi = 0
+    phases = set()
+    for c, x, *y in terms:
+        sx = x.symbol
+        if not y:
+            head += c * x.head
+            for i, ci in enumerate(x.column):
+                below[i] = below.get(i, 0.0) + c * ci
+            tail += c * x.tail
+            hi = max(hi, sx.degree)
+            twist, base = sx.twist, sx.q
+        else:
+            y = y[0]
+            sy = y.symbol
+            head += c * (adj(x.head) @ y.head)
+            for a, b in zip(x.column, y.column):
+                head += c * (adj(a) @ b)
+            for i in range(len(y.column)):
+                acc = sum(adj(sx.coeffs[k]) @ y.column[i + k]
+                          for k in range(min(sx.degree, len(y.column) - 1 - i) + 1))
+                below[i] = below.get(i, 0.0) + c * sx.q ** (-sx.twist * i) * acc
+            tail += c * (adj(x.tail) @ y.tail)
+            lo = max(lo, sx.degree, len(x.column))
+            hi = max(hi, sy.degree)
+            twist, base = sy.twist - sx.twist, sx.q
+        phases.add((twist, base if twist else 1.0))
+
+    def column_sq(j: int) -> float:
+        rows = {}
+        top = np.zeros((h, f), dtype=np.complex128)
+        for c, x, *y in terms:
+            sx = x.symbol
+            if not y:
+                ph = c * sx.q ** (sx.twist * j)
+                for s in range(min(sx.degree, n - j) + 1):
+                    rows[s] = rows.get(s, 0.0) + ph * sx.coeffs[s]
+                continue
+            sy = y[0].symbol
+            ph = c * sy.q ** ((sy.twist - sx.twist) * j)
+            for s in range(-min(j, sx.degree), min(sy.degree, n - j) + 1):
+                rows[s] = rows.get(s, 0.0) + (ph * sx.q ** (-sx.twist * s)
+                                              * gram_coeff(sx, sy, s, n - j))
+            for k in range(min(sy.degree, len(x.column) - 1 - j, n - j) + 1):
+                top += c * sy.q ** (sy.twist * j) * (adj(x.column[j + k]) @ sy.coeffs[k])
+        return sum(_sq(b) for b in rows.values()) + _sq(top)
+
+    total = _sq(head) + sum(_sq(b) for b in below.values()) + _sq(tail)
+    if len(phases) > 1:
+        return float(np.sqrt(total + sum(column_sq(j) for j in range(last + 1))))
+    count = min(last, n - hi) - lo + 1
+    edges = chain(range(min(lo, last + 1)), range(max(lo, n - hi + 1), last + 1))
+    total += sum(column_sq(j) for j in edges)
+    if count > 0:
+        total += count * column_sq(lo)
+    return float(np.sqrt(total))
+
+
+def interior_frob(space: LiftSpace, d: int, *terms) -> float:
+    """||(sum of terms)[:, interior(d)]||_F, a term (c, X) standing for c X
+    and a term (c, X, Y) for c X* Y: from the blocks when every operator is
+    a LiftOperator (`_block_frob`), else from sparse products."""
+    if all(isinstance(op, LiftOperator) for _, *ops in terms for op in ops):
+        return _block_frob(space, d, terms)
+    parts = [(c * adj(as_csr(x))) @ as_csr(y[0]) if y else c * as_csr(x)
+             for c, x, *y in terms]
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = acc + part
+    return frob(acc[:, space.interior(d)])
+
+
+def isometry_residual(v, space: LiftSpace, d: int = 1) -> float:
+    """||(V*V - I)[:, interior(d)]||_F; from the blocks, the Laurent sums of
+    the symbol (`hardy.symbol_is_inner`) plus the head and column terms."""
+    ident = _identity(space, v.symbol.q) if isinstance(v, LiftOperator) else speye(space.total_dim)
+    return interior_frob(space, d, (1.0, v, v), (-1.0, ident))
+
+
+def commutator_residual(x, y, c: complex, space: LiftSpace, d: int = 2) -> float:
+    """||(X Y - c Y X)[:, interior(d)]||_F."""
+    return interior_frob(space, d, (1.0, _product(x, y)), (-c, _product(y, x)))
+
+
+def adjoint_times(v, pi: np.ndarray) -> np.ndarray:
+    """V* Pi as a dense D x k matrix.  A LiftOperator is applied to the
+    degree blocks Pi_i of Pi: the Hardy block of degree l is
+    q^{-ml} sum_k phi_k* Pi_{l+k}, the head A* Pi_head + sum_i C_i* Pi_i."""
+    if not isinstance(v, LiftOperator):
+        return adj(as_csr(v)) @ pi
+    space, sym = v.space, v.symbol
+    h, ts, n, f = space.head_dim, space.tail_start, space.hardy.max_degree, sym.fiber_in
+    k = pi.shape[1]
+    blocks = pi[h:ts].reshape(n + 1, f, k)
+    acc = np.zeros_like(blocks)
+    for s, phi in enumerate(sym.coeffs):
+        acc[:n + 1 - s] += adj(phi) @ blocks[s:]
+    acc *= (np.conj(sym.q) ** (sym.twist * np.arange(n + 1)))[:, None, None]
+    out = np.empty_like(pi)
+    out[:h] = adj(v.head) @ pi[:h]
+    for i, ci in enumerate(v.column):
+        out[:h] += adj(ci) @ blocks[i]
+    out[h:ts] = acc.reshape(-1, k)
+    out[ts:] = adj(v.tail) @ pi[ts:]
+    return out
+
+
+def interior_opnorm(v, space: LiftSpace, d: int = 1) -> float:
+    """||V[:, interior(d)]||_2.
+
+    For a LiftOperator without a head: the larger of the tail's norm (an
+    SVD) and the Hardy part's, the root of the top eigenvalue of its Gram
+    matrix.  That Gram is block banded, its blocks the `gram_coeff` sums of
+    the symbol, cut at degree N near the last columns; it goes through one
+    `scipy.linalg.eig_banded` solve, after the coefficients are divided by
+    their largest |entry|, as `matcore.opnorm` does for a sparse matrix.
+    """
+    if not isinstance(v, LiftOperator) or space.head_dim:
+        return opnorm(as_csr(v)[:, space.interior(d)])
+    sym, n = v.symbol, space.hardy.max_degree
+    f, p, cols = sym.fiber_in, sym.degree, n - d + 1
+    tail = opnorm(v.tail)
+    if not f or cols <= 0:
+        return tail
+    scale = max(float(np.abs(c).max()) for c in sym.coeffs) or 1.0
+    unit = TwistedSymbol(sym.q, sym.twist, tuple(c / scale for c in sym.coeffs))
+
+    def lags(j):
+        # Gram block (j + s, j), s = 0..p, of the columns of degree j
+        return [sym.q ** (-sym.twist * s) * gram_coeff(unit, unit, s, n - j)
+                for s in range(p + 1)]
+
+    blocks = np.empty((cols, p + 1, f, f), dtype=np.complex128)
+    blocks[:] = lags(0)
+    for j in range(max(0, n - p + 1), cols):
+        blocks[j] = lags(j)
+    for s in range(1, p + 1):
+        blocks[max(cols - s, 0):, s] = 0.0
+    s, a, b = np.indices((p + 1, f, f)).reshape(3, -1)
+    keep = s * f + a >= b
+    band = np.zeros(((p + 1) * f, cols * f), dtype=np.complex128)
+    band[(s * f + a - b)[keep], np.arange(cols)[:, None] * f + b[keep]] = \
+        blocks.reshape(cols, -1)[:, keep]
+    top = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)[-1]
+    return max(tail, scale * float(np.sqrt(max(top, 0.0))))
 
 
 def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
@@ -210,32 +467,30 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
     the intertwinings of the plain observability embedding against the
     fundamental-operator multipliers (the Douglas pseudo lift) are checked
     as well.  The lift-space identity residuals (isometry, q-commutation,
-    product structure) are gated on their sparse Frobenius norm, which is
-    never below the spectral one; the dense D x dim intertwinings on the
-    spectral norm.
+    product structure) are gated on their Frobenius norm, which is never
+    below the spectral one; the dense D x dim intertwinings on the spectral
+    norm.
     """
     an = PairAnalysis.of(pair)
     pair, t = an.pair, an.product
     q = pair.q
     n = lift.trunc
+    space = lift.space
     rep = Report(f"lift-{lift.kind}", {"trunc": n, "tol": tol})
-    tail = hardy.defect_tail_norm(t, n) if lift.kind == "douglas" else 0.0
+    tail = an.defect_tail(n) if lift.kind == "douglas" else 0.0
     rep.environment["tail"] = tail
 
     int_tol = 1e-11 if lift.kind == "schaffer" else 1e-9 + 10.0 * tail
-    v1, v2 = as_csr(lift.v1), as_csr(lift.v2)
+    v1, v2 = lift.v1, lift.v2
     for name, v, t_i in (("v1", v1, pair.t1), ("v2", v2, pair.t2)):
         rep.check(f"intertwine-{name}", f"V{name[-1]}* Pi = Pi T{name[-1]}*",
-                  opnorm(adj(v) @ lift.pi - lift.pi @ adj(t_i)), int_tol)
-    e1 = lift.space.interior(1)
-    e2 = lift.space.interior(2)
-    ident = speye(lift.space.total_dim)
+                  opnorm(adjoint_times(v, lift.pi) - lift.pi @ adj(t_i)), int_tol)
     for name, v in (("v1", v1), ("v2", v2)):
         rep.check(f"isometry-{name}", f"{name}*{name} = I on degrees <= N-1",
-                  frob((adj(v) @ v - ident)[:, e1]), tol)
+                  isometry_residual(v, space, 1), tol)
     v12 = lift.product
     rep.check("q-commute", "V1 V2 = q V2 V1 on degrees <= N-2",
-              frob((v12 - q * v2 @ v1)[:, e2]), tol)
+              interior_frob(space, 2, (1.0, v12), (-q, _product(v2, v1))), tol)
 
     if lift.kind == "schaffer":
         rep.check("pi-isometry", "Pi*Pi = I (inclusion)",
@@ -248,14 +503,14 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
         rep.check("pi-energy",
                   "Pi*Pi = I - T^{N+1}T*^{N+1} + Q^2 (exact finite-N identity)",
                   frob(adj(lift.pi) @ lift.pi - gram_target), 1e-11)
-        mz = materialize_csr(shift_symbol(q, lift.space.hardy.fiber_dim), n)
+        vd = _diagonal(space, shift_symbol(q, space.hardy.fiber_dim), cp.wd)
         rep.check("product-structure", "V1 V2 = M_z (+) W_D on degrees <= N-2",
-                  frob((v12 - _block_diag(mz, cp.wd))[:, e2]), tol)
+                  interior_frob(space, 2, (1.0, v12), (-1.0, vd)), tol)
         pi_d, gform = douglas_pseudo_lift(an, n)
         rep.check("gform-intertwine-1", "(M_{G1*+zG2}R_q (+) W1)* Pi_D = Pi_D T1*",
-                  opnorm(adj(gform.w1) @ pi_d - pi_d @ adj(pair.t1)), int_tol)
+                  opnorm(adjoint_times(gform.w1, pi_d) - pi_d @ adj(pair.t1)), int_tol)
         rep.check("gform-intertwine-2", "(R_qbar M_{G2*+zG1} (+) W2)* Pi_D = Pi_D T2*",
-                  opnorm(adj(gform.w2) @ pi_d - pi_d @ adj(pair.t2)), int_tol)
+                  opnorm(adjoint_times(gform.w2, pi_d) - pi_d @ adj(pair.t2)), int_tol)
     return rep
 
 
@@ -298,10 +553,18 @@ def _sigma(s: float | None) -> str:
 def _shape_residual(v, space: LiftSpace) -> float:
     """Frobenius distance, over all columns, of V from the block shape
     [[A, 0, 0], [E0 C, M_z, 0], [0, 0, W]] on head (+) TruncHardy(F, N) (+)
-    tail, with A, the constant column C (degree 0 only) and W read from V."""
+    tail, with A, the constant column C (degree 0 only) and W read from V.
+    A LiftOperator has that shape outside its column's higher degrees and
+    its symbol, which are compared with 0 and with z from the blocks."""
     h, f, ts = space.head_dim, space.hardy.fiber_dim, space.tail_start
-    mz = materialize_csr(shift_symbol(1.0, f), space.hardy.max_degree)
-    r = (as_csr(v) - block_csr(v.shape, [(h, h, mz)])).tocoo()
+    if isinstance(v, LiftOperator):
+        zero_head, zero_tail = np.zeros_like(v.head), np.zeros_like(v.tail)
+        rest = v.column and (np.zeros_like(v.column[0]), *v.column[1:])
+        return _block_frob(space, 0, [
+            (1.0, LiftOperator(space, zero_head, rest, v.symbol, zero_tail)),
+            (-1.0, LiftOperator(space, zero_head, (), shift_symbol(1.0, f), zero_tail))])
+    mz = materialize_csr(shift_symbol(1.0, f), space.hardy.max_degree, h, v.shape)
+    r = (as_csr(v) - mz).tocoo()
     free = ((r.col < h) & (r.row < h + f)) | ((r.row >= ts) & (r.col >= ts))
     return float(np.linalg.norm(r.data[~free]))
 
@@ -323,9 +586,10 @@ def orbit_dimension(v, pi: np.ndarray, space: LiftSpace,
       is span{z^j ran Pi_0 : j <= N} (+) tail, of dimension
       (N+1) rank Pi_0 + dim tail.
     A zero Pi has the zero orbit.  If a shape condition fails, the dimension
-    is left undecided.
+    is left undecided.  A LiftOperator's blocks are read directly.
     """
-    v = as_csr(v)
+    if not isinstance(v, LiftOperator):
+        v = as_csr(v)
     res = _shape_residual(v, space)
     norm = np.linalg.norm(pi, 2) if pi.size else 0.0
     if norm == 0.0:
@@ -336,8 +600,12 @@ def orbit_dimension(v, pi: np.ndarray, space: LiftSpace,
     h, hd, tail = space.head_dim, space.hardy.total_dim, space.tail_dim
     f, n = space.hardy.fiber_dim, space.hardy.max_degree
     if h:
+        if isinstance(v, LiftOperator):
+            c0 = v.column[0] if v.column else np.zeros((f, h), dtype=np.complex128)
+        else:
+            c0 = v[h:h + f, :h].toarray()
         ranks = {"P": matcore.rank_gap(seed[:h], rank_tol),
-                 "C0": matcore.rank_gap(v[h:h + f, :h].toarray(), rank_tol)}
+                 "C0": matcore.rank_gap(c0, rank_tol)}
         below = frob(seed[h:])
         if below > SHAPE_TOL:
             failure = f"Pi shape residual below the head {below:.3e} > {SHAPE_TOL:g}"
@@ -352,7 +620,7 @@ def orbit_dimension(v, pi: np.ndarray, space: LiftSpace,
              "Pi_0..N": matcore.rank_gap(blocks.transpose(1, 0, 2).reshape(f, (n + 1) * k),
                                          rank_tol),
              "Pi_tail": matcore.rank_gap(seed[hd:], rank_tol)}
-    w = v[hd:, hd:].toarray()
+    w = v.tail if isinstance(v, LiftOperator) else v[hd:, hd:].toarray()
     unitary = frob(adj(w) @ w - eye(tail))
     if unitary > SHAPE_TOL:
         failure = f"tail block unitarity residual {unitary:.3e} > {SHAPE_TOL:g}"
@@ -410,7 +678,9 @@ def extract_ando_from_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
     Returns (AndoFragments, Report).  The lift must be block lower triangular
     with shift-type Hardy diagonal in the product; the constant column C of
     V = V1 V2 then satisfies C*C = I - T*T and M_z*C = 0 and factors through
-    an isometry Lambda.  Both model-form guards are Frobenius norms.
+    an isometry Lambda.  Both model-form guards are Frobenius norms.  It
+    reads the materialized matrices of V1 and V2 and their sparse product, so
+    what it checks is that the materialization is in model form.
     """
     an = PairAnalysis.of(pair)
     pair, t = an.pair, an.product
@@ -428,7 +698,7 @@ def extract_ando_from_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
         if upper > tol:
             raise NotModelFormError(
                 f"{name} has a head->Hardy block of Frobenius norm {upper:.3e}")
-    v = lift.product
+    v = v1 @ v2
     mz = materialize_csr(shift_symbol(q, f), n)
     diag_res = frob((v[hs:, hs:] - mz)[:, lift.space.hardy.low(n - 1)])
     if diag_res > tol:

@@ -1,16 +1,17 @@
 """Complex-matrix primitives used by every other module.
 
 Operators are complex128 numpy arrays, except the lift-space operators, which
-are `scipy.sparse` CSR matrices (`as_csr`, `speye` and `block_csr` build
-them); `frob`, `opnorm` and `greedy_orbit_rank` accept both.  Identity
-residuals whose true value is 0 are gated on `frob`, one pass over the
-stored entries and never below the spectral norm; `opnorm` is kept where the
-spectral norm itself is gated.  A tolerance scale needs only a lower bound
-for the norm, which keeps its gate at least as strict (`hardy.extract_symbol`
-takes the largest column norm).  `rank_gap` decides a rank at an absolute
-cutoff and reports its singular-value margin; the lift minimality proofs use
-it on dim-sized blocks, and `greedy_orbit_rank`, which grows a basis on the
-whole space, is left to joint orbits and test oracles.
+are held in block form (`lifts.LiftOperator`) and materialized as
+`scipy.sparse` CSR matrices by `as_csr` (`speye` and `block_csr` build CSR
+matrices too); `frob`, `opnorm` and `greedy_orbit_rank` accept dense and
+CSR input.  Identity residuals whose true value is 0 are gated on `frob`,
+one pass over the stored entries and never below the spectral norm; `opnorm`
+is kept where the spectral norm itself is gated.  A tolerance scale needs
+only a lower bound for the norm, which keeps its gate at least as strict
+(`hardy.extract_symbol` takes the largest column norm).  `rank_gap` decides
+a rank at an absolute cutoff and reports its singular-value margin; the lift
+minimality proofs use it on dim-sized blocks, and `greedy_orbit_rank`, which
+grows a basis on the whole space, is left to joint orbits and test oracles.
 Subspaces are wrapped in :class:`SubspaceBasis`, which checks orthonormality
 once at construction.
 All routines are pure and deterministic: random input never enters here, and
@@ -66,11 +67,14 @@ def opnorm(a) -> float:
     """Spectral norm; 0 for empty matrices.
 
     It costs an SVD or an eigensolve.  On the lift paths it is kept only
-    where `frob` would loosen a check or change its meaning: the
-    contractivity of W1, W2 (`pseudolift.is_pseudo_triple`), where the norm
-    itself is gated; the discriminator lower bound of
-    `lifts.nonisolifts_fixture`; the dense D x dim intertwining residuals,
-    held to tail-corrected tolerances; and `model.verify_admissible`.
+    where `frob` would loosen a check or change its meaning: the dense
+    D x dim intertwining residuals, held to tail-corrected tolerances (an
+    SVD); the discriminator lower bound of `lifts.nonisolifts_fixture`; and
+    `model.verify_admissible`.  The sparse norm below is also the reference
+    route of the contractivity of W1, W2 (`pseudolift.is_pseudo_triple`) for
+    CSR or dense operators; a builder-made triple takes that norm from its
+    symbol blocks (`lifts.interior_opnorm`), so the lift suites never call
+    the sparse norm.
 
     Dense input goes through the SVD.  Sparse input is split into the
     connected components of its bipartite row/column graph: permuting rows
@@ -197,8 +201,10 @@ def speye(n: int) -> sp.csr_matrix:
 
 
 def as_csr(a) -> sp.csr_matrix:
-    """A dense or sparse matrix as complex128 CSR (no copy if it already is)."""
-    return sp.csr_matrix(a, dtype=np.complex128)
+    """A dense or sparse matrix as complex128 CSR (no copy if it already is);
+    an operator in block form (`lifts.LiftOperator`) as its cached `csr`."""
+    csr = getattr(a, "csr", None)
+    return csr if csr is not None else sp.csr_matrix(a, dtype=np.complex128)
 
 
 def block_csr(shape: tuple[int, int], blocks) -> sp.csr_matrix:
@@ -217,7 +223,7 @@ def as_cmatrix(data) -> np.ndarray:
     a = np.asarray(data, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d array, got ndim={a.ndim}")
-    if a.size and not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if a.size and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 

@@ -72,9 +72,10 @@ class CanonicalUnitaryPair:
 class CharTriple:
     """Characteristic triple of a pair with cnu product.
 
-    The unitary component collapses to dimension 0 in finite dimensions
-    (recorded via q_residual = ||Q_{T*}||); theta evaluates the
-    characteristic function of the product in the shared defect bases.
+    Only cnu products are covered (`char_triple` raises NotCnuError
+    otherwise), so the unitary component has dimension 0; q_residual records
+    ||Q_{T*}|| of the cnu split.  theta evaluates the characteristic function
+    of the product in the shared defect bases.
     """
 
     q: complex
@@ -133,17 +134,26 @@ class PairAnalysis:
     is not repeated, later reads raise the same error.
 
     It also keeps the Douglas pseudo lift of each N that the douglas and
-    pseudo suites share (CSR, O(N dim^2) nonzeros).  The builders that read
-    these objects accept either a bare QPair or an analysis, through `of`.
+    pseudo suites share (in block form, O(dim^2) per block, plus the dense
+    D x dim embedding), and beside it the defect tail ||D_{T*} T*^{N+1}||
+    both suites bound their intertwinings by.  The builders that read these
+    objects accept either a bare QPair or an analysis, through `of`.
     """
 
     pair: QPair
     pseudo_lifts: dict = field(default_factory=dict, init=False, repr=False)
+    tails: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, pair: PairAnalysis | QPair) -> PairAnalysis:
         """`pair` itself if it is an analysis, else a fresh analysis of it."""
         return pair if isinstance(pair, cls) else cls(pair)
+
+    def defect_tail(self, n: int) -> float:
+        """`hardy.defect_tail_norm` of the product at truncation n, once per n."""
+        if n not in self.tails:
+            self.tails[n] = hardy.defect_tail_norm(self.product, n)
+        return self.tails[n]
 
     @_cached
     def product(self) -> np.ndarray:
@@ -415,9 +425,10 @@ def delta_fn(t: np.ndarray, zeta: complex, r: float | None = None,
 def char_triple(pair: PairAnalysis | QPair) -> CharTriple:
     """Characteristic triple of a pair whose product is cnu.
 
-    The canonical unitary component is trivial at finite dimension; the
-    collapse is asserted (||Q_{T*}|| of the analysis' cnu split recorded)
-    rather than constructed.
+    A product with a unitary part (clock-shift at scale 1, say: a finite
+    matrix can have one) raises NotCnuError; for a cnu product the canonical
+    unitary component is 0, and ||Q_{T*}|| of the analysis' cnu split is
+    recorded rather than a unitary pair constructed.
     """
     an = PairAnalysis.of(pair)
     t = an.product

@@ -16,8 +16,17 @@ from dataclasses import replace
 import numpy as np
 
 from . import hardy, matcore
-from .lifts import PseudoTriple, douglas_pseudo_lift, orbit_dimension
-from .matcore import adj, as_csr, block_csr, eye, frob, opnorm, speye
+from .lifts import (
+    PseudoTriple,
+    adjoint_times,
+    commutator_residual,
+    douglas_pseudo_lift,
+    interior_frob,
+    interior_opnorm,
+    isometry_residual,
+    orbit_dimension,
+)
+from .matcore import adj, as_csr, block_csr, eye, frob, opnorm
 from .model import PairAnalysis
 from .qpair import QPair
 from .report import Report
@@ -29,44 +38,47 @@ def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
     Degree budgets: contractivity and the linear axiom consume one degree,
     the two twisted commutations consume two.  Contractivity gates the
     spectral norms ||W_i|| themselves; the identity residuals are gated on
-    their Frobenius norm, which is never below the spectral one.
+    their Frobenius norm, which is never below the spectral one.  For the
+    builder's triple (LiftOperators) all of them come from the symbol blocks
+    (`lifts.interior_frob`, `lifts.interior_opnorm`); other operators go
+    through sparse products.
     """
     rep = Report("pseudo-triple", {"trunc": triple.trunc, "tol": tol})
-    q = triple.q
-    w1, w2, w = as_csr(triple.w1), as_csr(triple.w2), as_csr(triple.w)
-    e1 = triple.space.interior(1)
-    e2 = triple.space.interior(2)
+    q, space = triple.q, triple.space
+    w1, w2, w = triple.w1, triple.w2, triple.w
     rep.check("axiom-i-contractions", "||W1||, ||W2|| <= 1",
-              max(0.0, max(opnorm(w1[:, e1]), opnorm(w2[:, e1])) - 1.0),
+              max(0.0, max(interior_opnorm(w1, space), interior_opnorm(w2, space)) - 1.0),
               1e-9)
     rep.check("axiom-i-isometry", "W*W = I on degrees <= N-1",
-              frob((adj(w) @ w - speye(triple.space.total_dim))[:, e1]), tol)
+              isometry_residual(w, space, 1), tol)
     rep.check("axiom-ii-w1", "W1 W = q W W1 on degrees <= N-2",
-              frob((w1 @ w - q * w @ w1)[:, e2]), tol)
+              commutator_residual(w1, w, q, space, 2), tol)
     rep.check("axiom-ii-w2", "W2 W = qbar W W2 on degrees <= N-2",
-              frob((w2 @ w - np.conj(q) * w @ w2)[:, e2]), tol)
+              commutator_residual(w2, w, np.conj(q), space, 2), tol)
     rep.check("axiom-iii", "W1 = qbar W2* W on degrees <= N-1",
-              frob((w1 - np.conj(q) * adj(w2) @ w)[:, e1]), tol)
+              interior_frob(space, 1, (1.0, w1), (-np.conj(q), w2, w)), tol)
     return rep
 
 
-def is_pseudo_lift(pi: np.ndarray, triple: PseudoTriple, pair: QPair,
+def is_pseudo_lift(pi: np.ndarray, triple: PseudoTriple, pair: PairAnalysis | QPair,
                    tol: float = 1e-9, rank_tol: float = 1e-8) -> Report:
     """Lift intertwinings (tail-corrected) plus minimality of (Pi, W): the
     orbit dimension of W on Pi, proved from the block shapes by
     `lifts.orbit_dimension`, must be the whole lift space,
-    (N+1) dim ran D_{T*} + dim ran Q, the minimal dilation space."""
+    (N+1) dim ran D_{T*} + dim ran Q, the minimal dilation space.  The tail
+    comes from the pair's analysis, computed once per N."""
+    an = PairAnalysis.of(pair)
+    pair, t = an.pair, an.product
     rep = Report("pseudo-lift", {"trunc": triple.trunc, "tol": tol})
-    t = pair.product()
-    tail = hardy.defect_tail_norm(t, triple.trunc)
+    tail = an.defect_tail(triple.trunc)
     rep.environment["tail"] = tail
     corrected = tol + 10.0 * tail
     rep.check("lift-w1", "W1* Pi = Pi T1*",
-              opnorm(adj(triple.w1) @ pi - pi @ adj(pair.t1)), corrected)
+              opnorm(adjoint_times(triple.w1, pi) - pi @ adj(pair.t1)), corrected)
     rep.check("lift-w2", "W2* Pi = Pi T2*",
-              opnorm(adj(triple.w2) @ pi - pi @ adj(pair.t2)), corrected)
+              opnorm(adjoint_times(triple.w2, pi) - pi @ adj(pair.t2)), corrected)
     rep.check("lift-w", "W* Pi = Pi T*",
-              opnorm(adj(triple.w) @ pi - pi @ adj(t)), corrected)
+              opnorm(adjoint_times(triple.w, pi) - pi @ adj(t)), corrected)
     proof = orbit_dimension(triple.w, pi, triple.space, rank_tol)
     rep.environment.update(proof.environment())
     full = triple.space.total_dim
@@ -84,7 +96,8 @@ def uniqueness_test(pair: QPair, candidate: PseudoTriple, tol: float = 1e-9,
     the interior block.  With `tau`, an arbitrary pseudo lift is accepted and
     compared after conjugation by the supplied minimal-lift intertwiner.
     """
-    pi_d, ref = douglas_pseudo_lift(pair, candidate.trunc)
+    an = PairAnalysis.of(pair)
+    pi_d, ref = douglas_pseudo_lift(an, candidate.trunc)
     rep = Report("pseudo-uniqueness", {"trunc": candidate.trunc, "tol": tol})
     w1, w2, w = as_csr(candidate.w1), as_csr(candidate.w2), as_csr(candidate.w)
     if tau is not None:
@@ -94,16 +107,16 @@ def uniqueness_test(pair: QPair, candidate: PseudoTriple, tol: float = 1e-9,
         w1, w2, w = (as_csr(tau @ (x @ adj(tau))) for x in (w1, w2, w))
     e1 = ref.space.interior(1)
     same_w = rep.check("same-douglas-isometry", "candidate W equals V_D",
-                       frob((w - ref.w)[:, e1]), tol)
+                       frob((w - as_csr(ref.w))[:, e1]), tol)
     axioms = is_pseudo_triple(replace(candidate, w1=w1, w2=w2, w=w), tol)
     rep.merge(axioms, prefix="candidate-")
-    lift_rep = is_pseudo_lift(pi_d, replace(candidate, w1=w1, w2=w2, w=w), pair, tol)
+    lift_rep = is_pseudo_lift(pi_d, replace(candidate, w1=w1, w2=w2, w=w), an, tol)
     rep.merge(lift_rep, prefix="candidate-")
     if same_w and axioms.overall and lift_rep.overall:
         rep.check("uniqueness-w1", "W1 = W1_D on degrees <= N-1",
-                  frob((w1 - ref.w1)[:, e1]), tol)
+                  frob((w1 - as_csr(ref.w1))[:, e1]), tol)
         rep.check("uniqueness-w2", "W2 = W2_D on degrees <= N-1",
-                  frob((w2 - ref.w2)[:, e1]), tol)
+                  frob((w2 - as_csr(ref.w2))[:, e1]), tol)
     else:
         rep.skip("uniqueness-equality", "(W1,W2) = (W1_D,W2_D)",
                  note="candidate failed the pseudo-lift preconditions; "
@@ -136,8 +149,8 @@ def taylor_rigidity(triple: PseudoTriple, pair: PairAnalysis | QPair,
     fund = PairAnalysis.of(pair).fundamental
     hd = triple.space.hardy.total_dim
     space = triple.space.hardy
-    a1 = hardy.TruncOperator(triple.w1[:hd, :hd], space, space)
-    a2 = hardy.TruncOperator(triple.w2[:hd, :hd], space, space)
+    a1 = hardy.TruncOperator(as_csr(triple.w1)[:hd, :hd], space, space)
+    a2 = hardy.TruncOperator(as_csr(triple.w2)[:hd, :hd], space, space)
     sym1, res1 = hardy.extract_symbol(a1, q)
     sym2, res2 = hardy.extract_symbol(a2, np.conj(q))
     rep.check("reconstruct-1", "W1 Hardy block is a degree-1 twisted multiplier",

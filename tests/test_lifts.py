@@ -2,7 +2,6 @@ import contextlib
 import dataclasses
 import io
 import json
-import traceback
 import tracemalloc
 
 import numpy as np
@@ -13,7 +12,7 @@ import scipy.sparse as sp
 import qdilate as qd
 from qdilate import cli, hardy, lifts, matcore, model, pseudolift, qpair
 from qdilate.errors import GeneratorError
-from qdilate.matcore import adj, eye, frob, opnorm
+from qdilate.matcore import adj, as_csr, eye, frob, opnorm
 
 from conftest import rand_vec
 
@@ -33,12 +32,12 @@ class TestSchafferConstruction:
         pair = zero_pair()
         tup = qd.special_ando_tuple(pair)
         lift = qd.schaffer_lift(pair, tup, 4)
-        col = lift.v1.toarray()[1:, 0]
+        col = as_csr(lift.v1).toarray()[1:, 0]
         assert np.allclose(col[:2], [1.0, 0.0])
         assert frob(col[2:].reshape(-1, 1)) == 0.0
         # V2's column passes through the completed part of U, so only its
         # size is convention-free
-        col2 = lift.v2.toarray()[1:, 0]
+        col2 = as_csr(lift.v2).toarray()[1:, 0]
         assert abs(np.linalg.norm(col2) - 1.0) < 1e-12
         assert frob(col2[2:].reshape(-1, 1)) == 0.0
 
@@ -47,14 +46,14 @@ class TestSchafferConstruction:
         tup = qd.special_ando_tuple(pair)
         lift = qd.schaffer_lift(pair, tup, 6)
         assert lift.space.total_dim == 3
-        assert frob(lift.v1.toarray() - pair.t1) < 1e-12
-        assert frob(lift.v2.toarray() - pair.t2) < 1e-12
+        assert frob(as_csr(lift.v1).toarray() - pair.t1) < 1e-12
+        assert frob(as_csr(lift.v2).toarray() - pair.t2) < 1e-12
 
     def test_product_model_form(self):
         pair = qd.gen_clock_shift(3, 0.9)
         tup = qd.special_ando_tuple(pair)
         lift = qd.schaffer_lift(pair, tup, 8)
-        v = (lift.v1 @ lift.v2).toarray()
+        v = (as_csr(lift.v1) @ as_csr(lift.v2)).toarray()
         # head block is T, Hardy diagonal is the plain shift
         assert frob(v[:3, :3] - pair.product()) < 1e-13
         mz = hardy.materialize(hardy.shift_symbol(pair.q, tup.f_dim), 8).matrix
@@ -81,8 +80,8 @@ class TestDouglasConstruction:
         assert lift.space.hardy.total_dim == 0
         assert lift.space.tail_dim == 3
         b = lift.canonical.basis.columns
-        assert frob(b @ lift.v1.toarray() @ adj(b) - pair.t1) < 1e-12
-        assert frob(b @ lift.v2.toarray() @ adj(b) - pair.t2) < 1e-12
+        assert frob(b @ as_csr(lift.v1).toarray() @ adj(b) - pair.t1) < 1e-12
+        assert frob(b @ as_csr(lift.v2).toarray() @ adj(b) - pair.t2) < 1e-12
 
     def test_mixed_pair(self):
         pair = mixed_pair()
@@ -140,11 +139,11 @@ def minimality_records(an, n):
     assert schaffer.reachable_dim == pair.dim + (n + 1) * an.tup.dt_dim
     assert douglas.reachable_dim == douglas_dim == tri.space.total_dim
     by_id = {r.check_id: r for r in pseudolift.is_pseudo_lift(pi, tri, pair).records}
-    return [("schaffer", schaffer.v1 @ schaffer.v2, schaffer.pi, schaffer.reachable_dim,
-             qd.minimality_check(schaffer).records[0]),
-            ("douglas", douglas.v1 @ douglas.v2, douglas.pi, douglas.reachable_dim,
-             qd.minimality_check(douglas).records[0]),
-            ("pseudo", tri.w, pi, douglas_dim, by_id["minimality"])]
+    return [("schaffer", as_csr(schaffer.v1) @ as_csr(schaffer.v2), schaffer.pi,
+             schaffer.reachable_dim, qd.minimality_check(schaffer).records[0]),
+            ("douglas", as_csr(douglas.v1) @ as_csr(douglas.v2), douglas.pi,
+             douglas.reachable_dim, qd.minimality_check(douglas).records[0]),
+            ("pseudo", as_csr(tri.w), pi, douglas_dim, by_id["minimality"])]
 
 
 class TestMinimality:
@@ -202,7 +201,7 @@ class TestMinimality:
         h = pair.dim
 
         def cut(v):
-            v = v.tolil()
+            v = as_csr(v).tolil()
             v[h:, :h] = 0.0
             return v.tocsr()
 
@@ -232,7 +231,7 @@ class TestMinimality:
         # the block lower triangular shape and the orbit is not decided
         pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
         lift = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), 6)
-        v1 = lift.v1.tolil()
+        v1 = as_csr(lift.v1).tolil()
         v1[0, pair.dim + 1] = 1e-3
         rec = qd.minimality_check(dataclasses.replace(lift, v1=v1.tocsr())).records[0]
         assert rec.check_id == "rank-consistency" and not rec.passed
@@ -247,7 +246,7 @@ class TestMinimality:
         n = 6
         lift = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), n)
         h, f = pair.dim, lift.space.hardy.fiber_dim
-        v = (lift.v1 @ lift.v2).tolil()
+        v = (as_csr(lift.v1) @ as_csr(lift.v2)).tolil()
         v[h + 3 * f, h + 2 * f] += 1e-6
         bad = dataclasses.replace(lift, v1=v.tocsr(), v2=matcore.speye(lift.space.total_dim))
         seed = lift.pi / np.linalg.norm(lift.pi, 2)
@@ -286,16 +285,18 @@ class TestMinimality:
 
 class TestVerifyPathGuard:
     """The schaffer, douglas and pseudo suites decide minimality at dim-sized
-    cost: no greedy orbit on the lift space and no D x D dense buffer."""
+    cost and take their residuals from the symbol blocks: no greedy orbit,
+    no D x D dense buffer, no sparse norm and no lift-space matrix where no
+    extraction needs one."""
 
     @staticmethod
-    def verify(pair, tmp_path, n):
+    def verify(pair, tmp_path, n, suites="schaffer,douglas,pseudo"):
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(qpair.pair_to_json(pair)))
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             return cli.main(["verify", "--pair", str(path), "--trunc", str(n),
-                             "--suites", "schaffer,douglas,pseudo"])
+                             "--suites", suites])
 
     @pytest.fixture(autouse=True)
     def no_greedy(self, monkeypatch):
@@ -328,28 +329,63 @@ class TestVerifyPathGuard:
             tracemalloc.stop()
         assert peak < d * d * 16 / 2, peak
 
-    def test_banded_eigensolve_only_where_the_norm_is_gated(self, tmp_path, monkeypatch):
-        # the identity residuals are Frobenius norms and extract_symbol scales
-        # its tolerances by the largest column norm; the banded Gram solve is
-        # left to ||W1||, ||W2|| (axiom-i-contractions), once each
-        pair = qd.gen_conjugated(mixed_pair(), 4)[0]
-        callers = []
-        gram_norm = matcore._gram_norm
+    def test_banded_eigensolve_only_where_the_norm_is_gated(self, corpus, tmp_path,
+                                                           monkeypatch):
+        # the identity residuals are Frobenius norms from the symbol blocks,
+        # the intertwinings dense SVDs and extract_symbol scales its
+        # tolerances by the largest column norm: no sparse norm at all, and
+        # one banded Gram solve for each of ||W1||, ||W2||
+        # (axiom-i-contractions) when the Hardy part ran D_{T*} is not 0
+        sparse_norms, solves = [], []
+        eig_banded = scipy.linalg.eig_banded
 
-        def counted(a):
-            frames = traceback.extract_stack()[:-1]
-            callers.append(next(f.name for f in reversed(frames)
-                                if not f.filename.endswith("matcore.py")))
-            return gram_norm(a)
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return eig_banded(*args, **kwargs)
 
-        monkeypatch.setattr(matcore, "_gram_norm", counted)
-        assert self.verify(pair, tmp_path, 64) == 0
-        assert callers == ["is_pseudo_triple"] * 2, callers
+        monkeypatch.setattr(matcore, "_sparse_opnorm",
+                            lambda a: sparse_norms.append(1) or 0.0)
+        monkeypatch.setattr(scipy.linalg, "eig_banded", counted)
+        pairs = [pair for _, pair, _ in corpus[::11]] + [qd.gen_conjugated(mixed_pair(), 4)[0]]
+        assert any(model.PairAnalysis(pair).dstar.dim == 0 for pair in pairs)
+        for pair in pairs:
+            solves.clear()
+            assert self.verify(pair, tmp_path, 64) == 0
+            assert sparse_norms == []
+            assert len(solves) == (2 if model.PairAnalysis(pair).dstar.dim else 0)
+
+    def test_douglas_suite_builds_no_lift_space_matrix(self, corpus, tmp_path, monkeypatch):
+        # every douglas residual comes from the blocks: patching the two CSR
+        # builders to raise, in every module that holds them, changes nothing
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lift-space CSR built on the douglas path")
+
+        for fn in (hardy.materialize_csr, matcore.block_csr):
+            for module in (hardy, matcore, lifts, model, pseudolift):
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, forbidden)
+        for pair in [pair for _, pair, _ in corpus[::9]] + [mixed_pair()]:
+            assert self.verify(pair, tmp_path, 24, "douglas") == 0
+        with pytest.raises(AssertionError, match="douglas path"):
+            self.verify(mixed_pair(), tmp_path, 24, "schaffer")
+
+
+def sparse_route(lift):
+    """The realization with its operators materialized: every residual then
+    takes the sparse route."""
+    return dataclasses.replace(lift, v1=as_csr(lift.v1), v2=as_csr(lift.v2))
+
+
+def sparse_triple(tri):
+    return dataclasses.replace(tri, w1=as_csr(tri.w1), w2=as_csr(tri.w2), w=as_csr(tri.w))
 
 
 class TestFrobeniusGates:
     """The lift-space identity residuals are gated on their Frobenius norm,
-    which is never below the spectral norm the gates used before."""
+    which is never below the spectral norm the gates used before.  The
+    sparse route is recorded here; `test_block_route.py` holds the block
+    route to it."""
 
     SWITCHED = {"isometry-v1", "isometry-v2", "q-commute", "product-structure",
                 "axiom-i-isometry", "axiom-ii-w1", "axiom-ii-w2", "axiom-iii",
@@ -381,14 +417,15 @@ class TestFrobeniusGates:
         for i, pair in enumerate(pairs):
             an = model.PairAnalysis(pair)
             seen.clear()
-            schaffer = qd.schaffer_lift(an.pair, an.tup, n)
+            schaffer = sparse_route(qd.schaffer_lift(an.pair, an.tup, n))
             reps = [qd.verify_lift(schaffer, an), qd.extract_ando_from_lift(schaffer, an)[1],
-                    qd.verify_lift(qd.douglas_lift(an, n), an)]
+                    qd.verify_lift(sparse_route(qd.douglas_lift(an, n)), an)]
             pi, tri = pseudolift.douglas_pseudo_lift(an, n)
-            reps.append(pseudolift.is_pseudo_triple(tri))
+            reps.append(pseudolift.is_pseudo_triple(sparse_triple(tri)))
             reps.append(pseudolift.taylor_rigidity(tri, an))
             # rounding-level moves of the model triple keep every axiom, so
             # the uniqueness gates run on nonzero residuals
+            tri = sparse_triple(tri)
             cand = dataclasses.replace(tri, w1=tri.w1 * (1 + 2e-13),
                                        w2=tri.w2 * (1 - 3e-13), w=tri.w * (1 + 1e-13))
             uniq = pseudolift.uniqueness_test(an.pair, cand)
@@ -416,7 +453,7 @@ class TestFrobeniusGates:
         delta = tol / 4
         excess = 2 * delta + delta ** 2
         assert excess < tol < excess * np.sqrt(len(e1))
-        scaled = dataclasses.replace(tri, w=tri.w * (1 + delta))
+        scaled = dataclasses.replace(tri, w=as_csr(tri.w) * (1 + delta))
         w = scaled.w.toarray()
         spectral = np.linalg.norm((adj(w) @ w - eye(w.shape[0]))[:, e1], 2)
         assert spectral < tol
@@ -489,7 +526,8 @@ class TestExtractAndo:
                                       np.kron(eye(n + 1), w_f)).astype(complex)
         rotated = dataclasses.replace(
             lift, pi=big @ lift.pi,
-            v1=big @ lift.v1.toarray() @ adj(big), v2=big @ lift.v2.toarray() @ adj(big))
+            v1=big @ as_csr(lift.v1).toarray() @ adj(big),
+            v2=big @ as_csr(lift.v2).toarray() @ adj(big))
         frag, rep = qd.extract_ando_from_lift(rotated, pair)
         assert rep.overall, rep.summary_lines()
         assert frob(frag.lam - w_f @ tup.lam) < 1e-10
@@ -498,7 +536,7 @@ class TestExtractAndo:
         pair = qd.gen_clock_shift(2, 0.5)
         tup = qd.special_ando_tuple(pair)
         lift = qd.schaffer_lift(pair, tup, 6)
-        v1_bad = lift.v1.toarray()
+        v1_bad = as_csr(lift.v1).toarray()
         v1_bad[0, 3] = 0.5
         bad = dataclasses.replace(lift, v1=v1_bad)
         with pytest.raises(qd.QDilateError):

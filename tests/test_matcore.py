@@ -292,8 +292,9 @@ class TestGreedyOrbitRank:
             schaffer = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), self.TRUNC)
             douglas = qd.douglas_lift(pair, self.TRUNC)
             pi, tri = pseudolift.douglas_pseudo_lift(pair, self.TRUNC)
-            for op, seed in ((schaffer.v1 @ schaffer.v2, schaffer.pi),
-                             (douglas.v1 @ douglas.v2, douglas.pi), (tri.w, pi)):
+            for op, seed in ((matcore.as_csr(schaffer.product), schaffer.pi),
+                             (matcore.as_csr(douglas.product), douglas.pi),
+                             (matcore.as_csr(tri.w), pi)):
                 assert_same_rank(op, seed)
 
     def test_joint_orbits(self):

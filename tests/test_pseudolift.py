@@ -5,7 +5,7 @@ import pytest
 
 import qdilate as qd
 from qdilate import hardy, matcore, model, pseudolift
-from qdilate.matcore import eye, frob
+from qdilate.matcore import as_csr, eye, frob
 
 
 def zero_pair():
@@ -30,10 +30,10 @@ class TestDouglasPseudoLift:
     def test_zero_pair_blocks(self):
         # G = 0 makes both Hardy blocks vanish while W stays the shift
         pi, tri = pseudolift.douglas_pseudo_lift(zero_pair(), 6)
-        assert frob(tri.w1.toarray()) == 0.0
-        assert frob(tri.w2.toarray()) == 0.0
+        assert frob(as_csr(tri.w1).toarray()) == 0.0
+        assert frob(as_csr(tri.w2).toarray()) == 0.0
         mz = hardy.materialize(hardy.shift_symbol(1.0 + 0j, 1), 6).matrix
-        assert frob(tri.w.toarray() - mz) < 1e-14
+        assert frob(as_csr(tri.w).toarray() - mz) < 1e-14
         assert pseudolift.is_pseudo_triple(tri).overall
         assert pseudolift.is_pseudo_lift(pi, tri, zero_pair()).overall
 
@@ -97,7 +97,7 @@ class TestAxiomViolations:
         hd, tail = tri.space.hardy.total_dim, tri.space.tail_dim
         assert tail > 0
         coupling = matcore.block_csr(tri.w.shape, [(0, hd, 1e-4 * np.ones((1, tail)))])
-        bad = dataclasses.replace(tri, w=tri.w + coupling)
+        bad = dataclasses.replace(tri, w=as_csr(tri.w) + coupling)
         rep = pseudolift.is_pseudo_lift(pi, bad, pair)
         by_id = {r.check_id: r for r in rep.records}
         assert not by_id["minimality"].passed
@@ -108,7 +108,7 @@ class TestAxiomViolations:
     def test_perturbed_w1_fails_intertwining(self):
         pair = qd.gen_nilpotent(2, 1j, 0.8, 0.8)
         pi, tri = pseudolift.douglas_pseudo_lift(pair, 10)
-        w1_bad = tri.w1.toarray()
+        w1_bad = as_csr(tri.w1).toarray()
         w1_bad[0, 0] += 0.1
         bad = pseudolift.PseudoTriple(tri.q, tri.space, w1_bad, tri.w2, tri.w,
                                       tri.trunc)

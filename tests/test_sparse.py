@@ -281,7 +281,8 @@ def close(got: float, ref: float, tol: float) -> bool:
 def dense_lift_residuals(lift, pair, n):
     """The residuals of `verify_lift`, by the dense formulas it replaced: the
     lift-space identity residuals in Frobenius norm, the rest as before."""
-    v1, v2, pi, q = lift.v1.toarray(), lift.v2.toarray(), lift.pi, pair.q
+    v1, v2 = matcore.as_csr(lift.v1).toarray(), matcore.as_csr(lift.v2).toarray()
+    pi, q = lift.pi, pair.q
     e1, e2 = lift.space.interior(1), lift.space.interior(2)
     ident = eye(lift.space.total_dim)
     out = {
@@ -302,8 +303,9 @@ def dense_lift_residuals(lift, pair, n):
         vd = scipy.linalg.block_diag(mz, cp.wd)
         out["product-structure"] = frob((v1 @ v2 - vd)[:, e2])
         pi_d, g = lifts.douglas_pseudo_lift(pair, n)
-        out["gform-intertwine-1"] = opnorm(adj(g.w1.toarray()) @ pi_d - pi_d @ adj(pair.t1))
-        out["gform-intertwine-2"] = opnorm(adj(g.w2.toarray()) @ pi_d - pi_d @ adj(pair.t2))
+        g1, g2 = matcore.as_csr(g.w1).toarray(), matcore.as_csr(g.w2).toarray()
+        out["gform-intertwine-1"] = opnorm(adj(g1) @ pi_d - pi_d @ adj(pair.t1))
+        out["gform-intertwine-2"] = opnorm(adj(g2) @ pi_d - pi_d @ adj(pair.t2))
     return out
 
 
@@ -311,7 +313,8 @@ def dense_triple_residuals(tri):
     """The residuals of `is_pseudo_triple`, by the dense formulas it replaced:
     the contractivity by spectral norms, the identity residuals in Frobenius
     norm."""
-    w1, w2, w, q = tri.w1.toarray(), tri.w2.toarray(), tri.w.toarray(), tri.q
+    w1, w2, w = (matcore.as_csr(x).toarray() for x in (tri.w1, tri.w2, tri.w))
+    q = tri.q
     e1, e2 = tri.space.interior(1), tri.space.interior(2)
     return {
         "axiom-i-contractions": max(0.0, max(opnorm(w1[:, e1]), opnorm(w2[:, e1])) - 1.0),
@@ -363,7 +366,8 @@ class TestDenseOracle:
         pair = qd.gen_direct_sum([qd.gen_clock_shift(2, 1.0),
                                   qd.gen_nilpotent(3, -1.0, 0.9, 0.8)])
         lift = qd.douglas_lift(pair, self.N)
-        dense = dataclasses.replace(lift, v1=lift.v1.toarray(), v2=lift.v2.toarray())
+        dense = dataclasses.replace(lift, v1=matcore.as_csr(lift.v1).toarray(),
+                                    v2=matcore.as_csr(lift.v2).toarray())
         a = qd.verify_lift(lift, pair)
         b = qd.verify_lift(dense, pair)
         assert [r.check_id for r in a.records] == [r.check_id for r in b.records]
@@ -386,6 +390,8 @@ class TestSparsity:
         _, tri = pseudolift.douglas_pseudo_lift(pair, n)
         ops += [("pseudo-w1", tri.w1), ("pseudo-w2", tri.w2), ("pseudo-w", tri.w)]
         for name, op in ops:
+            assert isinstance(op, lifts.LiftOperator), name
+            op = matcore.as_csr(op)
             assert sp.issparse(op) and op.format == "csr", name
             d = op.shape[0]
             assert d > 200, name
