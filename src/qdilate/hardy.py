@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from . import matcore
@@ -25,6 +26,7 @@ from .ando import DefectData
 from .errors import (
     DimensionMismatchError,
     FiberMismatchError,
+    MaxIterationsExceededError,
     NotQCommutantError,
     TailTooLargeError,
 )
@@ -156,6 +158,75 @@ def symbol_is_inner(s: TwistedSymbol, tol: float = 1e-12):
         target = eye(s.fiber_in) if j == 0 else 0.0
         worst = max(worst, frob(gram_coeff(s, s, j) - target))
     return worst <= tol, worst
+
+
+# `symbol_norm`: an eigenvalue of the level-set pencil within UNIMODULAR_WINDOW
+# of the unit circle (in |lambda| - 1) is a crossing, and the iteration stops
+# once the level best * (1 + 2 LEVEL_EPS) has none.
+UNIMODULAR_WINDOW = 1e-8
+LEVEL_EPS = 1e-12
+_MAX_LEVELS = 64
+
+
+def symbol_norm(s: TwistedSymbol) -> float:
+    """||phi||_inf = max_{|z|=1} sigma_max(phi(z)), the norm of M_phi R_{q^m} on
+    the untruncated Hardy space, which bounds the norm of every finite
+    section.  Its cost depends on the degree p and the fiber f only.
+
+    Level-set iteration (Boyd & Balakrishnan, Systems & Control Letters 15,
+    1990): gamma is a singular value of phi(z) at |z| = 1 exactly when z is a
+    root of z^p (gamma^2 I - sum_s G_s z^s), G_s the Laurent coefficients
+    `gram_coeff(phi, phi, s)` of phi* phi on the circle.  Its roots are the
+    eigenvalues of a 2pf x 2pf companion pencil (infinite where G_p is
+    singular).  Starting from the best sigma_max on 2p + 2 equispaced points,
+    each level best * (1 + 2 LEVEL_EPS) with crossings (eigenvalues within
+    UNIMODULAR_WINDOW of the circle) raises best to the largest sigma_max at
+    the crossings and at the midpoints of the arcs between them.  A level
+    without crossings ends it, so ||phi||_inf <= best * (1 + 2 LEVEL_EPS);
+    best, an attained value, is then polished at the angles of that level's
+    eigenvalues, next to which every maximum lies.  Raises
+    MaxIterationsExceededError after _MAX_LEVELS levels.
+    """
+    if s.degree == 0:
+        return opnorm(s.coeffs[0])
+    coeffs = np.array(s.coeffs)
+    scale = float(np.abs(coeffs).max()) if coeffs.size else 0.0
+    if scale == 0.0:
+        return 0.0
+    unit = TwistedSymbol(s.q, s.twist, tuple(coeffs / scale))
+    p, f = s.degree, s.fiber_in
+    powers = np.arange(p + 1)
+
+    def sigma(theta: np.ndarray) -> float:
+        values = np.tensordot(np.exp(1j * np.outer(theta, powers)), unit.coeffs, axes=1)
+        return float(matcore.stack_opnorms(values).max(initial=0.0))
+
+    best = sigma(2 * np.pi * np.arange(2 * p + 2) / (2 * p + 2))
+    # first companion form of sum_i A_i z^i, A_i = gamma^2 I [i = p] - G_{i-p}:
+    # identity blocks above the diagonal, -A_0 .. -A_{2p-1} in the last block
+    # row, and A_{2p} = -G_p in the last diagonal block of the right side
+    m = 2 * p * f
+    a = np.eye(m, k=f, dtype=np.complex128)
+    a[m - f:] = np.hstack([gram_coeff(unit, unit, i - p) for i in range(2 * p)])
+    b = eye(m)
+    b[m - f:, m - f:] = -gram_coeff(unit, unit, p)
+    middle = a[m - f:, p * f:(p + 1) * f].copy()
+    for _ in range(_MAX_LEVELS):
+        level = best * (1.0 + 2.0 * LEVEL_EPS)
+        a[m - f:, p * f:(p + 1) * f] = middle - level ** 2 * eye(f)
+        lam = scipy.linalg.eigvals(a, b)
+        lam = lam[np.isfinite(lam)]
+        near = np.abs(np.abs(lam) - 1.0) <= UNIMODULAR_WINDOW
+        if not near.any():
+            # each maximum leaves a pair of eigenvalues z, 1/conj(z) just off
+            # the circle, at nearly its angle: evaluating there polishes best
+            return scale * max(best, sigma(np.angle(lam)))
+        theta = np.sort(np.angle(lam[near]))
+        mids = (theta + np.roll(theta, -1)) / 2.0
+        mids[-1] += np.pi
+        best = max(best, sigma(np.r_[theta, mids]))
+    raise MaxIterationsExceededError(
+        f"symbol norm: crossings remain after {_MAX_LEVELS} levels; best {scale * best:.17g}")
 
 
 @dataclass(frozen=True)

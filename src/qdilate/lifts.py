@@ -22,8 +22,9 @@ tail quantity ||D_{T*} T*^{N+1}|| of the observability column.
 The builders return each lift and pseudo-lift operator in block form, a
 `LiftOperator`: a head, a column polynomial, one twisted symbol and a tail.
 Its residuals are computed from those dim-sized blocks, with closed-form
-counts of the interior columns, so their cost does not depend on N; the
-embeddings Pi are dense D x dim columns, and V* Pi is applied block by block.
+counts of the interior columns, and its norm from the symbol's sup norm on
+the circle, so their cost does not depend on N; the embeddings Pi are dense
+D x dim columns, and V* Pi is applied block by block.
 `matcore.as_csr` materializes a LiftOperator (once, cached) for the
 extraction checks.  The verifiers also accept CSR and dense operators, for
 which every residual is formed by sparse products, as the reference route.
@@ -36,7 +37,6 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from . import hardy, matcore, model
@@ -419,43 +419,22 @@ def adjoint_times(v, pi: np.ndarray) -> np.ndarray:
 
 
 def interior_opnorm(v, space: LiftSpace, d: int = 1) -> float:
-    """||V[:, interior(d)]||_2.
+    """||V[:, interior(d)]||_2 for CSR and dense operators, by the sparse
+    norm of that section.
 
-    For a LiftOperator without a head: the larger of the tail's norm (an
-    SVD) and the Hardy part's, the root of the top eigenvalue of its Gram
-    matrix.  That Gram is block banded, its blocks the `gram_coeff` sums of
-    the symbol, cut at degree N near the last columns; it goes through one
-    `scipy.linalg.eig_banded` solve, after the coefficients are divided by
-    their largest |entry|, as `matcore.opnorm` does for a sparse matrix.
+    A LiftOperator without a head reads the untruncated operator instead:
+    the larger of the tail's norm (an SVD) and ||phi||_inf =
+    ||M_phi R_{q^m}|| on the whole Hardy space (`hardy.symbol_norm`), which
+    is at least the norm of every finite section and costs the same at
+    every N.  With no interior Hardy column (N < d) it is the tail's norm
+    alone.
     """
     if not isinstance(v, LiftOperator) or space.head_dim:
         return opnorm(as_csr(v)[:, space.interior(d)])
-    sym, n = v.symbol, space.hardy.max_degree
-    f, p, cols = sym.fiber_in, sym.degree, n - d + 1
     tail = opnorm(v.tail)
-    if not f or cols <= 0:
+    if space.hardy.max_degree < d:
         return tail
-    scale = max(float(np.abs(c).max()) for c in sym.coeffs) or 1.0
-    unit = TwistedSymbol(sym.q, sym.twist, tuple(c / scale for c in sym.coeffs))
-
-    def lags(j):
-        # Gram block (j + s, j), s = 0..p, of the columns of degree j
-        return [sym.q ** (-sym.twist * s) * gram_coeff(unit, unit, s, n - j)
-                for s in range(p + 1)]
-
-    blocks = np.empty((cols, p + 1, f, f), dtype=np.complex128)
-    blocks[:] = lags(0)
-    for j in range(max(0, n - p + 1), cols):
-        blocks[j] = lags(j)
-    for s in range(1, p + 1):
-        blocks[max(cols - s, 0):, s] = 0.0
-    s, a, b = np.indices((p + 1, f, f)).reshape(3, -1)
-    keep = s * f + a >= b
-    band = np.zeros(((p + 1) * f, cols * f), dtype=np.complex128)
-    band[(s * f + a - b)[keep], np.arange(cols)[:, None] * f + b[keep]] = \
-        blocks.reshape(cols, -1)[:, keep]
-    top = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)[-1]
-    return max(tail, scale * float(np.sqrt(max(top, 0.0))))
+    return max(tail, hardy.symbol_norm(v.symbol))
 
 
 def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,

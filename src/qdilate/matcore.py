@@ -8,10 +8,14 @@ CSR input.  Identity residuals whose true value is 0 are gated on `frob`,
 one pass over the stored entries and never below the spectral norm; `opnorm`
 is kept where the spectral norm itself is gated.  A tolerance scale needs
 only a lower bound for the norm, which keeps its gate at least as strict
-(`hardy.extract_symbol` takes the largest column norm).  `rank_gap` decides
-a rank at an absolute cutoff and reports its singular-value margin; the lift
-minimality proofs use it on dim-sized blocks, and `greedy_orbit_rank`, which
-grows a basis on the whole space, is left to joint orbits and test oracles.
+(`hardy.extract_symbol` takes the largest column norm).  LAPACK's banded
+eigensolver (`scipy.linalg.eig_banded`) serves only the sparse `opnorm`, that
+is CSR or dense lift operators and `model.verify_admissible`; the lift suites
+take the norms of their LiftOperators from the symbols (`hardy.symbol_norm`).
+`rank_gap` decides a rank at an absolute cutoff and reports its
+singular-value margin; the lift minimality proofs use it on dim-sized blocks,
+and `greedy_orbit_rank`, which grows a basis on the whole space, is left to
+joint orbits and test oracles.
 Subspaces are wrapped in :class:`SubspaceBasis`, which checks orthonormality
 once at construction.
 All routines are pure and deterministic: random input never enters here, and
@@ -72,9 +76,10 @@ def opnorm(a) -> float:
     SVD); the discriminator lower bound of `lifts.nonisolifts_fixture`; and
     `model.verify_admissible`.  The sparse norm below is also the reference
     route of the contractivity of W1, W2 (`pseudolift.is_pseudo_triple`) for
-    CSR or dense operators; a builder-made triple takes that norm from its
-    symbol blocks (`lifts.interior_opnorm`), so the lift suites never call
-    the sparse norm.
+    CSR or dense operators, and the only caller of the banded eigensolver; a
+    builder-made triple takes that norm from its symbols
+    (`lifts.interior_opnorm`, `hardy.symbol_norm`), so the lift suites call
+    neither.
 
     Dense input goes through the SVD.  Sparse input is split into the
     connected components of its bipartite row/column graph: permuting rows

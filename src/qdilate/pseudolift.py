@@ -40,8 +40,10 @@ def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
     spectral norms ||W_i|| themselves; the identity residuals are gated on
     their Frobenius norm, which is never below the spectral one.  For the
     builder's triple (LiftOperators) all of them come from the symbol blocks
-    (`lifts.interior_frob`, `lifts.interior_opnorm`); other operators go
-    through sparse products.
+    (`lifts.interior_frob`, `lifts.interior_opnorm`), and contractivity reads
+    the norm of the untruncated operator, ||phi||_inf on the Hardy part,
+    which no finite section exceeds; other operators go through sparse
+    products, contractivity through the norm of the degree <= N-1 section.
     """
     rep = Report("pseudo-triple", {"trunc": triple.trunc, "tol": tol})
     q, space = triple.q, triple.space

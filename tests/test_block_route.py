@@ -15,9 +15,10 @@ import pytest
 import qdilate as qd
 from qdilate import lifts, model, pseudolift
 from qdilate.errors import QDilateError
-from qdilate.hardy import TwistedSymbol
-from qdilate.matcore import as_csr, frob
+from qdilate.hardy import TwistedSymbol, shift_symbol
+from qdilate.matcore import EPS, as_csr, frob
 
+from test_hardy import grid_norm
 from test_lifts import mixed_pair, sparse_route, sparse_triple
 from test_report_snapshot import snapshot_pairs
 
@@ -154,6 +155,31 @@ def test_ando_scaling_moves_the_isometry_residuals():
         assert abs(a.residual - b.residual) <= 1e-10 * b.residual
 
 
+def test_contraction_gate_reads_the_untruncated_norm():
+    # W1 = M_phi R_q with phi = a + bz, |a| = |b| = (1 + 1e-6)/2: ||phi||_inf
+    # = 1 + 1e-6, while the degree <= 5 columns of its N = 6 section have
+    # norm below 0.98.  The block route gates the untruncated operator and
+    # fails; the sparse route gates the section and passes.
+    q, n = np.exp(0.7j), 6
+    r = (1 + 1e-6) / 2
+    space = lifts.LiftSpace(0, qd.TruncHardy(1, n), 0)
+    empty = np.zeros((0, 0), dtype=complex)
+    phi = TwistedSymbol(q, 1, (np.full((1, 1), r), np.full((1, 1), r * np.exp(0.3j))))
+    w1 = lifts.LiftOperator(space, empty, (), phi, empty)
+    shift = lifts.LiftOperator(space, empty, (), shift_symbol(q, 1), empty)
+    tri = lifts.PseudoTriple(q, space, w1, w1, shift, n)
+    section = np.linalg.norm(as_csr(w1).toarray()[:, space.interior(1)], 2)
+    assert section < 0.98
+
+    def contraction(triple):
+        rep = pseudolift.is_pseudo_triple(triple)
+        return next(r for r in rep.records if r.check_id == "axiom-i-contractions")
+
+    block, ref = contraction(tri), contraction(sparse_triple(tri))
+    assert not block.passed and abs(block.residual - 1e-6) <= 1e-12
+    assert ref.passed and ref.residual == 0.0
+
+
 def random_operator(rng, space, q, degree, twist, column_degree):
     """A LiftOperator with random blocks: symbol and column of the given
     degrees (column_degree -1: no column)."""
@@ -200,6 +226,13 @@ def test_block_formulas_match_dense_matrices(seed):
         shape = lifts._shape_residual(op, space)
         assert abs(shape - lifts._shape_residual(as_csr(op), space)) <= 1e-12 * shape
         if not space.head_dim:
+            # the block route reads the untruncated operator: at least the
+            # section's norm, and the larger of the tail's and the symbol's
+            # sup norm on the circle (the grid oracle)
+            oracle = max(np.linalg.norm(op.tail, 2) if op.tail.size else 0.0,
+                         grid_norm(op.symbol))
             for d in (1, 2):
-                want = np.linalg.norm(mat[:, space.interior(d)], 2)
-                assert abs(lifts.interior_opnorm(op, space, d) - want) <= 1e-12 * want
+                got = lifts.interior_opnorm(op, space, d)
+                section = np.linalg.norm(mat[:, space.interior(d)], 2)
+                assert got >= section * (1 - 16 * EPS), (d, got, section)
+                assert abs(got - oracle) <= 1e-10 * oracle, (d, got, oracle)

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 
 from qdilate import hardy, matcore, model, pseudolift
 from qdilate.ando import DefectData
-from qdilate.errors import FiberMismatchError, NotQCommutantError, TailTooLargeError
+from qdilate.errors import (
+    FiberMismatchError,
+    MaxIterationsExceededError,
+    NotQCommutantError,
+    TailTooLargeError,
+)
 from qdilate.hardy import (
     TruncHardy,
     TwistedSymbol,
@@ -18,6 +24,7 @@ from qdilate.hardy import (
     shift_symbol,
     symbol_compose,
     symbol_is_inner,
+    symbol_norm,
 )
 from qdilate.matcore import adj, defect, eye, frob, opnorm
 
@@ -29,6 +36,34 @@ def random_symbol(rng, q, fiber, degree, twist=1):
                    + 1j * rng.standard_normal((fiber, fiber))
                    for _ in range(degree + 1))
     return TwistedSymbol(q, twist, coeffs)
+
+
+def sigma_max(sym, theta) -> np.ndarray:
+    """sigma_max(phi(e^{i theta})) at each angle."""
+    z = np.exp(1j * np.atleast_1d(theta))[:, None, None]
+    values = np.zeros((z.shape[0], sym.fiber_out, sym.fiber_in), dtype=complex)
+    for c in reversed(sym.coeffs):
+        values = z * values + c
+    return matcore.stack_opnorms(values)
+
+
+def grid_norm(sym, points: int = 2 ** 14, peaks: int = 4) -> float:
+    """Oracle for max_{|z|=1} sigma_max(phi(z)): the best of a `points`-point
+    angle grid, each of its `peaks` largest local maxima refined by bounded
+    scalar minimisation over the two neighbouring grid cells."""
+    if not sym.fiber_in or not sym.fiber_out:
+        return 0.0
+    theta = 2 * np.pi * np.arange(points) / points
+    grid = sigma_max(sym, theta)
+    local = np.flatnonzero((grid >= np.roll(grid, 1)) & (grid >= np.roll(grid, -1)))
+    best = float(grid.max())
+    step = 2 * np.pi / points
+    for i in local[np.argsort(grid[local])[-peaks:]]:
+        res = scipy.optimize.minimize_scalar(
+            lambda t: -sigma_max(sym, t)[0], bounds=(theta[i] - step, theta[i] + step),
+            method="bounded", options={"xatol": 1e-13})
+        best = max(best, -float(res.fun))
+    return best
 
 
 class TestCompose:
@@ -101,6 +136,90 @@ class TestInner:
         m = materialize(s, n)
         low = TruncHardy(2, n).low(n - 1)
         assert opnorm((adj(m.matrix) @ m.matrix - eye(m.matrix.shape[0]))[:, low]) < 1e-12
+
+
+def rand_mat(rng, m, n):
+    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+class TestSymbolNorm:
+    """hardy.symbol_norm against the grid oracle, to 1e-10 relative."""
+
+    @staticmethod
+    def assert_oracle(sym):
+        got, want = symbol_norm(sym), grid_norm(sym)
+        assert abs(got - want) <= 1e-10 * want, (got, want)
+        return got
+
+    @pytest.mark.parametrize("degree", range(4))
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 1), (1, 3), (2, 3)])
+    def test_random_symbols(self, degree, shape):
+        rng = np.random.default_rng(10 * degree + shape[0] + 3 * shape[1])
+        for twist in (-1, 0, 1):
+            coeffs = tuple(rand_mat(rng, *shape) for _ in range(degree + 1))
+            self.assert_oracle(TwistedSymbol(Q, twist, coeffs))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)])
+    def test_fiber_zero(self, shape):
+        sym = TwistedSymbol(Q, 1, (np.zeros(shape), np.zeros(shape)))
+        assert symbol_norm(sym) == 0.0
+
+    def test_zero_symbol(self):
+        assert symbol_norm(TwistedSymbol(Q, 1, (np.zeros((2, 2)),) * 3)) == 0.0
+
+    def test_inner_symbols(self):
+        # sigma_max = 1 on the whole circle: the shift, the projection-unitary
+        # symbols of the lifts, a product of two of them and U z^3
+        rng = np.random.default_rng(2)
+        unitaries = [np.linalg.qr(rand_mat(rng, 3, 3))[0] for _ in range(3)]
+        proj = np.diag([1.0, 0.0, 1.0]).astype(complex)
+        one = TwistedSymbol(Q, 1, ((eye(3) - proj) @ unitaries[0], proj @ unitaries[0]))
+        two = TwistedSymbol(Q, -1, (adj(unitaries[1]) @ proj,
+                                    adj(unitaries[1]) @ (eye(3) - proj)))
+        zero = np.zeros((3, 3), dtype=complex)
+        syms = [shift_symbol(Q, 2), one, two, symbol_compose(one, two),
+                TwistedSymbol(Q, 0, (zero, zero, zero, unitaries[2]))]
+        for sym in syms:
+            assert abs(self.assert_oracle(sym) - 1.0) <= 4 * matcore.EPS
+
+    def test_two_equal_maxima(self):
+        # |1 + z^2 / 2| and max(|1 + z/2|, |1 - z/2|) peak at z = 1 and -1
+        one = np.ones((1, 1), dtype=complex)
+        scalar = TwistedSymbol(Q, 1, (one, 0 * one, 0.5 * one))
+        diag = TwistedSymbol(Q, 1, (eye(2), np.diag([0.5, -0.5]).astype(complex)))
+        rng = np.random.default_rng(4)
+        u, v = (np.linalg.qr(rand_mat(rng, 2, 2))[0] for _ in range(2))
+        rotated = TwistedSymbol(Q, 1, tuple(u @ c @ v for c in diag.coeffs))
+        for sym in (scalar, diag, rotated):
+            assert abs(self.assert_oracle(sym) - 1.5) <= 4 * matcore.EPS
+
+    def test_singular_leading_laurent_coefficient(self):
+        # G_p = C_0* C_p is singular (rank-one C_0) or zero (C_0 = 0, or C_0
+        # and C_p with orthogonal ranges): the pencil has infinite eigenvalues
+        rng = np.random.default_rng(5)
+        x, y = rand_mat(rng, 3, 1), rand_mat(rng, 1, 3)
+        cases = [(x @ y, rand_mat(rng, 3, 3), rand_mat(rng, 3, 3)),
+                 (np.zeros((3, 3)), rand_mat(rng, 3, 3), rand_mat(rng, 3, 3)),
+                 (np.diag([1.0, 0.0, 0.0]), rand_mat(rng, 3, 3), np.diag([0.0, 2.0, 0.0]))]
+        for coeffs in cases:
+            self.assert_oracle(TwistedSymbol(Q, 1, coeffs))
+
+    @pytest.mark.parametrize("n", [6, 12, 24])
+    def test_bounds_every_finite_section(self, n):
+        # ||M_phi R_q|| on H^2 is at least the norm of its degree-n section,
+        # up to rounding in the dense SVD of the section
+        rng = np.random.default_rng(n)
+        for degree in range(4):
+            sym = TwistedSymbol(Q, 1, tuple(rand_mat(rng, 2, 3) for _ in range(degree + 1)))
+            section = np.linalg.norm(materialize(sym, n).matrix, 2)
+            assert symbol_norm(sym) >= section * (1 - 16 * matcore.EPS)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # with every eigenvalue counted as a crossing no level ends the run
+        monkeypatch.setattr(hardy, "UNIMODULAR_WINDOW", np.inf)
+        sym = TwistedSymbol(Q, 1, (eye(2), 0.5 * eye(2)))
+        with pytest.raises(MaxIterationsExceededError):
+            symbol_norm(sym)
 
 
 class TestMaterialize:

@@ -332,10 +332,10 @@ class TestVerifyPathGuard:
     def test_banded_eigensolve_only_where_the_norm_is_gated(self, corpus, tmp_path,
                                                            monkeypatch):
         # the identity residuals are Frobenius norms from the symbol blocks,
-        # the intertwinings dense SVDs and extract_symbol scales its
-        # tolerances by the largest column norm: no sparse norm at all, and
-        # one banded Gram solve for each of ||W1||, ||W2||
-        # (axiom-i-contractions) when the Hardy part ran D_{T*} is not 0
+        # the intertwinings dense SVDs, extract_symbol scales its tolerances
+        # by the largest column norm and ||W1||, ||W2|| (axiom-i-contractions)
+        # are the symbols' sup norms, by the level-set pencil: no sparse norm
+        # and no banded Gram solve at all
         sparse_norms, solves = [], []
         eig_banded = scipy.linalg.eig_banded
 
@@ -352,7 +352,17 @@ class TestVerifyPathGuard:
             solves.clear()
             assert self.verify(pair, tmp_path, 64) == 0
             assert sparse_norms == []
-            assert len(solves) == (2 if model.PairAnalysis(pair).dstar.dim else 0)
+            assert solves == []
+
+    def test_large_truncation_without_banded_or_sparse_norms(self, tmp_path, monkeypatch):
+        # at N = 1000 the lift suites cost what they cost at small N: neither
+        # a banded eigensolve nor a sparse norm is called
+        def forbidden(*args, **kwargs):
+            raise AssertionError("N-sized norm on the lift suites")
+
+        monkeypatch.setattr(scipy.linalg, "eig_banded", forbidden)
+        monkeypatch.setattr(matcore, "_sparse_opnorm", forbidden)
+        assert self.verify(qd.gen_nilpotent(8, -1.0 + 0j, 0.9, 0.8), tmp_path, 1000) == 0
 
     def test_douglas_suite_builds_no_lift_space_matrix(self, corpus, tmp_path, monkeypatch):
         # every douglas residual comes from the blocks: patching the two CSR

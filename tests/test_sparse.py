@@ -9,7 +9,6 @@ and that the operators stay sparse.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -20,8 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdilate as qd
-from qdilate import cli, hardy, lifts, matcore, pseudolift, qpair
+from qdilate import hardy, lifts, matcore, model, pseudolift
 from qdilate.matcore import adj, eye, frob, opnorm
+
+from test_lifts import sparse_route, sparse_triple
 
 
 def dense_norm(a) -> float:
@@ -253,13 +254,14 @@ class TestBlockOpnorm:
         a = sp.coo_matrix(([1.0, -1.0, 0.0], ([0, 0, 2], [1, 1, 3])), shape=(4, 5))
         assert opnorm(a.tocsr()) == 0.0
 
-    def test_fewer_banded_solves_per_verify(self, tmp_path, monkeypatch):
-        # the lift-space residuals that split into small blocks skip the
-        # banded Gram eigensolve; the whole-matrix route made 18 per run
+    def test_fewer_banded_solves_per_verify(self, monkeypatch):
+        # the lift-space residuals of as_csr operators (the sparse route) that
+        # split into small blocks skip the banded Gram eigensolve; the
+        # whole-matrix route made 18 per run of the lift suites
         base = qd.gen_direct_sum([qd.gen_clock_shift(2, 1.0),
                                   qd.gen_nilpotent(4, -1.0, 0.9, 0.8)])
-        path = tmp_path / "pair.json"
-        path.write_text(json.dumps(qpair.pair_to_json(qd.gen_conjugated(base, seed=1)[0])))
+        an = model.PairAnalysis(qd.gen_conjugated(base, seed=1)[0])
+        n = 16
         solves = []
         eig_banded = scipy.linalg.eig_banded
 
@@ -268,8 +270,14 @@ class TestBlockOpnorm:
             return eig_banded(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eig_banded", counted)
-        assert cli.main(["verify", "--pair", str(path), "--suites", "schaffer,douglas,pseudo",
-                         "--trunc", "16", "--out", str(tmp_path / "rep.json")]) == 0
+        reports = []
+        for lift in (qd.schaffer_lift(an.pair, an.tup, n), qd.douglas_lift(an, n)):
+            lift = sparse_route(lift)
+            reports += [qd.verify_lift(lift, an), qd.minimality_check(lift)]
+        pi, tri = pseudolift.douglas_pseudo_lift(an, n)
+        tri = sparse_triple(tri)
+        reports += [pseudolift.is_pseudo_triple(tri), pseudolift.is_pseudo_lift(pi, tri, an)]
+        assert all(rep.overall for rep in reports)
         assert 0 < len(solves) < 18
 
 
