@@ -86,13 +86,6 @@ class TwistedSymbol:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def value(self, z: complex) -> np.ndarray:
-        """phi(z); note the operator sends f to phi(z) f(q^twist z)."""
-        acc = np.zeros_like(self.coeffs[0])
-        for k in range(self.degree, -1, -1):
-            acc = z * acc + self.coeffs[k]
-        return acc
-
 
 def identity_symbol(q: complex, fiber: int) -> TwistedSymbol:
     return TwistedSymbol(q, 0, (eye(fiber),))

@@ -24,10 +24,10 @@ The builders return each lift and pseudo-lift operator in block form, a
 Its residuals are computed from those dim-sized blocks, with closed-form
 counts of the interior columns, and its norm from the symbol's sup norm on
 the circle, so their cost does not depend on N; the embeddings Pi are dense
-D x dim columns, and V* Pi is applied block by block.
-`matcore.as_csr` materializes a LiftOperator (once, cached) for the
-extraction checks.  The verifiers also accept CSR and dense operators, for
-which every residual is formed by sparse products, as the reference route.
+D x dim columns, and V* Pi is applied block by block.  The extraction checks
+read the blocks too: the type is the model form.  The verifiers also accept
+CSR and dense operators (`matcore.as_csr` materializes a LiftOperator once),
+whose residuals are formed by sparse products, as the reference route.
 """
 
 from __future__ import annotations
@@ -537,11 +537,8 @@ def _shape_residual(v, space: LiftSpace) -> float:
     its symbol, which are compared with 0 and with z from the blocks."""
     h, f, ts = space.head_dim, space.hardy.fiber_dim, space.tail_start
     if isinstance(v, LiftOperator):
-        zero_head, zero_tail = np.zeros_like(v.head), np.zeros_like(v.tail)
-        rest = v.column and (np.zeros_like(v.column[0]), *v.column[1:])
-        return _block_frob(space, 0, [
-            (1.0, LiftOperator(space, zero_head, rest, v.symbol, zero_tail)),
-            (-1.0, LiftOperator(space, zero_head, (), shift_symbol(1.0, f), zero_tail))])
+        shape = LiftOperator(space, v.head, v.column[:1], shift_symbol(1.0, f), v.tail)
+        return _block_frob(space, 0, [(1.0, v), (-1.0, shape)])
     mz = materialize_csr(shift_symbol(1.0, f), space.hardy.max_degree, h, v.shape)
     r = (as_csr(v) - mz).tocoo()
     free = ((r.col < h) & (r.row < h + f)) | ((r.row >= ts) & (r.col >= ts))
@@ -654,40 +651,33 @@ def extract_ando_from_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
     """Recover (Lambda, PU Lambda D_T, U*(I-P) Lambda D_T) from a lift in
     inclusion model form, and verify their structural consistency.
 
-    Returns (AndoFragments, Report).  The lift must be block lower triangular
-    with shift-type Hardy diagonal in the product; the constant column C of
-    V = V1 V2 then satisfies C*C = I - T*T and M_z*C = 0 and factors through
-    an isometry Lambda.  Both model-form guards are Frobenius norms.  It
-    reads the materialized matrices of V1 and V2 and their sparse product, so
-    what it checks is that the materialization is in model form.
+    Returns (AndoFragments, Report).  Model form is the block form: V1, V2
+    are LiftOperators (no head->Hardy block) on H (+) TruncHardy, and the
+    Hardy diagonal of V = V1 V2 (`LiftRealization.product`) is the shift
+    (Frobenius norm on degrees <= N-1, from the blocks); else it raises
+    NotModelFormError.  The column C of V then satisfies C*C = I - T*T and
+    M_z*C = 0 and factors through an isometry Lambda; PU Lambda D_T and
+    U*(I-P) Lambda D_T are the degree-0 columns of V1 and q V2.
     """
     an = PairAnalysis.of(pair)
     pair, t = an.pair, an.product
-    if lift.space.head_dim != pair.dim or lift.space.tail_dim != 0:
+    if not (isinstance(lift.v1, LiftOperator) and isinstance(lift.v2, LiftOperator)):
+        raise NotModelFormError("expected a lift in block form (LiftOperator)")
+    space = lift.space
+    if space.head_dim != pair.dim or space.tail_dim != 0:
         raise NotModelFormError("expected an inclusion-type lift layout")
-    q = pair.q
-    h_dim = pair.dim
-    f = lift.space.hardy.fiber_dim
-    n = lift.trunc
-    hs = lift.space.head_dim
-    v1, v2 = as_csr(lift.v1), as_csr(lift.v2)
-
-    for name, v in (("v1", v1), ("v2", v2)):
-        upper = frob(v[:h_dim, hs:])
-        if upper > tol:
-            raise NotModelFormError(
-                f"{name} has a head->Hardy block of Frobenius norm {upper:.3e}")
-    v = v1 @ v2
-    mz = materialize_csr(shift_symbol(q, f), n)
-    diag_res = frob((v[hs:, hs:] - mz)[:, lift.space.hardy.low(n - 1)])
+    q, h_dim, f = pair.q, pair.dim, space.hardy.fiber_dim
+    v = lift.product
+    shifted = LiftOperator(space, v.head, v.column, shift_symbol(1.0, f), v.tail)
+    diag_res = _block_frob(space, 1, [(1.0, v), (-1.0, shifted)])
     if diag_res > tol:
         raise NotModelFormError(
             f"Hardy diagonal of V1 V2 is not the shift: Frobenius residual {diag_res:.3e}")
-    c_block = v[hs:, :h_dim].toarray()
+    zero = (np.zeros((f, h_dim), dtype=np.complex128),)
+    c0, *higher = v.column or zero
     rep = Report("ando-extract", {"tol": tol})
     rep.check("mzstar-c", "M_z* C = 0 (C is a constant column)",
-              opnorm(c_block[f:]), tol)
-    c0 = c_block[:f]
+              opnorm(np.vstack(higher)) if higher else 0.0, tol)
     rep.check("c-defect", "C*C = I - T*T",
               frob(adj(c0) @ c0 - (eye(h_dim) - adj(t) @ t)), tol)
 
@@ -698,8 +688,7 @@ def extract_ando_from_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
     rep.check("lambda-consistency", "Lambda (ran D_T coords) reproduces C",
               frob(lam_rec @ x - c0), tol)
 
-    a1 = v1[hs:hs + f, :h_dim].toarray()
-    a2 = q * v2[hs:hs + f, :h_dim].toarray()
+    a1, a2 = (lift.v1.column or zero)[0], q * (lift.v2.column or zero)[0]
     rep.check("frag-t1", "T1*T1 + (PUL)*(PUL) = I",
               frob(adj(pair.t1) @ pair.t1 + adj(a1) @ a1 - eye(h_dim)), tol)
     rep.check("frag-t2", "T2*T2 + (U*(I-P)L)*(U*(I-P)L) = I",

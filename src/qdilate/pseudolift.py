@@ -15,8 +15,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import hardy, matcore
+from . import matcore
+from .errors import NotModelFormError, NotQCommutantError
+from .hardy import TwistedSymbol
 from .lifts import (
+    LiftOperator,
     PseudoTriple,
     adjoint_times,
     commutator_residual,
@@ -95,30 +98,32 @@ def uniqueness_test(pair: QPair, candidate: PseudoTriple, tol: float = 1e-9,
 
     The candidate must share the Douglas isometry (W = V_D up to degree
     budget); on a pass, block rigidity forces (W1, W2) = (W1_D, W2_D), checked on
-    the interior block.  With `tau`, an arbitrary pseudo lift is accepted and
-    compared after conjugation by the supplied minimal-lift intertwiner.
+    the interior block.  A candidate in block form is checked from its blocks.
+    With `tau`, an arbitrary pseudo lift is accepted and compared, as CSR,
+    after conjugation by the supplied minimal-lift intertwiner.
     """
     an = PairAnalysis.of(pair)
     pi_d, ref = douglas_pseudo_lift(an, candidate.trunc)
     rep = Report("pseudo-uniqueness", {"trunc": candidate.trunc, "tol": tol})
-    w1, w2, w = as_csr(candidate.w1), as_csr(candidate.w2), as_csr(candidate.w)
     if tau is not None:
         tau = matcore.as_cmatrix(tau)
         rep.check("tau-unitary", "supplied intertwiner is unitary",
                   opnorm(adj(tau) @ tau - eye(tau.shape[0])), 1e-10)
-        w1, w2, w = (as_csr(tau @ (x @ adj(tau))) for x in (w1, w2, w))
-    e1 = ref.space.interior(1)
+        moved = [as_csr(tau @ (as_csr(x) @ adj(tau))) for x in (candidate.w1, candidate.w2,
+                                                                 candidate.w)]
+        candidate = replace(candidate, w1=moved[0], w2=moved[1], w=moved[2])
+    space = ref.space
     same_w = rep.check("same-douglas-isometry", "candidate W equals V_D",
-                       frob((w - as_csr(ref.w))[:, e1]), tol)
-    axioms = is_pseudo_triple(replace(candidate, w1=w1, w2=w2, w=w), tol)
+                       interior_frob(space, 1, (1.0, candidate.w), (-1.0, ref.w)), tol)
+    axioms = is_pseudo_triple(candidate, tol)
     rep.merge(axioms, prefix="candidate-")
-    lift_rep = is_pseudo_lift(pi_d, replace(candidate, w1=w1, w2=w2, w=w), an, tol)
+    lift_rep = is_pseudo_lift(pi_d, candidate, an, tol)
     rep.merge(lift_rep, prefix="candidate-")
     if same_w and axioms.overall and lift_rep.overall:
         rep.check("uniqueness-w1", "W1 = W1_D on degrees <= N-1",
-                  frob((w1 - as_csr(ref.w1))[:, e1]), tol)
+                  interior_frob(space, 1, (1.0, candidate.w1), (-1.0, ref.w1)), tol)
         rep.check("uniqueness-w2", "W2 = W2_D on degrees <= N-1",
-                  frob((w2 - as_csr(ref.w2))[:, e1]), tol)
+                  interior_frob(space, 1, (1.0, candidate.w2), (-1.0, ref.w2)), tol)
     else:
         rep.skip("uniqueness-equality", "(W1,W2) = (W1_D,W2_D)",
                  note="candidate failed the pseudo-lift preconditions; "
@@ -144,35 +149,48 @@ def perturbed_triple(triple: PseudoTriple, eps: float, seed: int = 0) -> PseudoT
 
 def taylor_rigidity(triple: PseudoTriple, pair: PairAnalysis | QPair,
                     tol: float = 1e-9) -> Report:
-    """Extract the Hardy-block symbols of a passing triple and match them to
-    the fundamental operators: phi1 = G1* + z G2, phi2 = G2* + qbar z G1."""
+    """Read the Hardy-block symbols of a passing triple in block form (else
+    NotModelFormError) and match them to the fundamental operators:
+    phi1 = G1* + z G2, phi2 = G2* + qbar z G1."""
+    if not (isinstance(triple.w1, LiftOperator) and isinstance(triple.w2, LiftOperator)):
+        raise NotModelFormError("expected a pseudo triple in block form (LiftOperator)")
     rep = Report("taylor-rigidity", {"trunc": triple.trunc, "tol": tol})
-    q = triple.q
+    q, n = triple.q, triple.trunc
     fund = PairAnalysis.of(pair).fundamental
-    hd = triple.space.hardy.total_dim
-    space = triple.space.hardy
-    a1 = hardy.TruncOperator(as_csr(triple.w1)[:hd, :hd], space, space)
-    a2 = hardy.TruncOperator(as_csr(triple.w2)[:hd, :hd], space, space)
-    sym1, res1 = hardy.extract_symbol(a1, q)
-    sym2, res2 = hardy.extract_symbol(a2, np.conj(q))
+    sym1, res1 = _read_symbol(triple.w1.symbol, q, n)
+    sym2, res2 = _read_symbol(triple.w2.symbol, np.conj(q), n)
     rep.check("reconstruct-1", "W1 Hardy block is a degree-1 twisted multiplier",
               res1, tol)
     rep.check("reconstruct-2", "W2 Hardy block is a degree-1 twisted multiplier",
               res2, tol)
     rep.require("degree-1", "extracted symbols have degree <= 1",
-                sym1.degree <= 1 and sym2.degree <= 1)
-
-    def coeff(sym, k):
-        if k <= sym.degree:
-            return sym.coeffs[k]
-        return np.zeros_like(sym.coeffs[0])
-
-    r = max(frob(coeff(sym1, 0) - adj(fund.g1)),
-            frob(coeff(sym1, 1) - fund.g2),
-            frob(coeff(sym2, 0) - adj(fund.g2)),
-            frob(coeff(sym2, 1) - np.conj(q) * fund.g1))
+                len(sym1) == len(sym2) == 2)
+    (a0, a1, *_), (b0, b1, *_) = sym1, sym2
+    r = max(frob(a0 - adj(fund.g1)), frob(a1 - fund.g2),
+            frob(b0 - adj(fund.g2)), frob(b1 - np.conj(q) * fund.g1))
     rep.check("match-fundamental", "Taylor coefficients reproduce (G1, G2)",
               r, tol)
     rep.check("linear-pencil", "phi_{1,0} = qbar phi_{2,1}*",
-              frob(coeff(sym1, 0) - np.conj(q) * adj(coeff(sym2, 1))), tol)
+              frob(a0 - np.conj(q) * adj(b1)), tol)
     return rep
+
+
+def _read_symbol(sym: TwistedSymbol, base: complex, n: int, tol: float = 1e-10):
+    """`hardy.extract_symbol` of A = M_phi R_{q^m} on TruncHardy(N), an
+    operator in the base-commutant of the shift, in closed form: the Taylor
+    coefficients it keeps (padded to two) and its reconstruction residual.
+    With d = |q^m - base| the precondition is d (sum_k (N-k) ||phi_k||^2)^(1/2);
+    on the columns j <= N - p, |q^{mj} - base^j| <= j d, and a dropped phi_k
+    fills N - k + 1 of them."""
+    sq = np.array([float(np.vdot(c, c).real) for c in sym.coeffs])
+    d, degrees = abs(sym.q ** sym.twist - base), np.arange(sym.degree + 1)
+    columns = sum(np.sum(np.abs(c) ** 2, axis=0) for c in sym.coeffs)
+    gate = tol * max(1.0, float(np.sqrt(columns.max(initial=0.0))))
+    pre = d * np.sqrt(sq @ np.maximum(n - degrees, 0))
+    if pre > gate:
+        raise NotQCommutantError(f"||A Mz - q Mz A||_F = {pre:.3e} on degrees <= {n - 1}")
+    p = max((k for k in degrees[1:] if np.sqrt(sq[k]) > gate), default=0)
+    top = n - p
+    resid = np.sqrt(d ** 2 * sq[:p + 1].sum() * top * (top + 1) * (2 * top + 1) / 6
+                    + sq[p + 1:] @ (n + 1 - degrees[p + 1:]))
+    return sym.coeffs[:p + 1] + (np.zeros_like(sym.coeffs[0]),) * (1 - p), float(resid)

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import qdilate as qd
-from qdilate import lifts, model, pseudolift
-from qdilate.errors import QDilateError
+from qdilate import hardy, lifts, model, pseudolift
+from qdilate.errors import NotQCommutantError, QDilateError
 from qdilate.hardy import TwistedSymbol, shift_symbol
-from qdilate.matcore import EPS, as_csr, frob
+from qdilate.matcore import EPS, adj, as_csr, eye, frob, opnorm
+from qdilate.report import Report
 
 from test_hardy import grid_norm
 from test_lifts import mixed_pair, sparse_route, sparse_triple
@@ -155,29 +156,158 @@ def test_ando_scaling_moves_the_isometry_residuals():
         assert abs(a.residual - b.residual) <= 1e-10 * b.residual
 
 
-def test_contraction_gate_reads_the_untruncated_norm():
-    # W1 = M_phi R_q with phi = a + bz, |a| = |b| = (1 + 1e-6)/2: ||phi||_inf
-    # = 1 + 1e-6, while the degree <= 5 columns of its N = 6 section have
-    # norm below 0.98.  The block route gates the untruncated operator and
-    # fails; the sparse route gates the section and passes.
-    q, n = np.exp(0.7j), 6
+def barely_expansive_triple(q, n):
+    """W1 = W2 = M_phi R_q with phi = a + bz, |a| = |b| = (1 + 1e-6)/2, and
+    W = M_z on TruncHardy(1, N): ||phi||_inf = 1 + 1e-6, while the degree
+    <= N-1 columns of the N = 6 section have norm below 0.98."""
     r = (1 + 1e-6) / 2
     space = lifts.LiftSpace(0, qd.TruncHardy(1, n), 0)
     empty = np.zeros((0, 0), dtype=complex)
     phi = TwistedSymbol(q, 1, (np.full((1, 1), r), np.full((1, 1), r * np.exp(0.3j))))
     w1 = lifts.LiftOperator(space, empty, (), phi, empty)
     shift = lifts.LiftOperator(space, empty, (), shift_symbol(q, 1), empty)
-    tri = lifts.PseudoTriple(q, space, w1, w1, shift, n)
-    section = np.linalg.norm(as_csr(w1).toarray()[:, space.interior(1)], 2)
+    return lifts.PseudoTriple(q, space, w1, w1, shift, n)
+
+
+def contraction_record(rep):
+    return next(r for r in rep.records if r.check_id.endswith("axiom-i-contractions"))
+
+
+def test_contraction_gate_reads_the_untruncated_norm():
+    # the block route gates the untruncated operator and fails; the sparse
+    # route gates the section and passes
+    tri = barely_expansive_triple(np.exp(0.7j), 6)
+    section = np.linalg.norm(as_csr(tri.w1).toarray()[:, tri.space.interior(1)], 2)
     assert section < 0.98
-
-    def contraction(triple):
-        rep = pseudolift.is_pseudo_triple(triple)
-        return next(r for r in rep.records if r.check_id == "axiom-i-contractions")
-
-    block, ref = contraction(tri), contraction(sparse_triple(tri))
+    block = contraction_record(pseudolift.is_pseudo_triple(tri))
+    ref = contraction_record(pseudolift.is_pseudo_triple(sparse_triple(tri)))
     assert not block.passed and abs(block.residual - 1e-6) <= 1e-12
     assert ref.passed and ref.residual == 0.0
+
+
+def test_uniqueness_keeps_a_block_candidate():
+    # the same triple as a candidate over the Douglas data of the zero pair
+    # (D_{T*} = I on C, no unitary part): it shares the Douglas isometry, and
+    # its contractivity is read on the untruncated operator, so it fails
+    q = np.exp(0.7j)
+    pair = qd.validate(q, np.zeros((1, 1)), np.zeros((1, 1)))
+    tri = barely_expansive_triple(q, 6)
+    rep = pseudolift.uniqueness_test(pair, tri)
+    by_id = {r.check_id: r for r in rep.records}
+    assert by_id["same-douglas-isometry"].passed
+    assert by_id["same-douglas-isometry"].residual == 0.0
+    record = contraction_record(rep)
+    assert record.check_id == "candidate-axiom-i-contractions"
+    assert not record.passed and abs(record.residual - 1e-6) <= 1e-12
+    assert by_id["uniqueness-equality"].skipped
+    # with tau, the candidate is conjugated as CSR and its section gated
+    tau = np.eye(tri.space.total_dim)
+    assert contraction_record(pseudolift.uniqueness_test(pair, tri, tau=tau)).passed
+
+
+def csr_extract_ando(lift, an, tol=1e-10):
+    """`extract_ando_from_lift` on the materialized matrices: the model-form
+    guards and the columns read from `as_csr` slices and a sparse product."""
+    pair, t = an.pair, an.product
+    h, f, n = pair.dim, lift.space.hardy.fiber_dim, lift.trunc
+    v1, v2 = as_csr(lift.v1), as_csr(lift.v2)
+    assert max(frob(v1[:h, h:]), frob(v2[:h, h:])) <= tol
+    v = v1 @ v2
+    mz = hardy.materialize_csr(shift_symbol(pair.q, f), n)
+    assert frob((v[h:, h:] - mz)[:, lift.space.hardy.low(n - 1)]) <= tol
+    c_block = v[h:, :h].toarray()
+    c0 = c_block[:f]
+    x = an.dt.coords()
+    lam = c0 @ np.linalg.pinv(x)
+    a1, a2 = v1[h:h + f, :h].toarray(), pair.q * v2[h:h + f, :h].toarray()
+    rest = c0 - a1 @ pair.t2
+    closed = rest @ pair.t1 + a1
+    rep = Report("ando-extract")
+    for cid, value in [
+            ("mzstar-c", opnorm(c_block[f:])),
+            ("c-defect", frob(adj(c0) @ c0 - (eye(h) - adj(t) @ t))),
+            ("lambda-isometry", frob(adj(lam) @ lam - eye(an.dt.dim))),
+            ("lambda-consistency", frob(lam @ x - c0)),
+            ("frag-t1", frob(adj(pair.t1) @ pair.t1 + adj(a1) @ a1 - eye(h))),
+            ("frag-t2", frob(adj(pair.t2) @ pair.t2 + adj(a2) @ a2 - eye(h))),
+            ("frag-third", frob(adj(a2) @ a2 - adj(rest) @ rest)),
+            ("frag-fourth", frob(adj(c0) @ c0 - adj(closed) @ closed))]:
+        rep.check(cid, "", value, tol)
+    return lifts.AndoFragments(lam, a1, a2), rep
+
+
+def csr_taylor_rigidity(tri, an, tol=1e-9):
+    """`taylor_rigidity` by `hardy.extract_symbol` on the Hardy blocks of the
+    materialized W1 and W2."""
+    q, fund = tri.q, an.fundamental
+    hd, space = tri.space.hardy.total_dim, tri.space.hardy
+    syms, rep = [], Report("taylor-rigidity")
+    for i, (w, base) in enumerate(((tri.w1, q), (tri.w2, np.conj(q))), 1):
+        sym, res = hardy.extract_symbol(
+            hardy.TruncOperator(as_csr(w)[:hd, :hd], space, space), base)
+        rep.check(f"reconstruct-{i}", "", res, tol)
+        syms.append(sym)
+    rep.require("degree-1", "", all(sym.degree <= 1 for sym in syms))
+    (p0, p1), (r0, r1) = ([sym.coeffs[k] if k <= sym.degree else 0 * sym.coeffs[0]
+                           for k in (0, 1)] for sym in syms)
+    rep.check("match-fundamental", "",
+              max(frob(p0 - adj(fund.g1)), frob(p1 - fund.g2), frob(r0 - adj(fund.g2)),
+                  frob(r1 - np.conj(q) * fund.g1)), tol)
+    rep.check("linear-pencil", "", frob(p0 - np.conj(q) * adj(r1)), tol)
+    return rep
+
+
+@pytest.mark.parametrize("n", [6, 12, 24])
+def test_block_extraction_matches_the_csr_oracle(n):
+    # standard_corpus(0) and the four near-boundary pairs of the snapshot
+    pairs = [pair for _, pair in snapshot_pairs()]
+    built = 0
+    for pair in pairs:
+        an = model.PairAnalysis(pair)
+        try:
+            lift = qd.schaffer_lift(an.pair, an.tup, n)
+            _, tri = pseudolift.douglas_pseudo_lift(an, n)
+        except QDilateError:
+            continue
+        frag, rep = qd.extract_ando_from_lift(lift, an)
+        frag_ref, rep_ref = csr_extract_ando(lift, an)
+        assert_same({"ando": rep}, {"ando": rep_ref}, 1e-13)
+        for got, want in zip(dataclasses.astuple(frag), dataclasses.astuple(frag_ref)):
+            assert got.shape == want.shape and np.allclose(got, want, rtol=0.0, atol=1e-13)
+        assert_same({"taylor": pseudolift.taylor_rigidity(tri, an)},
+                    {"taylor": csr_taylor_rigidity(tri, an)}, 1e-13)
+        built += 1
+    # only the Ando construction of clock-shift:n=3 at 1 - 1e-9 fails
+    assert built == len(pairs) - 1
+
+
+@pytest.mark.parametrize("case", ["degree-2-kept", "degree-2-dropped", "base-near", "base-off"])
+def test_taylor_rigidity_matches_the_oracle_off_the_model(case):
+    # W1's symbol with a degree-2 coefficient above and below the 1e-10
+    # cutoff of extract_symbol, or with a twist base 1e-13 and 1e-3 away
+    # from q: the closed forms read what the oracle reads off the matrices
+    an = model.PairAnalysis(qd.gen_nilpotent(3, 1j, 0.9, 0.8))
+    _, tri = pseudolift.douglas_pseudo_lift(an, 12)
+    sym = tri.w1.symbol
+    if case.startswith("degree-2"):
+        unit = np.ones_like(sym.coeffs[0]) / np.sqrt(sym.coeffs[0].size)
+        size = 5e-10 if case == "degree-2-kept" else 5e-11
+        sym = TwistedSymbol(sym.q, sym.twist, (*sym.coeffs, size * unit))
+    else:
+        angle = 1e-13 if case == "base-near" else 1e-3
+        sym = TwistedSymbol(sym.q * np.exp(1j * angle), sym.twist, sym.coeffs)
+    bad = dataclasses.replace(tri, w1=dataclasses.replace(tri.w1, symbol=sym))
+    if case == "base-off":
+        for taylor in (pseudolift.taylor_rigidity, csr_taylor_rigidity):
+            with pytest.raises(NotQCommutantError):
+                taylor(bad, an)
+        return
+    block = pseudolift.taylor_rigidity(bad, an)
+    assert_same({"taylor": block}, {"taylor": csr_taylor_rigidity(bad, an)}, 1e-13)
+    by_id = {r.check_id: r for r in block.records}
+    assert by_id["degree-1"].passed == (case != "degree-2-kept")
+    if case != "degree-2-kept":
+        assert by_id["reconstruct-1"].residual > 1e-12
 
 
 def random_operator(rng, space, q, degree, twist, column_degree):

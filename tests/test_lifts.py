@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 import qdilate as qd
 from qdilate import cli, hardy, lifts, matcore, model, pseudolift, qpair
-from qdilate.errors import GeneratorError
+from qdilate.errors import GeneratorError, NotModelFormError
 from qdilate.matcore import adj, as_csr, eye, frob, opnorm
 
 from conftest import rand_vec
@@ -365,10 +365,12 @@ class TestVerifyPathGuard:
         assert self.verify(qd.gen_nilpotent(8, -1.0 + 0j, 0.9, 0.8), tmp_path, 1000) == 0
 
     def test_douglas_suite_builds_no_lift_space_matrix(self, corpus, tmp_path, monkeypatch):
-        # every douglas residual comes from the blocks: patching the two CSR
-        # builders to raise, in every module that holds them, changes nothing
+        # every residual of the three lift suites, the two extraction checks
+        # included, comes from the blocks: patching the two CSR builders to
+        # raise, in every module that holds them, changes nothing, at N = 24
+        # and at N = 1000
         def forbidden(*args, **kwargs):
-            raise AssertionError("lift-space CSR built on the douglas path")
+            raise AssertionError("lift-space CSR built on a lift suite")
 
         for fn in (hardy.materialize_csr, matcore.block_csr):
             for module in (hardy, matcore, lifts, model, pseudolift):
@@ -376,9 +378,11 @@ class TestVerifyPathGuard:
                     if value is fn:
                         monkeypatch.setattr(module, key, forbidden)
         for pair in [pair for _, pair, _ in corpus[::9]] + [mixed_pair()]:
-            assert self.verify(pair, tmp_path, 24, "douglas") == 0
-        with pytest.raises(AssertionError, match="douglas path"):
-            self.verify(mixed_pair(), tmp_path, 24, "schaffer")
+            assert self.verify(pair, tmp_path, 24) == 0
+        assert self.verify(qd.gen_nilpotent(8, -1.0 + 0j, 0.9, 0.8), tmp_path, 1000) == 0
+        # the guard is live: materializing a lift operator raises
+        with pytest.raises(AssertionError, match="lift suite"):
+            as_csr(qd.douglas_lift(mixed_pair(), 6).v1)
 
 
 def sparse_route(lift):
@@ -395,12 +399,13 @@ class TestFrobeniusGates:
     """The lift-space identity residuals are gated on their Frobenius norm,
     which is never below the spectral norm the gates used before.  The
     sparse route is recorded here; `test_block_route.py` holds the block
-    route to it."""
+    route to it.  The two extraction checks read the blocks only (their
+    reconstruction residuals are closed forms), so none of their residuals is
+    a sparse one."""
 
     SWITCHED = {"isometry-v1", "isometry-v2", "q-commute", "product-structure",
                 "axiom-i-isometry", "axiom-ii-w1", "axiom-ii-w2", "axiom-iii",
-                "reconstruct-1", "reconstruct-2", "same-douglas-isometry",
-                "uniqueness-w1", "uniqueness-w2"}
+                "same-douglas-isometry", "uniqueness-w1", "uniqueness-w2"}
 
     @staticmethod
     def record_sparse_frob(monkeypatch):
@@ -428,7 +433,8 @@ class TestFrobeniusGates:
             an = model.PairAnalysis(pair)
             seen.clear()
             schaffer = sparse_route(qd.schaffer_lift(an.pair, an.tup, n))
-            reps = [qd.verify_lift(schaffer, an), qd.extract_ando_from_lift(schaffer, an)[1],
+            reps = [qd.verify_lift(schaffer, an),
+                    qd.extract_ando_from_lift(qd.schaffer_lift(an.pair, an.tup, n), an)[1],
                     qd.verify_lift(sparse_route(qd.douglas_lift(an, n)), an)]
             pi, tri = pseudolift.douglas_pseudo_lift(an, n)
             reps.append(pseudolift.is_pseudo_triple(sparse_triple(tri)))
@@ -441,15 +447,18 @@ class TestFrobeniusGates:
             uniq = pseudolift.uniqueness_test(an.pair, cand)
             assert "uniqueness-w1" in {r.check_id for r in uniq.records}, i
             reps.append(uniq)
-            # schaffer 3 + 3 model-form guards, douglas 4, pseudo 4 + 2 x 2
-            # (extract_symbol), uniqueness 3 + the candidate's 4 axioms
-            assert len(seen) == 25, (i, len(seen))
+            # schaffer 3, douglas 4, pseudo 4, uniqueness 3 + the candidate's
+            # 4 axioms; the 3 model-form guards of the Ando extraction and the
+            # 2 x 2 residuals of the Taylor extraction (once extract_symbol on
+            # CSR matrices) are read from the blocks now, so they are not
+            # sparse residuals any more
+            assert len(seen) == 18, (i, len(seen))
             for value, spectral in seen:
                 assert value >= spectral - 1e-15, (i, value, spectral)
             recorded = {value for value, _ in seen}
             switched = [r for rep in reps for r in rep.records
                         if r.check_id.removeprefix("candidate-") in self.SWITCHED]
-            assert len(switched) == 20, i
+            assert len(switched) == 18, i
             for r in switched:
                 assert r.residual in recorded, (i, r.check_id)
 
@@ -532,24 +541,39 @@ class TestExtractAndo:
         rng = np.random.default_rng(3)
         w_f = np.linalg.qr(rng.standard_normal((f, f))
                            + 1j * rng.standard_normal((f, f)))[0]
-        big = scipy.linalg.block_diag(eye(pair.dim),
-                                      np.kron(eye(n + 1), w_f)).astype(complex)
-        rotated = dataclasses.replace(
-            lift, pi=big @ lift.pi,
-            v1=big @ as_csr(lift.v1).toarray() @ adj(big),
-            v2=big @ as_csr(lift.v2).toarray() @ adj(big))
+
+        def rotate(op):
+            # (I (+) (I_{N+1} (x) w_f)) V (I (+) (I_{N+1} (x) w_f))*, in blocks
+            sym = op.symbol
+            return dataclasses.replace(
+                op, column=tuple(w_f @ c for c in op.column),
+                symbol=hardy.TwistedSymbol(sym.q, sym.twist,
+                                           tuple(w_f @ c @ adj(w_f) for c in sym.coeffs)))
+
+        rotated = dataclasses.replace(lift, v1=rotate(lift.v1), v2=rotate(lift.v2))
+        big = scipy.linalg.block_diag(eye(pair.dim), np.kron(eye(n + 1), w_f))
+        dense = big @ as_csr(lift.v1).toarray() @ adj(big)
+        assert frob(as_csr(rotated.v1).toarray() - dense) < 1e-14
         frag, rep = qd.extract_ando_from_lift(rotated, pair)
         assert rep.overall, rep.summary_lines()
         assert frob(frag.lam - w_f @ tup.lam) < 1e-10
 
-    def test_rejects_non_model_form(self):
+    @pytest.mark.parametrize("case", ["bumped-product-symbol", "dense"])
+    def test_rejects_non_model_form(self, case):
+        # a product whose Hardy diagonal is not the shift, and a lift that is
+        # not in block form (its head->Hardy block could be anything)
         pair = qd.gen_clock_shift(2, 0.5)
         tup = qd.special_ando_tuple(pair)
         lift = qd.schaffer_lift(pair, tup, 6)
-        v1_bad = as_csr(lift.v1).toarray()
-        v1_bad[0, 3] = 0.5
-        bad = dataclasses.replace(lift, v1=v1_bad)
-        with pytest.raises(qd.QDilateError):
+        if case == "dense":
+            bad = dataclasses.replace(lift, v1=as_csr(lift.v1).toarray())
+        else:
+            sym = lift.v2.symbol
+            coeffs = (sym.coeffs[0] + 1e-3, *sym.coeffs[1:])
+            bad = dataclasses.replace(lift, v2=dataclasses.replace(
+                lift.v2, symbol=hardy.TwistedSymbol(sym.q, sym.twist, coeffs)))
+            assert frob(bad.product.symbol.coeffs[0]) > 1e-4
+        with pytest.raises(NotModelFormError):
             qd.extract_ando_from_lift(bad, pair)
 
 

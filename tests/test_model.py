@@ -496,6 +496,19 @@ class TestAdmissible:
         rep = qd.verify_admissible(tri.fundamental.g1, tri.fundamental.g2,
                                    tri.theta_coeffs(6), 16, pair.q)
         assert rep.overall, rep.summary_lines()
+        cond2 = next(r for r in rep.records if r.check_id == "cond2-trivial-delta")
+        assert cond2.residual < 1e-14
+
+    def test_theta_unimodular_only_at_roots_of_unity_rejected(self):
+        # Theta = (1 + z^64)/2 has |Theta| = 1 at the 64th roots of unity, but
+        # Theta*Theta - I = z^-64/4 - 1/2 + z^64/4 is not 0: the sum of the
+        # norms of its Laurent coefficients reads 1
+        one = eye(1)
+        coeffs = [0.5 * one] + [0 * one] * 63 + [0.5 * one]
+        rep = qd.verify_admissible(0 * one, 0 * one, coeffs, 70, 1.0 + 0j)
+        cond2 = next(r for r in rep.records if r.check_id == "cond2-trivial-delta")
+        assert not cond2.passed
+        assert cond2.note == "boundary defect bound 1.000e+00"
 
     def test_shift_model_admissible(self):
         one = eye(1)
