@@ -558,21 +558,27 @@ class TestExtractAndo:
         assert rep.overall, rep.summary_lines()
         assert frob(frag.lam - w_f @ tup.lam) < 1e-10
 
-    @pytest.mark.parametrize("case", ["bumped-product-symbol", "dense"])
-    def test_rejects_non_model_form(self, case):
-        # a product whose Hardy diagonal is not the shift, and a lift that is
-        # not in block form (its head->Hardy block could be anything)
+    def test_rejects_non_model_form(self):
+        # a lift that is not in block form: its head->Hardy block is nonzero
         pair = qd.gen_clock_shift(2, 0.5)
         tup = qd.special_ando_tuple(pair)
         lift = qd.schaffer_lift(pair, tup, 6)
-        if case == "dense":
-            bad = dataclasses.replace(lift, v1=as_csr(lift.v1).toarray())
-        else:
-            sym = lift.v2.symbol
-            coeffs = (sym.coeffs[0] + 1e-3, *sym.coeffs[1:])
-            bad = dataclasses.replace(lift, v2=dataclasses.replace(
-                lift.v2, symbol=hardy.TwistedSymbol(sym.q, sym.twist, coeffs)))
-            assert frob(bad.product.symbol.coeffs[0]) > 1e-4
+        v1_bad = as_csr(lift.v1).toarray()
+        v1_bad[0, 3] = 0.5
+        bad = dataclasses.replace(lift, v1=v1_bad)
+        with pytest.raises(NotModelFormError):
+            qd.extract_ando_from_lift(bad, pair)
+
+    def test_rejects_bumped_product_symbol(self):
+        # a product whose Hardy diagonal is not the shift
+        pair = qd.gen_clock_shift(2, 0.5)
+        tup = qd.special_ando_tuple(pair)
+        lift = qd.schaffer_lift(pair, tup, 6)
+        sym = lift.v2.symbol
+        coeffs = (sym.coeffs[0] + 1e-3, *sym.coeffs[1:])
+        bad = dataclasses.replace(lift, v2=dataclasses.replace(
+            lift.v2, symbol=hardy.TwistedSymbol(sym.q, sym.twist, coeffs)))
+        assert frob(bad.product.symbol.coeffs[0]) > 1e-4
         with pytest.raises(NotModelFormError):
             qd.extract_ando_from_lift(bad, pair)
 
