@@ -87,19 +87,10 @@ class TwistedSymbol:
         return len(self.coeffs) - 1
 
 
-def identity_symbol(q: complex, fiber: int) -> TwistedSymbol:
-    return TwistedSymbol(q, 0, (eye(fiber),))
-
-
 def shift_symbol(q: complex, fiber: int) -> TwistedSymbol:
     """M_z as a symbol."""
     return TwistedSymbol(q, 0, (np.zeros((fiber, fiber), dtype=np.complex128),
                                 eye(fiber)))
-
-
-def rotation_symbol(q: complex, fiber: int, m: int = 1) -> TwistedSymbol:
-    """R_{q^m} as a symbol."""
-    return TwistedSymbol(q, m, (eye(fiber),))
 
 
 def symbol_compose(s1: TwistedSymbol, s2: TwistedSymbol) -> TwistedSymbol:
@@ -231,43 +222,34 @@ class TruncOperator:
     codomain: object
 
 
-def materialize_csr(s: TwistedSymbol, n: int, offset: int = 0, shape=None,
-                    blocks=()) -> sp.csr_matrix:
+def materialize_csr(s: TwistedSymbol, n: int) -> sp.csr_matrix:
     """CSR matrix of M_phi R_{q^twist} on TruncHardy(fiber, n).
 
     Monomial action: z^j (x) xi  |->  sum_k q^{twist j} z^{j+k} (x) C_k xi,
     coefficients beyond degree n dropped: block (j+k, j) is q^{twist j} C_k.
-    With `offset` and `shape`, that matrix sits at (offset, offset) of one of
-    `shape`, next to the dense `blocks` given as (row offset, column offset,
-    block); all of it is built from one set of triplets, which is how a
-    `lifts.LiftOperator` is materialized.
+    The triplets of all blocks are built at once and sorted straight into
+    CSR arrays; `matcore.block_csr` places the matrix inside a lift space.
     """
     if n < s.degree:
         raise DimensionMismatchError(f"truncation {n} below symbol degree {s.degree}")
     fi, fo = s.fiber_in, s.fiber_out
-    shape = shape or ((n + 1) * fo, (n + 1) * fi)
+    shape = ((n + 1) * fo, (n + 1) * fi)
     qt = s.q ** s.twist
     phase = np.array([qt ** j for j in range(n + 1)], dtype=np.complex128)
     k, j = (a.ravel() for a in np.meshgrid(np.arange(s.degree + 1), np.arange(n + 1),
                                             indexing="ij"))
     k, j = k[j + k <= n, None, None], j[j + k <= n, None, None]
     size = (k.size, fo, fi)
-    rows = [np.broadcast_to(offset + (j + k) * fo + np.arange(fo)[:, None], size).ravel()]
-    cols = [np.broadcast_to(offset + j * fi + np.arange(fi), size).ravel()]
-    vals = [(phase[j] * np.array(s.coeffs)[k[:, 0, 0]]).ravel()]
-    for r0, c0, block in blocks:
-        r, c = np.nonzero(block)
-        rows.append(r + r0)
-        cols.append(c + c0)
-        vals.append(block[r, c])
-    vals = np.concatenate(vals)
+    rows = np.broadcast_to((j + k) * fo + np.arange(fo)[:, None], size).ravel()
+    cols = np.broadcast_to(j * fi + np.arange(fi), size).ravel()
+    vals = (phase[j] * np.array(s.coeffs)[k[:, 0, 0]]).ravel()
     keep = np.flatnonzero(vals != 0)
-    rows, cols = np.concatenate(rows)[keep], np.concatenate(cols)[keep]
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
     # the triplets sorted by row, then column, are the CSR arrays
     order = np.argsort(rows * shape[1] + cols, kind="stable")
     indptr = np.zeros(shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sp.csr_matrix((vals[keep][order], cols[order], indptr), shape=shape)
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
 
 
 def materialize(s: TwistedSymbol, n: int) -> TruncOperator:

@@ -51,7 +51,7 @@ from .hardy import (
     shift_symbol,
     symbol_compose,
 )
-from .matcore import adj, as_csr, eye, frob, opnorm, speye
+from .matcore import adj, as_csr, block_csr, eye, frob, opnorm, speye
 from .model import CanonicalUnitaryPair, PairAnalysis
 from .qpair import QPair
 from .report import Report
@@ -110,10 +110,12 @@ class LiftOperator:
     def csr(self) -> sp.csr_matrix:
         """The CSR matrix, built once (what `matcore.as_csr` returns)."""
         h, ts = self.space.head_dim, self.space.tail_start
-        blocks = [(0, 0, self.head), (ts, ts, self.tail)]
+        blocks = [(0, 0, self.head),
+                  (h, h, materialize_csr(self.symbol, self.space.hardy.max_degree)),
+                  (ts, ts, self.tail)]
         if self.column:
             blocks.append((h, 0, np.vstack(self.column)))
-        return materialize_csr(self.symbol, self.space.hardy.max_degree, h, self.shape, blocks)
+        return block_csr(self.shape, blocks)
 
     def __matmul__(self, other):
         """The product, from the symbol composition plus the head and column
@@ -539,7 +541,8 @@ def _shape_residual(v, space: LiftSpace) -> float:
     if isinstance(v, LiftOperator):
         shape = LiftOperator(space, v.head, v.column[:1], shift_symbol(1.0, f), v.tail)
         return _block_frob(space, 0, [(1.0, v), (-1.0, shape)])
-    mz = materialize_csr(shift_symbol(1.0, f), space.hardy.max_degree, h, v.shape)
+    mz = block_csr(v.shape, [(h, h, materialize_csr(shift_symbol(1.0, f),
+                                                    space.hardy.max_degree))])
     r = (as_csr(v) - mz).tocoo()
     free = ((r.col < h) & (r.row < h + f)) | ((r.row >= ts) & (r.col >= ts))
     return float(np.linalg.norm(r.data[~free]))

@@ -2,16 +2,19 @@
 
 Operators are complex128 numpy arrays, except the lift-space operators, which
 are held in block form (`lifts.LiftOperator`) and materialized as
-`scipy.sparse` CSR matrices by `as_csr` (`speye` and `block_csr` build CSR
-matrices too); `frob`, `opnorm` and `greedy_orbit_rank` accept dense and
-CSR input.  Identity residuals whose true value is 0 are gated on `frob`,
-one pass over the stored entries and never below the spectral norm; `opnorm`
-is kept where the spectral norm itself is gated.  A tolerance scale needs
-only a lower bound for the norm, which keeps its gate at least as strict
-(`hardy.extract_symbol` takes the largest column norm).  LAPACK's banded
-eigensolver (`scipy.linalg.eig_banded`) serves only the sparse `opnorm`, that
-is CSR or dense lift operators and `model.verify_admissible`; the lift suites
-take the norms of their LiftOperators from the symbols (`hardy.symbol_norm`).
+`scipy.sparse` CSR matrices by `as_csr`; `block_csr` is the one assembler of
+such matrices from blocks, and `speye` builds the CSR identity.  `frob`,
+`opnorm` and `greedy_orbit_rank` accept dense and CSR input.  Identity
+residuals whose true value is 0 are gated on `frob`, one pass over the
+stored entries and never below the spectral norm; `opnorm` is kept where the
+spectral norm itself is gated.  A tolerance scale needs only a lower bound
+for the norm, which keeps its gate at least as strict (`hardy.extract_symbol`
+takes the largest column norm).  The sparse `opnorm` has one path: scale,
+Gram matrix, banded eigensolve (LAPACK's `scipy.linalg.eig_banded`).  Its
+only callers are CSR or dense lift operators through `lifts.interior_opnorm`:
+`qdilate pseudo --perturb`, `pseudolift.uniqueness_test(tau=...)` and the
+tests' sparse reference route; the verify suites take the norms of their
+LiftOperators from the symbols (`hardy.symbol_norm`).
 `rank_gap` decides a rank at an absolute cutoff and reports its
 singular-value margin; the lift minimality proofs use it on dim-sized blocks,
 and `greedy_orbit_rank`, which grows a basis on the whole space, is left to
@@ -74,28 +77,19 @@ def opnorm(a) -> float:
     where `frob` would loosen a check or change its meaning: the dense
     D x dim intertwining residuals, held to tail-corrected tolerances (an
     SVD); the discriminator lower bound of `lifts.nonisolifts_fixture`; and
-    `model.verify_admissible`.  The sparse norm below is also the reference
-    route of the contractivity of W1, W2 (`pseudolift.is_pseudo_triple`) for
-    CSR or dense operators, and the only caller of the banded eigensolver; a
-    builder-made triple takes that norm from its symbols
-    (`lifts.interior_opnorm`, `hardy.symbol_norm`), so the lift suites call
-    neither.
+    the contractivity of W1, W2 of a CSR or dense pseudo triple
+    (`lifts.interior_opnorm`).  A builder-made triple takes that norm from
+    its symbols (`hardy.symbol_norm`), so the verify suites call no sparse
+    norm.
 
-    Dense input goes through the SVD.  Sparse input is split into the
-    connected components of its bipartite row/column graph: permuting rows
-    and columns makes A block diagonal with one block per component, so
-    ||A|| is the largest of the block norms, and each is computed exactly.
-    Blocks of at most `_SMALL_BLOCK` rows plus columns are zero-padded into
-    one stack and go through a single batched SVD (padding adds only zero
-    singular values).  A larger block, or the whole matrix when it is one
-    block, has as norm the root of the largest eigenvalue of its smaller
-    Gram matrix, A*A or AA*, which is banded for the lift-space operators;
-    LAPACK's banded Hermitian eigensolver (?hbevd, eigenvalues only)
-    computes it.  Selecting just the top eigenvalue (?hbevx) is not used: its
-    bisection cannot separate that index from a cluster, and a contraction
-    whose norm is attained on several directions makes one.  A is first
-    divided by its largest |entry|, so the Gram neither underflows nor
-    overflows.
+    Dense input goes through the SVD.  Sparse input is divided by its
+    largest |entry|, so the Gram matrix neither underflows nor overflows;
+    its norm is then the root of the largest eigenvalue of the smaller Gram
+    matrix, A*A or AA*, which is banded for the lift-space operators, from
+    LAPACK's banded Hermitian eigensolver (?hbevd, eigenvalues only).
+    Selecting just the top eigenvalue (?hbevx) is not used: its bisection
+    cannot separate that index from a cluster, and a contraction whose norm
+    is attained on several directions makes one.
     """
     if sp.issparse(a):
         return _sparse_opnorm(a)
@@ -108,80 +102,17 @@ def stack_opnorms(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[:, 0] if a.size else np.zeros(len(a))
 
 
-# Blocks of at most this many rows plus columns share one batched dense SVD,
-# which costs O(k^3) for a block of k nodes; a banded Gram eigensolve costs
-# O(n^2 b) at width n and is kept for larger blocks.  A small block pads to at
-# most 31 x 31, so the stack stays small however many blocks there are.
-_SMALL_BLOCK = 32
-
-
 def _sparse_opnorm(a) -> float:
     a = sp.csr_matrix(a)
     scale = float(np.abs(a.data).max()) if a.nnz else 0.0
     if scale == 0.0:
         return 0.0
     a = a / scale
-    # one nonzero stored entry per position: the scatter below assigns, and
-    # every block then has a nonzero entry for the banded path
+    # one nonzero stored entry per position, so the Gram band is no wider
+    # than the matrix needs; duplicates that cancel can leave no entry at all
     a.sum_duplicates()
     a.eliminate_zeros()
-    m, n = a.shape
-    coo = a.tocoo()
-    labels = _component_labels(coo.row, coo.col + m, m + n)
-    row_lab, col_lab = labels[:m], labels[m:]
-    rows_per = np.bincount(row_lab, minlength=m + n)
-    cols_per = np.bincount(col_lab, minlength=m + n)
-    live = (rows_per > 0) & (cols_per > 0)
-    if np.count_nonzero(live) == 1:
-        return scale * _gram_norm(a)
-    large = live & (rows_per + cols_per > _SMALL_BLOCK)
-    top = max((_gram_norm(a[row_lab == k][:, col_lab == k]) for k in np.flatnonzero(large)),
-              default=0.0)
-    small = live & ~large
-    if small.any():
-        lab = row_lab[coo.row]
-        keep = small[lab]
-        slot = np.cumsum(small) - 1
-        stack = np.zeros((np.count_nonzero(small), rows_per[small].max(),
-                          cols_per[small].max()), dtype=np.complex128)
-        stack[slot[lab[keep]], _local_index(row_lab, rows_per)[coo.row[keep]],
-              _local_index(col_lab, cols_per)[coo.col[keep]]] = coo.data[keep]
-        top = max(top, float(stack_opnorms(stack).max()))
-    return scale * top
-
-
-def _component_labels(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
-    """Connected components of the graph on `size` nodes with edges (u, v):
-    each node is labelled with the smallest node of its component.
-
-    Labels are parent pointers to smaller nodes.  Each round hooks every
-    root under the smallest root it shares an edge with, then lets pointers
-    jump until each points at its root, so every tree with a smaller
-    neighbouring tree merges.  (scipy.sparse.csgraph labels components too,
-    but importing it loads scipy.sparse.linalg, ~3 MB of resident memory per
-    process.)
-    """
-    lab = np.arange(size)
-    while True:
-        lu, lv = lab[u], lab[v]
-        split = lu != lv
-        if not split.any():
-            return lab
-        np.minimum.at(lab, np.maximum(lu, lv)[split], np.minimum(lu, lv)[split])
-        while True:
-            up = lab[lab]
-            if np.array_equal(up, lab):
-                break
-            lab = up
-
-
-def _local_index(labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Position of each node among the nodes of its own component."""
-    order = np.argsort(labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    local = np.empty_like(order)
-    local[order] = np.arange(labels.size) - starts[labels[order]]
-    return local
+    return scale * _gram_norm(a) if a.nnz else 0.0
 
 
 def _gram_norm(a) -> float:

@@ -600,7 +600,9 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
     Theta is a matrix polynomial given by its coefficient list (fiber
     ran D -> ran D_*).  The Delta-space must be trivial (Theta two-sided
     inner), which is the finite-dimensional scope; condition (2) is then
-    vacuous and recorded as such.
+    vacuous and recorded as such.  Condition (1) reads the norms of the
+    untruncated multipliers (`hardy.symbol_norm`), which bound the norm of
+    every finite section.
     """
     g1, g2 = as_cmatrix(g1), as_cmatrix(g2)
     coeffs = [as_cmatrix(c) for c in theta_coeffs]
@@ -610,9 +612,7 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
     rep = Report("admissible", {"trunc": n, "tol": tol})
 
     sym1, sym2 = model_symbols(q, g1, g2)
-    a1, a2 = materialize_csr(sym1, n), materialize_csr(sym2, n)
-    head = TruncHardy(sym1.fiber_in, n).low(n - 1)
-    excess = max(opnorm(a1[:, head]), opnorm(a2[:, head])) - 1.0
+    excess = max(hardy.symbol_norm(sym1), hardy.symbol_norm(sym2)) - 1.0
     rep.check("cond1-contractive",
               "M_{G1*+zG2}R_q and R_qbar M_{G2*+zG1} are contractions",
               max(0.0, excess), 1e-9)
@@ -633,6 +633,7 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
 
     dom = TruncHardy(d_in, n)
     cod = TruncHardy(d_out, n)
+    a1, a2 = materialize_csr(sym1, n), materialize_csr(sym2, n)
     t_theta = materialize_csr(theta_sym, n)
     q_basis = matcore.orth_columns(t_theta[:, dom.low(n - d_theta)].toarray())
     test_cols = matcore.orth_columns(t_theta[:, dom.low(n - d_theta - 1)].toarray())

@@ -16,11 +16,9 @@ from qdilate.hardy import (
     TwistedSymbol,
     ev0,
     extract_symbol,
-    identity_symbol,
     materialize,
     obs_op,
     obs_tail_identity,
-    rotation_symbol,
     shift_symbol,
     symbol_compose,
     symbol_is_inner,
@@ -69,7 +67,7 @@ def grid_norm(sym, points: int = 2 ** 14, peaks: int = 4) -> float:
 class TestCompose:
     def test_shift_rot_squared(self):
         # (M_z R_q)^2 = q M_{z^2} R_{q^2}
-        s = symbol_compose(shift_symbol(Q, 1), rotation_symbol(Q, 1))
+        s = symbol_compose(shift_symbol(Q, 1), TwistedSymbol(Q, 1, (eye(1),)))
         ss = symbol_compose(s, s)
         assert ss.twist == 2
         assert ss.degree == 2
@@ -79,7 +77,7 @@ class TestCompose:
     def test_identity_neutral(self):
         rng = np.random.default_rng(1)
         s = random_symbol(rng, Q, 3, 2)
-        left = symbol_compose(identity_symbol(Q, 3), s)
+        left = symbol_compose(TwistedSymbol(Q, 0, (eye(3),)), s)
         assert left.twist == s.twist and left.degree == s.degree
         assert all(frob(a - b) < 1e-14 for a, b in zip(left.coeffs, s.coeffs))
 
@@ -87,13 +85,13 @@ class TestCompose:
         # R_q composed with a constant multiplier keeps the coefficient
         rng = np.random.default_rng(2)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        s = symbol_compose(rotation_symbol(Q, 2), TwistedSymbol(Q, 0, (a,)))
+        s = symbol_compose(TwistedSymbol(Q, 1, (eye(2),)), TwistedSymbol(Q, 0, (a,)))
         assert s.twist == 1
         assert frob(s.coeffs[0] - a) < 1e-15
 
     def test_fiber_mismatch(self):
         with pytest.raises(FiberMismatchError):
-            symbol_compose(identity_symbol(Q, 2), identity_symbol(Q, 3))
+            symbol_compose(TwistedSymbol(Q, 0, (eye(2),)), TwistedSymbol(Q, 0, (eye(3),)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_materialize_respects_compose(self, seed):
@@ -229,7 +227,7 @@ class TestMaterialize:
         assert np.allclose(m @ vec, [0.0, 1.0, 2.0])
 
     def test_rotation_diagonal(self):
-        m = materialize(rotation_symbol(Q, 1), 2).matrix
+        m = materialize(TwistedSymbol(Q, 1, (eye(1),)), 2).matrix
         assert np.allclose(np.diag(m), [1.0, Q, Q ** 2])
 
     def test_degree_one_block_structure(self):
@@ -244,7 +242,7 @@ class TestMaterialize:
         # R_q M_z = q M_z R_q on degrees <= N-1
         n = 6
         mz = materialize(shift_symbol(Q, 2), n).matrix
-        rq = materialize(rotation_symbol(Q, 2), n).matrix
+        rq = materialize(TwistedSymbol(Q, 1, (eye(2),)), n).matrix
         low = TruncHardy(2, n).low(n - 1)
         assert opnorm((rq @ mz - Q * mz @ rq)[:, low]) < 1e-13
 
@@ -343,7 +341,7 @@ class TestExtract:
         assert sym.degree == 2 and res < 1e-12
 
     def test_shift_rotation(self):
-        s = symbol_compose(shift_symbol(Q, 1), rotation_symbol(Q, 1))
+        s = symbol_compose(shift_symbol(Q, 1), TwistedSymbol(Q, 1, (eye(1),)))
         sym, res = extract_symbol(materialize(s, 6), Q)
         assert sym.degree == 1
         assert abs(sym.coeffs[1][0, 0] - 1.0) < 1e-14

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -290,13 +291,16 @@ class TestVerifyPathGuard:
     extraction needs one."""
 
     @staticmethod
-    def verify(pair, tmp_path, n, suites="schaffer,douglas,pseudo"):
-        path = tmp_path / "pair.json"
-        path.write_text(json.dumps(qpair.pair_to_json(pair)))
+    def run(args):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            return cli.main(["verify", "--pair", str(path), "--trunc", str(n),
-                             "--suites", suites])
+            return cli.main(args)
+
+    @classmethod
+    def verify(cls, pair, tmp_path, n, suites="schaffer,douglas,pseudo"):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(qpair.pair_to_json(pair)))
+        return cls.run(["verify", "--pair", str(path), "--trunc", str(n), "--suites", suites])
 
     @pytest.fixture(autouse=True)
     def no_greedy(self, monkeypatch):
@@ -369,20 +373,54 @@ class TestVerifyPathGuard:
         # included, comes from the blocks: patching the two CSR builders to
         # raise, in every module that holds them, changes nothing, at N = 24
         # and at N = 1000
-        def forbidden(*args, **kwargs):
-            raise AssertionError("lift-space CSR built on a lift suite")
-
-        for fn in (hardy.materialize_csr, matcore.block_csr):
-            for module in (hardy, matcore, lifts, model, pseudolift):
-                for key, value in list(vars(module).items()):
-                    if value is fn:
-                        monkeypatch.setattr(module, key, forbidden)
+        forbid(monkeypatch, (hardy.materialize_csr, matcore.block_csr),
+               "lift-space CSR built on a lift suite")
         for pair in [pair for _, pair, _ in corpus[::9]] + [mixed_pair()]:
             assert self.verify(pair, tmp_path, 24) == 0
         assert self.verify(qd.gen_nilpotent(8, -1.0 + 0j, 0.9, 0.8), tmp_path, 1000) == 0
         # the guard is live: materializing a lift operator raises
         with pytest.raises(AssertionError, match="lift suite"):
             as_csr(qd.douglas_lift(mixed_pair(), 6).v1)
+
+    def test_cli_runs_reach_no_sparse_norm_or_csr_assembly(self, corpus, cnu_corpus,
+                                                           tmp_path, monkeypatch):
+        # all eight verify suites on a corpus sample, charfn and triple on cnu
+        # pairs: none calls the sparse norm, its Gram solve or an assembler of
+        # lift-space CSR matrices, so patching those to raise leaves every
+        # exit code as it was
+        sample = [pair for _, pair, _ in corpus[::7]]
+        cnu = [pair for _, pair, _ in cnu_corpus[::30]]
+        paths = [tmp_path / f"pair{i}.json" for i in range(len(sample + cnu))]
+        for path, pair in zip(paths, sample + cnu):
+            path.write_text(json.dumps(qpair.pair_to_json(pair)))
+        runs = [["verify", "--pair", str(path), "--trunc", "24"] for path in paths]
+        for path in paths[len(sample):]:
+            runs += [["charfn", "--pair", str(path), "--grid", "2x4"],
+                     ["triple", "--pair", str(path)]]
+        expected = [self.run(args) for args in runs]
+        assert expected.count(0) > len(runs) // 2
+        forbid(monkeypatch, (matcore._sparse_opnorm, matcore._gram_norm, matcore.block_csr,
+                             hardy.materialize_csr), "sparse norm or CSR assembly on a CLI run")
+        assert [self.run(args) for args in runs] == expected
+        # the guard is live on the sparse norm and on a lift's materialization
+        with pytest.raises(AssertionError, match="CLI run"):
+            opnorm(matcore.speye(3))
+        with pytest.raises(AssertionError, match="CLI run"):
+            as_csr(qd.douglas_lift(mixed_pair(), 6).v1)
+
+
+def forbid(monkeypatch, fns, message):
+    """Patch each of `fns` to raise AssertionError(message), under every name
+    by which a qdilate module holds it."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(message)
+
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "qdilate" or name.startswith("qdilate.")]
+    for module in modules:
+        for key, value in list(vars(module).items()):
+            if any(value is fn for fn in fns):
+                monkeypatch.setattr(module, key, forbidden)
 
 
 def sparse_route(lift):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qdilate as qd
-from qdilate import matcore, model
+from qdilate import hardy, matcore, model
 from qdilate.ando import DefectData
 from qdilate.errors import (
     EmptyGridError,
@@ -521,6 +521,20 @@ class TestAdmissible:
         rep = qd.verify_admissible(one, one, [0 * one, one], 12, np.exp(2j))
         by_id = {r.check_id: r for r in rep.records}
         assert not by_id["cond1-contractive"].passed
+
+    def test_contractive_section_of_a_non_contractive_symbol_rejected(self):
+        # a + bz with a = b = (1 + 1e-6)/2 has sup norm 1 + 1e-6 on the circle,
+        # while its section on the degrees <= 5 of TruncHardy(1, 6) is a
+        # contraction (norm 0.975): cond1 reads the untruncated norm
+        one = eye(1)
+        a = b = (1 + 1e-6) / 2
+        sym = model.model_symbols(1.0 + 0j, np.conj(a) * one, b * one)[0]
+        section = hardy.materialize(sym, 6).matrix[:, :6]
+        assert np.linalg.norm(section, 2) < 0.98
+        rep = qd.verify_admissible(np.conj(a) * one, b * one, [0 * one, one], 6, 1.0 + 0j)
+        cond1 = next(r for r in rep.records if r.check_id == "cond1-contractive")
+        assert not cond1.passed
+        assert cond1.residual == pytest.approx(1e-6, rel=1e-6)
 
     def test_non_inner_theta_out_of_scope(self):
         one = eye(1)
