@@ -228,16 +228,16 @@ def cmd_charfn(args) -> int:
     radii = list(np.linspace(0.1, 0.9, radii_n))
     if boundary_ok:
         radii.append(1.0)
-    for r in radii:
-        ring = [r * np.exp(2j * np.pi * k / angles_n) for k in range(angles_n)]
-        for zs, thetas in theta_fn.many(ring):
-            for z, theta, svals in zip(zs, thetas, np.linalg.svd(thetas, compute_uv=False)):
-                sv_text = ";".join(map("{:.12e}".format, svals.tolist()))
-                if r == 1.0:
-                    d_text = f"{model.theta_defect_norm(theta):.12e}"
-                else:
-                    d_text = ""
-                lines.append(f"{z.real:.12e},{z.imag:.12e},{sv_text},{d_text}")
+    done = 0
+    for zs, thetas in theta_fn.grid(radii, angles_n):
+        for z, theta, svals in zip(zs, thetas, np.linalg.svd(thetas, compute_uv=False)):
+            sv_text = ";".join(map("{:.12e}".format, svals.tolist()))
+            if radii[done // angles_n] == 1.0:
+                d_text = f"{model.theta_defect_norm(theta):.12e}"
+            else:
+                d_text = ""
+            lines.append(f"{z.real:.12e},{z.imag:.12e},{sv_text},{d_text}")
+            done += 1
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -329,6 +329,15 @@ def verify_unique_canonical(pair: QPair, w1p: np.ndarray, w2p: np.ndarray,
 # Entries one stacked temporary of `CharFn.many` may hold: a chunk takes as
 # many points as fit n x n matrices into it, and at least one.
 _STACK_ENTRIES = 2 ** 14
+# Most terms p of a ring's Krylov stack, and most cosets m / p of one ring.
+_RING_TERMS = 32
+
+
+def _ring_order(m: int) -> int:
+    """The largest p | m with p <= _RING_TERMS, or 0 when m / p would exceed
+    _RING_TERMS (a smaller divisor only gives more cosets)."""
+    p = max((d for d in range(1, min(m, _RING_TERMS) + 1) if m % d == 0), default=0)
+    return p if p and m // p <= _RING_TERMS else 0
 
 
 class CharFn:
@@ -341,6 +350,22 @@ class CharFn:
     L = B_*^* D_{T*} and R = D_T B.  `many` evaluates a point set in chunks,
     each one stacked LU solve of I - zT* against R; a single point is a
     chunk of one, so both give the same bits.
+
+    `grid(radii, m)` evaluates the polar grid r e^{2 pi i k / m}, one ring
+    per radius.  A ring shares one solve among its points: for p | m every
+    point z of the coset {z : z^p = w} has (I - zT*) sum_{s<p} z^s T*^s =
+    I - w T*^p, so with Y = (I - w T*^p)^{-1} R,
+    Theta(z) = Theta0 + sum_{s<p} z^{s+1} (L T*^s) Y: one stacked solve of
+    the m / p cosets per ring, each with the residual guard of `many`.  The
+    route is taken only where |r|^p <= 1/2, so ||(I - w T*^p)^{-1}|| <= 2 for
+    any checked contraction and the forward error is O(p eps) whatever T is;
+    every other ring (|z| = 1, radii near 1, non-finite radii, rings that fit
+    one `many` chunk, m without a divisor p <= 32 leaving at most 32 cosets)
+    goes through `many`, bit for bit.  The Krylov stack L T*^s, s < p, is
+    cached once per evaluator and p, and holds at most 32 dim D_{T*} n
+    entries; one ring's Y holds at most 32 n dim D_T, whatever m is.  Every
+    stacked temporary stays within `_STACK_ENTRIES` per chunk of points or
+    cosets, as in `many`.
     """
 
     def __init__(self, t: np.ndarray, dt: DefectData | None = None,
@@ -355,6 +380,8 @@ class CharFn:
         self._t_star, self._eye = adj(t), eye(t.shape[0])
         self._tol = 1e-8 * max(1.0, frob(self.dt.operator))
         self._chunk = max(1, _STACK_ENTRIES // max(1, t.size))
+        # (p, the Krylov stack L T*^s for s < p, T*^p), built on first use
+        self._krylov = None
 
     def __call__(self, z: complex) -> np.ndarray:
         return next(self.many((z,)))[1][0]
@@ -369,12 +396,57 @@ class CharFn:
             z = zs[start:start + self._chunk]
             yield z, self._stack(z)
 
+    def grid(self, radii, m: int):
+        """Yield (z, Theta(z)) chunks, as `many` does, over the points
+        r e^{2 pi i k / m} for r in `radii` (r-major, k-minor).  Raises
+        SingularResolventError where `many` would."""
+        p = _ring_order(m)
+        pending = []
+        for r in radii:
+            ring = np.array([r * np.exp(2j * np.pi * k / m) for k in range(m)],
+                            dtype=np.complex128)
+            if not (p and m > self._chunk and abs(r) ** p <= 0.5):
+                pending.append(ring)
+                continue
+            yield from self.many(pending)
+            pending = []
+            yield from self._ring(ring, p)
+        yield from self.many(pending)
+
+    def _ring(self, ring: np.ndarray, p: int):
+        if self._krylov is None or self._krylov[0] != p:
+            krylov = [self._left]
+            for _ in range(p - 1):
+                krylov.append(krylov[-1] @ self._t_star)
+            self._krylov = (p, np.stack(krylov), np.linalg.matrix_power(self._t_star, p))
+        _, krylov, t_star_p = self._krylov
+        # coset j holds the points k = j mod m/p, where z^p = ring[j]^p
+        cosets = ring.size // p
+        heads = ring[:cosets]
+        w = heads ** p
+        y = np.concatenate([
+            self._solve(self._eye - w[j:j + self._chunk, None, None] * t_star_p,
+                        heads[j:j + self._chunk], "on the coset of")
+            for j in range(0, cosets, self._chunk)])
+        flat = krylov.reshape(p, -1)
+        for start in range(0, ring.size, self._chunk):
+            z = ring[start:start + self._chunk]
+            # sum_{s<p} z^{s+1} L T*^s, one (dim D_{T*}, n) block per point
+            left = (np.vander(z, p + 1, increasing=True)[:, 1:] @ flat).reshape(
+                z.size, *krylov.shape[1:])
+            yield z, self._theta0 + left @ y[np.arange(start, start + z.size) % cosets]
+
     def _stack(self, z: np.ndarray) -> np.ndarray:
         if not np.isfinite(z).all():
             raise SingularResolventError(
                 f"I - z T* undefined at z = {z[~np.isfinite(z)][0]}")
         a = self._eye - z[:, None, None] * self._t_star
-        rhs = np.broadcast_to(self._right, (z.size, *self._right.shape))
+        return self._theta0 + z[:, None, None] * (self._left @ self._solve(a, z, "at"))
+
+    def _solve(self, a: np.ndarray, z: np.ndarray, where: str) -> np.ndarray:
+        """The stacked solve of a X = R, one matrix per point of z, under the
+        residual guard; SingularResolventError names the first failing point."""
+        rhs = np.broadcast_to(self._right, (len(a), *self._right.shape))
         try:
             x = np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError:
@@ -383,15 +455,16 @@ class CharFn:
                 try:
                     np.linalg.solve(ak, self._right)
                 except np.linalg.LinAlgError as exc:
-                    raise SingularResolventError(f"I - z T* singular at z = {zk}") from exc
+                    raise SingularResolventError(
+                        f"I - z T* singular {where} z = {zk}") from exc
             raise
         # the residual guard of each point; a NaN residual fails it too
         res = np.linalg.norm(a @ x - rhs, axis=(1, 2))
         bad = ~(res <= self._tol)
         if bad.any():
             raise SingularResolventError(
-                f"I - z T* numerically singular at z = {z[bad][0]}")
-        return self._theta0 + z[:, None, None] * (self._left @ x)
+                f"I - z T* numerically singular {where} z = {z[bad][0]}")
+        return x
 
 
 def char_fn(t: np.ndarray, z: complex, dt: DefectData | None = None,
@@ -456,10 +529,8 @@ def verify_triple(pair: PairAnalysis | QPair) -> Report:
     theta0 = triple.theta(0.0)
     rep.check("theta-at-zero", "Theta(0) = -T restricted to ran D_T",
               frob(theta0 - triple.theta_coeffs(0)[0]), 1e-13)
-    grid = [r * np.exp(2j * np.pi * k / 16) for r in np.linspace(0.1, 0.9, 8)
-            for k in range(16)]
     worst = 0.0
-    for _, thetas in triple.theta.many(grid):
+    for _, thetas in triple.theta.grid(np.linspace(0.1, 0.9, 8), 16):
         worst = max(worst, float(stack_opnorms(thetas).max()) - 1.0)
     rep.check("theta-contractive", "||Theta(z)|| <= 1 on the disk grid", worst, 1e-9)
     rep.check("unitary-part-collapse", "||Q_{T*}|| vanishes for cnu products",
@@ -570,15 +641,14 @@ def verify_coincidence(triple_a: CharTriple, triple_b: CharTriple,
     rep = Report("coincidence", {"radii": len(radii), "angles": angles,
                                  "tol": tol})
     u, u_star = as_cmatrix(u), as_cmatrix(u_star)
-    grid = [r * np.exp(2j * np.pi * k / angles) for r in radii for k in range(angles)]
     worst = 0.0
-    for z, thetas_a in triple_a.theta.many(grid):
-        # the two evaluators may chunk differently when their dimensions differ
-        done = 0
-        for zb, thetas_b in triple_b.theta.many(z):
-            diff = u_star @ thetas_a[done:done + zb.size] - thetas_b @ u
-            worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
-            done += zb.size
+    # the two evaluators may chunk differently when their dimensions differ,
+    # so the values of b are read point by point against each chunk of a
+    values_b = (theta for _, thetas in triple_b.theta.grid(radii, angles) for theta in thetas)
+    for _, thetas_a in triple_a.theta.grid(radii, angles):
+        thetas_b = np.stack([next(values_b) for _ in thetas_a])
+        diff = u_star @ thetas_a - thetas_b @ u
+        worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
     rep.check("theta-coincide", "u_* Theta(z) = Theta'(z) u on the grid",
               worst, tol)
     g_res = max(frob(triple_b.fundamental.g1 - u_star @ triple_a.fundamental.g1 @ adj(u_star)),

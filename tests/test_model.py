@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qdilate as qd
-from qdilate import hardy, matcore, model
+from qdilate import hardy, matcore, model, qpair
 from qdilate.ando import DefectData
 from qdilate.errors import (
     EmptyGridError,
@@ -292,9 +292,139 @@ class TestCharFn:
         for _ in fn.many(self._points(count)):
             pass
         assert sum(s[0] for s in shapes) == count
+        # a ring through the coset route solves once per coset, m / p of
+        # them, in stacks of at most a chunk, and yields at most a chunk of
+        # points at a time; any other ring solves once per point (at n = 130
+        # a chunk is one point, and 1024 of them would take seconds)
+        for m in (24, 64, 1024) if n < 100 else (24, 64):
+            before = len(shapes)
+            sizes = [z.size for z, _ in fn.grid([0.5], m)]
+            solves = m // model._ring_order(m) if m > fn._chunk else m
+            assert sum(k for k, _, _ in shapes[before:]) == solves
+            assert sum(sizes) == m and max(sizes) <= fn._chunk
+            # the cached Krylov stack: at most _RING_TERMS terms L T*^s
+            if fn._krylov is not None:
+                assert fn._krylov[1].size <= model._RING_TERMS * fn.dstar.dim * n
         for k, rows, cols in shapes:
             assert rows == cols == n
             assert k * n * n <= model._STACK_ENTRIES or k == 1
+
+    @pytest.mark.parametrize("n", [6, 64, 130])
+    def test_ring_state_within_bound(self, n):
+        # the cached state has p <= _RING_TERMS terms and a ring at most
+        # _RING_TERMS cosets, whatever m: a 4096-point ring has no divisor
+        # p <= 32 with at most 32 cosets and holds nothing, so --grid 2x4096
+        # holds no more than --grid 2x24
+        t = qd.gen_nilpotent(n, 1j, 0.9, 0.8).product()
+        held = {}
+        for m in (24, 64, 1024, 4096):
+            fn = qd.CharFn(t)
+            next(fn.grid([0.5, 0.9], m))
+            if fn._krylov is None:
+                held[m] = 0
+                continue
+            p, krylov, t_star_p = fn._krylov
+            assert p == model._ring_order(m) and m // p <= model._RING_TERMS
+            assert krylov.shape == (p, fn.dstar.dim, n) and t_star_p.shape == (n, n)
+            held[m] = krylov.size + t_star_p.size
+        assert model._ring_order(4096) == 0
+        assert held[4096] == 0 <= held[24]
+        assert (held[24] > 0) == (24 > max(1, model._STACK_ENTRIES // (n * n)))
+
+    @staticmethod
+    def _grid_pairs():
+        # the nine charfn-grid pairs and two near the boundary of the disk
+        pairs = []
+        for pos, dim in enumerate(range(16, 65, 6)):
+            base = (qd.gen_nilpotent(dim, qpair.CORPUS_TWISTS["e1"], 0.9, 0.9) if pos % 2 == 0
+                    else qd.gen_clock_shift(dim, 0.9))
+            pairs.append(qd.gen_conjugated(base, 2 * pos + 1)[0])
+        pairs.append(qd.gen_conjugated(qd.gen_clock_shift(32, 1 - 1e-6), 3)[0])
+        pairs.append(qd.gen_conjugated(qd.gen_nilpotent(40, -1, 0.99, 0.99), 4)[0])
+        return pairs
+
+    @staticmethod
+    def _per_point(fn, radii, m):
+        zs = [r * np.exp(2j * np.pi * k / m) for r in radii for k in range(m)]
+        z, thetas = zip(*fn.many(zs))
+        return np.concatenate(z), np.concatenate(thetas)
+
+    @staticmethod
+    def _on_grid(fn, radii, m):
+        z, thetas = zip(*fn.grid(radii, m))
+        return np.concatenate(z), np.concatenate(thetas)
+
+    @pytest.mark.parametrize("index", range(11))
+    def test_grid_matches_many(self, index):
+        # the coset route agrees with the per-point solves to a few eps
+        # (3.0e-15 relative at worst here), on the same points in the same order
+        fn = qd.CharFn(self._grid_pairs()[index].product())
+        radii = list(np.linspace(0.1, 0.9, 12)) + [0.97, 0.99]
+        for m in (16, 24, 64):
+            z, thetas = self._on_grid(fn, radii, m)
+            z_ref, ref = self._per_point(fn, radii, m)
+            assert np.array_equal(z, z_ref)
+            scale = max(1.0, float(np.abs(ref).max()))
+            assert np.abs(thetas - ref).max() <= 1e-13 * scale
+        assert (fn._krylov is not None) == (64 > fn._chunk)
+
+    def test_grid_falls_back_bit_for_bit(self):
+        # the boundary ring, rings outside the gate |r|^p <= 1/2 (a negative
+        # radius is gated on |r|) and rings that fit one chunk are the
+        # per-point values, bit for bit, in order
+        wide = qd.CharFn(self._grid_pairs()[4].product())
+        assert wide._chunk < 21 and 0.97 ** 16 > 0.5 and 0.99 ** 24 > 0.5
+        for radii, m in (([1.0], 24), ([0.99], 24), ([0.97], 16), ([0.99, 1.0], 64),
+                         ([-0.99], 21)):
+            z, thetas = self._on_grid(wide, radii, m)
+            z_ref, ref = self._per_point(wide, radii, m)
+            assert np.array_equal(z, z_ref) and np.array_equal(thetas, ref)
+        narrow = qd.CharFn(self._grid_pairs()[0].product())
+        assert narrow._chunk >= 24
+        radii = list(np.linspace(0.1, 0.9, 12)) + [1.0]
+        for m in (16, 24):
+            z, thetas = self._on_grid(narrow, radii, m)
+            z_ref, ref = self._per_point(narrow, radii, m)
+            assert np.array_equal(z, z_ref) and np.array_equal(thetas, ref)
+        assert narrow._krylov is None
+        # routed and per-point rings interleave in r-major order
+        radii = [0.99, 0.5, 1.0, 0.3]
+        z, thetas = self._on_grid(wide, radii, 24)
+        z_ref, ref = self._per_point(wide, radii, 24)
+        assert np.array_equal(z, z_ref)
+        for ring in (0, 2):
+            rows = slice(24 * ring, 24 * ring + 24)
+            assert np.array_equal(thetas[rows], ref[rows])
+        assert np.abs(thetas - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.5, float("nan"))])
+    def test_grid_non_finite_radius_raises(self, bad):
+        fn = qd.CharFn(self._grid_pairs()[4].product())
+        with np.errstate(invalid="ignore"), pytest.raises(SingularResolventError,
+                                                          match="undefined at z = "):
+            list(fn.grid([0.5, bad], 24))
+
+    def test_coset_guard_names_a_point(self, monkeypatch):
+        # I - w T*^p is invertible on every ring the gate lets through, so the
+        # coset guard is driven here by a solve that returns a wrong Y, and by
+        # one that fails
+        fn = qd.CharFn(self._grid_pairs()[4].product())
+
+        def wrong(a, b):
+            return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + b.shape[-1:])
+
+        monkeypatch.setattr(np.linalg, "solve", wrong)
+        with pytest.raises(SingularResolventError,
+                           match=r"numerically singular on the coset of z = \(0\.5\+0j\)"):
+            list(fn.grid([0.5], 24))
+
+        def failing(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        with pytest.raises(SingularResolventError,
+                           match=r"singular on the coset of z = \(0\.5\+0j\)"):
+            list(fn.grid([0.5], 24))
 
     def test_triple_validates_once(self, cnu_corpus, monkeypatch):
         # the pair-level objects are built once per analysis (5 checks: the

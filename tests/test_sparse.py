@@ -237,8 +237,8 @@ class TestBlockOpnorm:
     def test_fewer_banded_solves_per_verify(self, monkeypatch):
         # the lift-space identity residuals of as_csr operators (the sparse
         # route) are Frobenius norms: only the contractivity of W1, W2 takes a
-        # banded Gram eigensolve, where the spectral norms of all residuals
-        # made 18 per run of the lift suites
+        # banded Gram eigensolve, one each, where the spectral norms of all
+        # residuals made 18 per run of the lift suites
         base = qd.gen_direct_sum([qd.gen_clock_shift(2, 1.0),
                                   qd.gen_nilpotent(4, -1.0, 0.9, 0.8)])
         an = model.PairAnalysis(qd.gen_conjugated(base, seed=1)[0])
@@ -259,7 +259,7 @@ class TestBlockOpnorm:
         tri = sparse_triple(tri)
         reports += [pseudolift.is_pseudo_triple(tri), pseudolift.is_pseudo_lift(pi, tri, an)]
         assert all(rep.overall for rep in reports)
-        assert 0 < len(solves) < 18
+        assert len(solves) == 2
 
 
 def close(got: float, ref: float, tol: float) -> bool:
