@@ -1,10 +1,10 @@
 """Twisted-symbol calculus on vector-valued Hardy space, finite sections.
 
-An analytic operator here is M_phi R_{q^m}: multiply by the matrix polynomial
-phi(z) = sum_k z^k C_k after rotating the argument, (R_q f)(z) = f(qz).  The
-symbol algebra is exact: composition is integer-indexed coefficient
-arithmetic, so identities proved at symbol level hold to machine precision
-after materialization.
+An analytic operator here is M_phi R_rot: multiply by the matrix polynomial
+phi(z) = sum_k z^k C_k after rotating the argument, (R_rot f)(z) = f(rot z),
+rot one unimodular number.  Composition is coefficient arithmetic, and every
+phase rot^j comes from one table (`phases`), so identities proved at symbol
+level hold to machine precision after materialization at every N.
 
 Truncation contract: materializing at degree N drops coefficients beyond N,
 so an operator identity whose sides have maximal z-degree d is asserted only
@@ -16,6 +16,7 @@ of *different* symbols still inherit the forward budget of each factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -57,10 +58,9 @@ class TruncHardy:
 
 @dataclass(frozen=True)
 class TwistedSymbol:
-    """Operator M_phi R_{q^twist} with phi(z) = sum_k z^k coeffs[k]."""
+    """M_phi R_rot, phi(z) = sum_k z^k coeffs[k], rot = q^m stored as q, conj(q) or 1."""
 
-    q: complex
-    twist: int
+    rot: complex
     coeffs: tuple
 
     def __post_init__(self):
@@ -70,8 +70,9 @@ class TwistedSymbol:
         shape = coeffs[0].shape
         if any(c.shape != shape for c in coeffs):
             raise FiberMismatchError("all symbol coefficients must share one shape")
-        if abs(abs(self.q) - 1.0) > 1e-12:
-            raise FiberMismatchError(f"twist base q must be unimodular, |q|={abs(self.q)}")
+        object.__setattr__(self, "rot", complex(self.rot))
+        if not abs(abs(self.rot) - 1.0) <= 1e-12:
+            raise FiberMismatchError(f"rotation must be unimodular, |rot|={abs(self.rot)}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -87,32 +88,56 @@ class TwistedSymbol:
         return len(self.coeffs) - 1
 
 
-def shift_symbol(q: complex, fiber: int) -> TwistedSymbol:
+@lru_cache
+def phases(rot: complex, n: int) -> np.ndarray:
+    """rot^j for j = 0..n (read-only, kept per (rot, n)): past rot, a running
+    product put back on the circle at each step, so entry j+1 is entry j rot
+    to a few ulp at every j, each stored on or inside the circle (`_inward`).
+    Exact for 1, -1, i and -i; the table of conj(rot) is the conjugate one."""
+    out, z, rot = np.empty(n + 1, dtype=np.complex128), 1.0 + 0j, complex(rot)
+    for j in range(n + 1):
+        out[j] = _inward(z)
+        z = unit(z * rot) if j else rot
+    out.flags.writeable = False
+    return out
+
+
+def unit(z: complex) -> complex:
+    """z / |z|, so that rot conj(rot) is exactly 1."""
+    return z / abs(z)
+
+
+def _inward(z: complex) -> complex:
+    """z scaled down an ulp at a time until re^2 + im^2 <= 1 holds exactly."""
+    (a, p), (b, r) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    if (a * r) ** 2 + (b * p) ** 2 <= (p * r) ** 2:
+        return z
+    return _inward(z * (1.0 - 2.0 ** -53))      # the double below 1
+
+
+def shift_symbol(fiber: int) -> TwistedSymbol:
     """M_z as a symbol."""
-    return TwistedSymbol(q, 0, (np.zeros((fiber, fiber), dtype=np.complex128),
-                                eye(fiber)))
+    return TwistedSymbol(1.0, (np.zeros((fiber, fiber), dtype=np.complex128), eye(fiber)))
 
 
 def symbol_compose(s1: TwistedSymbol, s2: TwistedSymbol) -> TwistedSymbol:
     """Product symbol of s1 applied after s2.
 
-    Pushing R_{q^m} across a coefficient rotates its argument:
-    (M_a R_{q^m})(M_b R_{q^l}) = M_{a(z) b(q^m z)} R_{q^{m+l}}, so the product
-    coefficient at degree j is sum_{k+r=j} a_k q^{m r} b_r.
+    Pushing R_a across a coefficient rotates its argument:
+    (M_a R_r)(M_b R_s) = M_{a(z) b(r z)} R_{rs}, so the product coefficient at
+    degree j is sum_{k+l=j} a_k r^l b_l, and the product rotation is r s on
+    the circle (`unit`).
     """
-    if abs(s1.q - s2.q) > 1e-12:
-        raise FiberMismatchError("symbols built over different twist bases")
     if s1.fiber_in != s2.fiber_out:
         raise FiberMismatchError(
             f"fiber mismatch: s1 takes {s1.fiber_in}, s2 gives {s2.fiber_out}")
-    d1, d2 = s1.degree, s2.degree
     out = [np.zeros((s1.fiber_out, s2.fiber_in), dtype=np.complex128)
-           for _ in range(d1 + d2 + 1)]
-    qm = s1.q ** s1.twist
+           for _ in range(s1.degree + s2.degree + 1)]
+    phase = phases(s1.rot, s2.degree)
     for k, a in enumerate(s1.coeffs):
         for r, b in enumerate(s2.coeffs):
-            out[k + r] += a @ ((qm ** r) * b)
-    return TwistedSymbol(s1.q, s1.twist + s2.twist, tuple(out))
+            out[k + r] += a @ (phase[r] * b)
+    return TwistedSymbol(unit(s1.rot * s2.rot), tuple(out))
 
 
 def gram_coeff(s1: TwistedSymbol, s2: TwistedSymbol, lag: int,
@@ -137,10 +162,8 @@ def symbol_is_inner(s: TwistedSymbol, tol: float = 1e-12):
     these are the Laurent sums `gram_coeff`, which the lift verifiers also
     read for V*V = I on the interior degrees.  Returns (bool, worst residual).
     """
-    worst = 0.0
-    for j in range(s.degree + 1):
-        target = eye(s.fiber_in) if j == 0 else 0.0
-        worst = max(worst, frob(gram_coeff(s, s, j) - target))
+    worst = max(frob(gram_coeff(s, s, j) - (eye(s.fiber_in) if j == 0 else 0.0))
+                for j in range(s.degree + 1))
     return worst <= tol, worst
 
 
@@ -153,7 +176,7 @@ _MAX_LEVELS = 64
 
 
 def symbol_norm(s: TwistedSymbol) -> float:
-    """||phi||_inf = max_{|z|=1} sigma_max(phi(z)), the norm of M_phi R_{q^m} on
+    """||phi||_inf = max_{|z|=1} sigma_max(phi(z)), the norm of M_phi R_rot on
     the untruncated Hardy space, which bounds the norm of every finite
     section.  Its cost depends on the degree p and the fiber f only.
 
@@ -177,12 +200,12 @@ def symbol_norm(s: TwistedSymbol) -> float:
     scale = float(np.abs(coeffs).max()) if coeffs.size else 0.0
     if scale == 0.0:
         return 0.0
-    unit = TwistedSymbol(s.q, s.twist, tuple(coeffs / scale))
+    scaled = TwistedSymbol(s.rot, tuple(coeffs / scale))
     p, f = s.degree, s.fiber_in
     powers = np.arange(p + 1)
 
     def sigma(theta: np.ndarray) -> float:
-        values = np.tensordot(np.exp(1j * np.outer(theta, powers)), unit.coeffs, axes=1)
+        values = np.tensordot(np.exp(1j * np.outer(theta, powers)), scaled.coeffs, axes=1)
         return float(matcore.stack_opnorms(values).max(initial=0.0))
 
     best = sigma(2 * np.pi * np.arange(2 * p + 2) / (2 * p + 2))
@@ -191,9 +214,9 @@ def symbol_norm(s: TwistedSymbol) -> float:
     # row, and A_{2p} = -G_p in the last diagonal block of the right side
     m = 2 * p * f
     a = np.eye(m, k=f, dtype=np.complex128)
-    a[m - f:] = np.hstack([gram_coeff(unit, unit, i - p) for i in range(2 * p)])
+    a[m - f:] = np.hstack([gram_coeff(scaled, scaled, i - p) for i in range(2 * p)])
     b = eye(m)
-    b[m - f:, m - f:] = -gram_coeff(unit, unit, p)
+    b[m - f:, m - f:] = -gram_coeff(scaled, scaled, p)
     middle = a[m - f:, p * f:(p + 1) * f].copy()
     for _ in range(_MAX_LEVELS):
         level = best * (1.0 + 2.0 * LEVEL_EPS)
@@ -223,10 +246,10 @@ class TruncOperator:
 
 
 def materialize_csr(s: TwistedSymbol, n: int) -> sp.csr_matrix:
-    """CSR matrix of M_phi R_{q^twist} on TruncHardy(fiber, n).
+    """CSR matrix of M_phi R_rot on TruncHardy(fiber, n).
 
-    Monomial action: z^j (x) xi  |->  sum_k q^{twist j} z^{j+k} (x) C_k xi,
-    coefficients beyond degree n dropped: block (j+k, j) is q^{twist j} C_k.
+    Monomial action: z^j (x) xi  |->  sum_k rot^j z^{j+k} (x) C_k xi,
+    coefficients beyond degree n dropped: block (j+k, j) is rot^j C_k (`phases`).
     The triplets of all blocks are built at once and sorted straight into
     CSR arrays; `matcore.block_csr` places the matrix inside a lift space.
     """
@@ -234,8 +257,7 @@ def materialize_csr(s: TwistedSymbol, n: int) -> sp.csr_matrix:
         raise DimensionMismatchError(f"truncation {n} below symbol degree {s.degree}")
     fi, fo = s.fiber_in, s.fiber_out
     shape = ((n + 1) * fo, (n + 1) * fi)
-    qt = s.q ** s.twist
-    phase = np.array([qt ** j for j in range(n + 1)], dtype=np.complex128)
+    phase = phases(s.rot, n)
     k, j = (a.ravel() for a in np.meshgrid(np.arange(s.degree + 1), np.arange(n + 1),
                                             indexing="ij"))
     k, j = k[j + k <= n, None, None], j[j + k <= n, None, None]
@@ -253,7 +275,7 @@ def materialize_csr(s: TwistedSymbol, n: int) -> sp.csr_matrix:
 
 
 def materialize(s: TwistedSymbol, n: int) -> TruncOperator:
-    """Dense matrix of M_phi R_{q^twist} on TruncHardy(fiber, n): the
+    """Dense matrix of M_phi R_rot on TruncHardy(fiber, n): the
     `materialize_csr` matrix with its zeros filled in."""
     mat = materialize_csr(s, n).toarray()
     return TruncOperator(mat, TruncHardy(s.fiber_in, n), TruncHardy(s.fiber_out, n))
@@ -335,13 +357,15 @@ def choose_trunc(t: np.ndarray, tail_tol: float = 1e-10, max_degree: int = 512) 
 
 def _column_norm_scale(mat: sp.csr_matrix) -> float:
     """max(1, largest column 2-norm of `mat`), from one pass over the stored
-    entries (duplicates are summed first, on a copy).  Every column norm is at
+    entries (duplicates are summed first, on a copy), each entry's re^2 +
+    im^2 summed without a rounded |entry| in between.  Every column norm is at
     most ||A||, so a tolerance scaled by this is at least as strict as one
     scaled by the spectral max(1, ||A||)."""
     if not mat.has_canonical_format:
         mat = mat.copy()
         mat.sum_duplicates()
-    sq = np.bincount(mat.indices, weights=np.abs(mat.data) ** 2, minlength=mat.shape[1])
+    sq = np.bincount(mat.indices, weights=mat.data.real ** 2 + mat.data.imag ** 2,
+                     minlength=mat.shape[1])
     return max(1.0, float(np.sqrt(sq.max(initial=0.0))))
 
 
@@ -363,7 +387,7 @@ def extract_symbol(a: TruncOperator, q: complex, tol: float = 1e-10):
     space = a.domain
     n, f = space.max_degree, space.fiber_dim
     mat = matcore.as_csr(a.matrix)
-    mz = materialize_csr(shift_symbol(q, f), n)
+    mz = materialize_csr(shift_symbol(f), n)
     pre = frob((mat @ mz - q * (mz @ mat))[:, space.low(n - 1)])
     scale = _column_norm_scale(mat)
     if pre > tol * scale:
@@ -371,11 +395,7 @@ def extract_symbol(a: TruncOperator, q: complex, tol: float = 1e-10):
             f"||A Mz - q Mz A||_F = {pre:.3e} on degrees <= {n - 1}")
     first = mat[:, :f].toarray()
     coeffs = [first[k * f:(k + 1) * f] for k in range(n + 1)]
-    deg = 0
-    for k in range(n, 0, -1):
-        if frob(coeffs[k]) > tol * scale:
-            deg = k
-            break
-    sym = TwistedSymbol(q, 1, tuple(coeffs[:deg + 1]))
+    deg = max((k for k in range(1, n + 1) if frob(coeffs[k]) > tol * scale), default=0)
+    sym = TwistedSymbol(q, tuple(coeffs[:deg + 1]))
     resid = frob((mat - materialize_csr(sym, n))[:, space.low(n - deg)])
     return sym, resid

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, zip_longest
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,6 +50,7 @@ from .hardy import (
     materialize_csr,
     shift_symbol,
     symbol_compose,
+    unit,
 )
 from .matcore import adj, as_csr, block_csr, eye, frob, opnorm, speye
 from .model import CanonicalUnitaryPair, PairAnalysis
@@ -81,13 +82,13 @@ class LiftSpace:
 
 @dataclass(frozen=True, eq=False)
 class LiftOperator:
-    """[[A, 0, 0], [C, M_phi R_{q^m}, 0], [0, 0, W]] on head (+) TruncHardy(f, N)
+    """[[A, 0, 0], [C, M_phi R_rot, 0], [0, 0, W]] on head (+) TruncHardy(f, N)
     (+) tail, in block form.
 
     `column` holds C(z) = sum_i z^i C_i, from the head into the Hardy part;
     every scalar factor is folded into the symbol's coefficients.  Symbol and
     column have degree <= N, so the materialization drops nothing: block
-    (j+k, j) of the Hardy part is q^{mj} phi_k, as in `hardy.materialize_csr`.
+    (j+k, j) of the Hardy part is rot^j phi_k, as in `hardy.materialize_csr`.
     """
 
     space: LiftSpace
@@ -118,22 +119,19 @@ class LiftOperator:
         return block_csr(self.shape, blocks)
 
     def __matmul__(self, other):
-        """The product, from the symbol composition plus the head and column
-        terms: the column of V1 V2 is C1 A2 + M_phi1 R_{q^m} C2, of degree j
-        sum_{k+r=j} phi1_k q^{mr} C2_r."""
+        """The product by symbol compositions, cut at N: the column of V1 V2 is
+        C1 A2 + M_phi1 R C2, the second term phi1 composed with C2(z)."""
         if not isinstance(other, LiftOperator):
             return NotImplemented
-        n, sym1 = self.space.hardy.max_degree, self.symbol
-        sym = symbol_compose(sym1, other.symbol)
+        n = self.space.hardy.max_degree
+        sym = symbol_compose(self.symbol, other.symbol)
         if sym.degree > n:
-            sym = TwistedSymbol(sym.q, sym.twist, sym.coeffs[:n + 1])
-        column = {i: c @ other.head for i, c in enumerate(self.column)}
-        qm = sym1.q ** sym1.twist
-        for r, c2 in enumerate(other.column):
-            for k, phi in enumerate(sym1.coeffs[:n + 1 - r]):
-                column[k + r] = column.get(k + r, 0.0) + phi @ ((qm ** r) * c2)
-        return LiftOperator(self.space, self.head @ other.head,
-                            tuple(column[i] for i in sorted(column)), sym,
+            sym = TwistedSymbol(sym.rot, sym.coeffs[:n + 1])
+        column = [c @ other.head for c in self.column]
+        if other.column:
+            moved = symbol_compose(self.symbol, TwistedSymbol(1.0, other.column)).coeffs
+            column = [a + b for a, b in zip_longest(column, moved[:n + 1], fillvalue=0.0)]
+        return LiftOperator(self.space, self.head @ other.head, tuple(column), sym,
                             self.tail @ other.tail)
 
 
@@ -143,12 +141,6 @@ _EMPTY = np.zeros((0, 0), dtype=np.complex128)
 def _diagonal(space: LiftSpace, sym: TwistedSymbol, tail: np.ndarray) -> LiftOperator:
     """The Hardy part M_phi R (+) the unitary tail, on a space without a head."""
     return LiftOperator(space, _EMPTY, (), sym, tail)
-
-
-def _identity(space: LiftSpace, q: complex) -> LiftOperator:
-    return LiftOperator(space, eye(space.head_dim), (),
-                        TwistedSymbol(q, 0, (eye(space.hardy.fiber_dim),)),
-                        eye(space.tail_dim))
 
 
 def _product(x, y):
@@ -192,21 +184,15 @@ def schaffer_symbols(tup: AndoTuple, q: complex):
     R_q, and U*(P+z(I-P)) twisted by R_qbar (rotation pulled to the right).
     Their composition is exactly the shift symbol, coefficient by coefficient.
     """
-    p, u = tup.p, tup.u
-    p_perp = eye(tup.f_dim) - p
-    sym1 = TwistedSymbol(q, 1, (p_perp @ u, p @ u))
-    sym2 = TwistedSymbol(q, -1, (adj(u) @ p, np.conj(q) * (adj(u) @ p_perp)))
-    return sym1, sym2
+    p_perp = eye(tup.f_dim) - tup.p
+    return model.model_symbols(q, adj(p_perp @ tup.u), tup.p @ tup.u)
 
 
 def douglas_symbols(star_tup: AndoTuple, q: complex):
     """Hardy-block symbols of the Douglas-type lift: U_**((I-P_*)+zP_*)
     twisted by R_q, and (P_*+z(I-P_*))U_* twisted by R_qbar."""
-    p, u = star_tup.p, star_tup.u
-    p_perp = eye(star_tup.f_dim) - p
-    sym1 = TwistedSymbol(q, 1, (adj(u) @ p_perp, adj(u) @ p))
-    sym2 = TwistedSymbol(q, -1, (p @ u, np.conj(q) * (p_perp @ u)))
-    return sym1, sym2
+    p_perp = eye(star_tup.f_dim) - star_tup.p
+    return model.model_symbols(q, p_perp @ star_tup.u, adj(star_tup.u) @ star_tup.p)
 
 
 def schaffer_lift(pair: QPair, tup: AndoTuple, n: int = hardy.DEFAULT_TRUNC) -> LiftRealization:
@@ -225,7 +211,7 @@ def schaffer_lift(pair: QPair, tup: AndoTuple, n: int = hardy.DEFAULT_TRUNC) -> 
 
     def assemble(head, const, scalar, sym):
         coeffs = tuple(scalar * c for c in sym.coeffs)
-        return LiftOperator(space, head, (const,), TwistedSymbol(q, sym.twist, coeffs), _EMPTY)
+        return LiftOperator(space, head, (const,), TwistedSymbol(sym.rot, coeffs), _EMPTY)
 
     sym1, sym2 = schaffer_symbols(tup, q)
     v1 = assemble(pair.t1, p @ u @ ell, q, sym1)
@@ -279,7 +265,7 @@ def douglas_pseudo_lift(pair: PairAnalysis | QPair, n: int = hardy.DEFAULT_TRUNC
     sym1, sym2 = model.model_symbols(q, fund.g1, fund.g2)
     w1 = _diagonal(space, sym1, cp.w1)
     w2 = _diagonal(space, sym2, cp.w2)
-    w = _diagonal(space, shift_symbol(q, dstar.dim), cp.wd)
+    w = _diagonal(space, shift_symbol(dstar.dim), cp.wd)
     obs = hardy.obs_op(an.product, dstar, n).matrix
     pi = np.vstack([obs, cp.coords()])
     an.pseudo_lifts[n] = pi, PseudoTriple(q, space, w1, w2, w, n)
@@ -301,13 +287,14 @@ def _block_frob(space: LiftSpace, d: int, terms) -> float:
     """||(sum of terms)[:, interior(d)]||_F from the blocks of LiftOperators:
     a term (c, X) stands for c X, a term (c, X, Y) for c X* Y.
 
-    Hardy column j of c X holds q^{mj} c phi_k in the rows of degree j + k;
-    that of c X* Y holds c q^{(m_Y - m_X) j - m_X s} gram_coeff(phi_X, phi_Y, s)
-    in the rows of degree j + s, and c q^{m_Y j} sum_k C_{X,j+k}* phi_{Y,k} in
-    the head rows.  Away from degree 0 (top rows cut off, head rows) and
-    degree N (coefficients cut off) a column's norm does not depend on j when
-    the terms share one column phase, so those columns count as one column
-    times their number.  Otherwise every column is summed.
+    With r^j from `hardy.phases`, Hardy column j of c X holds r_X^j c phi_k in
+    the rows of degree j + k; that of c X* Y holds c r_Y^j conj(r_X)^l
+    gram_coeff(phi_X, phi_Y, l - j) in the rows of degree l, and c r_Y^j
+    sum_k C_{X,j+k}* phi_{Y,k} in the head rows.  Away from degree 0 (top rows
+    cut off, head rows) and degree N (coefficients cut off) a column's norm
+    does not depend on j when the terms share one rotation (r_X, or
+    r_Y conj(r_X), on the circle): those columns count as one column times
+    their number.  Otherwise every column is summed.
     """
     n, f, h = space.hardy.max_degree, space.hardy.fiber_dim, space.head_dim
     last = n - d
@@ -315,7 +302,7 @@ def _block_frob(space: LiftSpace, d: int, terms) -> float:
     below = {}             # Hardy degree -> rows of the head columns
     tail = np.zeros((space.tail_dim,) * 2, dtype=np.complex128)
     lo = hi = 0
-    phases = set()
+    rotations = set()
     for c, x, *y in terms:
         sx = x.symbol
         if not y:
@@ -324,7 +311,7 @@ def _block_frob(space: LiftSpace, d: int, terms) -> float:
                 below[i] = below.get(i, 0.0) + c * ci
             tail += c * x.tail
             hi = max(hi, sx.degree)
-            twist, base = sx.twist, sx.q
+            rot = sx.rot
         else:
             y = y[0]
             sy = y.symbol
@@ -334,12 +321,12 @@ def _block_frob(space: LiftSpace, d: int, terms) -> float:
             for i in range(len(y.column)):
                 acc = sum(adj(sx.coeffs[k]) @ y.column[i + k]
                           for k in range(min(sx.degree, len(y.column) - 1 - i) + 1))
-                below[i] = below.get(i, 0.0) + c * sx.q ** (-sx.twist * i) * acc
+                below[i] = below.get(i, 0.0) + c * hardy.phases(sx.rot.conjugate(), n)[i] * acc
             tail += c * (adj(x.tail) @ y.tail)
             lo = max(lo, sx.degree, len(x.column))
             hi = max(hi, sy.degree)
-            twist, base = sy.twist - sx.twist, sx.q
-        phases.add((twist, base if twist else 1.0))
+            rot = sy.rot * sx.rot.conjugate()
+        rotations.add(unit(rot))
 
     def column_sq(j: int) -> float:
         rows = {}
@@ -347,21 +334,21 @@ def _block_frob(space: LiftSpace, d: int, terms) -> float:
         for c, x, *y in terms:
             sx = x.symbol
             if not y:
-                ph = c * sx.q ** (sx.twist * j)
+                ph = c * hardy.phases(sx.rot, n)[j]
                 for s in range(min(sx.degree, n - j) + 1):
                     rows[s] = rows.get(s, 0.0) + ph * sx.coeffs[s]
                 continue
             sy = y[0].symbol
-            ph = c * sy.q ** ((sy.twist - sx.twist) * j)
+            ph, px = c * hardy.phases(sy.rot, n)[j], hardy.phases(sx.rot.conjugate(), n)
             for s in range(-min(j, sx.degree), min(sy.degree, n - j) + 1):
-                rows[s] = rows.get(s, 0.0) + (ph * sx.q ** (-sx.twist * s)
+                rows[s] = rows.get(s, 0.0) + (ph * px[j + s]
                                               * gram_coeff(sx, sy, s, n - j))
             for k in range(min(sy.degree, len(x.column) - 1 - j, n - j) + 1):
-                top += c * sy.q ** (sy.twist * j) * (adj(x.column[j + k]) @ sy.coeffs[k])
+                top += ph * (adj(x.column[j + k]) @ sy.coeffs[k])
         return sum(_sq(b) for b in rows.values()) + _sq(top)
 
     total = _sq(head) + sum(_sq(b) for b in below.values()) + _sq(tail)
-    if len(phases) > 1:
+    if len(rotations) > 1:
         return float(np.sqrt(total + sum(column_sq(j) for j in range(last + 1))))
     count = min(last, n - hi) - lo + 1
     edges = chain(range(min(lo, last + 1)), range(max(lo, n - hi + 1), last + 1))
@@ -388,7 +375,10 @@ def interior_frob(space: LiftSpace, d: int, *terms) -> float:
 def isometry_residual(v, space: LiftSpace, d: int = 1) -> float:
     """||(V*V - I)[:, interior(d)]||_F; from the blocks, the Laurent sums of
     the symbol (`hardy.symbol_is_inner`) plus the head and column terms."""
-    ident = _identity(space, v.symbol.q) if isinstance(v, LiftOperator) else speye(space.total_dim)
+    if not isinstance(v, LiftOperator):
+        return interior_frob(space, d, (1.0, v, v), (-1.0, speye(space.total_dim)))
+    ident = LiftOperator(space, eye(space.head_dim), (),
+                         TwistedSymbol(1.0, (eye(space.hardy.fiber_dim),)), eye(space.tail_dim))
     return interior_frob(space, d, (1.0, v, v), (-1.0, ident))
 
 
@@ -400,7 +390,7 @@ def commutator_residual(x, y, c: complex, space: LiftSpace, d: int = 2) -> float
 def adjoint_times(v, pi: np.ndarray) -> np.ndarray:
     """V* Pi as a dense D x k matrix.  A LiftOperator is applied to the
     degree blocks Pi_i of Pi: the Hardy block of degree l is
-    q^{-ml} sum_k phi_k* Pi_{l+k}, the head A* Pi_head + sum_i C_i* Pi_i."""
+    conj(rot)^l sum_k phi_k* Pi_{l+k}, the head A* Pi_head + sum_i C_i* Pi_i."""
     if not isinstance(v, LiftOperator):
         return adj(as_csr(v)) @ pi
     space, sym = v.space, v.symbol
@@ -410,7 +400,7 @@ def adjoint_times(v, pi: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(blocks)
     for s, phi in enumerate(sym.coeffs):
         acc[:n + 1 - s] += adj(phi) @ blocks[s:]
-    acc *= (np.conj(sym.q) ** (sym.twist * np.arange(n + 1)))[:, None, None]
+    acc *= hardy.phases(sym.rot.conjugate(), n)[:, None, None]
     out = np.empty_like(pi)
     out[:h] = adj(v.head) @ pi[:h]
     for i, ci in enumerate(v.column):
@@ -426,7 +416,7 @@ def interior_opnorm(v, space: LiftSpace, d: int = 1) -> float:
 
     A LiftOperator without a head reads the untruncated operator instead:
     the larger of the tail's norm (an SVD) and ||phi||_inf =
-    ||M_phi R_{q^m}|| on the whole Hardy space (`hardy.symbol_norm`), which
+    ||M_phi R_rot|| on the whole Hardy space (`hardy.symbol_norm`), which
     is at least the norm of every finite section and costs the same at
     every N.  With no interior Hardy column (N < d) it is the tail's norm
     alone.
@@ -484,7 +474,7 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
         rep.check("pi-energy",
                   "Pi*Pi = I - T^{N+1}T*^{N+1} + Q^2 (exact finite-N identity)",
                   frob(adj(lift.pi) @ lift.pi - gram_target), 1e-11)
-        vd = _diagonal(space, shift_symbol(q, space.hardy.fiber_dim), cp.wd)
+        vd = _diagonal(space, shift_symbol(space.hardy.fiber_dim), cp.wd)
         rep.check("product-structure", "V1 V2 = M_z (+) W_D on degrees <= N-2",
                   interior_frob(space, 2, (1.0, v12), (-1.0, vd)), tol)
         pi_d, gform = douglas_pseudo_lift(an, n)
@@ -539,10 +529,9 @@ def _shape_residual(v, space: LiftSpace) -> float:
     its symbol, which are compared with 0 and with z from the blocks."""
     h, f, ts = space.head_dim, space.hardy.fiber_dim, space.tail_start
     if isinstance(v, LiftOperator):
-        shape = LiftOperator(space, v.head, v.column[:1], shift_symbol(1.0, f), v.tail)
+        shape = LiftOperator(space, v.head, v.column[:1], shift_symbol(f), v.tail)
         return _block_frob(space, 0, [(1.0, v), (-1.0, shape)])
-    mz = block_csr(v.shape, [(h, h, materialize_csr(shift_symbol(1.0, f),
-                                                    space.hardy.max_degree))])
+    mz = block_csr(v.shape, [(h, h, materialize_csr(shift_symbol(f), space.hardy.max_degree))])
     r = (as_csr(v) - mz).tocoo()
     free = ((r.col < h) & (r.row < h + f)) | ((r.row >= ts) & (r.col >= ts))
     return float(np.linalg.norm(r.data[~free]))
@@ -671,7 +660,7 @@ def extract_ando_from_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
         raise NotModelFormError("expected an inclusion-type lift layout")
     q, h_dim, f = pair.q, pair.dim, space.hardy.fiber_dim
     v = lift.product
-    shifted = LiftOperator(space, v.head, v.column, shift_symbol(1.0, f), v.tail)
+    shifted = LiftOperator(space, v.head, v.column, shift_symbol(f), v.tail)
     diag_res = _block_frob(space, 1, [(1.0, v), (-1.0, shifted)])
     if diag_res > tol:
         raise NotModelFormError(
@@ -711,20 +700,8 @@ def _bidisk_ops(n: int, q: complex):
     Basis z1^a z2^b, 0 <= a, b <= n, index a*(n+1)+b; the rotation acts on
     the second variable, which is what makes (R_q M_{z1}, M_{z2}) q-commute.
     """
-    m = n + 1
-    dim = m * m
-    mz1 = np.zeros((dim, dim), dtype=np.complex128)
-    mz2 = np.zeros((dim, dim), dtype=np.complex128)
-    rot = np.zeros((dim, dim), dtype=np.complex128)
-    for a in range(m):
-        for b in range(m):
-            i = a * m + b
-            if a + 1 < m:
-                mz1[(a + 1) * m + b, i] = 1.0
-            if b + 1 < m:
-                mz2[a * m + b + 1, i] = 1.0
-            rot[i, i] = q ** b
-    return mz1, mz2, rot
+    shift, one = np.eye(n + 1, k=-1, dtype=np.complex128), eye(n + 1)
+    return np.kron(shift, one), np.kron(one, shift), np.diag(np.tile(hardy.phases(q, n), n + 1))
 
 
 def nonisolifts_fixture(n: int, q: complex = np.exp(1j)) -> Report:
@@ -741,8 +718,8 @@ def nonisolifts_fixture(n: int, q: complex = np.exp(1j)) -> Report:
 
     hs = TruncHardy(1, n)
     one = np.eye(1, dtype=np.complex128)
-    v1a = materialize(TwistedSymbol(q, 1, (0 * one, q * one)), n).matrix
-    v2a = materialize(shift_symbol(q, 1), n).matrix
+    v1a = materialize(TwistedSymbol(q, (0 * one, q * one)), n).matrix
+    v2a = materialize(shift_symbol(1), n).matrix
     pi_a = np.zeros((hs.total_dim, 1), dtype=np.complex128)
     pi_a[0, 0] = 1.0
     e1 = hs.low(n - 1)

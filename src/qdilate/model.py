@@ -561,9 +561,10 @@ class ModelCompression:
 
 def model_symbols(q: complex, g1: np.ndarray, g2: np.ndarray):
     """The two model multipliers: M_{G1*+zG2} R_q and R_qbar M_{G2*+zG1}
-    (the latter rewritten with the rotation on the right)."""
-    sym1 = TwistedSymbol(q, 1, (adj(g1), g2))
-    sym2 = TwistedSymbol(q, -1, (adj(g2), np.conj(q) * g1))
+    (the latter rewritten with the rotation on the right, R_qbar stored as
+    conj(q)).  The lifts' Hardy blocks are this pencil too."""
+    sym1 = TwistedSymbol(q, (adj(g1), g2))
+    sym2 = TwistedSymbol(np.conj(q), (adj(g2), np.conj(q) * g1))
     return sym1, sym2
 
 
@@ -572,10 +573,10 @@ def model_compress(pair: PairAnalysis | QPair, tol: float = 1e-8) -> ModelCompre
     with the source pair over all degrees: every sum is a Stein sum.
 
     Pi h = sum_k z^k C T*^k h, C = D_{T*} in dstar coordinates.  T1 T2 = q T2 T1
-    gives T* T_i* = qbar^m T_i* T* for the multiplier A0 + z A1 of twist m, so
-    degree k of M_i* Pi - Pi T_i* is qbar^(mk) E_i T*^k, E_i = A0* C + A1* C T*
-    - C T_i*: its norm is the root of lambda_max(sum_k T^k E_i*E_i T*^k), and
-    P_i = Pi*(M_i* Pi - Pi T_i*) = sum_k (qbar^m T)^k C*E_i T*^k gives the
+    gives T* T_i* = conj(r) T_i* T* for the multiplier A0 + z A1 of rotation
+    r = q^m, so degree k of M_i* Pi - Pi T_i* is conj(r)^k E_i T*^k, E_i = A0* C
+    + A1* C T* - C T_i*: its norm is the root of lambda_max(sum_k T^k E_i*E_i T*^k),
+    and P_i = Pi*(M_i* Pi - Pi T_i*) = sum_k (conj(r) T)^k C*E_i T*^k gives the
     compression K_i = Pi* M_i Pi = (Pi*Pi T_i* + P_i)*.
     """
     an = PairAnalysis.of(pair)
@@ -590,7 +591,7 @@ def model_compress(pair: PairAnalysis | QPair, tol: float = 1e-8) -> ModelCompre
     defects, ks = [], []
     for i, (sym, t_i) in enumerate(zip(model_symbols(pair.q, g1, g2), (pair.t1, pair.t2)), 1):
         a0, a1 = sym.coeffs
-        phase = np.conj(pair.q) ** sym.twist
+        phase = np.conj(sym.rot)
         twist = opnorm(t_star @ adj(t_i) - phase * adj(t_i) @ t_star)
         e = adj(a0) @ c + adj(a1) @ c @ t_star - c @ adj(t_i)
         rep.check(f"intertwine-{i}", f"M{i}* Pi = Pi T{i}* (all degrees)",
@@ -676,7 +677,7 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
     """
     g1, g2 = as_cmatrix(g1), as_cmatrix(g2)
     coeffs = [as_cmatrix(c) for c in theta_coeffs]
-    theta_sym = TwistedSymbol(q, 0, tuple(coeffs))
+    theta_sym = TwistedSymbol(1.0, tuple(coeffs))
     d_in, d_out = theta_sym.fiber_in, theta_sym.fiber_out
     d_theta = theta_sym.degree
     rep = Report("admissible", {"trunc": n, "tol": tol})
@@ -707,7 +708,7 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
     t_theta = materialize_csr(theta_sym, n)
     q_basis = matcore.orth_columns(t_theta[:, dom.low(n - d_theta)].toarray())
     test_cols = matcore.orth_columns(t_theta[:, dom.low(n - d_theta - 1)].toarray())
-    mz = materialize_csr(hardy.shift_symbol(q, d_out), n)
+    mz = materialize_csr(hardy.shift_symbol(d_out), n)
     worst_inv = 0.0
     if test_cols.shape[1]:
         for a_mat in (a1, a2, mz):

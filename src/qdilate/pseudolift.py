@@ -176,14 +176,14 @@ def taylor_rigidity(triple: PseudoTriple, pair: PairAnalysis | QPair,
 
 
 def _read_symbol(sym: TwistedSymbol, base: complex, n: int, tol: float = 1e-10):
-    """`hardy.extract_symbol` of A = M_phi R_{q^m} on TruncHardy(N), an
+    """`hardy.extract_symbol` of A = M_phi R_rot on TruncHardy(N), an
     operator in the base-commutant of the shift, in closed form: the Taylor
     coefficients it keeps (padded to two) and its reconstruction residual.
-    With d = |q^m - base| the precondition is d (sum_k (N-k) ||phi_k||^2)^(1/2);
-    on the columns j <= N - p, |q^{mj} - base^j| <= j d, and a dropped phi_k
+    With d = |rot - base| the precondition is d (sum_k (N-k) ||phi_k||^2)^(1/2);
+    on the columns j <= N - p, |rot^j - base^j| <= j d, and a dropped phi_k
     fills N - k + 1 of them."""
     sq = np.array([float(np.vdot(c, c).real) for c in sym.coeffs])
-    d, degrees = abs(sym.q ** sym.twist - base), np.arange(sym.degree + 1)
+    d, degrees = abs(sym.rot - base), np.arange(sym.degree + 1)
     columns = sum(np.sum(np.abs(c) ** 2, axis=0) for c in sym.coeffs)
     gate = tol * max(1.0, float(np.sqrt(columns.max(initial=0.0))))
     pre = d * np.sqrt(sq @ np.maximum(n - degrees, 0))

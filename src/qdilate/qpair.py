@@ -63,7 +63,7 @@ def validate(q: complex, t1, t2, tol: float = 1e-10) -> QPair:
     if t1.shape != t2.shape or t1.shape[0] != t1.shape[1]:
         raise NotQCommutingError(
             f"factors must be square and equal-sized, got {t1.shape} and {t2.shape}")
-    if abs(abs(q) - 1.0) > 1e-12:
+    if not abs(abs(q) - 1.0) <= 1e-12:
         raise NotUnimodularError(f"|q| = {abs(q):.15f} deviates from 1 by "
                                  f"{abs(abs(q) - 1.0):.3e}")
     for name, t in (("T1", t1), ("T2", t2)):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qdilate as qd
-from qdilate import hardy, lifts, model, pseudolift
+from qdilate import hardy, lifts, model, pseudolift, qpair
 from qdilate.errors import NotQCommutantError, QDilateError
 from qdilate.hardy import TwistedSymbol, shift_symbol
 from qdilate.matcore import EPS, adj, as_csr, eye, frob, opnorm
@@ -86,6 +86,23 @@ def test_block_route_matches_the_sparse_route(n):
     assert built == len(pairs) - 1
 
 
+@pytest.mark.parametrize("spec", ["nilpotent:n=8,q=-1,c=0.9,d=0.8",
+                                  "nilpotent:n=6,q=-0.5+0.8660254037844386i,c=0.9,d=0.8"])
+def test_sparse_route_holds_at_large_truncation(spec):
+    # the two pairs of the large-N lift step of CI, at N = 10000: every
+    # materialized phase comes from one table, so the sparse route passes and
+    # reads the block route's residuals; W2's rotation is conj(q) itself
+    an = model.PairAnalysis(qpair.from_spec(spec))
+    n = 10_000
+    for lift in (qd.schaffer_lift(an.pair, an.tup, n), qd.douglas_lift(an, n)):
+        block, ref = (lift_reports(lift, an, route) for route in ("block", "sparse"))
+        assert all(rep.overall for rep in ref.values()), lift.kind
+        assert_same(block, ref, 1e-12)
+    _, tri = pseudolift.douglas_pseudo_lift(an, n)
+    taylor = pseudolift.taylor_rigidity(tri, an)
+    assert next(r for r in taylor.records if r.check_id == "reconstruct-2").residual == 0.0
+
+
 def bump(rng, shape):
     """A random matrix of Frobenius norm 1e-2."""
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -95,7 +112,7 @@ def bump(rng, shape):
 def with_symbol(op, k, delta):
     sym = op.symbol
     coeffs = tuple(c + delta if j == k else c for j, c in enumerate(sym.coeffs))
-    return dataclasses.replace(op, symbol=TwistedSymbol(sym.q, sym.twist, coeffs))
+    return dataclasses.replace(op, symbol=TwistedSymbol(sym.rot, coeffs))
 
 
 def negative_controls(pair, n):
@@ -163,9 +180,9 @@ def barely_expansive_triple(q, n):
     r = (1 + 1e-6) / 2
     space = lifts.LiftSpace(0, qd.TruncHardy(1, n), 0)
     empty = np.zeros((0, 0), dtype=complex)
-    phi = TwistedSymbol(q, 1, (np.full((1, 1), r), np.full((1, 1), r * np.exp(0.3j))))
+    phi = TwistedSymbol(q, (np.full((1, 1), r), np.full((1, 1), r * np.exp(0.3j))))
     w1 = lifts.LiftOperator(space, empty, (), phi, empty)
-    shift = lifts.LiftOperator(space, empty, (), shift_symbol(q, 1), empty)
+    shift = lifts.LiftOperator(space, empty, (), shift_symbol(1), empty)
     return lifts.PseudoTriple(q, space, w1, w1, shift, n)
 
 
@@ -213,7 +230,7 @@ def csr_extract_ando(lift, an, tol=1e-10):
     v1, v2 = as_csr(lift.v1), as_csr(lift.v2)
     assert max(frob(v1[:h, h:]), frob(v2[:h, h:])) <= tol
     v = v1 @ v2
-    mz = hardy.materialize_csr(shift_symbol(pair.q, f), n)
+    mz = hardy.materialize_csr(shift_symbol(f), n)
     assert frob((v[h:, h:] - mz)[:, lift.space.hardy.low(n - 1)]) <= tol
     c_block = v[h:, :h].toarray()
     c0 = c_block[:f]
@@ -292,10 +309,10 @@ def test_taylor_rigidity_matches_the_oracle_off_the_model(case):
     if case.startswith("degree-2"):
         unit = np.ones_like(sym.coeffs[0]) / np.sqrt(sym.coeffs[0].size)
         size = 5e-10 if case == "degree-2-kept" else 5e-11
-        sym = TwistedSymbol(sym.q, sym.twist, (*sym.coeffs, size * unit))
+        sym = TwistedSymbol(sym.rot, (*sym.coeffs, size * unit))
     else:
         angle = 1e-13 if case == "base-near" else 1e-3
-        sym = TwistedSymbol(sym.q * np.exp(1j * angle), sym.twist, sym.coeffs)
+        sym = TwistedSymbol(sym.rot * np.exp(1j * angle), sym.coeffs)
     bad = dataclasses.replace(tri, w1=dataclasses.replace(tri.w1, symbol=sym))
     if case == "base-off":
         for taylor in (pseudolift.taylor_rigidity, csr_taylor_rigidity):
@@ -318,9 +335,9 @@ def random_operator(rng, space, q, degree, twist, column_degree):
     def mat(m, n):
         return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
 
-    return lifts.LiftOperator(space, mat(h, h), tuple(mat(f, h) for _ in range(column_degree + 1)),
-                              TwistedSymbol(q, twist, tuple(mat(f, f) for _ in range(degree + 1))),
-                              mat(t, t))
+    head, column = mat(h, h), tuple(mat(f, h) for _ in range(column_degree + 1))
+    sym = TwistedSymbol(q ** twist, tuple(mat(f, f) for _ in range(degree + 1)))
+    return lifts.LiftOperator(space, head, column, sym, mat(t, t))
 
 
 @pytest.mark.parametrize("seed", range(6))

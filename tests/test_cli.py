@@ -73,6 +73,16 @@ class TestVerify:
         path.write_text(json.dumps(obj))
         assert run(["verify", "--pair", path]) == 1
 
+    def test_nan_twist_exits_1(self, tmp_path, capsys):
+        # |NaN| - 1 compares False with every tolerance; the unimodularity
+        # check must still reject it as a validation failure
+        obj = qpair.pair_to_json(qd.gen_clock_shift(2, 0.9))
+        obj["q"] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(obj))
+        assert run(["verify", "--pair", path]) == 1
+        assert "validation failure" in capsys.readouterr().err
+
     def test_unreadable_input_exits_2(self, tmp_path, pair_file):
         path = tmp_path / "junk.json"
         bad_entry = qpair.pair_to_json(qd.gen_clock_shift(2, 0.9))

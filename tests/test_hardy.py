@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -33,7 +35,7 @@ def random_symbol(rng, q, fiber, degree, twist=1):
     coeffs = tuple(rng.standard_normal((fiber, fiber))
                    + 1j * rng.standard_normal((fiber, fiber))
                    for _ in range(degree + 1))
-    return TwistedSymbol(q, twist, coeffs)
+    return TwistedSymbol(q ** twist, coeffs)
 
 
 def sigma_max(sym, theta) -> np.ndarray:
@@ -64,12 +66,47 @@ def grid_norm(sym, points: int = 2 ** 14, peaks: int = 4) -> float:
     return best
 
 
+class TestPhases:
+    """hardy.phases: one table of rot^j for every phase site."""
+
+    @pytest.mark.parametrize("rot", [1.0, -1.0, 1j, -1j])
+    def test_exact_on_fourth_roots_of_unity(self, rot):
+        table = hardy.phases(rot, 10_000)
+        want = np.array([1.0, rot, rot ** 2, rot ** 3], dtype=complex)
+        assert np.array_equal(table, want[np.arange(10_001) % 4])
+
+    @pytest.mark.parametrize("rot", [np.exp(2j * np.pi / 3), np.exp(1j)])
+    def test_unimodular_and_locally_consistent(self, rot):
+        table = hardy.phases(rot, 10_000)
+        assert np.abs(np.abs(table) - 1.0).max() <= 2 * matcore.EPS
+        assert np.abs(table[1:] - table[:-1] * rot).max() <= 4 * matcore.EPS
+        # every real and imaginary part of the conjugate table is equal
+        assert np.array_equal(hardy.phases(np.conj(rot), 10_000), np.conj(table))
+
+    @pytest.mark.parametrize("rot", [np.exp(2j * np.pi / 3), np.exp(1j), np.exp(0.3j)])
+    def test_entries_lie_on_or_inside_the_circle(self, rot):
+        # re^2 + im^2 <= 1 in exact rational arithmetic
+        for z in hardy.phases(rot, 2000):
+            assert Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 <= 1, z
+
+    def test_product_of_a_rotation_and_its_conjugate_is_one(self):
+        for rot in (np.exp(2j * np.pi / 3), np.exp(1j), Q):
+            assert hardy.unit(rot * np.conj(rot)) == 1.0
+            one, two = TwistedSymbol(rot, (eye(1),)), TwistedSymbol(np.conj(rot), (eye(1),))
+            assert symbol_compose(one, two).rot == 1.0
+
+    @pytest.mark.parametrize("rot", [complex("nan"), complex("inf"), 1.5])
+    def test_symbol_rejects_a_non_unimodular_rotation(self, rot):
+        with pytest.raises(FiberMismatchError):
+            TwistedSymbol(rot, (eye(1),))
+
+
 class TestCompose:
     def test_shift_rot_squared(self):
         # (M_z R_q)^2 = q M_{z^2} R_{q^2}
-        s = symbol_compose(shift_symbol(Q, 1), TwistedSymbol(Q, 1, (eye(1),)))
+        s = symbol_compose(shift_symbol(1), TwistedSymbol(Q, (eye(1),)))
         ss = symbol_compose(s, s)
-        assert ss.twist == 2
+        assert abs(ss.rot - Q ** 2) <= 4 * matcore.EPS
         assert ss.degree == 2
         assert abs(ss.coeffs[2][0, 0] - Q) < 1e-15
         assert frob(ss.coeffs[0]) == 0.0 and frob(ss.coeffs[1]) == 0.0
@@ -77,21 +114,21 @@ class TestCompose:
     def test_identity_neutral(self):
         rng = np.random.default_rng(1)
         s = random_symbol(rng, Q, 3, 2)
-        left = symbol_compose(TwistedSymbol(Q, 0, (eye(3),)), s)
-        assert left.twist == s.twist and left.degree == s.degree
+        left = symbol_compose(TwistedSymbol(1.0, (eye(3),)), s)
+        assert left.rot == hardy.unit(s.rot) and left.degree == s.degree
         assert all(frob(a - b) < 1e-14 for a, b in zip(left.coeffs, s.coeffs))
 
     def test_rotation_past_constant(self):
         # R_q composed with a constant multiplier keeps the coefficient
         rng = np.random.default_rng(2)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        s = symbol_compose(TwistedSymbol(Q, 1, (eye(2),)), TwistedSymbol(Q, 0, (a,)))
-        assert s.twist == 1
+        s = symbol_compose(TwistedSymbol(Q, (eye(2),)), TwistedSymbol(1.0, (a,)))
+        assert s.rot == hardy.unit(Q)
         assert frob(s.coeffs[0] - a) < 1e-15
 
     def test_fiber_mismatch(self):
         with pytest.raises(FiberMismatchError):
-            symbol_compose(TwistedSymbol(Q, 0, (eye(2),)), TwistedSymbol(Q, 0, (eye(3),)))
+            symbol_compose(TwistedSymbol(1.0, (eye(2),)), TwistedSymbol(1.0, (eye(3),)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_materialize_respects_compose(self, seed):
@@ -113,23 +150,23 @@ class TestInner:
         # (P_perp + z P) U with P a projection and U unitary is inner
         p = np.diag([1.0, 0.0]).astype(complex)
         u = np.array([[0, 1], [1, 0]], dtype=complex)
-        s = TwistedSymbol(Q, 1, ((eye(2) - p) @ u, p @ u))
+        s = TwistedSymbol(Q, ((eye(2) - p) @ u, p @ u))
         ok, res = symbol_is_inner(s)
         assert ok and res < 1e-14
 
     def test_strict_contraction_not_inner(self):
-        s = TwistedSymbol(Q, 0, (0.5 * eye(2),))
+        s = TwistedSymbol(1.0, (0.5 * eye(2),))
         ok, res = symbol_is_inner(s)
         assert not ok and res > 0.5
 
     def test_shift_inner(self):
-        ok, _ = symbol_is_inner(shift_symbol(Q, 3))
+        ok, _ = symbol_is_inner(shift_symbol(3))
         assert ok
 
     def test_inner_implies_truncated_isometry(self):
         p = np.diag([1.0, 0.0]).astype(complex)
         u = np.array([[0, 1], [1, 0]], dtype=complex)
-        s = TwistedSymbol(Q, 1, ((eye(2) - p) @ u, p @ u))
+        s = TwistedSymbol(Q, ((eye(2) - p) @ u, p @ u))
         n = 8
         m = materialize(s, n)
         low = TruncHardy(2, n).low(n - 1)
@@ -153,17 +190,17 @@ class TestSymbolNorm:
     @pytest.mark.parametrize("shape", [(2, 2), (3, 1), (1, 3), (2, 3)])
     def test_random_symbols(self, degree, shape):
         rng = np.random.default_rng(10 * degree + shape[0] + 3 * shape[1])
-        for twist in (-1, 0, 1):
+        for rot in (np.conj(Q), 1.0, Q):
             coeffs = tuple(rand_mat(rng, *shape) for _ in range(degree + 1))
-            self.assert_oracle(TwistedSymbol(Q, twist, coeffs))
+            self.assert_oracle(TwistedSymbol(rot, coeffs))
 
     @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)])
     def test_fiber_zero(self, shape):
-        sym = TwistedSymbol(Q, 1, (np.zeros(shape), np.zeros(shape)))
+        sym = TwistedSymbol(Q, (np.zeros(shape), np.zeros(shape)))
         assert symbol_norm(sym) == 0.0
 
     def test_zero_symbol(self):
-        assert symbol_norm(TwistedSymbol(Q, 1, (np.zeros((2, 2)),) * 3)) == 0.0
+        assert symbol_norm(TwistedSymbol(Q, (np.zeros((2, 2)),) * 3)) == 0.0
 
     def test_inner_symbols(self):
         # sigma_max = 1 on the whole circle: the shift, the projection-unitary
@@ -171,23 +208,23 @@ class TestSymbolNorm:
         rng = np.random.default_rng(2)
         unitaries = [np.linalg.qr(rand_mat(rng, 3, 3))[0] for _ in range(3)]
         proj = np.diag([1.0, 0.0, 1.0]).astype(complex)
-        one = TwistedSymbol(Q, 1, ((eye(3) - proj) @ unitaries[0], proj @ unitaries[0]))
-        two = TwistedSymbol(Q, -1, (adj(unitaries[1]) @ proj,
-                                    adj(unitaries[1]) @ (eye(3) - proj)))
+        one = TwistedSymbol(Q, ((eye(3) - proj) @ unitaries[0], proj @ unitaries[0]))
+        two = TwistedSymbol(np.conj(Q), (adj(unitaries[1]) @ proj,
+                                         adj(unitaries[1]) @ (eye(3) - proj)))
         zero = np.zeros((3, 3), dtype=complex)
-        syms = [shift_symbol(Q, 2), one, two, symbol_compose(one, two),
-                TwistedSymbol(Q, 0, (zero, zero, zero, unitaries[2]))]
+        syms = [shift_symbol(2), one, two, symbol_compose(one, two),
+                TwistedSymbol(1.0, (zero, zero, zero, unitaries[2]))]
         for sym in syms:
             assert abs(self.assert_oracle(sym) - 1.0) <= 4 * matcore.EPS
 
     def test_two_equal_maxima(self):
         # |1 + z^2 / 2| and max(|1 + z/2|, |1 - z/2|) peak at z = 1 and -1
         one = np.ones((1, 1), dtype=complex)
-        scalar = TwistedSymbol(Q, 1, (one, 0 * one, 0.5 * one))
-        diag = TwistedSymbol(Q, 1, (eye(2), np.diag([0.5, -0.5]).astype(complex)))
+        scalar = TwistedSymbol(Q, (one, 0 * one, 0.5 * one))
+        diag = TwistedSymbol(Q, (eye(2), np.diag([0.5, -0.5]).astype(complex)))
         rng = np.random.default_rng(4)
         u, v = (np.linalg.qr(rand_mat(rng, 2, 2))[0] for _ in range(2))
-        rotated = TwistedSymbol(Q, 1, tuple(u @ c @ v for c in diag.coeffs))
+        rotated = TwistedSymbol(Q, tuple(u @ c @ v for c in diag.coeffs))
         for sym in (scalar, diag, rotated):
             assert abs(self.assert_oracle(sym) - 1.5) <= 4 * matcore.EPS
 
@@ -200,7 +237,7 @@ class TestSymbolNorm:
                  (np.zeros((3, 3)), rand_mat(rng, 3, 3), rand_mat(rng, 3, 3)),
                  (np.diag([1.0, 0.0, 0.0]), rand_mat(rng, 3, 3), np.diag([0.0, 2.0, 0.0]))]
         for coeffs in cases:
-            self.assert_oracle(TwistedSymbol(Q, 1, coeffs))
+            self.assert_oracle(TwistedSymbol(Q, coeffs))
 
     @pytest.mark.parametrize("n", [6, 12, 24])
     def test_bounds_every_finite_section(self, n):
@@ -208,41 +245,41 @@ class TestSymbolNorm:
         # up to rounding in the dense SVD of the section
         rng = np.random.default_rng(n)
         for degree in range(4):
-            sym = TwistedSymbol(Q, 1, tuple(rand_mat(rng, 2, 3) for _ in range(degree + 1)))
+            sym = TwistedSymbol(Q, tuple(rand_mat(rng, 2, 3) for _ in range(degree + 1)))
             section = np.linalg.norm(materialize(sym, n).matrix, 2)
             assert symbol_norm(sym) >= section * (1 - 16 * matcore.EPS)
 
     def test_iteration_cap_raises(self, monkeypatch):
         # with every eigenvalue counted as a crossing no level ends the run
         monkeypatch.setattr(hardy, "UNIMODULAR_WINDOW", np.inf)
-        sym = TwistedSymbol(Q, 1, (eye(2), 0.5 * eye(2)))
+        sym = TwistedSymbol(Q, (eye(2), 0.5 * eye(2)))
         with pytest.raises(MaxIterationsExceededError):
             symbol_norm(sym)
 
 
 class TestMaterialize:
     def test_shift_blocks(self):
-        m = materialize(shift_symbol(Q, 1), 2).matrix
+        m = materialize(shift_symbol(1), 2).matrix
         vec = np.array([1.0, 2.0, 3.0], dtype=complex)
         assert np.allclose(m @ vec, [0.0, 1.0, 2.0])
 
     def test_rotation_diagonal(self):
-        m = materialize(TwistedSymbol(Q, 1, (eye(1),)), 2).matrix
+        m = materialize(TwistedSymbol(Q, (eye(1),)), 2).matrix
         assert np.allclose(np.diag(m), [1.0, Q, Q ** 2])
 
     def test_degree_one_block_structure(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        m = materialize(TwistedSymbol(Q, 1, (a, b)), 1).matrix
+        m = materialize(TwistedSymbol(Q, (a, b)), 1).matrix
         expected = np.block([[a, np.zeros((2, 2))], [b, Q * a]])
         assert frob(m - expected) < 1e-14
 
     def test_generating_relation(self):
         # R_q M_z = q M_z R_q on degrees <= N-1
         n = 6
-        mz = materialize(shift_symbol(Q, 2), n).matrix
-        rq = materialize(TwistedSymbol(Q, 1, (eye(2),)), n).matrix
+        mz = materialize(shift_symbol(2), n).matrix
+        rq = materialize(TwistedSymbol(Q, (eye(2),)), n).matrix
         low = TruncHardy(2, n).low(n - 1)
         assert opnorm((rq @ mz - Q * mz @ rq)[:, low]) < 1e-13
 
@@ -326,7 +363,7 @@ class TestExtract:
         rng = np.random.default_rng(4)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        s = TwistedSymbol(Q, 1, (a, b))
+        s = TwistedSymbol(Q, (a, b))
         sym, res = extract_symbol(materialize(s, 8), Q)
         assert sym.degree == 1
         assert frob(sym.coeffs[0] - a) < 1e-13
@@ -336,12 +373,12 @@ class TestExtract:
     def test_round_trip_degree_two(self):
         rng = np.random.default_rng(5)
         coeffs = tuple(rng.standard_normal((2, 2)) + 0j for _ in range(3))
-        s = TwistedSymbol(Q, 1, coeffs)
+        s = TwistedSymbol(Q, coeffs)
         sym, res = extract_symbol(materialize(s, 8), Q)
         assert sym.degree == 2 and res < 1e-12
 
     def test_shift_rotation(self):
-        s = symbol_compose(shift_symbol(Q, 1), TwistedSymbol(Q, 1, (eye(1),)))
+        s = symbol_compose(shift_symbol(1), TwistedSymbol(Q, (eye(1),)))
         sym, res = extract_symbol(materialize(s, 6), Q)
         assert sym.degree == 1
         assert abs(sym.coeffs[1][0, 0] - 1.0) < 1e-14
@@ -395,8 +432,8 @@ class TestExtract:
         # between tol times the two scales, which only the column scale rejects
         n, tol = 12, 1e-10
         one = np.ones((1, 1), dtype=complex)
-        a = hardy.materialize_csr(TwistedSymbol(Q, 1, (2 * one, 2 * one, 2 * one)), n)
-        mz = hardy.materialize_csr(shift_symbol(Q, 1), n)
+        a = hardy.materialize_csr(TwistedSymbol(Q, (2 * one, 2 * one, 2 * one)), n)
+        mz = hardy.materialize_csr(shift_symbol(1), n)
         low = TruncHardy(1, n).low(n - 1)
 
         def pre(mat):

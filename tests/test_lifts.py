@@ -57,7 +57,7 @@ class TestSchafferConstruction:
         v = (as_csr(lift.v1) @ as_csr(lift.v2)).toarray()
         # head block is T, Hardy diagonal is the plain shift
         assert frob(v[:3, :3] - pair.product()) < 1e-13
-        mz = hardy.materialize(hardy.shift_symbol(pair.q, tup.f_dim), 8).matrix
+        mz = hardy.materialize(hardy.shift_symbol(tup.f_dim), 8).matrix
         assert opnorm((v[3:, 3:] - mz)[:, lift.space.hardy.low(7)]) < 1e-12
 
     def test_verification(self):
@@ -532,7 +532,7 @@ class TestSymbolLevelProduct:
             tup = qd.star_ando_tuple(pair)
             s1, s2 = lifts.douglas_symbols(tup, pair.q)
         prod = hardy.symbol_compose(s1, s2)
-        assert prod.twist == 0
+        assert prod.rot == 1.0
         assert frob(prod.coeffs[0]) < 1e-14
         assert frob(prod.coeffs[1] - eye(tup.f_dim)) < 1e-14
         assert frob(prod.coeffs[2]) < 1e-14
@@ -585,7 +585,7 @@ class TestExtractAndo:
             sym = op.symbol
             return dataclasses.replace(
                 op, column=tuple(w_f @ c for c in op.column),
-                symbol=hardy.TwistedSymbol(sym.q, sym.twist,
+                symbol=hardy.TwistedSymbol(sym.rot,
                                            tuple(w_f @ c @ adj(w_f) for c in sym.coeffs)))
 
         rotated = dataclasses.replace(lift, v1=rotate(lift.v1), v2=rotate(lift.v2))
@@ -615,7 +615,7 @@ class TestExtractAndo:
         sym = lift.v2.symbol
         coeffs = (sym.coeffs[0] + 1e-3, *sym.coeffs[1:])
         bad = dataclasses.replace(lift, v2=dataclasses.replace(
-            lift.v2, symbol=hardy.TwistedSymbol(sym.q, sym.twist, coeffs)))
+            lift.v2, symbol=hardy.TwistedSymbol(sym.rot, coeffs)))
         assert frob(bad.product.symbol.coeffs[0]) > 1e-4
         with pytest.raises(NotModelFormError):
             qd.extract_ando_from_lift(bad, pair)

@@ -32,7 +32,7 @@ class TestDouglasPseudoLift:
         pi, tri = pseudolift.douglas_pseudo_lift(zero_pair(), 6)
         assert frob(as_csr(tri.w1).toarray()) == 0.0
         assert frob(as_csr(tri.w2).toarray()) == 0.0
-        mz = hardy.materialize(hardy.shift_symbol(1.0 + 0j, 1), 6).matrix
+        mz = hardy.materialize(hardy.shift_symbol(1), 6).matrix
         assert frob(as_csr(tri.w).toarray() - mz) < 1e-14
         assert pseudolift.is_pseudo_triple(tri).overall
         assert pseudolift.is_pseudo_lift(pi, tri, zero_pair()).overall

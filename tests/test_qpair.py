@@ -46,6 +46,11 @@ class TestValidate:
         with pytest.raises(NotUnimodularError):
             qd.validate(0.5, np.zeros((2, 2)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("q", [complex("nan"), complex("inf"), complex(1.0, float("nan"))])
+    def test_non_finite_twist(self, q):
+        with pytest.raises(NotUnimodularError):
+            qd.validate(q, [[0.5]], [[0.5]])
+
     def test_not_contraction(self):
         with pytest.raises(NotContractionError):
             qd.validate(1.0, 2 * eye(2), np.zeros((2, 2)))

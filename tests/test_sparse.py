@@ -288,7 +288,7 @@ def dense_lift_residuals(lift, pair, n):
         tp = np.linalg.matrix_power(t, n + 1)
         out["pi-energy"] = frob(adj(pi) @ pi
                                 - (eye(pair.dim) - tp @ adj(tp) + cp.q_op @ cp.q_op))
-        mz = hardy.materialize(hardy.shift_symbol(q, lift.space.hardy.fiber_dim), n).matrix
+        mz = hardy.materialize(hardy.shift_symbol(lift.space.hardy.fiber_dim), n).matrix
         vd = scipy.linalg.block_diag(mz, cp.wd)
         out["product-structure"] = frob((v1 @ v2 - vd)[:, e2])
         pi_d, g = lifts.douglas_pseudo_lift(pair, n)
@@ -391,7 +391,7 @@ class TestSparsity:
         rng = np.random.default_rng(n)
         coeffs = tuple(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
                        for _ in range(2))
-        sym = hardy.TwistedSymbol(np.exp(0.3j), -1, coeffs)
+        sym = hardy.TwistedSymbol(np.conj(np.exp(0.3j)), coeffs)
         csr = hardy.materialize_csr(sym, n)
         assert np.array_equal(csr.toarray(), hardy.materialize(sym, n).matrix)
         assert csr.nnz == 2 * 3 * 2 * n + 3 * 2
