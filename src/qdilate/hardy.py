@@ -90,14 +90,14 @@ class TwistedSymbol:
 
 @lru_cache
 def phases(rot: complex, n: int) -> np.ndarray:
-    """rot^j for j = 0..n (read-only, kept per (rot, n)): past rot, a running
-    product put back on the circle at each step, so entry j+1 is entry j rot
-    to a few ulp at every j, each stored on or inside the circle (`_inward`).
-    Exact for 1, -1, i and -i; the table of conj(rot) is the conjugate one."""
+    """rot^j for j = 0..n (read-only, kept per (rot, n)): a running product
+    put back on the circle at each step, so entry j+1 is entry j rot to a few
+    ulp at every j, each stored on or inside the circle (`_inward`).  Exact
+    for 1, -1, i and -i; the table of conj(rot) is the conjugate one."""
     out, z, rot = np.empty(n + 1, dtype=np.complex128), 1.0 + 0j, complex(rot)
     for j in range(n + 1):
         out[j] = _inward(z)
-        z = unit(z * rot) if j else rot
+        z = unit(z * rot)
     out.flags.writeable = False
     return out
 
@@ -108,11 +108,14 @@ def unit(z: complex) -> complex:
 
 
 def _inward(z: complex) -> complex:
-    """z scaled down an ulp at a time until re^2 + im^2 <= 1 holds exactly."""
-    (a, p), (b, r) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-    if (a * r) ** 2 + (b * p) ** 2 <= (p * r) ** 2:
-        return z
-    return _inward(z * (1.0 - 2.0 ** -53))      # the double below 1
+    """z scaled down an ulp at a time until re^2 + im^2 <= 1 holds exactly:
+    at most two steps on a `unit` value, which is within two ulp of 1."""
+    for _ in range(3):
+        (a, p), (b, r) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        if (a * r) ** 2 + (b * p) ** 2 <= (p * r) ** 2:
+            break
+        z *= 1.0 - 2.0 ** -53                   # the double below 1
+    return z
 
 
 def shift_symbol(fiber: int) -> TwistedSymbol:
@@ -162,8 +165,10 @@ def symbol_is_inner(s: TwistedSymbol, tol: float = 1e-12):
     these are the Laurent sums `gram_coeff`, which the lift verifiers also
     read for V*V = I on the interior degrees.  Returns (bool, worst residual).
     """
-    worst = max(frob(gram_coeff(s, s, j) - (eye(s.fiber_in) if j == 0 else 0.0))
-                for j in range(s.degree + 1))
+    worst = 0.0
+    for j in range(s.degree + 1):
+        target = eye(s.fiber_in) if j == 0 else 0.0
+        worst = max(worst, frob(gram_coeff(s, s, j) - target))
     return worst <= tol, worst
 
 
@@ -395,7 +400,11 @@ def extract_symbol(a: TruncOperator, q: complex, tol: float = 1e-10):
             f"||A Mz - q Mz A||_F = {pre:.3e} on degrees <= {n - 1}")
     first = mat[:, :f].toarray()
     coeffs = [first[k * f:(k + 1) * f] for k in range(n + 1)]
-    deg = max((k for k in range(1, n + 1) if frob(coeffs[k]) > tol * scale), default=0)
+    deg = 0
+    for k in range(n, 0, -1):
+        if frob(coeffs[k]) > tol * scale:
+            deg = k
+            break
     sym = TwistedSymbol(q, tuple(coeffs[:deg + 1]))
     resid = frob((mat - materialize_csr(sym, n))[:, space.low(n - deg)])
     return sym, resid

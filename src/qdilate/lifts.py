@@ -179,22 +179,6 @@ class PseudoTriple:
     trunc: int
 
 
-def schaffer_symbols(tup: AndoTuple, q: complex):
-    """Hardy-block symbols of the inclusion-type lift: ((I-P)+zP)U twisted by
-    R_q, and U*(P+z(I-P)) twisted by R_qbar (rotation pulled to the right).
-    Their composition is exactly the shift symbol, coefficient by coefficient.
-    """
-    p_perp = eye(tup.f_dim) - tup.p
-    return model.model_symbols(q, adj(p_perp @ tup.u), tup.p @ tup.u)
-
-
-def douglas_symbols(star_tup: AndoTuple, q: complex):
-    """Hardy-block symbols of the Douglas-type lift: U_**((I-P_*)+zP_*)
-    twisted by R_q, and (P_*+z(I-P_*))U_* twisted by R_qbar."""
-    p_perp = eye(star_tup.f_dim) - star_tup.p
-    return model.model_symbols(q, p_perp @ star_tup.u, adj(star_tup.u) @ star_tup.p)
-
-
 def schaffer_lift(pair: QPair, tup: AndoTuple, n: int = hardy.DEFAULT_TRUNC) -> LiftRealization:
     """Inclusion-type lift on H (+) TruncHardy(F).
 
@@ -213,7 +197,7 @@ def schaffer_lift(pair: QPair, tup: AndoTuple, n: int = hardy.DEFAULT_TRUNC) -> 
         coeffs = tuple(scalar * c for c in sym.coeffs)
         return LiftOperator(space, head, (const,), TwistedSymbol(sym.rot, coeffs), _EMPTY)
 
-    sym1, sym2 = schaffer_symbols(tup, q)
+    sym1, sym2 = model.model_symbols(q, adj(p_perp @ u), p @ u)
     v1 = assemble(pair.t1, p @ u @ ell, q, sym1)
     v2 = assemble(pair.t2, np.conj(q) * (adj(u) @ p_perp @ ell), np.conj(q), sym2)
     pi = np.zeros((space.total_dim, h_dim), dtype=np.complex128)
@@ -236,7 +220,8 @@ def douglas_lift(pair: PairAnalysis | QPair,
     star_tup, cp = an.star, an.canonical
     space = LiftSpace(0, TruncHardy(star_tup.f_dim, n), cp.dim)
 
-    sym1, sym2 = douglas_symbols(star_tup, q)
+    p_perp = eye(star_tup.f_dim) - star_tup.p
+    sym1, sym2 = model.model_symbols(q, p_perp @ star_tup.u, adj(star_tup.u) @ star_tup.p)
     v1 = _diagonal(space, sym1, cp.w1)
     v2 = _diagonal(space, sym2, cp.w2)
 

@@ -83,6 +83,18 @@ class TestVerify:
         assert run(["verify", "--pair", path]) == 1
         assert "validation failure" in capsys.readouterr().err
 
+    def test_twist_just_off_the_circle_passes(self, tmp_path):
+        # a hand-typed q within validate's 1e-12 of the circle, yet about
+        # 4000 ulp off it: every phase table must still be built
+        path, out = tmp_path / "p.json", tmp_path / "rep.json"
+        run(["gen", "nilpotent:n=3,q=-0.5+0.8660254037844386i,c=0.9,d=0.8", "--out", path])
+        obj = json.loads(path.read_text())
+        obj["q"] = [-0.5, 0.866025403785]
+        assert 4e-13 < abs(complex(*obj["q"])) - 1 < 1e-12
+        path.write_text(json.dumps(obj))
+        assert run(["verify", "--pair", path, "--trunc", 6, "--out", out]) == 0
+        assert json.loads(out.read_text())["overall"] is True
+
     def test_unreadable_input_exits_2(self, tmp_path, pair_file):
         path = tmp_path / "junk.json"
         bad_entry = qpair.pair_to_json(qd.gen_clock_shift(2, 0.9))

@@ -523,18 +523,16 @@ class TestFrobeniusGates:
 class TestSymbolLevelProduct:
     @pytest.mark.parametrize("which", ["schaffer", "douglas"])
     def test_hardy_blocks_multiply_to_shift_exactly(self, which):
-        # coefficient-exact: the two lift multipliers compose to z I
+        # coefficient-exact: the Hardy blocks of V1 and V2 compose to z I
         pair = qd.gen_nilpotent(3, np.exp(1j), 0.9, 0.8)
         if which == "schaffer":
-            tup = qd.special_ando_tuple(pair)
-            s1, s2 = lifts.schaffer_symbols(tup, pair.q)
+            lift = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), 4)
         else:
-            tup = qd.star_ando_tuple(pair)
-            s1, s2 = lifts.douglas_symbols(tup, pair.q)
-        prod = hardy.symbol_compose(s1, s2)
+            lift = qd.douglas_lift(pair, 4)
+        prod = hardy.symbol_compose(lift.v1.symbol, lift.v2.symbol)
         assert prod.rot == 1.0
         assert frob(prod.coeffs[0]) < 1e-14
-        assert frob(prod.coeffs[1] - eye(tup.f_dim)) < 1e-14
+        assert frob(prod.coeffs[1] - eye(lift.space.hardy.fiber_dim)) < 1e-14
         assert frob(prod.coeffs[2]) < 1e-14
 
 
