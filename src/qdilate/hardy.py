@@ -109,7 +109,8 @@ def unit(z: complex) -> complex:
 
 def _inward(z: complex) -> complex:
     """z scaled down an ulp at a time until re^2 + im^2 <= 1 holds exactly:
-    at most two steps on a `unit` value, which is within two ulp of 1."""
+    a `unit` value, a few roundings off the circle, needs at most two steps
+    (three are allowed)."""
     for _ in range(3):
         (a, p), (b, r) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
         if (a * r) ** 2 + (b * p) ** 2 <= (p * r) ** 2:
