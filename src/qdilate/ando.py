@@ -117,22 +117,21 @@ def _polish_isometry(m: np.ndarray, what: str, tol: float = 1e-8) -> np.ndarray:
 
 
 def special_ando_tuple(pair: QPair, unitary_completion: np.ndarray | None = None,
-                       rank_tol: float | None = None) -> AndoTuple:
+                       rank_tol: float | None = None,
+                       dt: DefectData | None = None) -> AndoTuple:
     """Construct the special Andô tuple of a pair in defect coordinates.
 
     Lambda is solved against D_T on its range only (its action off the range
     is irrelevant and absent from the coordinates).  The unitary U is the
     deterministic completion of the partial map on ran Lambda; a caller may
     supply a full F x F unitary instead, which is verified to agree with the
-    partial map before being accepted.
+    partial map before being accepted.  A caller that already holds D_T of
+    the product, built at the same `rank_tol`, passes it as `dt`.
     """
-    t = pair.product()
-    d_t, b_t = matcore.defect(t, rank_tol)
-    d_1, b_1 = matcore.defect(pair.t1, rank_tol)
-    d_2, b_2 = matcore.defect(pair.t2, rank_tol)
-    dt = DefectData(d_t, b_t)
-    d1 = DefectData(d_1, b_1)
-    d2 = DefectData(d_2, b_2)
+    if dt is None:
+        dt = DefectData(*matcore.defect(pair.product(), rank_tol))
+    d1 = DefectData(*matcore.defect(pair.t1, rank_tol))
+    d2 = DefectData(*matcore.defect(pair.t2, rank_tol))
 
     x = dt.coords()
     y_lam = np.vstack([d1.coords() @ pair.t2, d2.coords()])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -19,45 +18,7 @@ import numpy as np
 
 from . import ando, hardy, lifts, matcore, model, pseudolift, qpair
 from .errors import NotCnuError, ParseError, QDilateError
-from .report import Report
-
-
-def dumps(obj) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte.
-
-    With `indent` set, `json` uses its pure-Python encoder, which spends
-    several times the cost of `float.__repr__` on every float.  So lists of
-    [re, im] float pairs (the `matrix_to_json` payloads) are written by one
-    join over `float.__repr__`; every other value goes through `json`."""
-    return _dumps(obj, "")
-
-
-# what json writes for the non-finite floats, in place of float.__repr__
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _dumps(obj, indent: str) -> str:
-    inner = indent + "  "
-    if type(obj) is dict and obj and all(type(k) is str for k in obj):
-        items = (f"{inner}{json.dumps(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj))
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if type(obj) is list and obj:
-        if (set(map(type, obj)) == {list} and set(map(len, obj)) == {2}
-                and set(map(type, itertools.chain.from_iterable(obj))) == {float}):
-            return _float_pairs(obj, indent)
-        return "[\n" + ",\n".join(inner + _dumps(x, inner) for x in obj) + "\n" + indent + "]"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-
-
-def _float_pairs(pairs: list, indent: str) -> str:
-    inner, leaf = indent + "  ", indent + "    "
-    texts = list(map(float.__repr__, itertools.chain.from_iterable(pairs)))
-    # finite reprs are digits, '.', 'e' and signs; only nan and inf spell an 'n'
-    if "n" in "".join(texts):
-        texts = [_NON_FINITE.get(t, t) for t in texts]
-    it = iter(texts)
-    body = f"\n{inner}],\n{inner}[\n{leaf}".join(map(f",\n{leaf}".join, zip(it, it)))
-    return f"[\n{inner}[\n{leaf}{body}\n{inner}]\n{indent}]"
+from .report import Report, dumps
 
 
 def _write_or_print(text: str, out: str | None) -> None:

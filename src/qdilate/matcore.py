@@ -82,18 +82,21 @@ def opnorm(a) -> float:
     its symbols (`hardy.symbol_norm`), so the verify suites call no sparse
     norm.
 
-    Dense input goes through the SVD.  Sparse input is divided by its
-    largest |entry|, so the Gram matrix neither underflows nor overflows;
-    its norm is then the root of the largest eigenvalue of the smaller Gram
-    matrix, A*A or AA*, which is banded for the lift-space operators, from
-    LAPACK's banded Hermitian eigensolver (?hbevd, eigenvalues only).
+    Dense input is a 2-D array; its norm is the largest singular value
+    from `np.linalg.svd` (values only), the same bits `np.linalg.norm(a, 2)`
+    returns without that function's axis handling.  Sparse input is divided
+    by its largest |entry|, so the Gram matrix neither underflows nor
+    overflows; its norm is then the root of the largest eigenvalue of the
+    smaller Gram matrix, A*A or AA*, which is banded for the lift-space
+    operators, from LAPACK's banded Hermitian eigensolver (?hbevd,
+    eigenvalues only).
     Selecting just the top eigenvalue (?hbevx) is not used: its bisection
     cannot separate that index from a cluster, and a contraction whose norm
     is attained on several directions makes one.
     """
     if sp.issparse(a):
         return _sparse_opnorm(a)
-    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+    return float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
 
 
 def stack_opnorms(a: np.ndarray) -> np.ndarray:

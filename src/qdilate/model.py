@@ -174,7 +174,7 @@ class PairAnalysis:
 
     @_cached
     def tup(self) -> AndoTuple:
-        return special_ando_tuple(self.pair)
+        return special_ando_tuple(self.pair, dt=self.dt)
 
     @_cached
     def star(self) -> AndoTuple:

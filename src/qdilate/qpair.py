@@ -123,8 +123,9 @@ def gen_nilpotent(n: int, q: complex, c: complex, d: complex) -> QPair:
     """
     if n < 2:
         raise GeneratorError("nilpotent generator needs n >= 2")
-    if abs(c) > 1 or abs(d) > 1:
-        raise GeneratorError("|c| and |d| must be <= 1")
+    for name, x in (("c", c), ("d", d)):
+        if not abs(x) <= 1:
+            raise GeneratorError(f"|{name}| must be <= 1, got {name} = {x}")
     diag = np.diag(np.array([q ** (n - 1 - k) for k in range(n)],
                             dtype=np.complex128))
     return validate(complex(q), c * truncated_shift(n), d * diag)
@@ -276,7 +277,7 @@ def from_spec(spec: str, seed: int = 0) -> QPair:
             n = int(kv.pop("n"))
             q = parse_complex(kv.pop("q"))
             # decimal literals are approximate; snap q onto the circle
-            if abs(abs(q) - 1.0) > 1e-3 or q == 0:
+            if not abs(abs(q) - 1.0) <= 1e-3:
                 raise GeneratorError(f"twist q = {q} is not unimodular")
             q = q / abs(q)
             c = parse_complex(kv.pop("c", "1"))

@@ -46,6 +46,17 @@ class TestGen:
     def test_unknown_generator(self):
         assert run(["gen", "weighted-shift:n=3"]) == 2
 
+    @pytest.mark.parametrize("spec,name", [
+        ("nilpotent:n=3,q=nan,c=0.9,d=0.8", "twist q"),
+        ("nilpotent:n=3,q=nan+1i,c=0.9,d=0.8", "twist q"),
+        ("nilpotent:n=3,q=1,c=nan,d=0.8", "|c|"),
+        ("nilpotent:n=3,q=1,c=0.9,d=0.5+nani", "|d|"),
+    ])
+    def test_nan_parameter_is_a_generator_error(self, spec, name, capsys):
+        assert run(["gen", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("generator error:") and name in err, err
+
 
 class TestVerify:
     def test_all_suites_pass(self, pair_file, tmp_path):

@@ -19,6 +19,7 @@ from qdilate.matcore import (
     defect,
     eye,
     frob,
+    opnorm,
     orth_columns,
     power_limit,
     psd_sqrt,
@@ -231,6 +232,35 @@ class TestJson:
     def test_bad_length(self):
         with pytest.raises(DimensionMismatchError):
             matcore.matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
+
+
+class TestDenseOpnorm:
+    @staticmethod
+    def layouts(a):
+        """a in C and Fortran order, transposed, and as strided slices."""
+        yield a
+        yield np.asfortranarray(a)
+        yield a.T
+        yield np.asfortranarray(a).T
+        yield a[::2, ::-1]
+        yield a[1:, :-1]
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (5, 3), (1, 6), (6, 1), (1, 1)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_same_bits_as_numpy_norm(self, shape, kind):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape)
+        if kind == "complex":
+            a = a + 1j * rng.standard_normal(shape)
+        for view in self.layouts(a):
+            if view.size:
+                want = float(np.linalg.norm(view, 2))
+                assert opnorm(view) == want, (shape, kind, view.strides)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_is_zero(self, shape):
+        assert opnorm(np.zeros(shape, dtype=complex)) == 0.0
+        assert opnorm(np.zeros(shape)) == 0.0
 
 
 class TestRankHelpers:

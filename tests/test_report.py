@@ -1,6 +1,10 @@
 import json
+import math
 
-from qdilate.report import Report
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qdilate.report import CheckRecord, Report
 
 
 def build():
@@ -50,3 +54,54 @@ def test_summary_lines():
     lines = build().summary_lines()
     assert lines[-1] == "overall: FAIL"
     assert any(line.startswith("[SKIP]") for line in lines)
+
+
+def test_worst_is_nan_whatever_the_order():
+    for residuals in ([0.5, math.nan], [math.nan, 0.5], [math.nan]):
+        rep = Report("w", {})
+        rep.skip("s", "skipped records do not count")
+        for k, res in enumerate(residuals):
+            rep.check(f"c{k}", "x = y", res, 1.0)
+        assert math.isnan(rep.worst()), residuals
+    rep = Report("w", {})
+    rep.skip("s", "only a skip")
+    assert rep.worst() == 0.0
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324, 1e308]
+# non-ASCII, control characters, quotes and backslashes in anchors and notes
+NASTY_TEXT = "D_{T*} \u2016\u0398\u2016 \u00e9\u0000\u001f\t\n\"\\ \U0001d4d7 \u2028"
+
+
+def floats():
+    return st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL_FLOATS)
+
+
+def environments():
+    leaves = floats() | st.integers() | st.booleans() | st.none() | st.text(max_size=6)
+    return st.dictionaries(st.text(max_size=6), st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=6), children, max_size=3),
+        max_leaves=10), max_size=4)
+
+
+records = st.builds(CheckRecord, st.text(max_size=8), st.text(max_size=8), floats(),
+                    floats(), st.booleans(), st.booleans(), st.text(max_size=8))
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.builds(Report, st.text(max_size=6), environments(),
+                     st.lists(records, max_size=5)))
+    @example(Report("empty"))
+    @example(Report("", {"a": [1, None, [2.5, "x"], {"b": None}], "": {}, "z": [],
+                         "m": {"data": [[0.5, -0.0], [math.nan, 1e308]]}}))
+    @example(Report("specials", {"n": math.nan},
+                    [CheckRecord("f", "a", x, y, True, False, "")
+                     for x in SPECIAL_FLOATS for y in SPECIAL_FLOATS]))
+    @example(Report(NASTY_TEXT, {NASTY_TEXT: NASTY_TEXT},
+                    [CheckRecord(NASTY_TEXT, NASTY_TEXT, 0.0, 0.5, False, True, NASTY_TEXT)]))
+    @example(Report("records", {"records": [], "suite": "x", "overall": True}))
+    def test_matches_json_dumps(self, rep):
+        assert rep.to_json() == json.dumps(rep.to_dict(), indent=2, sort_keys=True)

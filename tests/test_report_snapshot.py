@@ -43,7 +43,11 @@ def report_summary(pair, workdir: Path) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(["verify", "--pair", str(path), "--trunc", str(TRUNC)])
-    records = json.loads(out.getvalue())["records"]
+    text = out.getvalue().removesuffix("\n")
+    report = json.loads(text)
+    # the report writer's own template must give json's bytes
+    assert text == json.dumps(report, indent=2, sort_keys=True)
+    records = report["records"]
     return {
         "rc": rc,
         "checks": [[r["id"], r["pass"], r["skipped"], r["residual"], r["tolerance"]]
