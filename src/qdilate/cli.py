@@ -259,8 +259,8 @@ def cmd_pseudo(args) -> int:
         bad = pseudolift.perturbed_triple(triple, args.perturb, seed=args.seed)
         bad_rep = pseudolift.is_pseudo_triple(bad, args.tol)
         rep.require("perturbation-rejected",
-                    f"off-diagonal perturbation of norm {args.perturb} violates "
-                    "the axioms",
+                    f"perturbation of norm {args.perturb} of W1's degree-0 symbol "
+                    "coefficient (its tail without a Hardy part) violates the axioms",
                     not bad_rep.overall and bad_rep.worst() >= 0.9 * args.perturb,
                     note=f"worst residual {bad_rep.worst():.3e}")
     _write_or_print(rep.to_json(), args.out)

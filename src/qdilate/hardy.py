@@ -5,6 +5,8 @@ phi(z) = sum_k z^k C_k after rotating the argument, (R_rot f)(z) = f(rot z),
 rot one unimodular number.  Composition is coefficient arithmetic, and every
 phase rot^j comes from one table (`phases`), so identities proved at symbol
 level hold to machine precision after materialization at every N.
+`materialize` fills the dense matrix of a finite section; the lift verifiers
+read symbols and never call it.
 
 Truncation contract: materializing at degree N drops coefficients beyond N,
 so an operator identity whose sides have maximal z-degree d is asserted only
@@ -20,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from . import matcore
 from .ando import DefectData
@@ -244,47 +245,31 @@ def symbol_norm(s: TwistedSymbol) -> float:
 
 @dataclass(frozen=True)
 class TruncOperator:
-    """A materialized operator (dense or sparse) with its truncation metadata."""
+    """A materialized operator (a dense matrix) with its truncation metadata."""
 
     matrix: np.ndarray
     domain: object    # TruncHardy or plain dimension
     codomain: object
 
 
-def materialize_csr(s: TwistedSymbol, n: int) -> sp.csr_matrix:
-    """CSR matrix of M_phi R_rot on TruncHardy(fiber, n).
+def materialize(s: TwistedSymbol, n: int) -> TruncOperator:
+    """Dense matrix of M_phi R_rot on TruncHardy(fiber, n).
 
     Monomial action: z^j (x) xi  |->  sum_k rot^j z^{j+k} (x) C_k xi,
-    coefficients beyond degree n dropped: block (j+k, j) is rot^j C_k (`phases`).
-    The triplets of all blocks are built at once and sorted straight into
-    CSR arrays; `matcore.block_csr` places the matrix inside a lift space.
+    coefficients beyond degree n dropped: block (j+k, j) is rot^j C_k, the
+    phase from `phases`.  Every other entry is +0.
     """
     if n < s.degree:
         raise DimensionMismatchError(f"truncation {n} below symbol degree {s.degree}")
     fi, fo = s.fiber_in, s.fiber_out
-    shape = ((n + 1) * fo, (n + 1) * fi)
+    mat = np.zeros(((n + 1) * fo, (n + 1) * fi), dtype=np.complex128)
+    blocks = mat.reshape(n + 1, fo, n + 1, fi)
     phase = phases(s.rot, n)
-    k, j = (a.ravel() for a in np.meshgrid(np.arange(s.degree + 1), np.arange(n + 1),
-                                            indexing="ij"))
-    k, j = k[j + k <= n, None, None], j[j + k <= n, None, None]
-    size = (k.size, fo, fi)
-    rows = np.broadcast_to((j + k) * fo + np.arange(fo)[:, None], size).ravel()
-    cols = np.broadcast_to(j * fi + np.arange(fi), size).ravel()
-    vals = (phase[j] * np.array(s.coeffs)[k[:, 0, 0]]).ravel()
-    keep = np.flatnonzero(vals != 0)
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    # the triplets sorted by row, then column, are the CSR arrays
-    order = np.argsort(rows * shape[1] + cols, kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
-
-
-def materialize(s: TwistedSymbol, n: int) -> TruncOperator:
-    """Dense matrix of M_phi R_rot on TruncHardy(fiber, n): the
-    `materialize_csr` matrix with its zeros filled in."""
-    mat = materialize_csr(s, n).toarray()
-    return TruncOperator(mat, TruncHardy(s.fiber_in, n), TruncHardy(s.fiber_out, n))
+    for k, c in enumerate(s.coeffs):
+        j = np.arange(n + 1 - k)
+        blocks[j + k, :, j, :] = phase[j, None, None] * c
+    mat += 0.0                  # a product -0 becomes +0
+    return TruncOperator(mat, TruncHardy(fi, n), TruncHardy(fo, n))
 
 
 def ev0(n: int, fiber_dim: int) -> TruncOperator:
@@ -361,17 +346,12 @@ def choose_trunc(t: np.ndarray, tail_tol: float = 1e-10, max_degree: int = 512) 
         f"no truncation below {max_degree} reaches tail {tail_tol:.1e}")
 
 
-def _column_norm_scale(mat: sp.csr_matrix) -> float:
-    """max(1, largest column 2-norm of `mat`), from one pass over the stored
-    entries (duplicates are summed first, on a copy), each entry's re^2 +
-    im^2 summed without a rounded |entry| in between.  Every column norm is at
-    most ||A||, so a tolerance scaled by this is at least as strict as one
-    scaled by the spectral max(1, ||A||)."""
-    if not mat.has_canonical_format:
-        mat = mat.copy()
-        mat.sum_duplicates()
-    sq = np.bincount(mat.indices, weights=mat.data.real ** 2 + mat.data.imag ** 2,
-                     minlength=mat.shape[1])
+def _column_norm_scale(mat: np.ndarray) -> float:
+    """max(1, largest column 2-norm of `mat`), each entry's re^2 + im^2
+    summed down its column without a rounded |entry| in between.  Every
+    column norm is at most ||A||, so a tolerance scaled by this is at least
+    as strict as one scaled by the spectral max(1, ||A||)."""
+    sq = (mat.real ** 2 + mat.imag ** 2).sum(axis=0)
     return max(1.0, float(np.sqrt(sq.max(initial=0.0))))
 
 
@@ -380,32 +360,33 @@ def extract_symbol(a: TruncOperator, q: complex, tol: float = 1e-10):
 
     Precondition (checked on degrees <= N-1): A M_z = q M_z A.  The Taylor
     coefficients are A's action on the degree-0 block; returns the symbol and
-    the restricted reconstruction residual.  A's matrix may be dense or
-    sparse; the residuals are formed sparsely and measured in Frobenius norm.
-    The precondition and the degree cutoff on the coefficients are gated at
+    the restricted reconstruction residual, measured in Frobenius norm.
+    A M_z on degree j is A on degree j+1, and M_z moves A's rows one degree
+    down, so the precondition is read from slices of A's dense matrix.  The
+    precondition and the degree cutoff on the coefficients are gated at
     tol * max(1, largest column norm of A): a lower bound for ||A|| that costs
-    one pass over the stored entries instead of an eigensolve, so both gates
-    are at least as strict as at tol * max(1, ||A||), and the same on a
-    contraction, where both scales are 1.
+    one pass over the entries instead of an SVD, so both gates are at least
+    as strict as at tol * max(1, ||A||), and the same on a contraction, where
+    both scales are 1.
     """
     if not isinstance(a.domain, TruncHardy) or a.domain != a.codomain:
         raise DimensionMismatchError("extract_symbol needs an endomorphism of TruncHardy")
     space = a.domain
     n, f = space.max_degree, space.fiber_dim
-    mat = matcore.as_csr(a.matrix)
-    mz = materialize_csr(shift_symbol(f), n)
-    pre = frob((mat @ mz - q * (mz @ mat))[:, space.low(n - 1)])
+    mat = as_cmatrix(a.matrix)
+    mz_a = np.zeros_like(mat[:, :n * f])                # M_z A on degrees <= N-1
+    mz_a[f:] = mat[:len(mat) - f, :n * f]
+    pre = frob(mat[:, f:] - q * mz_a)
     scale = _column_norm_scale(mat)
     if pre > tol * scale:
         raise NotQCommutantError(
             f"||A Mz - q Mz A||_F = {pre:.3e} on degrees <= {n - 1}")
-    first = mat[:, :f].toarray()
-    coeffs = [first[k * f:(k + 1) * f] for k in range(n + 1)]
+    coeffs = [mat[k * f:(k + 1) * f, :f] for k in range(n + 1)]
     deg = 0
     for k in range(n, 0, -1):
         if frob(coeffs[k]) > tol * scale:
             deg = k
             break
     sym = TwistedSymbol(q, tuple(coeffs[:deg + 1]))
-    resid = frob((mat - materialize_csr(sym, n))[:, space.low(n - deg)])
+    resid = frob((mat - materialize(sym, n).matrix)[:, space.low(n - deg)])
     return sym, resid

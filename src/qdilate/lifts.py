@@ -25,9 +25,9 @@ Its residuals are computed from those dim-sized blocks, with closed-form
 counts of the interior columns, and its norm from the symbol's sup norm on
 the circle, so their cost does not depend on N; the embeddings Pi are dense
 D x dim columns, and V* Pi is applied block by block.  The extraction checks
-read the blocks too: the type is the model form.  The verifiers also accept
-CSR and dense operators (`matcore.as_csr` materializes a LiftOperator once),
-whose residuals are formed by sparse products, as the reference route.
+read the blocks too: the type is the model form.  `LiftOperator` is the only
+lift-space operator type: a realization or triple built from anything else
+raises NotModelFormError.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from functools import cached_property
 from itertools import chain, zip_longest
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import hardy, matcore, model
 from .ando import AndoTuple
@@ -47,12 +46,11 @@ from .hardy import (
     TwistedSymbol,
     gram_coeff,
     materialize,
-    materialize_csr,
     shift_symbol,
     symbol_compose,
     unit,
 )
-from .matcore import adj, as_csr, block_csr, eye, frob, opnorm, speye
+from .matcore import adj, eye, frob, opnorm
 from .model import CanonicalUnitaryPair, PairAnalysis
 from .qpair import QPair
 from .report import Report
@@ -70,11 +68,6 @@ class LiftSpace:
     def total_dim(self) -> int:
         return self.head_dim + self.hardy.total_dim + self.tail_dim
 
-    def interior(self, d: int) -> np.ndarray:
-        """Indices of head (+) degrees <= N-d (+) tail in the full space."""
-        low = self.hardy.low(self.hardy.max_degree - d)
-        return np.r_[0:self.head_dim + low.stop, self.tail_start:self.total_dim]
-
     @property
     def tail_start(self) -> int:
         return self.head_dim + self.hardy.total_dim
@@ -87,8 +80,8 @@ class LiftOperator:
 
     `column` holds C(z) = sum_i z^i C_i, from the head into the Hardy part;
     every scalar factor is folded into the symbol's coefficients.  Symbol and
-    column have degree <= N, so the materialization drops nothing: block
-    (j+k, j) of the Hardy part is rot^j phi_k, as in `hardy.materialize_csr`.
+    column have degree <= N, so the matrix drops nothing: block (j+k, j) of
+    the Hardy part is rot^j phi_k, as in `hardy.materialize`.
     """
 
     space: LiftSpace
@@ -106,17 +99,6 @@ class LiftOperator:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.space.total_dim, self.space.total_dim)
-
-    @cached_property
-    def csr(self) -> sp.csr_matrix:
-        """The CSR matrix, built once (what `matcore.as_csr` returns)."""
-        h, ts = self.space.head_dim, self.space.tail_start
-        blocks = [(0, 0, self.head),
-                  (h, h, materialize_csr(self.symbol, self.space.hardy.max_degree)),
-                  (ts, ts, self.tail)]
-        if self.column:
-            blocks.append((h, 0, np.vstack(self.column)))
-        return block_csr(self.shape, blocks)
 
     def __matmul__(self, other):
         """The product by symbol compositions, cut at N: the column of V1 V2 is
@@ -143,11 +125,9 @@ def _diagonal(space: LiftSpace, sym: TwistedSymbol, tail: np.ndarray) -> LiftOpe
     return LiftOperator(space, _EMPTY, (), sym, tail)
 
 
-def _product(x, y):
-    """X Y: in block form when both are LiftOperators, else as CSR."""
-    if isinstance(x, LiftOperator) and isinstance(y, LiftOperator):
-        return x @ y
-    return as_csr(x) @ as_csr(y)
+def _require_blocks(*ops) -> None:
+    if not all(isinstance(op, LiftOperator) for op in ops):
+        raise NotModelFormError("expected lift-space operators in block form (LiftOperator)")
 
 
 @dataclass(frozen=True)
@@ -156,27 +136,37 @@ class LiftRealization:
     q: complex
     space: LiftSpace
     pi: np.ndarray
-    v1: LiftOperator | sp.csr_matrix | np.ndarray
-    v2: LiftOperator | sp.csr_matrix | np.ndarray
+    v1: LiftOperator
+    v2: LiftOperator
     trunc: int
     reachable_dim: int     # dimension of the minimal dilation space at N
     canonical: CanonicalUnitaryPair | None = None
 
+    def __post_init__(self):
+        _require_blocks(self.v1, self.v2)
+
     @cached_property
-    def product(self):
+    def product(self) -> LiftOperator:
         """V = V1 V2, formed once for the axiom checks and the minimality
-        proof: a LiftOperator when V1 and V2 are."""
-        return _product(self.v1, self.v2)
+        proof."""
+        return self.v1 @ self.v2
 
 
 @dataclass(frozen=True)
 class PseudoTriple:
+    """(W1, W2, W) on TruncHardy (+) tail, the Douglas form: no head."""
+
     q: complex
     space: LiftSpace
-    w1: LiftOperator | sp.csr_matrix | np.ndarray
-    w2: LiftOperator | sp.csr_matrix | np.ndarray
-    w: LiftOperator | sp.csr_matrix | np.ndarray
+    w1: LiftOperator
+    w2: LiftOperator
+    w: LiftOperator
     trunc: int
+
+    def __post_init__(self):
+        _require_blocks(self.w1, self.w2, self.w)
+        if self.space.head_dim:
+            raise NotModelFormError("a pseudo triple has no head (the Douglas form)")
 
 
 def schaffer_lift(pair: QPair, tup: AndoTuple, n: int = hardy.DEFAULT_TRUNC) -> LiftRealization:
@@ -258,9 +248,8 @@ def douglas_pseudo_lift(pair: PairAnalysis | QPair, n: int = hardy.DEFAULT_TRUNC
 
 
 # -- residuals ---------------------------------------------------------------
-# Each takes LiftOperators through their blocks, and any other operator (CSR
-# or dense) through sparse products, the reference route; a mix takes the
-# sparse route.
+# Each takes LiftOperators through their blocks; interior(d) stands for the
+# columns of head (+) degrees <= N-d (+) tail.
 
 
 def _sq(a: np.ndarray) -> float:
@@ -268,7 +257,7 @@ def _sq(a: np.ndarray) -> float:
     return float(np.vdot(a, a).real)
 
 
-def _block_frob(space: LiftSpace, d: int, terms) -> float:
+def interior_frob(space: LiftSpace, d: int, *terms) -> float:
     """||(sum of terms)[:, interior(d)]||_F from the blocks of LiftOperators:
     a term (c, X) stands for c X, a term (c, X, Y) for c X* Y.
 
@@ -343,41 +332,24 @@ def _block_frob(space: LiftSpace, d: int, terms) -> float:
     return float(np.sqrt(total))
 
 
-def interior_frob(space: LiftSpace, d: int, *terms) -> float:
-    """||(sum of terms)[:, interior(d)]||_F, a term (c, X) standing for c X
-    and a term (c, X, Y) for c X* Y: from the blocks when every operator is
-    a LiftOperator (`_block_frob`), else from sparse products."""
-    if all(isinstance(op, LiftOperator) for _, *ops in terms for op in ops):
-        return _block_frob(space, d, terms)
-    parts = [(c * adj(as_csr(x))) @ as_csr(y[0]) if y else c * as_csr(x)
-             for c, x, *y in terms]
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = acc + part
-    return frob(acc[:, space.interior(d)])
-
-
-def isometry_residual(v, space: LiftSpace, d: int = 1) -> float:
-    """||(V*V - I)[:, interior(d)]||_F; from the blocks, the Laurent sums of
-    the symbol (`hardy.symbol_is_inner`) plus the head and column terms."""
-    if not isinstance(v, LiftOperator):
-        return interior_frob(space, d, (1.0, v, v), (-1.0, speye(space.total_dim)))
+def isometry_residual(v: LiftOperator, space: LiftSpace, d: int = 1) -> float:
+    """||(V*V - I)[:, interior(d)]||_F: the Laurent sums of the symbol
+    (`hardy.symbol_is_inner`) plus the head and column terms."""
     ident = LiftOperator(space, eye(space.head_dim), (),
                          TwistedSymbol(1.0, (eye(space.hardy.fiber_dim),)), eye(space.tail_dim))
     return interior_frob(space, d, (1.0, v, v), (-1.0, ident))
 
 
-def commutator_residual(x, y, c: complex, space: LiftSpace, d: int = 2) -> float:
+def commutator_residual(x: LiftOperator, y: LiftOperator, c: complex, space: LiftSpace,
+                        d: int = 2) -> float:
     """||(X Y - c Y X)[:, interior(d)]||_F."""
-    return interior_frob(space, d, (1.0, _product(x, y)), (-c, _product(y, x)))
+    return interior_frob(space, d, (1.0, x @ y), (-c, y @ x))
 
 
-def adjoint_times(v, pi: np.ndarray) -> np.ndarray:
-    """V* Pi as a dense D x k matrix.  A LiftOperator is applied to the
-    degree blocks Pi_i of Pi: the Hardy block of degree l is
-    conj(rot)^l sum_k phi_k* Pi_{l+k}, the head A* Pi_head + sum_i C_i* Pi_i."""
-    if not isinstance(v, LiftOperator):
-        return adj(as_csr(v)) @ pi
+def adjoint_times(v: LiftOperator, pi: np.ndarray) -> np.ndarray:
+    """V* Pi as a dense D x k matrix, applied to the degree blocks Pi_i of
+    Pi: the Hardy block of degree l is conj(rot)^l sum_k phi_k* Pi_{l+k},
+    the head A* Pi_head + sum_i C_i* Pi_i."""
     space, sym = v.space, v.symbol
     h, ts, n, f = space.head_dim, space.tail_start, space.hardy.max_degree, sym.fiber_in
     k = pi.shape[1]
@@ -395,19 +367,14 @@ def adjoint_times(v, pi: np.ndarray) -> np.ndarray:
     return out
 
 
-def interior_opnorm(v, space: LiftSpace, d: int = 1) -> float:
-    """||V[:, interior(d)]||_2 for CSR and dense operators, by the sparse
-    norm of that section.
-
-    A LiftOperator without a head reads the untruncated operator instead:
-    the larger of the tail's norm (an SVD) and ||phi||_inf =
-    ||M_phi R_rot|| on the whole Hardy space (`hardy.symbol_norm`), which
-    is at least the norm of every finite section and costs the same at
-    every N.  With no interior Hardy column (N < d) it is the tail's norm
-    alone.
+def interior_opnorm(v: LiftOperator, space: LiftSpace, d: int = 1) -> float:
+    """An upper bound for ||V[:, interior(d)]||_2 of an operator without a
+    head (a pseudo triple's), read on the untruncated operator: the larger
+    of the tail's norm (an SVD) and ||phi||_inf = ||M_phi R_rot|| on the
+    whole Hardy space (`hardy.symbol_norm`), which is at least the norm of
+    every finite section and costs the same at every N.  With no interior
+    Hardy column (N < d) it is the tail's norm alone.
     """
-    if not isinstance(v, LiftOperator) or space.head_dim:
-        return opnorm(as_csr(v)[:, space.interior(d)])
     tail = opnorm(v.tail)
     if space.hardy.max_degree < d:
         return tail
@@ -446,7 +413,7 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
                   isometry_residual(v, space, 1), tol)
     v12 = lift.product
     rep.check("q-commute", "V1 V2 = q V2 V1 on degrees <= N-2",
-              interior_frob(space, 2, (1.0, v12), (-q, _product(v2, v1))), tol)
+              interior_frob(space, 2, (1.0, v12), (-q, v2 @ v1)), tol)
 
     if lift.kind == "schaffer":
         rep.check("pi-isometry", "Pi*Pi = I (inclusion)",
@@ -506,23 +473,17 @@ def _sigma(s: float | None) -> str:
     return "none" if s is None else f"{s:.3e}"
 
 
-def _shape_residual(v, space: LiftSpace) -> float:
+def _shape_residual(v: LiftOperator, space: LiftSpace) -> float:
     """Frobenius distance, over all columns, of V from the block shape
     [[A, 0, 0], [E0 C, M_z, 0], [0, 0, W]] on head (+) TruncHardy(F, N) (+)
-    tail, with A, the constant column C (degree 0 only) and W read from V.
-    A LiftOperator has that shape outside its column's higher degrees and
-    its symbol, which are compared with 0 and with z from the blocks."""
-    h, f, ts = space.head_dim, space.hardy.fiber_dim, space.tail_start
-    if isinstance(v, LiftOperator):
-        shape = LiftOperator(space, v.head, v.column[:1], shift_symbol(f), v.tail)
-        return _block_frob(space, 0, [(1.0, v), (-1.0, shape)])
-    mz = block_csr(v.shape, [(h, h, materialize_csr(shift_symbol(f), space.hardy.max_degree))])
-    r = (as_csr(v) - mz).tocoo()
-    free = ((r.col < h) & (r.row < h + f)) | ((r.row >= ts) & (r.col >= ts))
-    return float(np.linalg.norm(r.data[~free]))
+    tail, with A, the constant column C (degree 0 only) and W read from V:
+    V's column above degree 0 is compared with 0, its symbol with z."""
+    shape = LiftOperator(space, v.head, v.column[:1], shift_symbol(space.hardy.fiber_dim),
+                         v.tail)
+    return interior_frob(space, 0, (1.0, v), (-1.0, shape))
 
 
-def orbit_dimension(v, pi: np.ndarray, space: LiftSpace,
+def orbit_dimension(v: LiftOperator, pi: np.ndarray, space: LiftSpace,
                     rank_tol: float = 1e-8) -> OrbitProof:
     """Dimension of the orbit span{V^k Pi h}, proved from block shapes at
     dim-sized cost instead of grown on the lift space.
@@ -539,10 +500,8 @@ def orbit_dimension(v, pi: np.ndarray, space: LiftSpace,
       is span{z^j ran Pi_0 : j <= N} (+) tail, of dimension
       (N+1) rank Pi_0 + dim tail.
     A zero Pi has the zero orbit.  If a shape condition fails, the dimension
-    is left undecided.  A LiftOperator's blocks are read directly.
+    is left undecided.
     """
-    if not isinstance(v, LiftOperator):
-        v = as_csr(v)
     res = _shape_residual(v, space)
     norm = np.linalg.norm(pi, 2) if pi.size else 0.0
     if norm == 0.0:
@@ -553,10 +512,7 @@ def orbit_dimension(v, pi: np.ndarray, space: LiftSpace,
     h, hd, tail = space.head_dim, space.hardy.total_dim, space.tail_dim
     f, n = space.hardy.fiber_dim, space.hardy.max_degree
     if h:
-        if isinstance(v, LiftOperator):
-            c0 = v.column[0] if v.column else np.zeros((f, h), dtype=np.complex128)
-        else:
-            c0 = v[h:h + f, :h].toarray()
+        c0 = v.column[0] if v.column else np.zeros((f, h), dtype=np.complex128)
         ranks = {"P": matcore.rank_gap(seed[:h], rank_tol),
                  "C0": matcore.rank_gap(c0, rank_tol)}
         below = frob(seed[h:])
@@ -573,8 +529,7 @@ def orbit_dimension(v, pi: np.ndarray, space: LiftSpace,
              "Pi_0..N": matcore.rank_gap(blocks.transpose(1, 0, 2).reshape(f, (n + 1) * k),
                                          rank_tol),
              "Pi_tail": matcore.rank_gap(seed[hd:], rank_tol)}
-    w = v.tail if isinstance(v, LiftOperator) else v[hd:, hd:].toarray()
-    unitary = frob(adj(w) @ w - eye(tail))
+    unitary = frob(adj(v.tail) @ v.tail - eye(tail))
     if unitary > SHAPE_TOL:
         failure = f"tail block unitarity residual {unitary:.3e} > {SHAPE_TOL:g}"
     elif ranks["Pi_0..N"][0] > ranks["Pi0"][0]:
@@ -628,25 +583,22 @@ def extract_ando_from_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
     """Recover (Lambda, PU Lambda D_T, U*(I-P) Lambda D_T) from a lift in
     inclusion model form, and verify their structural consistency.
 
-    Returns (AndoFragments, Report).  Model form is the block form: V1, V2
-    are LiftOperators (no head->Hardy block) on H (+) TruncHardy, and the
-    Hardy diagonal of V = V1 V2 (`LiftRealization.product`) is the shift
-    (Frobenius norm on degrees <= N-1, from the blocks); else it raises
-    NotModelFormError.  The column C of V then satisfies C*C = I - T*T and
+    Returns (AndoFragments, Report).  Model form is the block form (no
+    Hardy->head block) on H (+) TruncHardy, and the Hardy diagonal of
+    V = V1 V2 (`LiftRealization.product`) is the shift (Frobenius norm on
+    degrees <= N-1, from the blocks); else it raises NotModelFormError.  The column C of V then satisfies C*C = I - T*T and
     M_z*C = 0 and factors through an isometry Lambda; PU Lambda D_T and
     U*(I-P) Lambda D_T are the degree-0 columns of V1 and q V2.
     """
     an = PairAnalysis.of(pair)
     pair, t = an.pair, an.product
-    if not (isinstance(lift.v1, LiftOperator) and isinstance(lift.v2, LiftOperator)):
-        raise NotModelFormError("expected a lift in block form (LiftOperator)")
     space = lift.space
     if space.head_dim != pair.dim or space.tail_dim != 0:
         raise NotModelFormError("expected an inclusion-type lift layout")
     q, h_dim, f = pair.q, pair.dim, space.hardy.fiber_dim
     v = lift.product
     shifted = LiftOperator(space, v.head, v.column, shift_symbol(f), v.tail)
-    diag_res = _block_frob(space, 1, [(1.0, v), (-1.0, shifted)])
+    diag_res = interior_frob(space, 1, (1.0, v), (-1.0, shifted))
     if diag_res > tol:
         raise NotModelFormError(
             f"Hardy diagonal of V1 V2 is not the shift: Frobenius residual {diag_res:.3e}")

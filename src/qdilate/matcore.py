@@ -1,20 +1,13 @@
 """Complex-matrix primitives used by every other module.
 
 Operators are complex128 numpy arrays, except the lift-space operators, which
-are held in block form (`lifts.LiftOperator`) and materialized as
-`scipy.sparse` CSR matrices by `as_csr`; `block_csr` is the one assembler of
-such matrices from blocks, and `speye` builds the CSR identity.  `frob`,
-`opnorm` and `greedy_orbit_rank` accept dense and CSR input.  Identity
-residuals whose true value is 0 are gated on `frob`, one pass over the
-stored entries and never below the spectral norm; `opnorm` is kept where the
-spectral norm itself is gated.  A tolerance scale needs only a lower bound
-for the norm, which keeps its gate at least as strict (`hardy.extract_symbol`
-takes the largest column norm).  The sparse `opnorm` has one path: scale,
-Gram matrix, banded eigensolve (LAPACK's `scipy.linalg.eig_banded`).  Its
-only callers are CSR or dense lift operators through `lifts.interior_opnorm`:
-`qdilate pseudo --perturb`, `pseudolift.uniqueness_test(tau=...)` and the
-tests' sparse reference route; the verify suites take the norms of their
-LiftOperators from the symbols (`hardy.symbol_norm`).
+are held in block form (`lifts.LiftOperator`) and never materialized by the
+verifiers.  Identity residuals whose true value is 0 are gated on `frob`,
+never below the spectral norm; `opnorm` is kept where the spectral norm
+itself is gated.  A tolerance scale needs only a lower bound for the norm,
+which keeps its gate at least as strict (`hardy.extract_symbol` takes the
+largest column norm).  The norms of lift-space operators come from their
+symbols (`hardy.symbol_norm`).
 `rank_gap` decides a rank at an absolute cutoff and reports its
 singular-value margin; the lift minimality proofs use it on dim-sized blocks,
 and `greedy_orbit_rank`, which grows a basis on the whole space, is left to
@@ -33,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatchError,
@@ -53,49 +45,22 @@ def adj(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def frob(a) -> float:
-    """Frobenius norm; 0 for empty matrices.
-
-    Sparse input costs one pass over its stored entries: duplicate entries
-    are summed first (on a copy), so the norm of `.data` is the norm of the
-    matrix.  ||A||_2 <= ||A||_F, so a residual gated on `frob` is held at
-    least as strictly as on `opnorm`.
-    """
-    if sp.issparse(a):
-        a = a.tocsr()
-        if not a.has_canonical_format:
-            a = a.copy()
-            a.sum_duplicates()
-        return float(np.linalg.norm(a.data))
+def frob(a: np.ndarray) -> float:
+    """Frobenius norm; 0 for empty matrices.  ||A||_2 <= ||A||_F, so a
+    residual gated on `frob` is held at least as strictly as on `opnorm`."""
     return float(np.linalg.norm(a)) if a.size else 0.0
 
 
-def opnorm(a) -> float:
-    """Spectral norm; 0 for empty matrices.
+def opnorm(a: np.ndarray) -> float:
+    """Spectral norm of a 2-D array; 0 for empty matrices.
 
-    It costs an SVD or an eigensolve.  On the lift paths it is kept only
-    where `frob` would loosen a check or change its meaning: the dense
-    D x dim intertwining residuals, held to tail-corrected tolerances (an
-    SVD); the discriminator lower bound of `lifts.nonisolifts_fixture`; and
-    the contractivity of W1, W2 of a CSR or dense pseudo triple
-    (`lifts.interior_opnorm`).  A builder-made triple takes that norm from
-    its symbols (`hardy.symbol_norm`), so the verify suites call no sparse
-    norm.
-
-    Dense input is a 2-D array; its norm is the largest singular value
-    from `np.linalg.svd` (values only), the same bits `np.linalg.norm(a, 2)`
-    returns without that function's axis handling.  Sparse input is divided
-    by its largest |entry|, so the Gram matrix neither underflows nor
-    overflows; its norm is then the root of the largest eigenvalue of the
-    smaller Gram matrix, A*A or AA*, which is banded for the lift-space
-    operators, from LAPACK's banded Hermitian eigensolver (?hbevd,
-    eigenvalues only).
-    Selecting just the top eigenvalue (?hbevx) is not used: its bisection
-    cannot separate that index from a cluster, and a contraction whose norm
-    is attained on several directions makes one.
+    The largest singular value from `np.linalg.svd` (values only), the same
+    bits `np.linalg.norm(a, 2)` returns without that function's axis
+    handling.  On the lift paths it is kept only where `frob` would loosen a
+    check or change its meaning: the dense D x dim intertwining residuals,
+    held to tail-corrected tolerances, and the discriminator lower bound of
+    `lifts.nonisolifts_fixture`.
     """
-    if sp.issparse(a):
-        return _sparse_opnorm(a)
     return float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
 
 
@@ -105,56 +70,8 @@ def stack_opnorms(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[:, 0] if a.size else np.zeros(len(a))
 
 
-def _sparse_opnorm(a) -> float:
-    a = sp.csr_matrix(a)
-    scale = float(np.abs(a.data).max()) if a.nnz else 0.0
-    if scale == 0.0:
-        return 0.0
-    a = a / scale
-    # one nonzero stored entry per position, so the Gram band is no wider
-    # than the matrix needs; duplicates that cancel can leave no entry at all
-    a.sum_duplicates()
-    a.eliminate_zeros()
-    return scale * _gram_norm(a) if a.nnz else 0.0
-
-
-def _gram_norm(a) -> float:
-    """Norm of a sparse A with entries of order 1, by the banded Gram solve."""
-    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
-    gram = gram.tocoo()
-    gram.sum_duplicates()
-    lower = gram.row >= gram.col
-    offset, col = gram.row[lower] - gram.col[lower], gram.col[lower]
-    band = np.zeros((offset.max() + 1, gram.shape[0]), dtype=np.complex128)
-    band[offset, col] = gram.data[lower]
-    top = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)[-1]
-    return float(np.sqrt(max(top, 0.0)))
-
-
 def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
-
-
-def speye(n: int) -> sp.csr_matrix:
-    return sp.identity(n, dtype=np.complex128, format="csr")
-
-
-def as_csr(a) -> sp.csr_matrix:
-    """A dense or sparse matrix as complex128 CSR (no copy if it already is);
-    an operator in block form (`lifts.LiftOperator`) as its cached `csr`."""
-    csr = getattr(a, "csr", None)
-    return csr if csr is not None else sp.csr_matrix(a, dtype=np.complex128)
-
-
-def block_csr(shape: tuple[int, int], blocks) -> sp.csr_matrix:
-    """CSR matrix of `shape` holding each dense or sparse block of `blocks`,
-    given as (row offset, column offset, block), at its offset; the blocks
-    must not overlap, and entries not covered by any block are 0."""
-    parts = [(sp.coo_matrix(b), r0, c0) for r0, c0, b in blocks]
-    data = np.concatenate([b.data for b, _, _ in parts])
-    rows = np.concatenate([b.row + r0 for b, r0, _ in parts])
-    cols = np.concatenate([b.col + c0 for b, _, c0 in parts])
-    return sp.csr_matrix((data.astype(np.complex128), (rows, cols)), shape=shape)
 
 
 def as_cmatrix(data) -> np.ndarray:
@@ -430,15 +347,15 @@ def greedy_orbit_rank(ops, seed_columns: np.ndarray, rank_tol: float = 1e-8,
     """Dimension of span{op_{i1}...op_{ik} seed} by greedy re-orthogonalization.
 
     Grows an orthonormal basis one application at a time, discarding
-    directions below rank_tol.  `ops` is a single dense or sparse matrix or an
-    iterable of them (joint orbit).  It measures the joint orbits of
+    directions below rank_tol.  `ops` is a single matrix or an iterable of
+    them (joint orbit).  It measures the joint orbits of
     `lifts.nonisolifts_fixture` and is the test oracle of the structured lift
     minimality proof (`lifts.orbit_dimension`); its basis is an n x n buffer,
     so the verifiers do not call it on the lift space.
     """
-    if isinstance(ops, np.ndarray) or sp.issparse(ops):
+    if isinstance(ops, np.ndarray):
         ops = [ops]
-    ops = [o if sp.issparse(o) else as_cmatrix(o) for o in ops]
+    ops = [as_cmatrix(o) for o in ops]
     n = seed_columns.shape[0]
     frontier = orth_columns(seed_columns, rank_tol=rank_tol)
     # the basis fills the leading columns of one buffer; pages of columns

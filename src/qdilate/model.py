@@ -29,7 +29,7 @@ from .errors import (
     QDilateError,
     SingularResolventError,
 )
-from .hardy import TruncHardy, TwistedSymbol, gram_coeff, materialize_csr
+from .hardy import TruncHardy, TwistedSymbol, gram_coeff, materialize
 from .matcore import SubspaceBasis, adj, as_cmatrix, eye, frob, opnorm, stack_opnorms
 from .qpair import ProductDecomposition, QPair, cnu_decompose
 from .report import Report
@@ -704,11 +704,11 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
 
     dom = TruncHardy(d_in, n)
     cod = TruncHardy(d_out, n)
-    a1, a2 = materialize_csr(sym1, n), materialize_csr(sym2, n)
-    t_theta = materialize_csr(theta_sym, n)
-    q_basis = matcore.orth_columns(t_theta[:, dom.low(n - d_theta)].toarray())
-    test_cols = matcore.orth_columns(t_theta[:, dom.low(n - d_theta - 1)].toarray())
-    mz = materialize_csr(hardy.shift_symbol(d_out), n)
+    a1, a2 = materialize(sym1, n).matrix, materialize(sym2, n).matrix
+    t_theta = materialize(theta_sym, n).matrix
+    q_basis = matcore.orth_columns(t_theta[:, dom.low(n - d_theta)])
+    test_cols = matcore.orth_columns(t_theta[:, dom.low(n - d_theta - 1)])
+    mz = materialize(hardy.shift_symbol(d_out), n).matrix
     worst_inv = 0.0
     if test_cols.shape[1]:
         for a_mat in (a1, a2, mz):
@@ -725,7 +725,7 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
                  "compressed product identities on the model complement",
                  note="truncation too small to expose an interior complement")
         return rep
-    x_red = _null_space(adj(t_theta[cod.low(k_int), dom.low(k_int)].toarray()))
+    x_red = _null_space(adj(t_theta[cod.low(k_int), dom.low(k_int)]))
     x = np.zeros((cod.total_dim, x_red.shape[1]), dtype=np.complex128)
     x[cod.low(k_int)] = x_red
     if x.shape[1] == 0:

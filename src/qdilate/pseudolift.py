@@ -1,12 +1,14 @@
 """Pseudo q-commuting contractive triples and the Douglas-model pseudo lift.
 
 A pseudo triple (W1, W2, W) has contractive W1, W2, isometric W, with
-W1 W = q W W1, W2 W = qbar W W2 and W1 = qbar W2* W.  Over the Douglas
-embedding these axioms are rigid: the off-diagonal blocks must vanish and the
-Hardy blocks must be the degree-one multipliers built from the fundamental
-operators.  Violating candidates are rejected by the axiom checks, so equality
-with the model triple is the only way to pass over a fixed embedding.  The
-Douglas pseudo lift itself is built in `lifts`, next to the Douglas lift.
+W1 W = q W W1, W2 W = qbar W W2 and W1 = qbar W2* W.  Its operators are
+`lifts.LiftOperator`s on TruncHardy (+) tail, checked from their blocks.  Over
+the Douglas embedding these axioms are rigid: the Hardy blocks must be the
+degree-one multipliers built from the fundamental operators.  Violating
+candidates (`perturbed_triple` bumps W1's symbol) are rejected by the axiom
+checks, so equality with the model triple is the only way to pass over a fixed
+embedding.  The Douglas pseudo lift itself is built in `lifts`, next to the
+Douglas lift.
 """
 
 from __future__ import annotations
@@ -15,11 +17,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import matcore
-from .errors import NotModelFormError, NotQCommutantError
+from .errors import NotQCommutantError
 from .hardy import TwistedSymbol
 from .lifts import (
-    LiftOperator,
     PseudoTriple,
     adjoint_times,
     commutator_residual,
@@ -29,7 +29,7 @@ from .lifts import (
     isometry_residual,
     orbit_dimension,
 )
-from .matcore import adj, as_csr, block_csr, eye, frob, opnorm
+from .matcore import adj, frob, opnorm
 from .model import PairAnalysis
 from .qpair import QPair
 from .report import Report
@@ -41,12 +41,11 @@ def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
     Degree budgets: contractivity and the linear axiom consume one degree,
     the two twisted commutations consume two.  Contractivity gates the
     spectral norms ||W_i|| themselves; the identity residuals are gated on
-    their Frobenius norm, which is never below the spectral one.  For the
-    builder's triple (LiftOperators) all of them come from the symbol blocks
-    (`lifts.interior_frob`, `lifts.interior_opnorm`), and contractivity reads
-    the norm of the untruncated operator, ||phi||_inf on the Hardy part,
-    which no finite section exceeds; other operators go through sparse
-    products, contractivity through the norm of the degree <= N-1 section.
+    their Frobenius norm, which is never below the spectral one.  All of
+    them come from the symbol blocks (`lifts.interior_frob`,
+    `lifts.interior_opnorm`), and contractivity reads the norm of the
+    untruncated operator, ||phi||_inf on the Hardy part, which no finite
+    section exceeds.
     """
     rep = Report("pseudo-triple", {"trunc": triple.trunc, "tol": tol})
     q, space = triple.q, triple.space
@@ -92,26 +91,16 @@ def is_pseudo_lift(pi: np.ndarray, triple: PseudoTriple, pair: PairAnalysis | QP
     return rep
 
 
-def uniqueness_test(pair: QPair, candidate: PseudoTriple, tol: float = 1e-9,
-                    tau: np.ndarray | None = None) -> Report:
+def uniqueness_test(pair: QPair, candidate: PseudoTriple, tol: float = 1e-9) -> Report:
     """Compare a candidate pseudo lift over the Douglas data with the model one.
 
     The candidate must share the Douglas isometry (W = V_D up to degree
     budget); on a pass, block rigidity forces (W1, W2) = (W1_D, W2_D), checked on
-    the interior block.  A candidate in block form is checked from its blocks.
-    With `tau`, an arbitrary pseudo lift is accepted and compared, as CSR,
-    after conjugation by the supplied minimal-lift intertwiner.
+    the interior block from the blocks.
     """
     an = PairAnalysis.of(pair)
     pi_d, ref = douglas_pseudo_lift(an, candidate.trunc)
     rep = Report("pseudo-uniqueness", {"trunc": candidate.trunc, "tol": tol})
-    if tau is not None:
-        tau = matcore.as_cmatrix(tau)
-        rep.check("tau-unitary", "supplied intertwiner is unitary",
-                  opnorm(adj(tau) @ tau - eye(tau.shape[0])), 1e-10)
-        moved = [as_csr(tau @ (as_csr(x) @ adj(tau))) for x in (candidate.w1, candidate.w2,
-                                                                 candidate.w)]
-        candidate = replace(candidate, w1=moved[0], w2=moved[1], w=moved[2])
     space = ref.space
     same_w = rep.check("same-douglas-isometry", "candidate W equals V_D",
                        interior_frob(space, 1, (1.0, candidate.w), (-1.0, ref.w)), tol)
@@ -132,28 +121,27 @@ def uniqueness_test(pair: QPair, candidate: PseudoTriple, tol: float = 1e-9,
 
 
 def perturbed_triple(triple: PseudoTriple, eps: float, seed: int = 0) -> PseudoTriple:
-    """Inject a random Hardy<->tail block of norm eps into W1 (rigidity probe)."""
+    """Add a random block of spectral norm eps to W1's degree-0 symbol
+    coefficient, or to W1's tail when the Hardy part is empty (rigidity
+    probe)."""
     rng = np.random.default_rng(seed)
-    w1 = as_csr(triple.w1)
-    hd = triple.space.hardy.total_dim
-    tl = triple.space.tail_dim
-    if tl == 0 or hd == 0:
-        # no off-diagonal geometry: perturb the top-left corner instead
-        block = rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
-        bump = block_csr(w1.shape, [(0, 0, eps * block / abs(block[0, 0]))])
-        return replace(triple, w1=w1 + bump)
-    block = rng.standard_normal((hd, tl)) + 1j * rng.standard_normal((hd, tl))
+    w1 = triple.w1
+    on_hardy = triple.space.hardy.total_dim > 0
+    shape = w1.symbol.coeffs[0].shape if on_hardy else w1.tail.shape
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     block *= eps / opnorm(block)
-    return replace(triple, w1=w1 + block_csr(w1.shape, [(0, hd, block)]))
+    if on_hardy:
+        sym = w1.symbol
+        w1 = replace(w1, symbol=TwistedSymbol(sym.rot, (sym.coeffs[0] + block, *sym.coeffs[1:])))
+    else:
+        w1 = replace(w1, tail=w1.tail + block)
+    return replace(triple, w1=w1)
 
 
 def taylor_rigidity(triple: PseudoTriple, pair: PairAnalysis | QPair,
                     tol: float = 1e-9) -> Report:
-    """Read the Hardy-block symbols of a passing triple in block form (else
-    NotModelFormError) and match them to the fundamental operators:
-    phi1 = G1* + z G2, phi2 = G2* + qbar z G1."""
-    if not (isinstance(triple.w1, LiftOperator) and isinstance(triple.w2, LiftOperator)):
-        raise NotModelFormError("expected a pseudo triple in block form (LiftOperator)")
+    """Read the Hardy-block symbols of a passing triple and match them to
+    the fundamental operators: phi1 = G1* + z G2, phi2 = G2* + qbar z G1."""
     rep = Report("taylor-rigidity", {"trunc": triple.trunc, "tol": tol})
     q, n = triple.q, triple.trunc
     fund = PairAnalysis.of(pair).fundamental

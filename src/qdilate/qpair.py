@@ -29,7 +29,6 @@ from .errors import (
     ParseError,
 )
 from .matcore import SubspaceBasis, adj, as_cmatrix, eye, frob, opnorm
-from .report import Report
 
 
 @dataclass(frozen=True)
@@ -188,31 +187,6 @@ def cnu_decompose(t: np.ndarray) -> ProductDecomposition:
     if b_u.shape[1] and frob(adj(t_u) @ t_u - eye(b_u.shape[1])) > 1e-10:
         raise NotReducingError("compression of T to ran Q is not unitary")
     return ProductDecomposition(SubspaceBasis(b_u), SubspaceBasis(b_c), t_u, t_c, q_op)
-
-
-def check_lemma_prod(pair: QPair, n_max: int = 8) -> Report:
-    """Residuals of the product-power twist relations, and factor isometry
-    when the product is isometric."""
-    rep = Report("lemma-prod", {"n_max": n_max})
-    t = pair.product()
-    n = pair.dim
-    if frob(adj(t) @ t - eye(n)) <= 1e-10:
-        rep.check("t1-isometric", "T isometric => T1*T1 = I",
-                  frob(adj(pair.t1) @ pair.t1 - eye(n)), 1e-10)
-        rep.check("t2-isometric", "T isometric => T2*T2 = I",
-                  frob(adj(pair.t2) @ pair.t2 - eye(n)), 1e-10)
-    else:
-        rep.skip("factor-isometry", "T isometric => T1, T2 isometric",
-                 note="product not isometric")
-    worst1 = worst2 = 0.0
-    tn = eye(n)
-    for k in range(1, n_max + 1):
-        tn = tn @ t
-        worst1 = max(worst1, frob(pair.t1 @ tn - (pair.q ** k) * (tn @ pair.t1)))
-        worst2 = max(worst2, frob(pair.t2 @ tn - (np.conj(pair.q) ** k) * (tn @ pair.t2)))
-    rep.check("t1-power-twist", "T1 T^n = q^n T^n T1", worst1, 1e-10)
-    rep.check("t2-power-twist", "T2 T^n = conj(q)^n T^n T2", worst2, 1e-10)
-    return rep
 
 
 def pair_to_json(pair: QPair) -> dict:

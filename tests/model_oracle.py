@@ -13,6 +13,8 @@ import numpy as np
 from qdilate import hardy, matcore, model
 from qdilate.matcore import adj, opnorm
 
+from test_sparse import csr_symbol
+
 
 def tail_norm(t: np.ndarray, n: int) -> float:
     """||T*^{n+1}||, the truncation-error scale at degree n."""
@@ -40,8 +42,8 @@ def truncated_compress(pair, n: int | None = None,
         n = max(hardy.choose_trunc(t, tail_tol), 4)
     fund = an.fundamental
     sym1, sym2 = model.model_symbols(pair.q, fund.g1, fund.g2)
-    mat1 = hardy.materialize_csr(sym1, n)
-    mat2 = hardy.materialize_csr(sym2, n)
+    mat1 = csr_symbol(sym1, n)
+    mat2 = csr_symbol(sym2, n)
     obs = hardy.obs_op(t, an.dstar, n).matrix
     b = matcore.orth_columns(obs)
     m1 = adj(b) @ (mat1 @ b)

@@ -1,87 +1,92 @@
-"""The block route of the lift verifiers against the sparse route.
+"""The block route of the lift verifiers against the reference route.
 
 The builders return their operators as `lifts.LiftOperator`s, whose residuals
-come from the symbol blocks.  The same realizations with every operator
-replaced by its `as_csr` matrix take the sparse route, the reference: the
-reports must agree on ids and flags, with residuals equal to rounding on the
-corpus and to 1e-10 relative on negative controls with O(1e-2) residuals.
+come from the symbol blocks.  The reference applies the verifiers' residual
+formulas to the matrices the blocks stand for (`test_sparse`): CSR matrices
+where a test says "sparse" or "csr", dense ones elsewhere.  The residuals must
+agree, with the same pass flags, to rounding on the corpus and to 1e-10
+relative on negative controls with O(1e-2) residuals.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import qdilate as qd
 from qdilate import hardy, lifts, model, pseudolift, qpair
 from qdilate.errors import NotQCommutantError, QDilateError
 from qdilate.hardy import TwistedSymbol, shift_symbol
-from qdilate.matcore import EPS, adj, as_csr, eye, frob, opnorm
+from qdilate.matcore import EPS, adj, eye, frob, opnorm
 from qdilate.report import Report
 
 from test_hardy import grid_norm
-from test_lifts import mixed_pair, sparse_route, sparse_triple
+from test_lifts import mixed_pair
 from test_report_snapshot import snapshot_pairs
+from test_sparse import (
+    assert_residuals_match,
+    dense_lift_residuals,
+    dense_pseudo_lift_residuals,
+    dense_shape_residual,
+    dense_triple_residuals,
+    fro,
+    interior,
+    lift_matrix,
+)
 
 
-def lift_reports(lift, an, route):
-    if route == "sparse":
-        lift = sparse_route(lift)
-    return {lift.kind: qd.verify_lift(lift, an),
-            f"{lift.kind}-minimality": qd.minimality_check(lift)}
+def assert_lift_matches(lift, an, atol, rtol=0.0, csr=False):
+    """verify_lift of `lift` against the reference on dense or CSR matrices,
+    and minimality_check's shape residual against the dense one; returns the
+    minimality report."""
+    oracle = dense_lift_residuals(lift, an.pair, lift.trunc, csr)
+    assert_residuals_match(qd.verify_lift(lift, an), oracle, atol, rtol)
+    rep = qd.minimality_check(lift)
+    shape = dense_shape_residual(lift_matrix(lift.v1) @ lift_matrix(lift.v2), lift.space)
+    assert abs(rep.environment["shape_residual"] - shape) <= max(atol, rtol * shape)
+    return rep
 
 
-def pseudo_reports(pi, tri, an, route):
-    if route == "sparse":
-        tri = sparse_triple(tri)
-    return {"pseudo-triple": pseudolift.is_pseudo_triple(tri),
-            "pseudo-lift": pseudolift.is_pseudo_lift(pi, tri, an)}
+def assert_pseudo_matches(pi, tri, an, atol, rtol=0.0):
+    """is_pseudo_triple and is_pseudo_lift against the reference; the
+    minimality record is compared through its shape residual."""
+    assert_residuals_match(pseudolift.is_pseudo_triple(tri), dense_triple_residuals(tri),
+                           atol, rtol)
+    rep = pseudolift.is_pseudo_lift(pi, tri, an)
+    records = [r for r in rep.records if r.check_id != "minimality"]
+    assert_residuals_match(dataclasses.replace(rep, records=records),
+                           dense_pseudo_lift_residuals(pi, tri, an.pair), atol, rtol)
+    shape = dense_shape_residual(lift_matrix(tri.w), tri.space)
+    assert abs(rep.environment["shape_residual"] - shape) <= max(atol, rtol * shape)
 
 
-def builder_reports(an, n, route):
-    """verify_lift and minimality_check of both lifts, is_pseudo_triple and
-    is_pseudo_lift of the pseudo lift; a builder that raises is left out."""
-    out = {}
-    for build in (lambda: qd.schaffer_lift(an.pair, an.tup, n), lambda: qd.douglas_lift(an, n)):
-        try:
-            lift = build()
-        except QDilateError:
-            continue
-        out.update(lift_reports(lift, an, route))
-    try:
-        pi, tri = pseudolift.douglas_pseudo_lift(an, n)
-    except QDilateError:
-        return out
-    out.update(pseudo_reports(pi, tri, an, route))
-    return out
-
-
-def assert_same(block, ref, atol, rtol=0.0):
-    """Same reports, record by record: ids, pass and skip flags, and
-    residuals (and minimality shape residuals) within atol or rtol."""
-    assert block.keys() == ref.keys()
-    for key in block:
-        a, b = block[key], ref[key]
-        assert ([(r.check_id, r.passed, r.skipped) for r in a.records]
-                == [(r.check_id, r.passed, r.skipped) for r in b.records]), key
-        pairs = [(r.check_id, r.residual, s.residual) for r, s in zip(a.records, b.records)]
-        if "shape_residual" in b.environment:
-            pairs.append(("shape", a.environment["shape_residual"],
-                          b.environment["shape_residual"]))
-        for cid, x, y in pairs:
-            assert abs(x - y) <= max(atol, rtol * max(x, y)), (key, cid, x, y)
+def assert_same(a, b, atol):
+    """Two reports, record by record: ids, pass and skip flags, and residuals
+    within atol."""
+    assert ([(r.check_id, r.passed, r.skipped) for r in a.records]
+            == [(r.check_id, r.passed, r.skipped) for r in b.records])
+    for r, s in zip(a.records, b.records):
+        assert abs(r.residual - s.residual) <= atol, (r.check_id, r.residual, s.residual)
 
 
 @pytest.mark.parametrize("n", [6, 12, 24])
 def test_block_route_matches_the_sparse_route(n):
-    # standard_corpus(0) and the four near-boundary pairs of the snapshot
+    # standard_corpus(0) and the four near-boundary pairs of the snapshot;
+    # the reference of the lift suites takes CSR matrices
     pairs = [pair for _, pair in snapshot_pairs()]
     built = 0
-    for i, pair in enumerate(pairs):
+    for pair in pairs:
         an = model.PairAnalysis(pair)
-        block = builder_reports(an, n, "block")
-        assert_same(block, builder_reports(an, n, "sparse"), 1e-13)
-        built += len(block) == 6
+        try:
+            lifts_built = [qd.schaffer_lift(an.pair, an.tup, n), qd.douglas_lift(an, n)]
+        except QDilateError:
+            continue
+        for lift in lifts_built:
+            assert_lift_matches(lift, an, 1e-13, csr=True)
+        pi, tri = pseudolift.douglas_pseudo_lift(an, n)
+        assert_pseudo_matches(pi, tri, an, 1e-13)
+        built += 1
     # only the Ando construction of clock-shift:n=3 at 1 - 1e-9 fails
     assert built == len(pairs) - 1
 
@@ -90,14 +95,15 @@ def test_block_route_matches_the_sparse_route(n):
                                   "nilpotent:n=6,q=-0.5+0.8660254037844386i,c=0.9,d=0.8"])
 def test_sparse_route_holds_at_large_truncation(spec):
     # the two pairs of the large-N lift step of CI, at N = 10000: every
-    # materialized phase comes from one table, so the sparse route passes and
-    # reads the block route's residuals; W2's rotation is conj(q) itself
+    # materialized phase comes from one table, so the CSR reference passes
+    # and reads the block route's residuals; W2's rotation is conj(q) itself
     an = model.PairAnalysis(qpair.from_spec(spec))
     n = 10_000
     for lift in (qd.schaffer_lift(an.pair, an.tup, n), qd.douglas_lift(an, n)):
-        block, ref = (lift_reports(lift, an, route) for route in ("block", "sparse"))
-        assert all(rep.overall for rep in ref.values()), lift.kind
-        assert_same(block, ref, 1e-12)
+        oracle = dense_lift_residuals(lift, an.pair, n, csr=True)
+        rep = qd.verify_lift(lift, an)
+        assert rep.overall and qd.minimality_check(lift).overall, lift.kind
+        assert_residuals_match(rep, oracle, 1e-12)
     _, tri = pseudolift.douglas_pseudo_lift(an, n)
     taylor = pseudolift.taylor_rigidity(tri, an)
     assert next(r for r in taylor.records if r.check_id == "reconstruct-2").residual == 0.0
@@ -148,13 +154,14 @@ def test_negative_controls_fail_alike_on_both_routes(n):
         assert an.canonical.dim and an.dstar.dim
         for name, kind, real in negative_controls(pair, n):
             if kind == "lift":
-                block, ref = (lift_reports(real, an, route) for route in ("block", "sparse"))
+                reports = [qd.verify_lift(real, an), assert_lift_matches(real, an, 1e-13, 1e-10)]
             else:
-                block, ref = (pseudo_reports(*real, an, route) for route in ("block", "sparse"))
-            assert_same(block, ref, 1e-13, 1e-10)
-            worst = max(r.residual / r.tolerance for rep in block.values()
+                assert_pseudo_matches(*real, an, 1e-13, 1e-10)
+                reports = [pseudolift.is_pseudo_triple(real[1]),
+                           pseudolift.is_pseudo_lift(*real, an)]
+            worst = max(r.residual / r.tolerance for rep in reports
                         for r in rep.records if not r.skipped and r.tolerance < 0.5)
-            assert not all(rep.overall for rep in block.values()), name
+            assert not all(rep.overall for rep in reports), name
             assert worst > 1e3, (name, worst)
 
 
@@ -165,12 +172,12 @@ def test_ando_scaling_moves_the_isometry_residuals():
     an = model.PairAnalysis(pair)
     lift = qd.schaffer_lift(an.pair, dataclasses.replace(an.tup, u=1.01 * an.tup.u), 12)
     assert isinstance(lift.v1, lifts.LiftOperator)
-    block, ref = (lift_reports(lift, an, route)["schaffer"] for route in ("block", "sparse"))
+    block = qd.verify_lift(lift, an)
+    ref = dense_lift_residuals(lift, an.pair, 12)
     for cid in ("isometry-v1", "isometry-v2"):
         a = next(r for r in block.records if r.check_id == cid)
-        b = next(r for r in ref.records if r.check_id == cid)
         assert not a.passed and 0.1 < a.residual < 1.0
-        assert abs(a.residual - b.residual) <= 1e-10 * b.residual
+        assert abs(a.residual - ref[cid]) <= 1e-10 * ref[cid]
 
 
 def barely_expansive_triple(q, n):
@@ -191,15 +198,14 @@ def contraction_record(rep):
 
 
 def test_contraction_gate_reads_the_untruncated_norm():
-    # the block route gates the untruncated operator and fails; the sparse
-    # route gates the section and passes
+    # the block route gates the untruncated operator and fails; a gate on
+    # the section's norm, the reference's, would pass
     tri = barely_expansive_triple(np.exp(0.7j), 6)
-    section = np.linalg.norm(as_csr(tri.w1).toarray()[:, tri.space.interior(1)], 2)
+    section = np.linalg.norm(lift_matrix(tri.w1)[:, interior(tri.space, 1)], 2)
     assert section < 0.98
     block = contraction_record(pseudolift.is_pseudo_triple(tri))
-    ref = contraction_record(pseudolift.is_pseudo_triple(sparse_triple(tri)))
     assert not block.passed and abs(block.residual - 1e-6) <= 1e-12
-    assert ref.passed and ref.residual == 0.0
+    assert dense_triple_residuals(tri)["axiom-i-contractions"] == 0.0
 
 
 def test_uniqueness_keeps_a_block_candidate():
@@ -217,21 +223,18 @@ def test_uniqueness_keeps_a_block_candidate():
     assert record.check_id == "candidate-axiom-i-contractions"
     assert not record.passed and abs(record.residual - 1e-6) <= 1e-12
     assert by_id["uniqueness-equality"].skipped
-    # with tau, the candidate is conjugated as CSR and its section gated
-    tau = np.eye(tri.space.total_dim)
-    assert contraction_record(pseudolift.uniqueness_test(pair, tri, tau=tau)).passed
 
 
 def csr_extract_ando(lift, an, tol=1e-10):
-    """`extract_ando_from_lift` on the materialized matrices: the model-form
-    guards and the columns read from `as_csr` slices and a sparse product."""
+    """`extract_ando_from_lift` on the materialized CSR matrices: the
+    model-form guards and the columns read from slices and a sparse product."""
     pair, t = an.pair, an.product
     h, f, n = pair.dim, lift.space.hardy.fiber_dim, lift.trunc
-    v1, v2 = as_csr(lift.v1), as_csr(lift.v2)
-    assert max(frob(v1[:h, h:]), frob(v2[:h, h:])) <= tol
+    v1, v2 = lift_matrix(lift.v1, csr=True), lift_matrix(lift.v2, csr=True)
+    assert max(fro(v1[:h, h:]), fro(v2[:h, h:])) <= tol
     v = v1 @ v2
-    mz = hardy.materialize_csr(shift_symbol(f), n)
-    assert frob((v[h:, h:] - mz)[:, lift.space.hardy.low(n - 1)]) <= tol
+    mz = sp.csr_matrix(hardy.materialize(shift_symbol(f), n).matrix)
+    assert fro((v[h:, h:] - mz)[:, lift.space.hardy.low(n - 1)]) <= tol
     c_block = v[h:, :h].toarray()
     c0 = c_block[:f]
     x = an.dt.coords()
@@ -255,13 +258,14 @@ def csr_extract_ando(lift, an, tol=1e-10):
 
 def csr_taylor_rigidity(tri, an, tol=1e-9):
     """`taylor_rigidity` by `hardy.extract_symbol` on the Hardy blocks of the
-    materialized W1 and W2."""
+    materialized W1 and W2 (read from the CSR matrices)."""
     q, fund = tri.q, an.fundamental
     hd, space = tri.space.hardy.total_dim, tri.space.hardy
     syms, rep = [], Report("taylor-rigidity")
     for i, (w, base) in enumerate(((tri.w1, q), (tri.w2, np.conj(q))), 1):
         sym, res = hardy.extract_symbol(
-            hardy.TruncOperator(as_csr(w)[:hd, :hd], space, space), base)
+            hardy.TruncOperator(lift_matrix(w, csr=True)[:hd, :hd].toarray(), space, space),
+            base)
         rep.check(f"reconstruct-{i}", "", res, tol)
         syms.append(sym)
     rep.require("degree-1", "", all(sym.degree <= 1 for sym in syms))
@@ -288,11 +292,10 @@ def test_block_extraction_matches_the_csr_oracle(n):
             continue
         frag, rep = qd.extract_ando_from_lift(lift, an)
         frag_ref, rep_ref = csr_extract_ando(lift, an)
-        assert_same({"ando": rep}, {"ando": rep_ref}, 1e-13)
+        assert_same(rep, rep_ref, 1e-13)
         for got, want in zip(dataclasses.astuple(frag), dataclasses.astuple(frag_ref)):
             assert got.shape == want.shape and np.allclose(got, want, rtol=0.0, atol=1e-13)
-        assert_same({"taylor": pseudolift.taylor_rigidity(tri, an)},
-                    {"taylor": csr_taylor_rigidity(tri, an)}, 1e-13)
+        assert_same(pseudolift.taylor_rigidity(tri, an), csr_taylor_rigidity(tri, an), 1e-13)
         built += 1
     # only the Ando construction of clock-shift:n=3 at 1 - 1e-9 fails
     assert built == len(pairs) - 1
@@ -320,7 +323,7 @@ def test_taylor_rigidity_matches_the_oracle_off_the_model(case):
                 taylor(bad, an)
         return
     block = pseudolift.taylor_rigidity(bad, an)
-    assert_same({"taylor": block}, {"taylor": csr_taylor_rigidity(bad, an)}, 1e-13)
+    assert_same(block, csr_taylor_rigidity(bad, an), 1e-13)
     by_id = {r.check_id: r for r in block.records}
     assert by_id["degree-1"].passed == (case != "degree-2-kept")
     if case != "degree-2-kept":
@@ -352,10 +355,10 @@ def test_block_formulas_match_dense_matrices(seed):
                            int(rng.integers(-1, 3)) if space.head_dim else -1)
            for _ in range(3)]
     x, y, z = ops
-    dense = [as_csr(op).toarray() for op in ops]
+    dense = [lift_matrix(op) for op in ops]
     dx, dy, dz = dense
     for d in (0, 1, 2, 3):
-        e = space.interior(d)
+        e = interior(space, d)
         cases = [((1.0, x), (-0.5j, y)),
                  ((1.0, x, y), (-1.0, z)),
                  ((2.0, x, x), (1.0 - 1j, y, z), (0.3, z)),
@@ -371,7 +374,7 @@ def test_block_formulas_match_dense_matrices(seed):
     for op, mat in zip(ops, dense):
         assert np.allclose(lifts.adjoint_times(op, pi), mat.conj().T @ pi, atol=1e-12)
         shape = lifts._shape_residual(op, space)
-        assert abs(shape - lifts._shape_residual(as_csr(op), space)) <= 1e-12 * shape
+        assert abs(shape - dense_shape_residual(mat, space)) <= 1e-12 * shape
         if not space.head_dim:
             # the block route reads the untruncated operator: at least the
             # section's norm, and the larger of the tail's and the symbol's
@@ -380,6 +383,6 @@ def test_block_formulas_match_dense_matrices(seed):
                          grid_norm(op.symbol))
             for d in (1, 2):
                 got = lifts.interior_opnorm(op, space, d)
-                section = np.linalg.norm(mat[:, space.interior(d)], 2)
+                section = np.linalg.norm(mat[:, interior(space, d)], 2)
                 assert got >= section * (1 - 16 * EPS), (d, got, section)
                 assert abs(got - oracle) <= 1e-10 * oracle, (d, got, oracle)

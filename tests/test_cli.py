@@ -372,6 +372,25 @@ class TestImports:
         assert done.stdout.decode().splitlines()[-1] == "0 []", done.stdout
         assert json.loads((tmp_path / "rep.json").read_text())["overall"] is True
 
+    def test_verify_and_perturbed_pseudo_leave_scipy_sparse_unloaded(self, pair_file,
+                                                                     tmp_path):
+        # lift-space operators are held in block form only: neither all eight
+        # verify suites nor the perturbed pseudo triple imports scipy.sparse
+        script = ("import sys\n"
+                  "from qdilate import cli\n"
+                  f"rc = [cli.main(['verify', '--pair', {str(pair_file)!r}, "
+                  "'--out', 'rep.json']), "
+                  f"cli.main(['pseudo', '--pair', {str(pair_file)!r}, '--perturb', '0.01', "
+                  "'--out', 'pseudo.json'])]\n"
+                  "print(rc, [m for m in sys.modules if m.startswith('scipy.sparse')])\n")
+        done = fresh_python(["-c", script], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().splitlines()[-1] == "[0, 0] []", done.stdout
+        suites = json.loads((tmp_path / "rep.json").read_text())["environment"]["suites"]
+        assert len(suites) == 8
+        records = json.loads((tmp_path / "pseudo.json").read_text())["records"]
+        assert next(r for r in records if r["id"] == "perturbation-rejected")["pass"] is True
+
 
 class TestParser:
     def test_built_once(self):

@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.optimize
-import scipy.sparse as sp
 
 from qdilate import hardy, matcore, model, pseudolift
 from qdilate.ando import DefectData
@@ -395,33 +394,22 @@ class TestExtract:
     @pytest.mark.parametrize("seed", range(4))
     def test_tolerance_scale_is_below_the_spectral_scale(self, seed):
         # every column norm is at most ||A||, so the scale never exceeds the
-        # spectral max(1, ||A||), for dense and CSR input, contractive or not
+        # spectral max(1, ||A||), contractive or not
         rng = np.random.default_rng(seed)
         for size in (0.05, 1.0, 8.0):
             s = random_symbol(rng, Q, 1 + seed % 3, 2)
-            csr = size * hardy.materialize_csr(s, 6)
-            for mat in (csr, csr.toarray()):
-                scale = hardy._column_norm_scale(matcore.as_csr(mat))
-                assert 1.0 <= scale <= max(1.0, opnorm(mat)), (size, scale)
-
-    def test_tolerance_scale_sums_duplicate_entries(self):
-        # column 0 stores 5 and -5 (a zero column), column 1 stores 1 and 2:
-        # the scale is 3, read from the summed entries, and the input is kept
-        mat = sp.csr_matrix((np.array([5.0, -5.0, 1.0, 2.0], dtype=complex),
-                             np.array([0, 0, 1, 1]), np.array([0, 2, 4])), shape=(2, 2))
-        mat.has_canonical_format = False
-        assert hardy._column_norm_scale(mat) == 3.0
-        assert mat.nnz == 4
-        assert hardy._column_norm_scale(sp.csr_matrix((0, 0), dtype=complex)) == 1.0
+            mat = size * materialize(s, 6).matrix
+            scale = hardy._column_norm_scale(mat)
+            assert 1.0 <= scale <= max(1.0, opnorm(mat)), (size, scale)
+        assert hardy._column_norm_scale(np.zeros((0, 0), dtype=complex)) == 1.0
 
     def test_tolerance_scale_is_one_on_corpus_pseudo_lifts(self, corpus):
         # the W1, W2 Hardy blocks are contractions: the column scale is 1 up
         # to rounding and never above the spectral one
         for name, pair, _ in corpus:
             _, tri = pseudolift.douglas_pseudo_lift(model.PairAnalysis(pair), 12)
-            hd = tri.space.hardy.total_dim
             for w in (tri.w1, tri.w2):
-                block = matcore.as_csr(w)[:hd, :hd]
+                block = materialize(w.symbol, 12).matrix
                 scale = hardy._column_norm_scale(block)
                 assert 1.0 <= scale <= 1.0 + 4 * matcore.EPS, (name, scale)
                 assert scale <= max(1.0, opnorm(block)), (name, scale)
@@ -432,17 +420,18 @@ class TestExtract:
         # between tol times the two scales, which only the column scale rejects
         n, tol = 12, 1e-10
         one = np.ones((1, 1), dtype=complex)
-        a = hardy.materialize_csr(TwistedSymbol(Q, (2 * one, 2 * one, 2 * one)), n)
-        mz = hardy.materialize_csr(shift_symbol(1), n)
+        a = materialize(TwistedSymbol(Q, (2 * one, 2 * one, 2 * one)), n).matrix
+        mz = materialize(shift_symbol(1), n).matrix
         low = TruncHardy(1, n).low(n - 1)
 
         def pre(mat):
             return frob((mat @ mz - Q * (mz @ mat))[:, low])
 
-        bump = sp.csr_matrix(([1.0 + 0j], ([5], [3])), shape=a.shape)
+        bump = np.zeros_like(a)
+        bump[5, 3] = 1.0
         col, spec = hardy._column_norm_scale(a), opnorm(a)
         assert col < 0.6 * spec
-        planted = (a + bump * (tol * (col + spec) / 2 / pre(bump))).tocsr()
+        planted = a + bump * (tol * (col + spec) / 2 / pre(bump))
         col, spec = hardy._column_norm_scale(planted), max(1.0, opnorm(planted))
         assert tol * col < pre(planted) < tol * spec
         op = hardy.TruncOperator(planted, TruncHardy(1, n), TruncHardy(1, n))

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import qdilate as qd
 from qdilate import lifts, matcore, pseudolift
@@ -27,6 +26,7 @@ from qdilate.matcore import (
 )
 
 from conftest import rand_psd
+from test_sparse import lift_matrix
 
 
 class TestPsdSqrt:
@@ -286,9 +286,9 @@ class TestRankHelpers:
 def hstack_orbit_rank(ops, seed_columns, rank_tol=1e-8, max_rounds=None):
     """The greedy orbit rank as first written: the basis regrown by hstack and
     projected through adj(basis) every round.  Oracle for the in-place one."""
-    if isinstance(ops, np.ndarray) or sp.issparse(ops):
+    if isinstance(ops, np.ndarray):
         ops = [ops]
-    ops = [o if sp.issparse(o) else matcore.as_cmatrix(o) for o in ops]
+    ops = [matcore.as_cmatrix(o) for o in ops]
     n = seed_columns.shape[0]
     basis = orth_columns(seed_columns, rank_tol=rank_tol)
     if max_rounds is None:
@@ -322,19 +322,20 @@ class TestGreedyOrbitRank:
             schaffer = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), self.TRUNC)
             douglas = qd.douglas_lift(pair, self.TRUNC)
             pi, tri = pseudolift.douglas_pseudo_lift(pair, self.TRUNC)
-            for op, seed in ((matcore.as_csr(schaffer.product), schaffer.pi),
-                             (matcore.as_csr(douglas.product), douglas.pi),
-                             (matcore.as_csr(tri.w), pi)):
+            for op, seed in ((lift_matrix(schaffer.product), schaffer.pi),
+                             (lift_matrix(douglas.product), douglas.pi),
+                             (lift_matrix(tri.w), pi)):
                 assert_same_rank(op, seed)
 
     def test_joint_orbits(self):
-        # the two-variable pair of the two-lifts fixture, and a sparse pair
+        # the two-variable pair of the two-lifts fixture, with and without
+        # its rotation
         n, q = 6, np.exp(1j)
         mz1, mz2, rot = lifts._bidisk_ops(n, q)
         seed = np.zeros(((n + 1) ** 2, 1), dtype=complex)
         seed[0, 0] = 1.0
         assert assert_same_rank([rot @ mz1, mz2], seed) == (n + 1) ** 2
-        assert assert_same_rank([sp.csr_matrix(mz1), sp.csr_matrix(mz2)], seed) == (n + 1) ** 2
+        assert assert_same_rank([mz1, mz2], seed) == (n + 1) ** 2
         rng = np.random.default_rng(7)
         ops = [np.diag(rng.standard_normal(9)).astype(complex), np.eye(9, k=-3, dtype=complex)]
         seed = (rng.standard_normal((9, 1)) + 0j)

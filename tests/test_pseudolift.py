@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import qdilate as qd
-from qdilate import hardy, matcore, model, pseudolift
-from qdilate.matcore import as_csr, eye, frob
+from qdilate import hardy, model, pseudolift
+from qdilate.errors import NotModelFormError
+from qdilate.matcore import frob
+
+from test_sparse import lift_matrix
 
 
 def zero_pair():
@@ -30,10 +33,10 @@ class TestDouglasPseudoLift:
     def test_zero_pair_blocks(self):
         # G = 0 makes both Hardy blocks vanish while W stays the shift
         pi, tri = pseudolift.douglas_pseudo_lift(zero_pair(), 6)
-        assert frob(as_csr(tri.w1).toarray()) == 0.0
-        assert frob(as_csr(tri.w2).toarray()) == 0.0
+        assert frob(lift_matrix(tri.w1)) == 0.0
+        assert frob(lift_matrix(tri.w2)) == 0.0
         mz = hardy.materialize(hardy.shift_symbol(1), 6).matrix
-        assert frob(as_csr(tri.w).toarray() - mz) < 1e-14
+        assert frob(lift_matrix(tri.w) - mz) < 1e-14
         assert pseudolift.is_pseudo_triple(tri).overall
         assert pseudolift.is_pseudo_lift(pi, tri, zero_pair()).overall
 
@@ -73,8 +76,10 @@ class TestAxiomViolations:
     def test_zero_w2_forces_zero_w1(self):
         pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
         _, tri = pseudolift.douglas_pseudo_lift(pair, 10)
-        cand = pseudolift.PseudoTriple(tri.q, tri.space, tri.w1,
-                                       np.zeros(tri.w2.shape), tri.w, tri.trunc)
+        w2 = tri.w2
+        zero = dataclasses.replace(w2, symbol=hardy.TwistedSymbol(
+            w2.symbol.rot, tuple(0 * c for c in w2.symbol.coeffs)), tail=0 * w2.tail)
+        cand = pseudolift.PseudoTriple(tri.q, tri.space, tri.w1, zero, tri.w, tri.trunc)
         rep = pseudolift.is_pseudo_triple(cand)
         by_id = {r.check_id: r for r in rep.records}
         # axiom iii residual is exactly ||W1|| on the interior block
@@ -90,14 +95,16 @@ class TestAxiomViolations:
         assert not by_id["minimality"].passed
 
     def test_hardy_tail_coupling_fails_minimality(self):
-        # W = M_z (+) W_D with a small Hardy<->tail block: no longer block
-        # diagonal, so the orbit dimension is not decided and minimality fails
+        # W = M_z (+) W_D, with a tail, and its Hardy block coupled across the
+        # fiber by a small degree-0 term (a Hardy<->tail block has no place
+        # in block form): no longer the shift, so the orbit dimension is not
+        # decided and minimality fails
         pair = mixed_pair()
         pi, tri = pseudolift.douglas_pseudo_lift(pair, 10)
-        hd, tail = tri.space.hardy.total_dim, tri.space.tail_dim
-        assert tail > 0
-        coupling = matcore.block_csr(tri.w.shape, [(0, hd, 1e-4 * np.ones((1, tail)))])
-        bad = dataclasses.replace(tri, w=as_csr(tri.w) + coupling)
+        assert tri.space.tail_dim > 0
+        sym = tri.w.symbol
+        coupled = hardy.TwistedSymbol(sym.rot, (sym.coeffs[0] + 1e-4, *sym.coeffs[1:]))
+        bad = dataclasses.replace(tri, w=dataclasses.replace(tri.w, symbol=coupled))
         rep = pseudolift.is_pseudo_lift(pi, bad, pair)
         by_id = {r.check_id: r for r in rep.records}
         assert not by_id["minimality"].passed
@@ -108,16 +115,28 @@ class TestAxiomViolations:
     def test_perturbed_w1_fails_intertwining(self):
         pair = qd.gen_nilpotent(2, 1j, 0.8, 0.8)
         pi, tri = pseudolift.douglas_pseudo_lift(pair, 10)
-        w1_bad = as_csr(tri.w1).toarray()
-        w1_bad[0, 0] += 0.1
+        sym = tri.w1.symbol
+        c0 = sym.coeffs[0].copy()
+        c0[0, 0] += 0.1
+        w1_bad = dataclasses.replace(tri.w1, symbol=hardy.TwistedSymbol(
+            sym.rot, (c0, *sym.coeffs[1:])))
         bad = pseudolift.PseudoTriple(tri.q, tri.space, w1_bad, tri.w2, tri.w,
                                       tri.trunc)
         rep = pseudolift.is_pseudo_lift(pi, bad, pair)
         assert not rep.overall
 
+    def test_triple_with_a_head_is_rejected(self):
+        # contractivity is read from the symbol and the tail only, so a head
+        # would go unread: such a triple is not built
+        pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
+        lift = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), 6)
+        with pytest.raises(NotModelFormError, match="no head"):
+            pseudolift.PseudoTriple(pair.q, lift.space, lift.v1, lift.v2, lift.product, 6)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_rigidity_perturbation(self, seed):
-        # norm-0.01 off-diagonal blocks are rejected with residual >= 0.009
+        # a block of norm 0.01 on W1's degree-0 symbol coefficient is
+        # rejected with residual >= 0.009
         pair = mixed_pair()
         _, tri = pseudolift.douglas_pseudo_lift(pair, 10)
         bad = pseudolift.perturbed_triple(tri, 0.01, seed=seed)
@@ -136,10 +155,17 @@ class TestUniqueness:
         assert by_id["uniqueness-w1"].residual < 1e-12
 
     def test_identity_transport(self):
+        # the model triple carried over by the identity, every block copied
         pair = qd.gen_nilpotent(3, np.exp(1j), 0.9, 0.8)
         _, tri = pseudolift.douglas_pseudo_lift(pair, 10)
-        rep = pseudolift.uniqueness_test(pair, tri,
-                                         tau=eye(tri.space.total_dim))
+
+        def copied(op):
+            return dataclasses.replace(
+                op, symbol=hardy.TwistedSymbol(op.symbol.rot, tuple(
+                    c.copy() for c in op.symbol.coeffs)), tail=op.tail.copy())
+
+        cand = dataclasses.replace(tri, w1=copied(tri.w1), w2=copied(tri.w2), w=copied(tri.w))
+        rep = pseudolift.uniqueness_test(pair, cand)
         assert rep.overall
 
     def test_axiom_breaking_candidate_vacuous(self):

