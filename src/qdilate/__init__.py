@@ -12,7 +12,6 @@ from .hardy import (
     extract_symbol,
     materialize,
     obs_op,
-    obs_tail_identity,
     symbol_compose,
     symbol_is_inner,
 )

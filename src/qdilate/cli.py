@@ -335,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pseudo", help="pseudo-lift axiom report")
     common(p)
     p.add_argument("--perturb", type=float, default=None,
-                   help="also inject an off-diagonal perturbation of this norm")
+                   help="also add a block of this norm to W1's degree-0 symbol "
+                        "coefficient (its tail without a Hardy part)")
     p.set_defaults(func=cmd_pseudo)
 
     p = sub.add_parser("demo", help="two non-equivalent minimal lifts of (0,0)")

@@ -304,26 +304,6 @@ def psd_defect_star(t: np.ndarray) -> np.ndarray:
     return matcore.psd_sqrt(eye(t.shape[0]) - t @ adj(t))
 
 
-def obs_tail_identity(t: np.ndarray, n: int, h: np.ndarray):
-    """Exact finite-section energy identity of the observability column.
-
-    Returns (lhs, rhs) of
-    sum_{k<=n} ||D_{T*} T*^k h||^2 = ||h||^2 - ||T*^{n+1} h||^2,
-    used as the truncation-error oracle everywhere tails matter.
-    """
-    t = matcore.check_contraction(t)
-    h = np.asarray(h, dtype=np.complex128).reshape(-1)
-    dstar = psd_defect_star(t)
-    tstar = adj(t)
-    lhs = 0.0
-    vec = h
-    for _ in range(n + 1):
-        lhs += float(np.linalg.norm(dstar @ vec) ** 2)
-        vec = tstar @ vec
-    rhs = float(np.linalg.norm(h) ** 2 - np.linalg.norm(vec) ** 2)
-    return lhs, rhs
-
-
 def defect_tail_norm(t: np.ndarray, n: int) -> float:
     """||D_{T*} T*^{n+1}||: the truncation error of the observability column.
 

@@ -16,18 +16,19 @@ fundamental and canonical pairs) come from the pair's `model.PairAnalysis`.
 
 Every verified identity carries a degree budget: an identity whose sides have
 maximal z-degree d is asserted on inputs of degree <= N - d only, where it
-holds exactly; Douglas embedding residuals are instead bounded by the exact
-tail quantity ||D_{T*} T*^{N+1}|| of the observability column.
+holds exactly.  The intertwinings V* Pi = Pi T* are read on the rows where
+V* Pi reads only blocks of Pi that exist: the head, the Hardy degrees
+<= N - deg phi and the tail, where they hold exactly at every N.
 
 The builders return each lift and pseudo-lift operator in block form, a
 `LiftOperator`: a head, a column polynomial, one twisted symbol and a tail.
 Its residuals are computed from those dim-sized blocks, with closed-form
 counts of the interior columns, and its norm from the symbol's sup norm on
 the circle, so their cost does not depend on N; the embeddings Pi are dense
-D x dim columns, and V* Pi is applied block by block.  The extraction checks
-read the blocks too: the type is the model form.  `LiftOperator` is the only
-lift-space operator type: a realization or triple built from anything else
-raises NotModelFormError.
+D x dim columns, and V* Pi is applied block by block on its kept rows.  The
+extraction checks read the blocks too: the type is the model form.
+`LiftOperator` is the only lift-space operator type: a realization or triple
+built from anything else raises NotModelFormError.
 """
 
 from __future__ import annotations
@@ -346,25 +347,25 @@ def commutator_residual(x: LiftOperator, y: LiftOperator, c: complex, space: Lif
     return interior_frob(space, d, (1.0, x @ y), (-c, y @ x))
 
 
-def adjoint_times(v: LiftOperator, pi: np.ndarray) -> np.ndarray:
-    """V* Pi as a dense D x k matrix, applied to the degree blocks Pi_i of
-    Pi: the Hardy block of degree l is conj(rot)^l sum_k phi_k* Pi_{l+k},
-    the head A* Pi_head + sum_i C_i* Pi_i."""
+def intertwining_residual(v: LiftOperator, pi: np.ndarray, t: np.ndarray) -> float:
+    """||(V* Pi - Pi T*)[rows]||_2 on the rows where V* Pi reads only blocks
+    of Pi that exist: the head, the Hardy degrees l <= N - deg phi and the
+    tail.  With Pi_i the degree blocks of Pi, Hardy row l of V* Pi is
+    conj(rot)^l sum_k phi_k* Pi_{l+k}, and the head row
+    A* Pi_head + sum_i C_i* Pi_i."""
     space, sym = v.space, v.symbol
     h, ts, n, f = space.head_dim, space.tail_start, space.hardy.max_degree, sym.fiber_in
-    k = pi.shape[1]
+    k, kept = pi.shape[1], n + 1 - sym.degree
     blocks = pi[h:ts].reshape(n + 1, f, k)
-    acc = np.zeros_like(blocks)
-    for s, phi in enumerate(sym.coeffs):
-        acc[:n + 1 - s] += adj(phi) @ blocks[s:]
-    acc *= hardy.phases(sym.rot.conjugate(), n)[:, None, None]
-    out = np.empty_like(pi)
-    out[:h] = adj(v.head) @ pi[:h]
+    tstar = adj(t)
+    hardy_rows = sum(adj(phi) @ blocks[s:s + kept] for s, phi in enumerate(sym.coeffs))
+    hardy_rows = (hardy_rows * hardy.phases(sym.rot.conjugate(), n)[:kept, None, None]
+                  - blocks[:kept] @ tstar)
+    head = adj(v.head) @ pi[:h] - pi[:h] @ tstar
     for i, ci in enumerate(v.column):
-        out[:h] += adj(ci) @ blocks[i]
-    out[h:ts] = acc.reshape(-1, k)
-    out[ts:] = adj(v.tail) @ pi[ts:]
-    return out
+        head += adj(ci) @ blocks[i]
+    tail = adj(v.tail) @ pi[ts:] - pi[ts:] @ tstar
+    return opnorm(np.vstack([head, hardy_rows.reshape(-1, k), tail]))
 
 
 def interior_opnorm(v: LiftOperator, space: LiftSpace, d: int = 1) -> float:
@@ -385,14 +386,15 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
                 tol: float = 1e-10) -> Report:
     """Residuals of the lift axioms under the degree-budget contract.
 
-    Intertwinings are exact for the inclusion-type lift and tail-corrected
-    for Douglas; isometry uses budget 1, q-commutation budget 2.  For Douglas
-    the intertwinings of the plain observability embedding against the
+    Isometry uses budget 1, q-commutation budget 2, and the intertwinings
+    V_i* Pi = Pi T_i* are read on the rows where V_i* Pi reads only blocks of
+    Pi that exist (`intertwining_residual`), where they hold exactly: at 1e-11
+    for the inclusion-type lift, 1e-9 for Douglas.  For Douglas the
+    intertwinings of the plain observability embedding against the
     fundamental-operator multipliers (the Douglas pseudo lift) are checked
     as well.  The lift-space identity residuals (isometry, q-commutation,
     product structure) are gated on their Frobenius norm, which is never
-    below the spectral one; the dense D x dim intertwinings on the spectral
-    norm.
+    below the spectral one; the dense intertwinings on the spectral norm.
     """
     an = PairAnalysis.of(pair)
     pair, t = an.pair, an.product
@@ -400,14 +402,12 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
     n = lift.trunc
     space = lift.space
     rep = Report(f"lift-{lift.kind}", {"trunc": n, "tol": tol})
-    tail = an.defect_tail(n) if lift.kind == "douglas" else 0.0
-    rep.environment["tail"] = tail
 
-    int_tol = 1e-11 if lift.kind == "schaffer" else 1e-9 + 10.0 * tail
+    int_tol = 1e-11 if lift.kind == "schaffer" else 1e-9
     v1, v2 = lift.v1, lift.v2
     for name, v, t_i in (("v1", v1, pair.t1), ("v2", v2, pair.t2)):
         rep.check(f"intertwine-{name}", f"V{name[-1]}* Pi = Pi T{name[-1]}*",
-                  opnorm(adjoint_times(v, lift.pi) - lift.pi @ adj(t_i)), int_tol)
+                  intertwining_residual(v, lift.pi, t_i), int_tol)
     for name, v in (("v1", v1), ("v2", v2)):
         rep.check(f"isometry-{name}", f"{name}*{name} = I on degrees <= N-1",
                   isometry_residual(v, space, 1), tol)
@@ -431,9 +431,9 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
                   interior_frob(space, 2, (1.0, v12), (-1.0, vd)), tol)
         pi_d, gform = douglas_pseudo_lift(an, n)
         rep.check("gform-intertwine-1", "(M_{G1*+zG2}R_q (+) W1)* Pi_D = Pi_D T1*",
-                  opnorm(adjoint_times(gform.w1, pi_d) - pi_d @ adj(pair.t1)), int_tol)
+                  intertwining_residual(gform.w1, pi_d, pair.t1), int_tol)
         rep.check("gform-intertwine-2", "(R_qbar M_{G2*+zG1} (+) W2)* Pi_D = Pi_D T2*",
-                  opnorm(adjoint_times(gform.w2, pi_d) - pi_d @ adj(pair.t2)), int_tol)
+                  intertwining_residual(gform.w2, pi_d, pair.t2), int_tol)
     return rep
 
 

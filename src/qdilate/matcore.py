@@ -57,8 +57,8 @@ def opnorm(a: np.ndarray) -> float:
     The largest singular value from `np.linalg.svd` (values only), the same
     bits `np.linalg.norm(a, 2)` returns without that function's axis
     handling.  On the lift paths it is kept only where `frob` would loosen a
-    check or change its meaning: the dense D x dim intertwining residuals,
-    held to tail-corrected tolerances, and the discriminator lower bound of
+    check or change its meaning: the dense intertwining residuals on the rows
+    the truncation keeps exact, and the discriminator lower bound of
     `lifts.nonisolifts_fixture`.
     """
     return float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0

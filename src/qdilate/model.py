@@ -135,25 +135,17 @@ class PairAnalysis:
 
     It also keeps the Douglas pseudo lift of each N that the douglas and
     pseudo suites share (in block form, O(dim^2) per block, plus the dense
-    D x dim embedding), and beside it the defect tail ||D_{T*} T*^{N+1}||
-    both suites bound their intertwinings by.  The builders that read these
-    objects accept either a bare QPair or an analysis, through `of`.
+    D x dim embedding).  The builders that read these objects accept either
+    a bare QPair or an analysis, through `of`.
     """
 
     pair: QPair
     pseudo_lifts: dict = field(default_factory=dict, init=False, repr=False)
-    tails: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, pair: PairAnalysis | QPair) -> PairAnalysis:
         """`pair` itself if it is an analysis, else a fresh analysis of it."""
         return pair if isinstance(pair, cls) else cls(pair)
-
-    def defect_tail(self, n: int) -> float:
-        """`hardy.defect_tail_norm` of the product at truncation n, once per n."""
-        if n not in self.tails:
-            self.tails[n] = hardy.defect_tail_norm(self.product, n)
-        return self.tails[n]
 
     @_cached
     def product(self) -> np.ndarray:

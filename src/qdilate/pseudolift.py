@@ -17,15 +17,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import NotQCommutantError
+from .errors import DimensionMismatchError, NotQCommutantError
 from .hardy import TwistedSymbol
 from .lifts import (
     PseudoTriple,
-    adjoint_times,
     commutator_residual,
     douglas_pseudo_lift,
     interior_frob,
     interior_opnorm,
+    intertwining_residual,
     isometry_residual,
     orbit_dimension,
 )
@@ -66,23 +66,18 @@ def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
 
 def is_pseudo_lift(pi: np.ndarray, triple: PseudoTriple, pair: PairAnalysis | QPair,
                    tol: float = 1e-9, rank_tol: float = 1e-8) -> Report:
-    """Lift intertwinings (tail-corrected) plus minimality of (Pi, W): the
-    orbit dimension of W on Pi, proved from the block shapes by
+    """Lift intertwinings plus minimality of (Pi, W).  The intertwinings are
+    read on the rows where W_i* Pi reads only blocks of Pi that exist
+    (`lifts.intertwining_residual`), where they hold exactly.  The orbit
+    dimension of W on Pi, proved from the block shapes by
     `lifts.orbit_dimension`, must be the whole lift space,
-    (N+1) dim ran D_{T*} + dim ran Q, the minimal dilation space.  The tail
-    comes from the pair's analysis, computed once per N."""
+    (N+1) dim ran D_{T*} + dim ran Q, the minimal dilation space."""
     an = PairAnalysis.of(pair)
     pair, t = an.pair, an.product
     rep = Report("pseudo-lift", {"trunc": triple.trunc, "tol": tol})
-    tail = an.defect_tail(triple.trunc)
-    rep.environment["tail"] = tail
-    corrected = tol + 10.0 * tail
-    rep.check("lift-w1", "W1* Pi = Pi T1*",
-              opnorm(adjoint_times(triple.w1, pi) - pi @ adj(pair.t1)), corrected)
-    rep.check("lift-w2", "W2* Pi = Pi T2*",
-              opnorm(adjoint_times(triple.w2, pi) - pi @ adj(pair.t2)), corrected)
-    rep.check("lift-w", "W* Pi = Pi T*",
-              opnorm(adjoint_times(triple.w, pi) - pi @ adj(t)), corrected)
+    rep.check("lift-w1", "W1* Pi = Pi T1*", intertwining_residual(triple.w1, pi, pair.t1), tol)
+    rep.check("lift-w2", "W2* Pi = Pi T2*", intertwining_residual(triple.w2, pi, pair.t2), tol)
+    rep.check("lift-w", "W* Pi = Pi T*", intertwining_residual(triple.w, pi, t), tol)
     proof = orbit_dimension(triple.w, pi, triple.space, rank_tol)
     rep.environment.update(proof.environment())
     full = triple.space.total_dim
@@ -96,12 +91,16 @@ def uniqueness_test(pair: QPair, candidate: PseudoTriple, tol: float = 1e-9) -> 
 
     The candidate must share the Douglas isometry (W = V_D up to degree
     budget); on a pass, block rigidity forces (W1, W2) = (W1_D, W2_D), checked on
-    the interior block from the blocks.
+    the interior block from the blocks.  A candidate on another space than the
+    pair's Douglas space raises DimensionMismatchError.
     """
     an = PairAnalysis.of(pair)
     pi_d, ref = douglas_pseudo_lift(an, candidate.trunc)
-    rep = Report("pseudo-uniqueness", {"trunc": candidate.trunc, "tol": tol})
     space = ref.space
+    if candidate.space != space:
+        raise DimensionMismatchError(
+            f"candidate lives on {candidate.space}, the Douglas space of the pair is {space}")
+    rep = Report("pseudo-uniqueness", {"trunc": candidate.trunc, "tol": tol})
     same_w = rep.check("same-douglas-isometry", "candidate W equals V_D",
                        interior_frob(space, 1, (1.0, candidate.w), (-1.0, ref.w)), tol)
     axioms = is_pseudo_triple(candidate, tol)

@@ -65,7 +65,8 @@ def test_criterion_2_schaffer(corpus):
 
 def test_criterion_3_douglas(corpus):
     """Embedding energy identity to 1e-11 for 100 random h per pair;
-    fundamental-operator intertwinings tail-corrected at 1e-9."""
+    fundamental-operator intertwinings at 1e-9 on the rows the truncation
+    keeps exact."""
     n = 20
     rng = np.random.default_rng(0)
     worst_energy = 0.0

@@ -32,6 +32,7 @@ from test_sparse import (
     dense_triple_residuals,
     fro,
     interior,
+    intertwining,
     lift_matrix,
 )
 
@@ -371,8 +372,10 @@ def test_block_formulas_match_dense_matrices(seed):
             want = np.linalg.norm(ref[:, e])
             assert abs(got - want) <= 1e-12 * max(1.0, want), (d, terms, got, want)
     pi = rng.standard_normal((space.total_dim, 3)) + 0j
+    t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     for op, mat in zip(ops, dense):
-        assert np.allclose(lifts.adjoint_times(op, pi), mat.conj().T @ pi, atol=1e-12)
+        got, want = lifts.intertwining_residual(op, pi, t), intertwining(op, mat, pi, t)
+        assert abs(got - want) <= 1e-12 * want, (got, want)
         shape = lifts._shape_residual(op, space)
         assert abs(shape - dense_shape_residual(mat, space)) <= 1e-12 * shape
         if not space.head_dim:

@@ -19,7 +19,6 @@ from qdilate.hardy import (
     extract_symbol,
     materialize,
     obs_op,
-    obs_tail_identity,
     shift_symbol,
     symbol_compose,
     symbol_is_inner,
@@ -319,22 +318,32 @@ class TestObservability:
         expected = np.sqrt(0.75) * 0.5 ** np.arange(5)
         assert np.allclose(np.abs(col.ravel()), expected)
 
+    @staticmethod
+    def energy(t, n, h):
+        """(lhs, rhs) of the finite-section energy identity of the
+        observability column O_N: ||O_N h||^2 = ||h||^2 - ||T*^{N+1} h||^2."""
+        h = np.asarray(h, dtype=complex)
+        col = obs_op(t, DefectData(*defect(adj(t))), n).matrix
+        rest = np.linalg.matrix_power(adj(t), n + 1) @ h
+        return (float(np.linalg.norm(col @ h) ** 2),
+                float(np.linalg.norm(h) ** 2 - np.linalg.norm(rest) ** 2))
+
     def test_tail_identity_unitary(self):
         t = np.diag([1j]).astype(complex)
-        lhs, rhs = obs_tail_identity(t, 5, np.array([1.0]))
+        lhs, rhs = self.energy(t, 5, np.array([1.0]))
         assert abs(lhs) < 1e-14 and abs(rhs) < 1e-14
 
     def test_tail_identity_zero(self):
         t = np.zeros((3, 3), dtype=complex)
         h = np.array([1.0, 2.0, -1.0], dtype=complex)
-        lhs, rhs = obs_tail_identity(t, 4, h)
+        lhs, rhs = self.energy(t, 4, h)
         assert abs(lhs - np.linalg.norm(h) ** 2) < 1e-12
         assert abs(lhs - rhs) < 1e-12
 
     def test_tail_identity_hand_value(self):
         # T = diag(0.5), h = e1, N = 3: both sides are 1 - 0.5^8 (telescoping)
         t = np.array([[0.5]], dtype=complex)
-        lhs, rhs = obs_tail_identity(t, 3, np.array([1.0]))
+        lhs, rhs = self.energy(t, 3, np.array([1.0]))
         assert abs(lhs - (1 - 0.5 ** 8)) < 1e-14
         assert abs(rhs - (1 - 0.5 ** 8)) < 1e-14
 
@@ -346,7 +355,7 @@ class TestObservability:
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         t = a / (np.linalg.norm(a, 2) + rng.random())
         h = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        lhs, rhs = obs_tail_identity(t, n, h)
+        lhs, rhs = self.energy(t, n, h)
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
     def test_choose_trunc(self):

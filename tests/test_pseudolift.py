@@ -5,7 +5,7 @@ import pytest
 
 import qdilate as qd
 from qdilate import hardy, model, pseudolift
-from qdilate.errors import NotModelFormError
+from qdilate.errors import DimensionMismatchError, NotModelFormError
 from qdilate.matcore import frob
 
 from test_sparse import lift_matrix
@@ -145,7 +145,67 @@ class TestAxiomViolations:
         assert rep.worst() >= 0.009
 
 
+class TestIntertwiningGates:
+    """The seven lift intertwinings are gated at 1e-9 on the rows the
+    truncation keeps exact.  Bumps of norm 1e-6 must fail them on
+    clock-shift:n=2,scale=0.9, where a tail-sized tolerance
+    1e-9 + 10 ||D_{T*} T*^{N+1}|| reads 0.379 at N 12 and 0.030 at N 24 and
+    would pass both."""
+
+    EPS = 1e-6
+
+    def bumped_reports(self, n, bump):
+        """is_pseudo_lift and verify_lift of the Douglas lift, with the cached
+        Douglas pseudo lift of N replaced by bump(pi, triple) (the douglas
+        suite's gform-intertwine checks read that cache), and the
+        tail-sized tolerance."""
+        an = model.PairAnalysis(qd.gen_clock_shift(2, 0.9))
+        lift = qd.douglas_lift(an, n)
+        for rep in (qd.verify_lift(lift, an),
+                    pseudolift.is_pseudo_lift(*pseudolift.douglas_pseudo_lift(an, n), an)):
+            assert rep.overall and rep.worst() < 1e-13
+        pi, tri = bump(*pseudolift.douglas_pseudo_lift(an, n))
+        an.pseudo_lifts[n] = pi, tri
+        tail = 10.0 * hardy.defect_tail_norm(an.product, n)
+        return pseudolift.is_pseudo_lift(pi, tri, an), qd.verify_lift(lift, an), tail
+
+    def assert_rejected(self, n, bump):
+        pseudo, douglas, tail = self.bumped_reports(n, bump)
+        for rep, cid in ((pseudo, "lift-w1"), (douglas, "gform-intertwine-1")):
+            rec = next(r for r in rep.records if r.check_id == cid)
+            assert rec.tolerance == 1e-9
+            assert not rec.passed and 0.5 * self.EPS < rec.residual < tail, (cid, rec.residual)
+
+    @pytest.mark.parametrize("n", [12, 24])
+    def test_w1_symbol_bump_is_rejected(self, n):
+        # a block of norm 1e-6 on W1's degree-0 symbol coefficient
+        self.assert_rejected(
+            n, lambda pi, tri: (pi, pseudolift.perturbed_triple(tri, self.EPS, seed=0)))
+
+    @pytest.mark.parametrize("n", [12, 24])
+    def test_pi_degree_block_bump_is_rejected(self, n):
+        # a block of norm 1e-6 on the degree-3 block of Pi
+        def bump(pi, tri):
+            f = tri.space.hardy.fiber_dim
+            rng = np.random.default_rng(0)
+            block = rng.standard_normal((f, pi.shape[1])) + 1j * rng.standard_normal(
+                (f, pi.shape[1]))
+            pi = pi.copy()
+            pi[3 * f:4 * f] += self.EPS * block / np.linalg.norm(block, 2)
+            return pi, tri
+
+        self.assert_rejected(n, bump)
+
+
 class TestUniqueness:
+    def test_candidate_on_another_space_is_rejected(self):
+        # the Douglas space of clock-shift:n=2 has fiber 2, that of the
+        # nilpotent pair fiber 3: a typed error before any residual
+        pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
+        _, other = pseudolift.douglas_pseudo_lift(qd.gen_clock_shift(2, 0.9), 6)
+        with pytest.raises(DimensionMismatchError, match="Douglas space"):
+            pseudolift.uniqueness_test(pair, other)
+
     def test_model_triple_accepted(self):
         pair = mixed_pair()
         _, tri = pseudolift.douglas_pseudo_lift(pair, 10)
