@@ -8,7 +8,6 @@ from .errors import QDilateError
 from .hardy import (
     TruncHardy,
     TwistedSymbol,
-    ev0,
     extract_symbol,
     materialize,
     obs_op,

@@ -176,7 +176,7 @@ def symbol_is_inner(s: TwistedSymbol, tol: float = 1e-12):
 
 # `symbol_norm`: an eigenvalue of the level-set pencil within UNIMODULAR_WINDOW
 # of the unit circle (in |lambda| - 1) is a crossing, and the iteration stops
-# once the level best * (1 + 2 LEVEL_EPS) has none.
+# once the level best * (1 + 2 LEVEL_EPS) has none; that level is the value.
 UNIMODULAR_WINDOW = 1e-8
 LEVEL_EPS = 1e-12
 _MAX_LEVELS = 64
@@ -185,7 +185,9 @@ _MAX_LEVELS = 64
 def symbol_norm(s: TwistedSymbol) -> float:
     """||phi||_inf = max_{|z|=1} sigma_max(phi(z)), the norm of M_phi R_rot on
     the untruncated Hardy space, which bounds the norm of every finite
-    section.  Its cost depends on the degree p and the fiber f only.
+    section, read from above: the value is a certified upper bound within
+    2 LEVEL_EPS (relative) of it.  Its cost depends on the degree p and the
+    fiber f only.
 
     Level-set iteration (Boyd & Balakrishnan, Systems & Control Letters 15,
     1990): gamma is a singular value of phi(z) at |z| = 1 exactly when z is a
@@ -195,10 +197,9 @@ def symbol_norm(s: TwistedSymbol) -> float:
     singular).  Starting from the best sigma_max on 2p + 2 equispaced points,
     each level best * (1 + 2 LEVEL_EPS) with crossings (eigenvalues within
     UNIMODULAR_WINDOW of the circle) raises best to the largest sigma_max at
-    the crossings and at the midpoints of the arcs between them.  A level
-    without crossings ends it, so ||phi||_inf <= best * (1 + 2 LEVEL_EPS);
-    best, an attained value, is then polished at the angles of that level's
-    eigenvalues, next to which every maximum lies.  Raises
+    the midpoints of the arcs between them (Bruinsma & Steinbuch, Systems &
+    Control Letters 14, 1990).  The first level without crossings lies above
+    sigma_max on the whole circle and is returned.  Raises
     MaxIterationsExceededError after _MAX_LEVELS levels.
     """
     if s.degree == 0:
@@ -232,13 +233,11 @@ def symbol_norm(s: TwistedSymbol) -> float:
         lam = lam[np.isfinite(lam)]
         near = np.abs(np.abs(lam) - 1.0) <= UNIMODULAR_WINDOW
         if not near.any():
-            # each maximum leaves a pair of eigenvalues z, 1/conj(z) just off
-            # the circle, at nearly its angle: evaluating there polishes best
-            return scale * max(best, sigma(np.angle(lam)))
+            return scale * level
         theta = np.sort(np.angle(lam[near]))
         mids = (theta + np.roll(theta, -1)) / 2.0
         mids[-1] += np.pi
-        best = max(best, sigma(np.r_[theta, mids]))
+        best = max(best, sigma(mids))
     raise MaxIterationsExceededError(
         f"symbol norm: crossings remain after {_MAX_LEVELS} levels; best {scale * best:.17g}")
 
@@ -270,14 +269,6 @@ def materialize(s: TwistedSymbol, n: int) -> TruncOperator:
         blocks[j + k, :, j, :] = phase[j, None, None] * c
     mat += 0.0                  # a product -0 becomes +0
     return TruncOperator(mat, TruncHardy(fi, n), TruncHardy(fo, n))
-
-
-def ev0(n: int, fiber_dim: int) -> TruncOperator:
-    """Evaluation at zero, TruncHardy -> fiber; its adjoint embeds constants."""
-    space = TruncHardy(fiber_dim, n)
-    mat = np.zeros((fiber_dim, space.total_dim), dtype=np.complex128)
-    mat[:, :fiber_dim] = eye(fiber_dim)
-    return TruncOperator(mat, space, fiber_dim)
 
 
 def obs_op(t: np.ndarray, dstar: DefectData, n: int) -> TruncOperator:

@@ -173,8 +173,9 @@ class PseudoTriple:
 def schaffer_lift(pair: QPair, tup: AndoTuple, n: int = hardy.DEFAULT_TRUNC) -> LiftRealization:
     """Inclusion-type lift on H (+) TruncHardy(F).
 
-    V1 = [[T1, 0], [ev0* PU Lambda D_T, q M_{((I-P)+zP)U} R_q]],
-    V2 = [[T2, 0], [qbar ev0* U*(I-P) Lambda D_T, qbar R_qbar M_{U*(P+z(I-P))}]].
+    V1 = [[T1, 0], [E0 PU Lambda D_T, q M_{((I-P)+zP)U} R_q]],
+    V2 = [[T2, 0], [qbar E0 U*(I-P) Lambda D_T, qbar R_qbar M_{U*(P+z(I-P))}]],
+    E0 the embedding of the constants.
     """
     q = pair.q
     f = tup.f_dim
@@ -371,10 +372,11 @@ def intertwining_residual(v: LiftOperator, pi: np.ndarray, t: np.ndarray) -> flo
 def interior_opnorm(v: LiftOperator, space: LiftSpace, d: int = 1) -> float:
     """An upper bound for ||V[:, interior(d)]||_2 of an operator without a
     head (a pseudo triple's), read on the untruncated operator: the larger
-    of the tail's norm (an SVD) and ||phi||_inf = ||M_phi R_rot|| on the
-    whole Hardy space (`hardy.symbol_norm`), which is at least the norm of
-    every finite section and costs the same at every N.  With no interior
-    Hardy column (N < d) it is the tail's norm alone.
+    of the tail's norm (an SVD) and the certified upper bound of
+    ||phi||_inf = ||M_phi R_rot|| on the whole Hardy space that
+    `hardy.symbol_norm` returns, which is at least the norm of every finite
+    section and costs the same at every N.  With no interior Hardy column
+    (N < d) it is the tail's norm alone.
     """
     tail = opnorm(v.tail)
     if space.hardy.max_degree < d:

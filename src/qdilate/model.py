@@ -664,8 +664,8 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
     ran D -> ran D_*).  The Delta-space must be trivial (Theta two-sided
     inner), which is the finite-dimensional scope; condition (2) is then
     vacuous and recorded as such.  Condition (1) reads the norms of the
-    untruncated multipliers (`hardy.symbol_norm`), which bound the norm of
-    every finite section.
+    untruncated multipliers from above (`hardy.symbol_norm`, a certified
+    upper bound), which bound the norm of every finite section.
     """
     g1, g2 = as_cmatrix(g1), as_cmatrix(g2)
     coeffs = [as_cmatrix(c) for c in theta_coeffs]

@@ -44,8 +44,9 @@ def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
     their Frobenius norm, which is never below the spectral one.  All of
     them come from the symbol blocks (`lifts.interior_frob`,
     `lifts.interior_opnorm`), and contractivity reads the norm of the
-    untruncated operator, ||phi||_inf on the Hardy part, which no finite
-    section exceeds.
+    untruncated operator from above: on the Hardy part, the certified upper
+    bound for ||phi||_inf of `hardy.symbol_norm`, which no finite section
+    exceeds.  A symbol of norm exactly 1 reads about 2e-12 there.
     """
     rep = Report("pseudo-triple", {"trunc": triple.trunc, "tol": tol})
     q, space = triple.q, triple.space

@@ -205,7 +205,8 @@ def test_contraction_gate_reads_the_untruncated_norm():
     section = np.linalg.norm(lift_matrix(tri.w1)[:, interior(tri.space, 1)], 2)
     assert section < 0.98
     block = contraction_record(pseudolift.is_pseudo_triple(tri))
-    assert not block.passed and abs(block.residual - 1e-6) <= 1e-12
+    # the sup norm is read from above, within 2 LEVEL_EPS (relative)
+    assert not block.passed and 1e-6 <= block.residual <= 1e-6 + 2.1e-12
     assert dense_triple_residuals(tri)["axiom-i-contractions"] == 0.0
 
 
@@ -222,7 +223,7 @@ def test_uniqueness_keeps_a_block_candidate():
     assert by_id["same-douglas-isometry"].residual == 0.0
     record = contraction_record(rep)
     assert record.check_id == "candidate-axiom-i-contractions"
-    assert not record.passed and abs(record.residual - 1e-6) <= 1e-12
+    assert not record.passed and 1e-6 <= record.residual <= 1e-6 + 2.1e-12
     assert by_id["uniqueness-equality"].skipped
 
 

@@ -664,7 +664,8 @@ class TestAdmissible:
         rep = qd.verify_admissible(np.conj(a) * one, b * one, [0 * one, one], 6, 1.0 + 0j)
         cond1 = next(r for r in rep.records if r.check_id == "cond1-contractive")
         assert not cond1.passed
-        assert cond1.residual == pytest.approx(1e-6, rel=1e-6)
+        # the sup norm is read from above, within 2 LEVEL_EPS (relative)
+        assert 1e-6 <= cond1.residual <= 1e-6 + 2.1e-12
 
     def test_non_inner_theta_out_of_scope(self):
         one = eye(1)
