@@ -84,8 +84,7 @@ class AndoTuple:
         }
 
 
-def _solve_on_range(x: np.ndarray, y: np.ndarray, what: str,
-                    tol: float = 1e-8) -> np.ndarray:
+def _solve_on_range(x: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
     """Least-squares solve M x = y for M, assuming x has full row rank.
 
     The defect bases only keep eigenvalues above the rank cutoff, so x is
@@ -96,42 +95,39 @@ def _solve_on_range(x: np.ndarray, y: np.ndarray, what: str,
         return np.zeros((y.shape[0], 0), dtype=np.complex128)
     m = y @ np.linalg.pinv(x)
     res = frob(m @ x - y)
-    if res > tol * max(1.0, frob(y)):
+    if res > 1e-8 * max(1.0, frob(y)):
         raise RankDeficiencyError(f"{what}: defining equation inconsistent, "
                                   f"residual {res:.3e}")
     return m
 
 
-def _polish_isometry(m: np.ndarray, what: str, tol: float = 1e-8) -> np.ndarray:
+def _polish_isometry(m: np.ndarray, what: str) -> np.ndarray:
     """Snap a numerically-near isometry onto the closest exact one."""
     k = m.shape[1]
     if k == 0:
         return m
     gram = adj(m) @ m
     dev = frob(gram - eye(k))
-    if dev > tol:
+    if dev > 1e-8:
         raise RankDeficiencyError(f"{what} is not an isometry: deviation {dev:.3e}")
     w, v = np.linalg.eigh(gram)
     inv_sqrt = (v / np.sqrt(w)) @ adj(v)
     return m @ inv_sqrt
 
 
-def special_ando_tuple(pair: QPair, unitary_completion: np.ndarray | None = None,
-                       rank_tol: float | None = None,
-                       dt: DefectData | None = None) -> AndoTuple:
+def special_ando_tuple(pair: QPair, dt: DefectData | None = None) -> AndoTuple:
     """Construct the special Andô tuple of a pair in defect coordinates.
 
     Lambda is solved against D_T on its range only (its action off the range
     is irrelevant and absent from the coordinates).  The unitary U is the
-    deterministic completion of the partial map on ran Lambda; a caller may
-    supply a full F x F unitary instead, which is verified to agree with the
-    partial map before being accepted.  A caller that already holds D_T of
-    the product, built at the same `rank_tol`, passes it as `dt`.
+    deterministic completion of the partial map on ran Lambda.  A caller
+    that already holds D_T of the product (`matcore.defect`, at its rank
+    cutoff) passes it as `dt`.
     """
     if dt is None:
-        dt = DefectData(*matcore.defect(pair.product(), rank_tol))
-    d1 = DefectData(*matcore.defect(pair.t1, rank_tol))
-    d2 = DefectData(*matcore.defect(pair.t2, rank_tol))
+        dt = DefectData(*matcore.defect(pair.product()))
+    d1 = DefectData(*matcore.defect(pair.t1))
+    d2 = DefectData(*matcore.defect(pair.t2))
 
     x = dt.coords()
     y_lam = np.vstack([d1.coords() @ pair.t2, d2.coords()])
@@ -142,16 +138,7 @@ def special_ando_tuple(pair: QPair, unitary_completion: np.ndarray | None = None
 
     f_dim = d1.dim + d2.dim
     if f_dim:
-        partial = m @ adj(lam)
-        source = SubspaceBasis(lam)
-        target = SubspaceBasis(m)
-        if unitary_completion is not None:
-            u = matcore.as_cmatrix(unitary_completion)
-            if frob(adj(u) @ u - eye(f_dim)) > 1e-10 or frob(u @ lam - m) > 1e-10:
-                raise RankDeficiencyError(
-                    "supplied completion is not a unitary extension of the partial map")
-        else:
-            u = matcore.complete_to_unitary(source, target, partial)
+        u = matcore.complete_to_unitary(SubspaceBasis(lam), SubspaceBasis(m), m @ adj(lam))
     else:
         u = np.zeros((0, 0), dtype=np.complex128)
     p = np.zeros((f_dim, f_dim), dtype=np.complex128)
@@ -159,13 +146,13 @@ def special_ando_tuple(pair: QPair, unitary_completion: np.ndarray | None = None
     return AndoTuple(pair.q, d1, d2, dt, lam, p, u)
 
 
-def star_ando_tuple(pair: QPair, rank_tol: float | None = None) -> AndoTuple:
+def star_ando_tuple(pair: QPair) -> AndoTuple:
     """Special Andô tuple of the adjoint pair (T1*, T2*).
 
     Its product defect equals D_{T*} for T = T1 T2 (the twist drops out of
     I - T*T), so this tuple carries the starred data Lambda_*, P_*, U_*.
     """
-    return special_ando_tuple(adjoint_pair(pair), rank_tol=rank_tol)
+    return special_ando_tuple(adjoint_pair(pair))
 
 
 def verify_prop1(tup: AndoTuple, pair: QPair, tol: float = 1e-10) -> Report:
@@ -204,8 +191,9 @@ def verify_prop2(star_tup: AndoTuple, pair: QPair, tol: float = 1e-10) -> Report
     return rep
 
 
-def verify_tuple_invariants(tup: AndoTuple, pair: QPair, tol: float = 1e-10) -> Report:
+def verify_tuple_invariants(tup: AndoTuple, pair: QPair) -> Report:
     """Structural invariants plus the defining actions of Lambda and U."""
+    tol = 1e-10
     rep = Report("ando-invariants", {"tol": tol})
     f = tup.f_dim
     rep.check("lambda-isometry", "Lambda*Lambda = I",

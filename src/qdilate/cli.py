@@ -28,6 +28,15 @@ def _write_or_print(text: str, out: str | None) -> None:
         print(text)
 
 
+def _emit(rep: Report, out: str | None) -> int:
+    """Write a report's JSON, print its summary lines to stderr, and return
+    the exit code: 0 if every check passes, else 1."""
+    _write_or_print(rep.to_json(), out)
+    for line in rep.summary_lines():
+        print(line, file=sys.stderr)
+    return 0 if rep.overall else 1
+
+
 def _load_pair(path: str, tol: float):
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -160,10 +169,7 @@ def cmd_verify(args) -> int:
             master.merge(rep, prefix=f"{s}/")
         except QDilateError as exc:
             master.require(f"{s}/error", f"suite {s} raised", False, note=str(exc))
-    _write_or_print(master.to_json(), args.out)
-    for line in master.summary_lines():
-        print(line, file=sys.stderr)
-    return 0 if master.overall else 1
+    return _emit(master, args.out)
 
 
 def cmd_charfn(args) -> int:
@@ -241,10 +247,7 @@ def cmd_lift(args) -> int:
         rep = _suite_douglas(an, args.trunc, args.tol)
     if args.dump_ando:
         Path(args.dump_ando).write_text(dumps(tup.to_json()), encoding="utf-8")
-    _write_or_print(rep.to_json(), args.report)
-    for line in rep.summary_lines():
-        print(line, file=sys.stderr)
-    return 0 if rep.overall else 1
+    return _emit(rep, args.report)
 
 
 def cmd_pseudo(args) -> int:
@@ -263,10 +266,7 @@ def cmd_pseudo(args) -> int:
                     "coefficient (its tail without a Hardy part) violates the axioms",
                     not bad_rep.overall and bad_rep.worst() >= 0.9 * args.perturb,
                     note=f"worst residual {bad_rep.worst():.3e}")
-    _write_or_print(rep.to_json(), args.out)
-    for line in rep.summary_lines():
-        print(line, file=sys.stderr)
-    return 0 if rep.overall else 1
+    return _emit(rep, args.out)
 
 
 def cmd_demo(args) -> int:
@@ -274,10 +274,7 @@ def cmd_demo(args) -> int:
         print("error: the demo needs --trunc >= 2", file=sys.stderr)
         return 2
     rep = lifts.nonisolifts_fixture(args.trunc)
-    _write_or_print(rep.to_json(), args.out)
-    for line in rep.summary_lines():
-        print(line, file=sys.stderr)
-    return 0 if rep.overall else 1
+    return _emit(rep, args.out)
 
 
 @functools.cache

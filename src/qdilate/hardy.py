@@ -160,7 +160,7 @@ def gram_coeff(s1: TwistedSymbol, s2: TwistedSymbol, lag: int,
     return acc
 
 
-def symbol_is_inner(s: TwistedSymbol, tol: float = 1e-12):
+def symbol_is_inner(s: TwistedSymbol):
     """Whether M_phi R is isometric: sum_k C_k* C_{k+j} = delta_{j0} I.
 
     The rotation is unitary, so only the coefficient Toeplitz test matters:
@@ -171,7 +171,7 @@ def symbol_is_inner(s: TwistedSymbol, tol: float = 1e-12):
     for j in range(s.degree + 1):
         target = eye(s.fiber_in) if j == 0 else 0.0
         worst = max(worst, frob(gram_coeff(s, s, j) - target))
-    return worst <= tol, worst
+    return worst <= 1e-12, worst
 
 
 # `symbol_norm`: an eigenvalue of the level-set pencil within UNIMODULAR_WINDOW
@@ -289,12 +289,6 @@ def obs_op(t: np.ndarray, dstar: DefectData, n: int) -> TruncOperator:
     return TruncOperator(mat, dim, space)
 
 
-def psd_defect_star(t: np.ndarray) -> np.ndarray:
-    """D_{T*} = (I - T T*)^{1/2}."""
-    t = as_cmatrix(t)
-    return matcore.psd_sqrt(eye(t.shape[0]) - t @ adj(t))
-
-
 def defect_tail_norm(t: np.ndarray, n: int) -> float:
     """||D_{T*} T*^{n+1}||: the truncation error of the observability column.
 
@@ -302,7 +296,9 @@ def defect_tail_norm(t: np.ndarray, n: int) -> float:
     vanishes; this is the quantity that actually bounds the missing
     degree-(n+1) coefficient.
     """
-    return opnorm(psd_defect_star(t) @ np.linalg.matrix_power(adj(t), n + 1))
+    t = as_cmatrix(t)
+    d_star = matcore.psd_sqrt(eye(t.shape[0]) - t @ adj(t))
+    return opnorm(d_star @ np.linalg.matrix_power(adj(t), n + 1))
 
 
 def choose_trunc(t: np.ndarray, tail_tol: float = 1e-10, max_degree: int = 512) -> int:

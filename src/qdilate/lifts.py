@@ -334,18 +334,18 @@ def interior_frob(space: LiftSpace, d: int, *terms) -> float:
     return float(np.sqrt(total))
 
 
-def isometry_residual(v: LiftOperator, space: LiftSpace, d: int = 1) -> float:
-    """||(V*V - I)[:, interior(d)]||_F: the Laurent sums of the symbol
+def isometry_residual(v: LiftOperator, space: LiftSpace) -> float:
+    """||(V*V - I)[:, interior(1)]||_F: the Laurent sums of the symbol
     (`hardy.symbol_is_inner`) plus the head and column terms."""
     ident = LiftOperator(space, eye(space.head_dim), (),
                          TwistedSymbol(1.0, (eye(space.hardy.fiber_dim),)), eye(space.tail_dim))
-    return interior_frob(space, d, (1.0, v, v), (-1.0, ident))
+    return interior_frob(space, 1, (1.0, v, v), (-1.0, ident))
 
 
-def commutator_residual(x: LiftOperator, y: LiftOperator, c: complex, space: LiftSpace,
-                        d: int = 2) -> float:
-    """||(X Y - c Y X)[:, interior(d)]||_F."""
-    return interior_frob(space, d, (1.0, x @ y), (-c, y @ x))
+def commutator_residual(x: LiftOperator, y: LiftOperator, c: complex,
+                        space: LiftSpace) -> float:
+    """||(X Y - c Y X)[:, interior(2)]||_F."""
+    return interior_frob(space, 2, (1.0, x @ y), (-c, y @ x))
 
 
 def intertwining_residual(v: LiftOperator, pi: np.ndarray, t: np.ndarray) -> float:
@@ -384,8 +384,7 @@ def interior_opnorm(v: LiftOperator, space: LiftSpace, d: int = 1) -> float:
     return max(tail, hardy.symbol_norm(v.symbol))
 
 
-def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
-                tol: float = 1e-10) -> Report:
+def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair) -> Report:
     """Residuals of the lift axioms under the degree-budget contract.
 
     Isometry uses budget 1, q-commutation budget 2, and the intertwinings
@@ -403,6 +402,7 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
     q = pair.q
     n = lift.trunc
     space = lift.space
+    tol = 1e-10
     rep = Report(f"lift-{lift.kind}", {"trunc": n, "tol": tol})
 
     int_tol = 1e-11 if lift.kind == "schaffer" else 1e-9
@@ -412,7 +412,7 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
                   intertwining_residual(v, lift.pi, t_i), int_tol)
     for name, v in (("v1", v1), ("v2", v2)):
         rep.check(f"isometry-{name}", f"{name}*{name} = I on degrees <= N-1",
-                  isometry_residual(v, space, 1), tol)
+                  isometry_residual(v, space), tol)
     v12 = lift.product
     rep.check("q-commute", "V1 V2 = q V2 V1 on degrees <= N-2",
               interior_frob(space, 2, (1.0, v12), (-q, v2 @ v1)), tol)
@@ -441,6 +441,9 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
 
 # Frobenius tolerance of the block-shape residuals of the minimality proof
 SHAPE_TOL = 1e-10
+# absolute cutoff of the ranks of the minimality proof, on the blocks of
+# Pi / ||Pi||_2 and on the constant column C_0
+RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -485,13 +488,12 @@ def _shape_residual(v: LiftOperator, space: LiftSpace) -> float:
     return interior_frob(space, 0, (1.0, v), (-1.0, shape))
 
 
-def orbit_dimension(v: LiftOperator, pi: np.ndarray, space: LiftSpace,
-                    rank_tol: float = 1e-8) -> OrbitProof:
+def orbit_dimension(v: LiftOperator, pi: np.ndarray, space: LiftSpace) -> OrbitProof:
     """Dimension of the orbit span{V^k Pi h}, proved from block shapes at
     dim-sized cost instead of grown on the lift space.
 
     V must have the shape of `_shape_residual`, within SHAPE_TOL.  Ranks are
-    taken at the absolute rank_tol on blocks of Pi / ||Pi||_2 and on the
+    taken at the absolute RANK_TOL on blocks of Pi / ||Pi||_2 and on the
     constant column C_0 of V.
     * Inclusion form (a head): Pi = [P; 0; 0] with rank P = dim head.  The
       orbit is then head (+) span{z^j ran C_0 : j <= N}, of dimension
@@ -515,8 +517,8 @@ def orbit_dimension(v: LiftOperator, pi: np.ndarray, space: LiftSpace,
     f, n = space.hardy.fiber_dim, space.hardy.max_degree
     if h:
         c0 = v.column[0] if v.column else np.zeros((f, h), dtype=np.complex128)
-        ranks = {"P": matcore.rank_gap(seed[:h], rank_tol),
-                 "C0": matcore.rank_gap(c0, rank_tol)}
+        ranks = {"P": matcore.rank_gap(seed[:h], RANK_TOL),
+                 "C0": matcore.rank_gap(c0, RANK_TOL)}
         below = frob(seed[h:])
         if below > SHAPE_TOL:
             failure = f"Pi shape residual below the head {below:.3e} > {SHAPE_TOL:g}"
@@ -527,10 +529,10 @@ def orbit_dimension(v: LiftOperator, pi: np.ndarray, space: LiftSpace,
         return OrbitProof(None, res, ranks, failure)
     k = pi.shape[1]
     blocks = seed[:hd].reshape(n + 1, f, k)
-    ranks = {"Pi0": matcore.rank_gap(blocks[0], rank_tol),
+    ranks = {"Pi0": matcore.rank_gap(blocks[0], RANK_TOL),
              "Pi_0..N": matcore.rank_gap(blocks.transpose(1, 0, 2).reshape(f, (n + 1) * k),
-                                         rank_tol),
-             "Pi_tail": matcore.rank_gap(seed[hd:], rank_tol)}
+                                         RANK_TOL),
+             "Pi_tail": matcore.rank_gap(seed[hd:], RANK_TOL)}
     unitary = frob(adj(v.tail) @ v.tail - eye(tail))
     if unitary > SHAPE_TOL:
         failure = f"tail block unitarity residual {unitary:.3e} > {SHAPE_TOL:g}"
@@ -544,7 +546,7 @@ def orbit_dimension(v: LiftOperator, pi: np.ndarray, space: LiftSpace,
     return OrbitProof(None, res, ranks, failure)
 
 
-def minimality_check(lift: LiftRealization, rank_tol: float = 1e-8) -> Report:
+def minimality_check(lift: LiftRealization) -> Report:
     """Orbit of V = V1 V2 on Pi against the minimal dilation space.
 
     A minimal lift reaches, at truncation N, a space of known dimension
@@ -556,12 +558,12 @@ def minimality_check(lift: LiftRealization, rank_tol: float = 1e-8) -> Report:
     full space dimension (the unreachable truncation slice is the gap between
     the last two) and the singular-value margin of every rank it used.
     """
-    proof = orbit_dimension(lift.product, lift.pi, lift.space, rank_tol)
+    proof = orbit_dimension(lift.product, lift.pi, lift.space)
     rep = Report("minimality", {
         **proof.environment(),
         "reachable_dim": lift.reachable_dim,
         "space_dim": lift.space.total_dim,
-        "rank_tol": rank_tol,
+        "rank_tol": RANK_TOL,
     })
     rep.require("rank-consistency",
                 "orbit dimension of V on Pi equals the minimal dilation dimension",
@@ -580,8 +582,7 @@ class AndoFragments:
     upl_dt: np.ndarray     # U*(I-P) Lambda D_T : H -> F
 
 
-def extract_ando_from_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
-                           tol: float = 1e-10):
+def extract_ando_from_lift(lift: LiftRealization, pair: PairAnalysis | QPair):
     """Recover (Lambda, PU Lambda D_T, U*(I-P) Lambda D_T) from a lift in
     inclusion model form, and verify their structural consistency.
 
@@ -592,6 +593,7 @@ def extract_ando_from_lift(lift: LiftRealization, pair: PairAnalysis | QPair,
     M_z*C = 0 and factors through an isometry Lambda; PU Lambda D_T and
     U*(I-P) Lambda D_T are the degree-0 columns of V1 and q V2.
     """
+    tol = 1e-10
     an = PairAnalysis.of(pair)
     pair, t = an.pair, an.product
     space = lift.space
@@ -643,8 +645,9 @@ def _bidisk_ops(n: int, q: complex):
     return np.kron(shift, one), np.kron(one, shift), np.diag(np.tile(hardy.phases(q, n), n + 1))
 
 
-def nonisolifts_fixture(n: int, q: complex = np.exp(1j)) -> Report:
-    """Two minimal lifts of the zero pair on C that fail to be equivalent.
+def nonisolifts_fixture(n: int) -> Report:
+    """Two minimal lifts of the zero pair on C that fail to be equivalent,
+    at the twist q = e^i.
 
     Pair A = (R_q M_z, M_z) on truncated H^2(D); pair B = (R_q M_{z1}, M_{z2})
     on the box-truncated two-variable space, rotation on z2.  Both are
@@ -653,6 +656,7 @@ def nonisolifts_fixture(n: int, q: complex = np.exp(1j)) -> Report:
     """
     if n < 2:
         raise GeneratorError("two-lifts fixture needs truncation >= 2")
+    q = np.exp(1j)
     rep = Report("nonisolifts", {"trunc": n, "q": [float(np.real(q)), float(np.imag(q))]})
 
     hs = TruncHardy(1, n)

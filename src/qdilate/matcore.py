@@ -75,12 +75,13 @@ def eye(n: int) -> np.ndarray:
 
 
 def as_cmatrix(data) -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array."""
+    """Coerce to a finite 2-d complex128 array; ParseError on a non-finite
+    entry."""
     a = np.asarray(data, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d array, got ndim={a.ndim}")
     if a.size and not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
+        raise ParseError("matrix entries must be finite")
     return a
 
 
@@ -138,19 +139,19 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
-def _checked_eigh(h: np.ndarray, clamp_tol: float | None):
+def _checked_eigh(h: np.ndarray):
     """Eigendecomposition of a Hermitian matrix with PSD clamping.
 
-    Eigenvalues in [-clamp_tol, 0) are clamped to 0; anything below -clamp_tol
-    raises.  Returns (clamped eigenvalues ascending, eigenvectors).
+    Eigenvalues in [-clamp_tol, 0) are clamped to 0, clamp_tol =
+    1e-10 * max(1, ||H||_F); anything below -clamp_tol raises.  Returns
+    (clamped eigenvalues ascending, eigenvectors).
     """
     h = as_cmatrix(h)
     scale = frob(h)
     if frob(h - adj(h)) > 1e-12 * max(1.0, scale):
         raise NotHermitianError(
             f"matrix not Hermitian: asymmetry {frob(h - adj(h)):.3e} vs norm {scale:.3e}")
-    if clamp_tol is None:
-        clamp_tol = 1e-10 * max(1.0, scale)
+    clamp_tol = 1e-10 * max(1.0, scale)
     if h.shape[0] == 0:
         return np.zeros(0), h.copy()
     w, v = np.linalg.eigh(hermitize(h))
@@ -161,39 +162,39 @@ def _checked_eigh(h: np.ndarray, clamp_tol: float | None):
     return w, v
 
 
-def psd_sqrt(h: np.ndarray, clamp_tol: float | None = None) -> np.ndarray:
+def psd_sqrt(h: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root S with S^2 = H (after clamping roundoff).
 
-    Eigenvalues in [-clamp_tol, 0) are treated as roundoff and set to 0;
-    default clamp_tol is 1e-10 * max(1, ||H||_F).
+    Eigenvalues in [-1e-10 * max(1, ||H||_F), 0) are treated as roundoff and
+    set to 0; anything below raises NegativeEigenvalueError.
     """
-    w, v = _checked_eigh(h, clamp_tol)
+    w, v = _checked_eigh(h)
     s = (v * np.sqrt(w)) @ adj(v)
     return hermitize(s)
 
 
-def psd_sqrt_norm(h: np.ndarray, clamp_tol: float | None = None) -> float:
+def psd_sqrt_norm(h: np.ndarray) -> float:
     """||psd_sqrt(h)||, the root of the largest clamped eigenvalue of h, from
     the same checked eigendecomposition (so the same errors are raised)."""
-    w, _ = _checked_eigh(h, clamp_tol)
+    w, _ = _checked_eigh(h)
     return float(np.sqrt(w[-1])) if w.size else 0.0
 
 
-def check_contraction(t: np.ndarray, slack: float = 1e-10) -> np.ndarray:
+def check_contraction(t: np.ndarray) -> np.ndarray:
     t = as_cmatrix(t)
     if t.shape[0] != t.shape[1]:
         raise DimensionMismatchError("contraction must be square")
     nrm = opnorm(t)
-    if nrm > 1.0 + slack:
-        raise NotContractionError(f"operator norm {nrm:.12f} exceeds 1 + {slack:.1e}")
+    if nrm > 1.0 + 1e-10:
+        raise NotContractionError(f"operator norm {nrm:.12f} exceeds 1 + 1.0e-10")
     return t
 
 
-def defect(t: np.ndarray, rank_tol: float | None = None):
+def defect(t: np.ndarray):
     """Defect operator D = (I - T*T)^{1/2} and an orthonormal basis of ran D.
 
-    The basis columns are eigenvectors of D with eigenvalue > rank_tol,
-    ordered by decreasing eigenvalue.  The default cutoff is the rank
+    The basis columns are eigenvectors of D with eigenvalue above the rank
+    cutoff, ordered by decreasing eigenvalue.  The cutoff is the rank
     convention dim * eps * ||D|| raised to the noise floor of the square
     root: roundoff accumulated in I - T*T surfaces as sqrt(eps)-sized
     eigenvalues of D near an isometry, so anything below
@@ -205,14 +206,13 @@ def defect(t: np.ndarray, rank_tol: float | None = None):
     t = check_contraction(t)
     n = t.shape[0]
     h = eye(n) - adj(t) @ t
-    w, v = _checked_eigh(h, None)
+    w, v = _checked_eigh(h)
     sqw = np.sqrt(w)
     d = hermitize((v * sqw) @ adj(v))
-    if rank_tol is None:
-        rank_tol = max(n * EPS * (sqw[-1] if n else 0.0),
-                       np.sqrt(256.0 * n * EPS * max(1.0, frob(h))))
+    cutoff = max(n * EPS * (sqw[-1] if n else 0.0),
+                 np.sqrt(256.0 * n * EPS * max(1.0, frob(h))))
     order = np.argsort(sqw)[::-1]
-    keep = [i for i in order if sqw[i] > rank_tol]
+    keep = [i for i in order if sqw[i] > cutoff]
     basis = SubspaceBasis(v[:, keep] if keep else np.zeros((n, 0), dtype=np.complex128))
     return d, basis
 
@@ -231,7 +231,7 @@ def complement_basis(projector: np.ndarray, dim: int) -> np.ndarray:
 
 
 def complete_to_unitary(source: SubspaceBasis, target: SubspaceBasis,
-                        partial: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+                        partial: np.ndarray) -> np.ndarray:
     """Extend a partial isometry (source subspace -> target subspace) to a unitary.
 
     `partial` acts on the ambient space and must map the source columns
@@ -248,7 +248,7 @@ def complete_to_unitary(source: SubspaceBasis, target: SubspaceBasis,
     if k:
         iso_res = frob(adj(ps) @ ps - eye(k))
         range_res = frob(ps - target.projector() @ ps)
-        if iso_res > tol or range_res > tol:
+        if iso_res > 1e-10 or range_res > 1e-10:
             raise NotIsometricOnSourceError(
                 f"partial map not isometric onto target: isometry residual "
                 f"{iso_res:.3e}, range residual {range_res:.3e}")
@@ -342,13 +342,12 @@ def numerical_rank(a: np.ndarray, rank_tol: float | None = None) -> int:
     return int(np.sum(s > rank_tol))
 
 
-def greedy_orbit_rank(ops, seed_columns: np.ndarray, rank_tol: float = 1e-8,
-                      max_rounds: int | None = None) -> int:
+def greedy_orbit_rank(ops, seed_columns: np.ndarray, rank_tol: float = 1e-8) -> int:
     """Dimension of span{op_{i1}...op_{ik} seed} by greedy re-orthogonalization.
 
     Grows an orthonormal basis one application at a time, discarding
-    directions below rank_tol.  `ops` is a single matrix or an iterable of
-    them (joint orbit).  It measures the joint orbits of
+    directions below rank_tol, for at most n + 1 rounds on C^n.  `ops` is a
+    single matrix or an iterable of them (joint orbit).  It measures the joint orbits of
     `lifts.nonisolifts_fixture` and is the test oracle of the structured lift
     minimality proof (`lifts.orbit_dimension`); its basis is an n x n buffer,
     so the verifiers do not call it on the lift space.
@@ -363,9 +362,7 @@ def greedy_orbit_rank(ops, seed_columns: np.ndarray, rank_tol: float = 1e-8,
     buf = np.empty((n, n), dtype=np.complex128, order="F")
     r = frontier.shape[1]
     buf[:, :r] = frontier
-    if max_rounds is None:
-        max_rounds = n + 1
-    for _ in range(max_rounds):
+    for _ in range(n + 1):
         if r >= n or frontier.shape[1] == 0:
             break
         basis = buf[:, :r]

@@ -181,7 +181,7 @@ class PairAnalysis:
         return canonical_unitary_pair(self)
 
 
-def fundamental_ops(pair: PairAnalysis | QPair, tol: float = 1e-10) -> FundamentalPair:
+def fundamental_ops(pair: PairAnalysis | QPair) -> FundamentalPair:
     """Fundamental operators (G1, G2) = Lambda_** (P_*perp U_*, U_** P_*) Lambda_*
     from the starred tuple, cross-checked against the independent
     pseudoinverse solution of the defining equations.
@@ -205,9 +205,9 @@ def fundamental_ops(pair: PairAnalysis | QPair, tol: float = 1e-10) -> Fundament
     res = 0.0
     for g, rhs in ((g1, rhs1), (g2, rhs2)):
         res = max(res, frob(d_op @ (b @ g @ adj(b)) @ d_op - rhs))
-    if res > tol:
+    if res > 1e-10:
         raise FundamentalEquationResidualError(
-            f"fundamental equations violated: residual {res:.3e} > {tol:.1e}")
+            f"fundamental equations violated: residual {res:.3e} > 1.0e-10")
     gap = 0.0
     if dstar.dim:
         bd_inv = np.linalg.inv(matcore.hermitize(adj(b) @ d_op @ b))
@@ -217,8 +217,7 @@ def fundamental_ops(pair: PairAnalysis | QPair, tol: float = 1e-10) -> Fundament
     return FundamentalPair(g1, g2, dstar, res, gap)
 
 
-def canonical_unitary_pair(pair: PairAnalysis | QPair,
-                           tol: float = 1e-8) -> CanonicalUnitaryPair:
+def canonical_unitary_pair(pair: PairAnalysis | QPair) -> CanonicalUnitaryPair:
     """Unitaries on ran Q_{T*} solving W_i* Q = Q T_i*, W_D* Q = Q T*.
 
     Q and the basis of its range are the analysis' cnu split (`an.cnu`):
@@ -234,7 +233,7 @@ def canonical_unitary_pair(pair: PairAnalysis | QPair,
     ws = []
     for op in (pair.t1, pair.t2, t):
         x_star = (rq @ adj(op)) @ rq_pinv
-        if basis.dim and frob(adj(x_star) @ x_star - eye(basis.dim)) > tol:
+        if basis.dim and frob(adj(x_star) @ x_star - eye(basis.dim)) > 1e-8:
             raise NonUnitarySolutionError(
                 "intertwining solution on ran Q is not unitary; "
                 "rank tolerance likely misconfigured")
@@ -242,9 +241,9 @@ def canonical_unitary_pair(pair: PairAnalysis | QPair,
     return CanonicalUnitaryPair(pair.q, basis, ws[0], ws[1], ws[2], q_op)
 
 
-def verify_canonical_pair(cp: CanonicalUnitaryPair, pair: QPair,
-                          tol: float = 1e-10) -> Report:
+def verify_canonical_pair(cp: CanonicalUnitaryPair, pair: QPair) -> Report:
     """Residuals of the canonical-pair axioms."""
+    tol = 1e-10
     rep = Report("canonical-pair", {"tol": tol})
     k = cp.dim
     rq = cp.coords()
@@ -267,9 +266,9 @@ def verify_canonical_pair(cp: CanonicalUnitaryPair, pair: QPair,
     return rep
 
 
-def canonicity_transport(pair_a: QPair, pair_b: QPair, psi: np.ndarray,
-                         tol: float = 1e-10) -> Report:
+def canonicity_transport(pair_a: QPair, pair_b: QPair, psi: np.ndarray) -> Report:
     """Transport psi|ran Q and verify it intertwines the canonical pairs."""
+    tol = 1e-10
     psi = as_cmatrix(psi)
     int_res = max(frob(psi @ pair_a.t1 - pair_b.t1 @ psi),
                   frob(psi @ pair_a.t2 - pair_b.t2 @ psi))
@@ -292,14 +291,14 @@ def canonicity_transport(pair_a: QPair, pair_b: QPair, psi: np.ndarray,
     return rep
 
 
-def verify_unique_canonical(pair: QPair, w1p: np.ndarray, w2p: np.ndarray,
-                            tol: float = 1e-9):
+def verify_unique_canonical(pair: QPair, w1p: np.ndarray, w2p: np.ndarray):
     """Check the uniqueness characterization of the canonical pair.
 
     Candidates are given in the coordinates of canonical_unitary_pair(pair).
     Returns (bool, Report): preconditions W'_j* Q = Q T_j* and
     W'_1* W'_2* = q W_D*, then equality with the canonical pair.
     """
+    tol = 1e-9
     cp = canonical_unitary_pair(pair)
     rep = Report("unique-canonical", {"tol": tol})
     if cp.dim == 0:
@@ -560,7 +559,7 @@ def model_symbols(q: complex, g1: np.ndarray, g2: np.ndarray):
     return sym1, sym2
 
 
-def model_compress(pair: PairAnalysis | QPair, tol: float = 1e-8) -> ModelCompression:
+def model_compress(pair: PairAnalysis | QPair) -> ModelCompression:
     """Compress the model multipliers to ran Pi and verify unitary equivalence
     with the source pair over all degrees: every sum is a Stein sum.
 
@@ -571,6 +570,7 @@ def model_compress(pair: PairAnalysis | QPair, tol: float = 1e-8) -> ModelCompre
     and P_i = Pi*(M_i* Pi - Pi T_i*) = sum_k (conj(r) T)^k C*E_i T*^k gives the
     compression K_i = Pi* M_i Pi = (Pi*Pi T_i* + P_i)*.
     """
+    tol = 1e-8
     an = PairAnalysis.of(pair)
     pair, t = an.pair, an.product
     if an.cnu.unitary_part.dim:
@@ -605,7 +605,7 @@ def model_compress(pair: PairAnalysis | QPair, tol: float = 1e-8) -> ModelCompre
 
 
 def induced_defect_unitaries(triple_a: CharTriple, triple_b: CharTriple,
-                             psi: np.ndarray, tol: float = 1e-9):
+                             psi: np.ndarray):
     """Restrict a unitary pair-intertwiner to the defect spaces."""
     psi = as_cmatrix(psi)
     u = adj(triple_b.dt.basis.columns) @ psi @ triple_a.dt.basis.columns
@@ -614,7 +614,7 @@ def induced_defect_unitaries(triple_a: CharTriple, triple_b: CharTriple,
                                                      triple_a.dstar.dim)):
         if mat.shape[0] != mat.shape[1]:
             raise NotIntertwinerError(f"{name} is not square: defect dims differ")
-        if frob(adj(mat) @ mat - eye(k)) > tol:
+        if frob(adj(mat) @ mat - eye(k)) > 1e-9:
             raise NotIntertwinerError(f"{name} fails to be unitary: psi does not "
                                       "map the defect space onto its partner")
     return u, u_star
@@ -622,11 +622,12 @@ def induced_defect_unitaries(triple_a: CharTriple, triple_b: CharTriple,
 
 def verify_coincidence(triple_a: CharTriple, triple_b: CharTriple,
                        u: np.ndarray, u_star: np.ndarray,
-                       radii=None, angles: int = 16, tol: float = 1e-9) -> Report:
+                       radii=None, angles: int = 16) -> Report:
     """Residuals of coincidence via the supplied defect unitaries.
 
     (i) u_* Theta(z) = Theta'(z) u on a disk grid, (ii) conjugation of the
     fundamental pairs, (iii) unitary parts (trivial at finite dimension)."""
+    tol = 1e-9
     radii = np.linspace(0.1, 0.9, 8) if radii is None else list(radii)
     if len(radii) == 0 or angles < 1:
         raise EmptyGridError(f"coincidence grid is empty: {len(radii)} radii "
@@ -657,7 +658,7 @@ def verify_coincidence(triple_a: CharTriple, triple_b: CharTriple,
 
 
 def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
-                      q: complex, tol: float = 1e-9) -> Report:
+                      q: complex) -> Report:
     """Check the four admissibility conditions for ((G1,G2), trivial, Theta).
 
     Theta is a matrix polynomial given by its coefficient list (fiber
@@ -667,6 +668,7 @@ def verify_admissible(g1: np.ndarray, g2: np.ndarray, theta_coeffs, n: int,
     untruncated multipliers from above (`hardy.symbol_norm`, a certified
     upper bound), which bound the norm of every finite section.
     """
+    tol = 1e-9
     g1, g2 = as_cmatrix(g1), as_cmatrix(g2)
     coeffs = [as_cmatrix(c) for c in theta_coeffs]
     theta_sym = TwistedSymbol(1.0, tuple(coeffs))

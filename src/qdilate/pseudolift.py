@@ -55,18 +55,18 @@ def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
               max(0.0, max(interior_opnorm(w1, space), interior_opnorm(w2, space)) - 1.0),
               1e-9)
     rep.check("axiom-i-isometry", "W*W = I on degrees <= N-1",
-              isometry_residual(w, space, 1), tol)
+              isometry_residual(w, space), tol)
     rep.check("axiom-ii-w1", "W1 W = q W W1 on degrees <= N-2",
-              commutator_residual(w1, w, q, space, 2), tol)
+              commutator_residual(w1, w, q, space), tol)
     rep.check("axiom-ii-w2", "W2 W = qbar W W2 on degrees <= N-2",
-              commutator_residual(w2, w, np.conj(q), space, 2), tol)
+              commutator_residual(w2, w, np.conj(q), space), tol)
     rep.check("axiom-iii", "W1 = qbar W2* W on degrees <= N-1",
               interior_frob(space, 1, (1.0, w1), (-np.conj(q), w2, w)), tol)
     return rep
 
 
 def is_pseudo_lift(pi: np.ndarray, triple: PseudoTriple, pair: PairAnalysis | QPair,
-                   tol: float = 1e-9, rank_tol: float = 1e-8) -> Report:
+                   tol: float = 1e-9) -> Report:
     """Lift intertwinings plus minimality of (Pi, W).  The intertwinings are
     read on the rows where W_i* Pi reads only blocks of Pi that exist
     (`lifts.intertwining_residual`), where they hold exactly.  The orbit
@@ -79,7 +79,7 @@ def is_pseudo_lift(pi: np.ndarray, triple: PseudoTriple, pair: PairAnalysis | QP
     rep.check("lift-w1", "W1* Pi = Pi T1*", intertwining_residual(triple.w1, pi, pair.t1), tol)
     rep.check("lift-w2", "W2* Pi = Pi T2*", intertwining_residual(triple.w2, pi, pair.t2), tol)
     rep.check("lift-w", "W* Pi = Pi T*", intertwining_residual(triple.w, pi, t), tol)
-    proof = orbit_dimension(triple.w, pi, triple.space, rank_tol)
+    proof = orbit_dimension(triple.w, pi, triple.space)
     rep.environment.update(proof.environment())
     full = triple.space.total_dim
     rep.require("minimality", "span{W^n Ran Pi} is the whole lift space",
@@ -87,7 +87,7 @@ def is_pseudo_lift(pi: np.ndarray, triple: PseudoTriple, pair: PairAnalysis | QP
     return rep
 
 
-def uniqueness_test(pair: QPair, candidate: PseudoTriple, tol: float = 1e-9) -> Report:
+def uniqueness_test(pair: QPair, candidate: PseudoTriple) -> Report:
     """Compare a candidate pseudo lift over the Douglas data with the model one.
 
     The candidate must share the Douglas isometry (W = V_D up to degree
@@ -95,6 +95,7 @@ def uniqueness_test(pair: QPair, candidate: PseudoTriple, tol: float = 1e-9) -> 
     the interior block from the blocks.  A candidate on another space than the
     pair's Douglas space raises DimensionMismatchError.
     """
+    tol = 1e-9
     an = PairAnalysis.of(pair)
     pi_d, ref = douglas_pseudo_lift(an, candidate.trunc)
     space = ref.space
@@ -163,7 +164,7 @@ def taylor_rigidity(triple: PseudoTriple, pair: PairAnalysis | QPair,
     return rep
 
 
-def _read_symbol(sym: TwistedSymbol, base: complex, n: int, tol: float = 1e-10):
+def _read_symbol(sym: TwistedSymbol, base: complex, n: int):
     """`hardy.extract_symbol` of A = M_phi R_rot on TruncHardy(N), an
     operator in the base-commutant of the shift, in closed form: the Taylor
     coefficients it keeps (padded to two) and its reconstruction residual.
@@ -173,7 +174,7 @@ def _read_symbol(sym: TwistedSymbol, base: complex, n: int, tol: float = 1e-10):
     sq = np.array([float(np.vdot(c, c).real) for c in sym.coeffs])
     d, degrees = abs(sym.rot - base), np.arange(sym.degree + 1)
     columns = sum(np.sum(np.abs(c) ** 2, axis=0) for c in sym.coeffs)
-    gate = tol * max(1.0, float(np.sqrt(columns.max(initial=0.0))))
+    gate = 1e-10 * max(1.0, float(np.sqrt(columns.max(initial=0.0))))
     pre = d * np.sqrt(sq @ np.maximum(n - degrees, 0))
     if pre > gate:
         raise NotQCommutantError(f"||A Mz - q Mz A||_F = {pre:.3e} on degrees <= {n - 1}")

@@ -5,6 +5,9 @@ lines.  Desk scale: dims 1..6, truncations <= 32 except where a slow tail
 forces a larger (still cheap) Hardy section.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 
 import qdilate as qd
@@ -130,7 +133,7 @@ def test_criterion_5_canonical(corpus):
     for base in bases:
         for seed in range(5):
             conj, w = qd.gen_conjugated(base, seed=seed)
-            rep = qd.canonicity_transport(base, conj, w, tol=1e-10)
+            rep = qd.canonicity_transport(base, conj, w)
             worst_transport = max(worst_transport, rep.worst())
             count += 1
             if not rep.overall:
@@ -221,7 +224,7 @@ def test_criterion_8_invariance(cnu_corpus):
         tri_a = qd.char_triple(pair)
         tri_b = qd.char_triple(conj)
         u, u_star = model.induced_defect_unitaries(tri_a, tri_b, w)
-        rep = qd.verify_coincidence(tri_a, tri_b, u, u_star, tol=1e-9)
+        rep = qd.verify_coincidence(tri_a, tri_b, u, u_star)
         worst = max(worst, max(r.residual for r in rep.records[:2]))
         count += 1
         if not rep.overall:
@@ -288,3 +291,70 @@ def test_criterion_10_two_lifts_demo():
     ok = rep.overall and sep and axioms and disc_b < 1e-12
     conclude(10, "two non-equivalent minimal lifts of the zero pair", ok,
              by_id["separation"].note)
+
+
+# Every tolerance, cutoff or iteration-bound parameter of src/qdilate, keyed
+# (function, parameter), with the caller that sets it.  A fixed tolerance is
+# a literal at its check (or a module constant), not a parameter no caller
+# sets: a new one must name its caller here.
+TOLERANCE_PARAMETERS = {
+    ("ando.verify_prop1", "tol"): "the CLI --tol (ando suite); tests/test_ando.py at 1e-12",
+    ("ando.verify_prop2", "tol"): "the CLI --tol (ando suite); tests/test_ando.py at 1e-12",
+    ("cli._load_pair", "tol"): "the CLI --tol (pair validation)",
+    # every suite of the verify table takes the CLI --tol, used or not
+    ("cli._suite_ando", "tol"): "the CLI --tol",
+    ("cli._suite_schaffer", "tol"): "the CLI --tol",
+    ("cli._suite_douglas", "tol"): "the CLI --tol",
+    ("cli._suite_fundamental", "tol"): "the CLI --tol",
+    ("cli._suite_canonical", "tol"): "the CLI --tol",
+    ("cli._suite_triple", "tol"): "the CLI --tol",
+    ("cli._suite_pseudo", "tol"): "the CLI --tol",
+    ("cli._suite_model", "tol"): "the CLI --tol",
+    ("hardy.choose_trunc", "tail_tol"): "tests/model_oracle.py (truncated_compress)",
+    ("hardy.choose_trunc", "max_degree"): "tests/test_hardy.py at 16",
+    ("hardy.extract_symbol", "tol"): "tests/test_hardy.py (the planted-precondition test)",
+    ("matcore.greedy_orbit_rank", "rank_tol"): "tests/test_lifts.py (the orbit oracle)",
+    ("matcore.numerical_rank", "rank_tol"): "tests/test_lifts.py and tests/test_matcore.py at 1e-8",
+    ("matcore.orth_columns", "rank_tol"): "matcore.greedy_orbit_rank",
+    ("matcore.power_limit", "tol"): "qpair.cnu_decompose at 1e-13",
+    ("matcore.power_limit", "max_doublings"): "tests/test_matcore.py at 3",
+    ("matcore.rank_gap", "rank_tol"): "lifts.orbit_dimension (lifts.RANK_TOL)",
+    ("pseudolift.is_pseudo_triple", "tol"): "the CLI --tol (pseudo suite and command)",
+    ("pseudolift.is_pseudo_lift", "tol"): "the CLI --tol (pseudo suite and command)",
+    ("pseudolift.taylor_rigidity", "tol"): "the CLI --tol (pseudo suite)",
+    ("qpair.validate", "tol"): "the CLI --tol, through qpair.pair_from_json",
+    ("qpair.pair_from_json", "tol"): "the CLI --tol (cli._load_pair)",
+}
+
+
+def tolerance_parameters() -> set:
+    """(module.function, parameter) of every parameter of src/qdilate whose
+    name ends in `tol` or is slack, max_rounds, max_doublings or max_degree."""
+    names = {"slack", "max_rounds", "max_doublings", "max_degree"}
+    found = set()
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    if arg.arg.endswith("tol") or arg.arg in names:
+                        found.add((f"{module}.{prefix}{child.name}", arg.arg))
+                visit(child, module, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.")
+            else:
+                visit(child, module, prefix)
+
+    for path in sorted(Path(qd.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return found
+
+
+def test_every_tolerance_parameter_has_a_caller():
+    """No tolerance or cutoff parameter beyond the listed ones, each set by
+    its named caller; a fixed tolerance is written at its check."""
+    found = tolerance_parameters()
+    assert found == set(TOLERANCE_PARAMETERS), (
+        f"unlisted: {sorted(found - set(TOLERANCE_PARAMETERS))}, "
+        f"gone: {sorted(set(TOLERANCE_PARAMETERS) - found)}")

@@ -39,18 +39,6 @@ class TestConstruction:
         expected[:tup.d1_dim, :tup.d1_dim] = eye(tup.d1_dim)
         assert np.array_equal(tup.p, expected)
 
-    def test_user_supplied_completion(self):
-        pair = zero_pair()
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        tup = qd.special_ando_tuple(pair, unitary_completion=swap)
-        assert np.array_equal(tup.u, swap)
-        assert qd.verify_prop1(tup, pair).overall
-
-    def test_bad_completion_rejected(self):
-        pair = zero_pair()
-        with pytest.raises(Exception):
-            qd.special_ando_tuple(pair, unitary_completion=eye(2))
-
 
 class TestDefectIdentity:
     @pytest.mark.parametrize("seed", range(4))

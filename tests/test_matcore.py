@@ -283,7 +283,7 @@ class TestRankHelpers:
         assert matcore.numerical_rank(a, rank_tol=1e-8) == 2
 
 
-def hstack_orbit_rank(ops, seed_columns, rank_tol=1e-8, max_rounds=None):
+def hstack_orbit_rank(ops, seed_columns, rank_tol=1e-8):
     """The greedy orbit rank as first written: the basis regrown by hstack and
     projected through adj(basis) every round.  Oracle for the in-place one."""
     if isinstance(ops, np.ndarray):
@@ -291,10 +291,8 @@ def hstack_orbit_rank(ops, seed_columns, rank_tol=1e-8, max_rounds=None):
     ops = [matcore.as_cmatrix(o) for o in ops]
     n = seed_columns.shape[0]
     basis = orth_columns(seed_columns, rank_tol=rank_tol)
-    if max_rounds is None:
-        max_rounds = n + 1
     frontier = basis
-    for _ in range(max_rounds):
+    for _ in range(n + 1):
         if basis.shape[1] >= n or frontier.shape[1] == 0:
             break
         images = np.hstack([op @ frontier for op in ops]) if ops else frontier
@@ -357,13 +355,6 @@ class TestGreedyOrbitRank:
         seed = np.hstack([x, 2.0 * x, -1j * x])
         assert assert_same_rank(t, seed) == 2
         assert assert_same_rank(t, np.zeros((8, 3), dtype=complex)) == 0
-
-    def test_max_rounds(self):
-        s = np.eye(7, k=-1, dtype=complex)
-        seed = np.zeros((7, 1), dtype=complex)
-        seed[0, 0] = 1.0
-        assert assert_same_rank(s, seed, max_rounds=1) == 2
-        assert assert_same_rank(s, seed, max_rounds=0) == 1
 
     def test_empty_ops(self):
         rng = np.random.default_rng(9)

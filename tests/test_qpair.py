@@ -56,6 +56,15 @@ class TestValidate:
         with pytest.raises(NotContractionError):
             qd.validate(1.0, 2 * eye(2), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     complex(0.0, float("nan"))])
+    @pytest.mark.parametrize("factor", [0, 1])
+    def test_non_finite_entry_is_a_parse_error(self, bad, factor):
+        mats = [[[0.0]], [[0.0]]]
+        mats[factor] = [[bad]]
+        with pytest.raises(ParseError):
+            qd.validate(1.0, *mats)
+
 
 class TestProductAndAdjoint:
     def test_zero_product(self):
