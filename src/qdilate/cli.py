@@ -55,7 +55,7 @@ def _load_pair(path: str, tol: float):
 
 def cmd_gen(args) -> int:
     try:
-        pair = qpair.from_spec(args.spec, seed=args.seed)
+        pair = qpair.from_spec(args.spec)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

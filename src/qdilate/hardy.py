@@ -301,16 +301,16 @@ def defect_tail_norm(t: np.ndarray, n: int) -> float:
     return opnorm(d_star @ np.linalg.matrix_power(adj(t), n + 1))
 
 
-def choose_trunc(t: np.ndarray, tail_tol: float = 1e-10, max_degree: int = 512) -> int:
-    """Smallest n with ||T*^{n+1}|| < tail_tol."""
+def choose_trunc(t: np.ndarray, max_degree: int = 512) -> int:
+    """Smallest n with ||T*^{n+1}|| < 1e-10."""
     tstar = adj(as_cmatrix(t))
     power = tstar
     for n in range(max_degree + 1):
-        if opnorm(power) < tail_tol:
+        if opnorm(power) < 1e-10:
             return n
         power = power @ tstar
     raise TailTooLargeError(
-        f"no truncation below {max_degree} reaches tail {tail_tol:.1e}")
+        f"no truncation below {max_degree} reaches tail 1.0e-10")
 
 
 def _column_norm_scale(mat: np.ndarray) -> float:

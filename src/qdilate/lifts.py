@@ -106,6 +106,7 @@ class LiftOperator:
         C1 A2 + M_phi1 R C2, the second term phi1 composed with C2(z)."""
         if not isinstance(other, LiftOperator):
             return NotImplemented
+        _require_blocks(self, other)
         n = self.space.hardy.max_degree
         sym = symbol_compose(self.symbol, other.symbol)
         if sym.degree > n:
@@ -126,25 +127,36 @@ def _diagonal(space: LiftSpace, sym: TwistedSymbol, tail: np.ndarray) -> LiftOpe
     return LiftOperator(space, _EMPTY, (), sym, tail)
 
 
-def _require_blocks(*ops) -> None:
+def _require_blocks(*ops) -> LiftSpace:
+    """The one lift space of `ops`: NotModelFormError unless each is a
+    LiftOperator, DimensionMismatchError unless they share a space."""
     if not all(isinstance(op, LiftOperator) for op in ops):
         raise NotModelFormError("expected lift-space operators in block form (LiftOperator)")
+    spaces = {op.space for op in ops}
+    if len(spaces) > 1:
+        raise DimensionMismatchError(f"lift-space operators on different spaces: {spaces}")
+    return spaces.pop()
 
 
 @dataclass(frozen=True)
 class LiftRealization:
     kind: str
-    q: complex
-    space: LiftSpace
     pi: np.ndarray
     v1: LiftOperator
     v2: LiftOperator
-    trunc: int
     reachable_dim: int     # dimension of the minimal dilation space at N
     canonical: CanonicalUnitaryPair | None = None
 
     def __post_init__(self):
         _require_blocks(self.v1, self.v2)
+
+    @property
+    def space(self) -> LiftSpace:
+        return self.v1.space
+
+    @property
+    def trunc(self) -> int:
+        return self.space.hardy.max_degree
 
     @cached_property
     def product(self) -> LiftOperator:
@@ -158,16 +170,21 @@ class PseudoTriple:
     """(W1, W2, W) on TruncHardy (+) tail, the Douglas form: no head."""
 
     q: complex
-    space: LiftSpace
     w1: LiftOperator
     w2: LiftOperator
     w: LiftOperator
-    trunc: int
 
     def __post_init__(self):
-        _require_blocks(self.w1, self.w2, self.w)
-        if self.space.head_dim:
+        if _require_blocks(self.w1, self.w2, self.w).head_dim:
             raise NotModelFormError("a pseudo triple has no head (the Douglas form)")
+
+    @property
+    def space(self) -> LiftSpace:
+        return self.w.space
+
+    @property
+    def trunc(self) -> int:
+        return self.space.hardy.max_degree
 
 
 def schaffer_lift(pair: QPair, tup: AndoTuple, n: int = hardy.DEFAULT_TRUNC) -> LiftRealization:
@@ -194,8 +211,7 @@ def schaffer_lift(pair: QPair, tup: AndoTuple, n: int = hardy.DEFAULT_TRUNC) -> 
     v2 = assemble(pair.t2, np.conj(q) * (adj(u) @ p_perp @ ell), np.conj(q), sym2)
     pi = np.zeros((space.total_dim, h_dim), dtype=np.complex128)
     pi[:h_dim] = eye(h_dim)
-    return LiftRealization("schaffer", q, space, pi, v1, v2, n,
-                           h_dim + (n + 1) * tup.dt_dim)
+    return LiftRealization("schaffer", pi, v1, v2, h_dim + (n + 1) * tup.dt_dim)
 
 
 def douglas_lift(pair: PairAnalysis | QPair,
@@ -221,8 +237,7 @@ def douglas_lift(pair: PairAnalysis | QPair,
     k = (n + 1) * an.dstar.dim
     dressed = star_tup.lam @ pi_d[:k].reshape(n + 1, an.dstar.dim, an.pair.dim)
     pi = np.vstack([dressed.reshape(-1, an.pair.dim), pi_d[k:]])
-    return LiftRealization("douglas", q, space, pi, v1, v2, n,
-                           (n + 1) * an.dstar.dim + cp.dim, cp)
+    return LiftRealization("douglas", pi, v1, v2, (n + 1) * an.dstar.dim + cp.dim, cp)
 
 
 def douglas_pseudo_lift(pair: PairAnalysis | QPair, n: int = hardy.DEFAULT_TRUNC):
@@ -245,13 +260,13 @@ def douglas_pseudo_lift(pair: PairAnalysis | QPair, n: int = hardy.DEFAULT_TRUNC
     w = _diagonal(space, shift_symbol(dstar.dim), cp.wd)
     obs = hardy.obs_op(an.product, dstar, n).matrix
     pi = np.vstack([obs, cp.coords()])
-    an.pseudo_lifts[n] = pi, PseudoTriple(q, space, w1, w2, w, n)
+    an.pseudo_lifts[n] = pi, PseudoTriple(q, w1, w2, w)
     return an.pseudo_lifts[n]
 
 
 # -- residuals ---------------------------------------------------------------
-# Each takes LiftOperators through their blocks; interior(d) stands for the
-# columns of head (+) degrees <= N-d (+) tail.
+# Each takes LiftOperators through their blocks, on the one space they share;
+# interior(d) stands for the columns of head (+) degrees <= N-d (+) tail.
 
 
 def _sq(a: np.ndarray) -> float:
@@ -259,9 +274,9 @@ def _sq(a: np.ndarray) -> float:
     return float(np.vdot(a, a).real)
 
 
-def interior_frob(space: LiftSpace, d: int, *terms) -> float:
-    """||(sum of terms)[:, interior(d)]||_F from the blocks of LiftOperators:
-    a term (c, X) stands for c X, a term (c, X, Y) for c X* Y.
+def interior_frob(d: int, *terms) -> float:
+    """||(sum of terms)[:, interior(d)]||_F from the blocks of LiftOperators
+    on one space: a term (c, X) stands for c X, a term (c, X, Y) for c X* Y.
 
     With r^j from `hardy.phases`, Hardy column j of c X holds r_X^j c phi_k in
     the rows of degree j + k; that of c X* Y holds c r_Y^j conj(r_X)^l
@@ -272,6 +287,7 @@ def interior_frob(space: LiftSpace, d: int, *terms) -> float:
     r_Y conj(r_X), on the circle): those columns count as one column times
     their number.  Otherwise every column is summed.
     """
+    space = _require_blocks(*(op for _, *ops in terms for op in ops))
     n, f, h = space.hardy.max_degree, space.hardy.fiber_dim, space.head_dim
     last = n - d
     head = np.zeros((h, h), dtype=np.complex128)
@@ -334,18 +350,18 @@ def interior_frob(space: LiftSpace, d: int, *terms) -> float:
     return float(np.sqrt(total))
 
 
-def isometry_residual(v: LiftOperator, space: LiftSpace) -> float:
+def isometry_residual(v: LiftOperator) -> float:
     """||(V*V - I)[:, interior(1)]||_F: the Laurent sums of the symbol
     (`hardy.symbol_is_inner`) plus the head and column terms."""
+    space = v.space
     ident = LiftOperator(space, eye(space.head_dim), (),
                          TwistedSymbol(1.0, (eye(space.hardy.fiber_dim),)), eye(space.tail_dim))
-    return interior_frob(space, 1, (1.0, v, v), (-1.0, ident))
+    return interior_frob(1, (1.0, v, v), (-1.0, ident))
 
 
-def commutator_residual(x: LiftOperator, y: LiftOperator, c: complex,
-                        space: LiftSpace) -> float:
+def commutator_residual(x: LiftOperator, y: LiftOperator, c: complex) -> float:
     """||(X Y - c Y X)[:, interior(2)]||_F."""
-    return interior_frob(space, 2, (1.0, x @ y), (-c, y @ x))
+    return interior_frob(2, (1.0, x @ y), (-c, y @ x))
 
 
 def intertwining_residual(v: LiftOperator, pi: np.ndarray, t: np.ndarray) -> float:
@@ -369,7 +385,7 @@ def intertwining_residual(v: LiftOperator, pi: np.ndarray, t: np.ndarray) -> flo
     return opnorm(np.vstack([head, hardy_rows.reshape(-1, k), tail]))
 
 
-def interior_opnorm(v: LiftOperator, space: LiftSpace, d: int = 1) -> float:
+def interior_opnorm(v: LiftOperator, d: int = 1) -> float:
     """An upper bound for ||V[:, interior(d)]||_2 of an operator without a
     head (a pseudo triple's), read on the untruncated operator: the larger
     of the tail's norm (an SVD) and the certified upper bound of
@@ -379,7 +395,7 @@ def interior_opnorm(v: LiftOperator, space: LiftSpace, d: int = 1) -> float:
     (N < d) it is the tail's norm alone.
     """
     tail = opnorm(v.tail)
-    if space.hardy.max_degree < d:
+    if v.space.hardy.max_degree < d:
         return tail
     return max(tail, hardy.symbol_norm(v.symbol))
 
@@ -401,7 +417,6 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair) -> Report:
     pair, t = an.pair, an.product
     q = pair.q
     n = lift.trunc
-    space = lift.space
     tol = 1e-10
     rep = Report(f"lift-{lift.kind}", {"trunc": n, "tol": tol})
 
@@ -412,10 +427,10 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair) -> Report:
                   intertwining_residual(v, lift.pi, t_i), int_tol)
     for name, v in (("v1", v1), ("v2", v2)):
         rep.check(f"isometry-{name}", f"{name}*{name} = I on degrees <= N-1",
-                  isometry_residual(v, space), tol)
+                  isometry_residual(v), tol)
     v12 = lift.product
     rep.check("q-commute", "V1 V2 = q V2 V1 on degrees <= N-2",
-              interior_frob(space, 2, (1.0, v12), (-q, v2 @ v1)), tol)
+              interior_frob(2, (1.0, v12), (-q, v2 @ v1)), tol)
 
     if lift.kind == "schaffer":
         rep.check("pi-isometry", "Pi*Pi = I (inclusion)",
@@ -428,9 +443,9 @@ def verify_lift(lift: LiftRealization, pair: PairAnalysis | QPair) -> Report:
         rep.check("pi-energy",
                   "Pi*Pi = I - T^{N+1}T*^{N+1} + Q^2 (exact finite-N identity)",
                   frob(adj(lift.pi) @ lift.pi - gram_target), 1e-11)
-        vd = _diagonal(space, shift_symbol(space.hardy.fiber_dim), cp.wd)
+        vd = _diagonal(lift.space, shift_symbol(lift.space.hardy.fiber_dim), cp.wd)
         rep.check("product-structure", "V1 V2 = M_z (+) W_D on degrees <= N-2",
-                  interior_frob(space, 2, (1.0, v12), (-1.0, vd)), tol)
+                  interior_frob(2, (1.0, v12), (-1.0, vd)), tol)
         pi_d, gform = douglas_pseudo_lift(an, n)
         rep.check("gform-intertwine-1", "(M_{G1*+zG2}R_q (+) W1)* Pi_D = Pi_D T1*",
                   intertwining_residual(gform.w1, pi_d, pair.t1), int_tol)
@@ -478,17 +493,17 @@ def _sigma(s: float | None) -> str:
     return "none" if s is None else f"{s:.3e}"
 
 
-def _shape_residual(v: LiftOperator, space: LiftSpace) -> float:
+def _shape_residual(v: LiftOperator) -> float:
     """Frobenius distance, over all columns, of V from the block shape
     [[A, 0, 0], [E0 C, M_z, 0], [0, 0, W]] on head (+) TruncHardy(F, N) (+)
     tail, with A, the constant column C (degree 0 only) and W read from V:
     V's column above degree 0 is compared with 0, its symbol with z."""
-    shape = LiftOperator(space, v.head, v.column[:1], shift_symbol(space.hardy.fiber_dim),
+    shape = LiftOperator(v.space, v.head, v.column[:1], shift_symbol(v.space.hardy.fiber_dim),
                          v.tail)
-    return interior_frob(space, 0, (1.0, v), (-1.0, shape))
+    return interior_frob(0, (1.0, v), (-1.0, shape))
 
 
-def orbit_dimension(v: LiftOperator, pi: np.ndarray, space: LiftSpace) -> OrbitProof:
+def orbit_dimension(v: LiftOperator, pi: np.ndarray) -> OrbitProof:
     """Dimension of the orbit span{V^k Pi h}, proved from block shapes at
     dim-sized cost instead of grown on the lift space.
 
@@ -504,9 +519,14 @@ def orbit_dimension(v: LiftOperator, pi: np.ndarray, space: LiftSpace) -> OrbitP
       is span{z^j ran Pi_0 : j <= N} (+) tail, of dimension
       (N+1) rank Pi_0 + dim tail.
     A zero Pi has the zero orbit.  If a shape condition fails, the dimension
-    is left undecided.
+    is left undecided.  A Pi whose rows are not V's space raises
+    DimensionMismatchError.
     """
-    res = _shape_residual(v, space)
+    space = v.space
+    if pi.shape[0] != space.total_dim:
+        raise DimensionMismatchError(
+            f"Pi has {pi.shape[0]} rows, the lift space {space.total_dim}")
+    res = _shape_residual(v)
     norm = np.linalg.norm(pi, 2) if pi.size else 0.0
     if norm == 0.0:
         return OrbitProof(0, res, {})
@@ -558,7 +578,7 @@ def minimality_check(lift: LiftRealization) -> Report:
     full space dimension (the unreachable truncation slice is the gap between
     the last two) and the singular-value margin of every rank it used.
     """
-    proof = orbit_dimension(lift.product, lift.pi, lift.space)
+    proof = orbit_dimension(lift.product, lift.pi)
     rep = Report("minimality", {
         **proof.environment(),
         "reachable_dim": lift.reachable_dim,
@@ -602,7 +622,7 @@ def extract_ando_from_lift(lift: LiftRealization, pair: PairAnalysis | QPair):
     q, h_dim, f = pair.q, pair.dim, space.hardy.fiber_dim
     v = lift.product
     shifted = LiftOperator(space, v.head, v.column, shift_symbol(f), v.tail)
-    diag_res = interior_frob(space, 1, (1.0, v), (-1.0, shifted))
+    diag_res = interior_frob(1, (1.0, v), (-1.0, shifted))
     if diag_res > tol:
         raise NotModelFormError(
             f"Hardy diagonal of V1 V2 is not the shift: Frobenius residual {diag_res:.3e}")

@@ -328,7 +328,7 @@ def rank_gap(a: np.ndarray, rank_tol: float) -> tuple[int, float | None, float |
 def numerical_rank(a: np.ndarray, rank_tol: float | None = None) -> int:
     """Number of singular values of a above rank_tol times the largest one.
 
-    The cut is relative, unlike the absolute rank_tol of `orth_columns` and
+    The cut is relative, unlike the absolute cutoffs of `orth_columns` and
     `greedy_orbit_rank`; without rank_tol it is max(shape)·eps·s_max.
     """
     a = as_cmatrix(a)
@@ -342,21 +342,21 @@ def numerical_rank(a: np.ndarray, rank_tol: float | None = None) -> int:
     return int(np.sum(s > rank_tol))
 
 
-def greedy_orbit_rank(ops, seed_columns: np.ndarray, rank_tol: float = 1e-8) -> int:
+def greedy_orbit_rank(ops, seed_columns: np.ndarray) -> int:
     """Dimension of span{op_{i1}...op_{ik} seed} by greedy re-orthogonalization.
 
     Grows an orthonormal basis one application at a time, discarding
-    directions below rank_tol, for at most n + 1 rounds on C^n.  `ops` is a
-    single matrix or an iterable of them (joint orbit).  It measures the joint orbits of
-    `lifts.nonisolifts_fixture` and is the test oracle of the structured lift
-    minimality proof (`lifts.orbit_dimension`); its basis is an n x n buffer,
-    so the verifiers do not call it on the lift space.
+    directions below the absolute cutoff 1e-8, for at most n + 1 rounds on
+    C^n.  `ops` is a single matrix or an iterable of them (joint orbit).  It
+    measures the joint orbits of `lifts.nonisolifts_fixture` and is the test
+    oracle of the lift minimality proof (`lifts.orbit_dimension`); its basis
+    is an n x n buffer, so the verifiers do not call it on the lift space.
     """
     if isinstance(ops, np.ndarray):
         ops = [ops]
     ops = [as_cmatrix(o) for o in ops]
     n = seed_columns.shape[0]
-    frontier = orth_columns(seed_columns, rank_tol=rank_tol)
+    frontier = orth_columns(seed_columns, rank_tol=1e-8)
     # the basis fills the leading columns of one buffer; pages of columns
     # never written are never touched
     buf = np.empty((n, n), dtype=np.complex128, order="F")
@@ -371,13 +371,13 @@ def greedy_orbit_rank(ops, seed_columns: np.ndarray, rank_tol: float = 1e-8) -> 
         resid = images - basis @ (basis.T @ images.conj()).conj()
         # second projection pass guards against loss of orthogonality
         resid = resid - basis @ (basis.T @ resid.conj()).conj()
-        frontier = orth_columns(resid, rank_tol=rank_tol)
+        frontier = orth_columns(resid, rank_tol=1e-8)
         k = frontier.shape[1]
         if k == 0:
             break
         if r + k >= n:
             # the span is full; rounding can even leave more than n - r
-            # directions above the absolute rank_tol, and all of them count
+            # directions above the absolute cutoff, and all of them count
             return r + k
         buf[:, r:r + k] = frontier
         r += k

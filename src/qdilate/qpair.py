@@ -221,7 +221,7 @@ def parse_complex(text: str) -> complex:
         raise ParseError(f"bad complex literal {text!r}") from exc
 
 
-def from_spec(spec: str, seed: int = 0) -> QPair:
+def from_spec(spec: str) -> QPair:
     """Build a pair from a generator spec string.
 
     Grammar: name ":" key "=" value ("," key "=" value)*.  Supported names:

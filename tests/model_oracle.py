@@ -32,14 +32,13 @@ class TruncatedCompression:
     intertwine: tuple   # ||M_i* Pi - Pi T_i*|| on degrees <= N, i = 1, 2
 
 
-def truncated_compress(pair, n: int | None = None,
-                       tail_tol: float = 1e-10) -> TruncatedCompression:
+def truncated_compress(pair, n: int | None = None) -> TruncatedCompression:
     """Compress the model multipliers to ran Pi at truncation N (by default
-    the smallest N with ||T*^{N+1}|| < tail_tol, at least 4)."""
+    the smallest N with ||T*^{N+1}|| < 1e-10, at least 4)."""
     an = model.PairAnalysis.of(pair)
     pair, t = an.pair, an.product
     if n is None:
-        n = max(hardy.choose_trunc(t, tail_tol), 4)
+        n = max(hardy.choose_trunc(t), 4)
     fund = an.fundamental
     sym1, sym2 = model.model_symbols(pair.q, fund.g1, fund.g2)
     mat1 = csr_symbol(sym1, n)

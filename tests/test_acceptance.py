@@ -310,12 +310,10 @@ TOLERANCE_PARAMETERS = {
     ("cli._suite_triple", "tol"): "the CLI --tol",
     ("cli._suite_pseudo", "tol"): "the CLI --tol",
     ("cli._suite_model", "tol"): "the CLI --tol",
-    ("hardy.choose_trunc", "tail_tol"): "tests/model_oracle.py (truncated_compress)",
     ("hardy.choose_trunc", "max_degree"): "tests/test_hardy.py at 16",
     ("hardy.extract_symbol", "tol"): "tests/test_hardy.py (the planted-precondition test)",
-    ("matcore.greedy_orbit_rank", "rank_tol"): "tests/test_lifts.py (the orbit oracle)",
     ("matcore.numerical_rank", "rank_tol"): "tests/test_lifts.py and tests/test_matcore.py at 1e-8",
-    ("matcore.orth_columns", "rank_tol"): "matcore.greedy_orbit_rank",
+    ("matcore.orth_columns", "rank_tol"): "matcore.greedy_orbit_rank; verify_admissible at 1/2",
     ("matcore.power_limit", "tol"): "qpair.cnu_decompose at 1e-13",
     ("matcore.power_limit", "max_doublings"): "tests/test_matcore.py at 3",
     ("matcore.rank_gap", "rank_tol"): "lifts.orbit_dimension (lifts.RANK_TOL)",

@@ -191,7 +191,7 @@ def barely_expansive_triple(q, n):
     phi = TwistedSymbol(q, (np.full((1, 1), r), np.full((1, 1), r * np.exp(0.3j))))
     w1 = lifts.LiftOperator(space, empty, (), phi, empty)
     shift = lifts.LiftOperator(space, empty, (), shift_symbol(1), empty)
-    return lifts.PseudoTriple(q, space, w1, w1, shift, n)
+    return lifts.PseudoTriple(q, w1, w1, shift)
 
 
 def contraction_record(rep):
@@ -369,7 +369,7 @@ def test_block_formulas_match_dense_matrices(seed):
                 2.0 * dx.conj().T @ dx + (1.0 - 1j) * dy.conj().T @ dz + 0.3 * dz,
                 dx @ dy - q * dy @ dx]
         for terms, ref in zip(cases, refs):
-            got = lifts.interior_frob(space, d, *terms)
+            got = lifts.interior_frob(d, *terms)
             want = np.linalg.norm(ref[:, e])
             assert abs(got - want) <= 1e-12 * max(1.0, want), (d, terms, got, want)
     pi = rng.standard_normal((space.total_dim, 3)) + 0j
@@ -377,7 +377,7 @@ def test_block_formulas_match_dense_matrices(seed):
     for op, mat in zip(ops, dense):
         got, want = lifts.intertwining_residual(op, pi, t), intertwining(op, mat, pi, t)
         assert abs(got - want) <= 1e-12 * want, (got, want)
-        shape = lifts._shape_residual(op, space)
+        shape = lifts._shape_residual(op)
         assert abs(shape - dense_shape_residual(mat, space)) <= 1e-12 * shape
         if not space.head_dim:
             # the block route reads the untruncated operator: at least the
@@ -386,7 +386,7 @@ def test_block_formulas_match_dense_matrices(seed):
             oracle = max(np.linalg.norm(op.tail, 2) if op.tail.size else 0.0,
                          grid_norm(op.symbol))
             for d in (1, 2):
-                got = lifts.interior_opnorm(op, space, d)
+                got = lifts.interior_opnorm(op, d)
                 section = np.linalg.norm(mat[:, interior(space, d)], 2)
                 assert got >= section * (1 - 16 * EPS), (d, got, section)
                 assert abs(got - oracle) <= 1e-10 * oracle, (d, got, oracle)

@@ -369,10 +369,10 @@ class TestObservability:
 
     def test_choose_trunc(self):
         t = np.array([[0.5]], dtype=complex)
-        n = hardy.choose_trunc(t, 1e-10)
+        n = hardy.choose_trunc(t)
         assert 0.5 ** (n + 1) < 1e-10 <= 0.5 ** n
         with pytest.raises(TailTooLargeError):
-            hardy.choose_trunc(np.array([[1.0]], dtype=complex), 1e-10, max_degree=16)
+            hardy.choose_trunc(np.array([[1.0]], dtype=complex), max_degree=16)
 
 
 class TestExtract:

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import sys
@@ -11,7 +12,7 @@ import scipy.linalg
 
 import qdilate as qd
 from qdilate import cli, hardy, lifts, matcore, model, pseudolift, qpair
-from qdilate.errors import GeneratorError, NotModelFormError
+from qdilate.errors import DimensionMismatchError, GeneratorError, NotModelFormError
 from qdilate.matcore import adj, eye, frob, opnorm
 
 from conftest import rand_vec
@@ -195,7 +196,7 @@ class TestMinimality:
                 assert rec.passed, (i, kind, rec.note)
                 assert rec.note.startswith(f"orbit {predicted},"), (i, kind, rec.note)
                 seed = pi / np.linalg.norm(pi, 2)
-                assert matcore.greedy_orbit_rank(op, seed, 1e-8) == predicted, (i, kind)
+                assert matcore.greedy_orbit_rank(op, seed) == predicted, (i, kind)
                 assert dense_orbit_rank(op, pi, n) == predicted, (i, kind)
 
     def test_orbit_missing_the_predicted_space_fails(self):
@@ -607,3 +608,46 @@ class TestNonIsoLifts:
         by_id = {r.check_id: r for r in rep.records}
         assert by_id["b-doubly"].residual < 1e-12
         assert "discriminator" in by_id["a-not-doubly"].note
+
+
+class TestOneSpace:
+    """The lift helpers read the lift space from their operators, and
+    operators on two spaces raise DimensionMismatchError."""
+
+    @staticmethod
+    def two_spaces(other):
+        """(pi, triple) of clock-shift:n=2,scale=0.9 at N 6, and the same on
+        another space: N 12 at the same fiber, or the fiber-3 Douglas space
+        of a nilpotent pair at N 6."""
+        pair = qd.gen_clock_shift(2, 0.9)
+        other_pair, n = {"another-trunc": (pair, 12),
+                         "another-fiber": (qd.gen_nilpotent(3, 1j, 0.9, 0.8), 6)}[other]
+        return qd.douglas_pseudo_lift(pair, 6), qd.douglas_pseudo_lift(other_pair, n)
+
+    @pytest.mark.parametrize("other", ["another-trunc", "another-fiber"])
+    @pytest.mark.parametrize("call", [
+        lambda pi, tri, pi_o, tri_o: lifts.interior_frob(1, (1.0, tri.w1), (-1.0, tri_o.w1)),
+        lambda pi, tri, pi_o, tri_o: lifts.commutator_residual(tri.w1, tri_o.w, tri.q),
+        lambda pi, tri, pi_o, tri_o: tri.w1 @ tri_o.w,
+        lambda pi, tri, pi_o, tri_o: lifts.orbit_dimension(tri.w, pi_o),
+        lambda pi, tri, pi_o, tri_o: lifts.LiftRealization("douglas", pi, tri.w1, tri_o.w2, 0),
+        lambda pi, tri, pi_o, tri_o: lifts.PseudoTriple(tri.q, tri.w1, tri.w2, tri_o.w),
+    ], ids=["interior_frob", "commutator_residual", "product", "orbit_dimension",
+            "LiftRealization", "PseudoTriple"])
+    def test_operators_on_two_spaces_raise(self, call, other):
+        # a space of another N would read another section of the same
+        # blocks, one of another fiber blocks of the wrong shape
+        (pi, tri), (pi_o, tri_o) = self.two_spaces(other)
+        with pytest.raises(DimensionMismatchError):
+            call(pi, tri, pi_o, tri_o)
+
+    def test_no_helper_takes_a_space_next_to_its_operators(self):
+        # isometry_residual, interior_opnorm and _shape_residual take one
+        # operator and read its space, so they cannot be given a second one;
+        # _diagonal makes a LiftOperator from its space and blocks
+        takes_space = {f"{mod.__name__}.{name}"
+                       for mod in (lifts, pseudolift)
+                       for name, fn in inspect.getmembers(mod, inspect.isfunction)
+                       if fn.__module__ == mod.__name__
+                       and "space" in inspect.signature(fn).parameters}
+        assert takes_space == {"qdilate.lifts._diagonal"}

@@ -306,9 +306,9 @@ def hstack_orbit_rank(ops, seed_columns, rank_tol=1e-8):
     return basis.shape[1]
 
 
-def assert_same_rank(ops, seed, **kwargs):
-    got = matcore.greedy_orbit_rank(ops, seed, **kwargs)
-    assert got == hstack_orbit_rank(ops, seed, **kwargs)
+def assert_same_rank(ops, seed):
+    got = matcore.greedy_orbit_rank(ops, seed)
+    assert got == hstack_orbit_rank(ops, seed)
     return got
 
 

@@ -624,7 +624,7 @@ class TestAdmissible:
         pair = qd.gen_nilpotent(3, np.exp(1j), 0.9, 0.8)
         tri = qd.char_triple(pair)
         rep = qd.verify_admissible(tri.fundamental.g1, tri.fundamental.g2,
-                                   tri.theta_coeffs(6), 16, pair.q)
+                                   tri.theta_coeffs(6), pair.q)
         assert rep.overall, rep.summary_lines()
         cond2 = next(r for r in rep.records if r.check_id == "cond2-trivial-delta")
         assert cond2.residual < 1e-14
@@ -635,20 +635,19 @@ class TestAdmissible:
         # norms of its Laurent coefficients reads 1
         one = eye(1)
         coeffs = [0.5 * one] + [0 * one] * 63 + [0.5 * one]
-        rep = qd.verify_admissible(0 * one, 0 * one, coeffs, 70, 1.0 + 0j)
+        rep = qd.verify_admissible(0 * one, 0 * one, coeffs, 1.0 + 0j)
         cond2 = next(r for r in rep.records if r.check_id == "cond2-trivial-delta")
         assert not cond2.passed
         assert cond2.note == "boundary defect bound 1.000e+00"
 
     def test_shift_model_admissible(self):
         one = eye(1)
-        rep = qd.verify_admissible(0 * one, 0 * one, [0 * one, one], 12,
-                                   np.exp(2j))
+        rep = qd.verify_admissible(0 * one, 0 * one, [0 * one, one], np.exp(2j))
         assert rep.overall
 
     def test_expansive_rejected(self):
         one = eye(1)
-        rep = qd.verify_admissible(one, one, [0 * one, one], 12, np.exp(2j))
+        rep = qd.verify_admissible(one, one, [0 * one, one], np.exp(2j))
         by_id = {r.check_id: r for r in rep.records}
         assert not by_id["cond1-contractive"].passed
 
@@ -661,7 +660,7 @@ class TestAdmissible:
         sym = model.model_symbols(1.0 + 0j, np.conj(a) * one, b * one)[0]
         section = hardy.materialize(sym, 6).matrix[:, :6]
         assert np.linalg.norm(section, 2) < 0.98
-        rep = qd.verify_admissible(np.conj(a) * one, b * one, [0 * one, one], 6, 1.0 + 0j)
+        rep = qd.verify_admissible(np.conj(a) * one, b * one, [0 * one, one], 1.0 + 0j)
         cond1 = next(r for r in rep.records if r.check_id == "cond1-contractive")
         assert not cond1.passed
         # the sup norm is read from above, within 2 LEVEL_EPS (relative)
@@ -669,6 +668,38 @@ class TestAdmissible:
 
     def test_non_inner_theta_out_of_scope(self):
         one = eye(1)
-        rep = qd.verify_admissible(0 * one, 0 * one, [0.5 * one], 8, 1.0 + 0j)
+        rep = qd.verify_admissible(0 * one, 0 * one, [0.5 * one], 1.0 + 0j)
         assert not rep.overall
         assert any("scope" in r.anchor for r in rep.records)
+
+    def test_bumped_g1_fails_invariance_and_compression(self):
+        # a random block of norm 1e-6 on G1 of the admissible triple above
+        # moves Theta H^2 off an invariant subspace and breaks both product
+        # identities on the model space; cond1 and cond2 do not see it
+        pair = qd.gen_nilpotent(3, np.exp(1j), 0.9, 0.8)
+        tri = qd.char_triple(pair)
+        g1 = tri.fundamental.g1
+        rng = np.random.default_rng(0)
+        bump = rng.standard_normal(g1.shape) + 1j * rng.standard_normal(g1.shape)
+        bump *= 1e-6 / np.linalg.norm(bump, 2)
+        rep = qd.verify_admissible(g1 + bump, tri.fundamental.g2, tri.theta_coeffs(6), pair.q)
+        by_id = {r.check_id: r for r in rep.records}
+        assert by_id["cond1-contractive"].passed and by_id["cond2-trivial-delta"].passed
+        for cid in ("cond3-invariance", "cond4-q-commute", "cond4-product"):
+            assert by_id[cid].residual > 100 * by_id[cid].tolerance, (cid, by_id[cid].residual)
+
+    def test_non_square_theta_out_of_scope(self):
+        # Theta = (1, 0)^T is inner but not square: H^2 (-) Theta H^2 holds
+        # z^k (0, 1)^T for every k, so the model space is not finite-dimensional
+        one = eye(2)
+        rep = qd.verify_admissible(0 * one, 0 * one, [np.array([[1.0], [0.0]])], 1.0 + 0j)
+        last = rep.records[-1]
+        assert (last.check_id, last.passed) == ("cond2-trivial-delta", False)
+        assert "non-square" in last.anchor and "scope" in last.anchor
+
+    def test_constant_unitary_theta_has_an_empty_model_space(self):
+        rep = qd.verify_admissible(0 * eye(2), 0 * eye(2), [np.array([[0, 1], [1, 0]])], 1.0 + 0j)
+        by_id = {r.check_id: r for r in rep.records}
+        assert by_id["cond3-invariance"].residual == 0.0
+        assert by_id["cond4-compression"].skipped
+        assert by_id["cond4-compression"].note == "the model space is 0"

@@ -67,8 +67,7 @@ class TestAxiomViolations:
     def test_swap_breaks_linear_axiom(self):
         pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
         _, tri = pseudolift.douglas_pseudo_lift(pair, 10)
-        swapped = pseudolift.PseudoTriple(tri.q, tri.space, tri.w2, tri.w1,
-                                          tri.w, tri.trunc)
+        swapped = pseudolift.PseudoTriple(tri.q, tri.w2, tri.w1, tri.w)
         rep = pseudolift.is_pseudo_triple(swapped)
         by_id = {r.check_id: r for r in rep.records}
         assert by_id["axiom-iii"].residual > 0.1
@@ -79,7 +78,7 @@ class TestAxiomViolations:
         w2 = tri.w2
         zero = dataclasses.replace(w2, symbol=hardy.TwistedSymbol(
             w2.symbol.rot, tuple(0 * c for c in w2.symbol.coeffs)), tail=0 * w2.tail)
-        cand = pseudolift.PseudoTriple(tri.q, tri.space, tri.w1, zero, tri.w, tri.trunc)
+        cand = pseudolift.PseudoTriple(tri.q, tri.w1, zero, tri.w)
         rep = pseudolift.is_pseudo_triple(cand)
         by_id = {r.check_id: r for r in rep.records}
         # axiom iii residual is exactly ||W1|| on the interior block
@@ -120,8 +119,7 @@ class TestAxiomViolations:
         c0[0, 0] += 0.1
         w1_bad = dataclasses.replace(tri.w1, symbol=hardy.TwistedSymbol(
             sym.rot, (c0, *sym.coeffs[1:])))
-        bad = pseudolift.PseudoTriple(tri.q, tri.space, w1_bad, tri.w2, tri.w,
-                                      tri.trunc)
+        bad = pseudolift.PseudoTriple(tri.q, w1_bad, tri.w2, tri.w)
         rep = pseudolift.is_pseudo_lift(pi, bad, pair)
         assert not rep.overall
 
@@ -131,7 +129,7 @@ class TestAxiomViolations:
         pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
         lift = qd.schaffer_lift(pair, qd.special_ando_tuple(pair), 6)
         with pytest.raises(NotModelFormError, match="no head"):
-            pseudolift.PseudoTriple(pair.q, lift.space, lift.v1, lift.v2, lift.product, 6)
+            pseudolift.PseudoTriple(pair.q, lift.v1, lift.v2, lift.product)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rigidity_perturbation(self, seed):
@@ -203,7 +201,7 @@ class TestUniqueness:
         # nilpotent pair fiber 3: a typed error before any residual
         pair = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
         _, other = pseudolift.douglas_pseudo_lift(qd.gen_clock_shift(2, 0.9), 6)
-        with pytest.raises(DimensionMismatchError, match="Douglas space"):
+        with pytest.raises(DimensionMismatchError, match="different spaces"):
             pseudolift.uniqueness_test(pair, other)
 
     def test_model_triple_accepted(self):
