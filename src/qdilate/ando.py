@@ -155,8 +155,9 @@ def star_ando_tuple(pair: QPair) -> AndoTuple:
     return special_ando_tuple(adjoint_pair(pair))
 
 
-def verify_prop1(tup: AndoTuple, pair: QPair, tol: float = 1e-10) -> Report:
+def verify_prop1(tup: AndoTuple, pair: QPair) -> Report:
     """Residuals of the four structural identities of the forward tuple."""
+    tol = 1e-9
     rep = Report("ando-prop1", {"tol": tol})
     n = pair.dim
     ell = tup.lam_dt()
@@ -174,8 +175,9 @@ def verify_prop1(tup: AndoTuple, pair: QPair, tol: float = 1e-10) -> Report:
     return rep
 
 
-def verify_prop2(star_tup: AndoTuple, pair: QPair, tol: float = 1e-10) -> Report:
+def verify_prop2(star_tup: AndoTuple, pair: QPair) -> Report:
     """Residuals of the two adjoint-side identities of the starred tuple."""
+    tol = 1e-9
     rep = Report("ando-prop2", {"tol": tol})
     q = pair.q
     t_star = adj(pair.product())

@@ -71,15 +71,15 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _suite_ando(an, n, tol):
-    rep = Report("ando", {"tol": tol})
+def _suite_ando(an, n):
+    rep = Report("ando")
     rep.merge(ando.verify_tuple_invariants(an.tup, an.pair))
-    rep.merge(ando.verify_prop1(an.tup, an.pair, tol), prefix="fwd-")
-    rep.merge(ando.verify_prop2(an.star, an.pair, tol), prefix="star-")
+    rep.merge(ando.verify_prop1(an.tup, an.pair), prefix="fwd-")
+    rep.merge(ando.verify_prop2(an.star, an.pair), prefix="star-")
     return rep
 
 
-def _suite_schaffer(an, n, tol):
+def _suite_schaffer(an, n):
     lift = lifts.schaffer_lift(an.pair, an.tup, n)
     rep = lifts.verify_lift(lift, an)
     rep.merge(lifts.minimality_check(lift))
@@ -88,15 +88,15 @@ def _suite_schaffer(an, n, tol):
     return rep
 
 
-def _suite_douglas(an, n, tol):
+def _suite_douglas(an, n):
     lift = lifts.douglas_lift(an, n)
     rep = lifts.verify_lift(lift, an)
     rep.merge(lifts.minimality_check(lift))
     return rep
 
 
-def _suite_fundamental(an, n, tol):
-    rep = Report("fundamental", {"tol": tol})
+def _suite_fundamental(an, n):
+    rep = Report("fundamental")
     fund = an.fundamental
     rep.check("fundamental-equations",
               "D_{T*} G_i D_{T*} matches the defining right-hand sides",
@@ -110,24 +110,24 @@ def _suite_fundamental(an, n, tol):
     return rep
 
 
-def _suite_canonical(an, n, tol):
+def _suite_canonical(an, n):
     return model.verify_canonical_pair(an.canonical, an.pair)
 
 
-def _suite_triple(an, n, tol):
+def _suite_triple(an, n):
     return model.verify_triple(an)
 
 
-def _suite_pseudo(an, n, tol):
+def _suite_pseudo(an, n):
     pi, triple = pseudolift.douglas_pseudo_lift(an, n)
-    rep = pseudolift.is_pseudo_triple(triple, tol)
-    rep.merge(pseudolift.is_pseudo_lift(pi, triple, an, tol), prefix="lift-")
-    rep.merge(pseudolift.taylor_rigidity(triple, an, tol), prefix="taylor-")
+    rep = pseudolift.is_pseudo_triple(triple)
+    rep.merge(pseudolift.is_pseudo_lift(pi, triple, an), prefix="lift-")
+    rep.merge(pseudolift.taylor_rigidity(triple, an), prefix="taylor-")
     return rep
 
 
-def _suite_model(an, n, tol):
-    rep = Report("model", {"tol": tol})
+def _suite_model(an, n):
+    rep = Report("model")
     try:
         comp = model.model_compress(an)
     except NotCnuError as exc:
@@ -165,7 +165,7 @@ def cmd_verify(args) -> int:
     an = model.PairAnalysis(pair)
     for s in suites:
         try:
-            rep = _SUITE_FNS[s](an, args.trunc, args.tol)
+            rep = _SUITE_FNS[s](an, args.trunc)
             master.merge(rep, prefix=f"{s}/")
         except QDilateError as exc:
             master.require(f"{s}/error", f"suite {s} raised", False, note=str(exc))
@@ -241,10 +241,10 @@ def cmd_lift(args) -> int:
     an = model.PairAnalysis(pair)
     if args.kind == "schaffer":
         tup = an.tup
-        rep = _suite_schaffer(an, args.trunc, args.tol)
+        rep = _suite_schaffer(an, args.trunc)
     else:
         tup = an.star
-        rep = _suite_douglas(an, args.trunc, args.tol)
+        rep = _suite_douglas(an, args.trunc)
     if args.dump_ando:
         Path(args.dump_ando).write_text(dumps(tup.to_json()), encoding="utf-8")
     return _emit(rep, args.report)
@@ -256,11 +256,11 @@ def cmd_pseudo(args) -> int:
         return rc
     an = model.PairAnalysis(pair)
     pi, triple = pseudolift.douglas_pseudo_lift(an, args.trunc)
-    rep = pseudolift.is_pseudo_triple(triple, args.tol)
-    rep.merge(pseudolift.is_pseudo_lift(pi, triple, an, args.tol), prefix="lift-")
+    rep = pseudolift.is_pseudo_triple(triple)
+    rep.merge(pseudolift.is_pseudo_lift(pi, triple, an), prefix="lift-")
     if args.perturb:
         bad = pseudolift.perturbed_triple(triple, args.perturb, seed=args.seed)
-        bad_rep = pseudolift.is_pseudo_triple(bad, args.tol)
+        bad_rep = pseudolift.is_pseudo_triple(bad)
         rep.require("perturbation-rejected",
                     f"perturbation of norm {args.perturb} of W1's degree-0 symbol "
                     "coefficient (its tail without a Hardy part) violates the axioms",
@@ -291,10 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trunc", type=int, default=hardy.DEFAULT_TRUNC,
                        help="Hardy truncation degree (default 24)")
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="tolerance of pair validation, of the ando suite's "
-                            "prop1/prop2 checks and of the pseudo suite and "
-                            "command; every other check keeps the fixed "
-                            "tolerance its report record carries (default 1e-9)")
+                       help="tolerance of pair validation only; every check "
+                            "keeps the fixed tolerance its report record "
+                            "carries (default 1e-9)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if pair_arg:

@@ -135,8 +135,9 @@ class PairAnalysis:
 
     It also keeps the Douglas pseudo lift of each N that the douglas and
     pseudo suites share (in block form, O(dim^2) per block, plus the dense
-    D x dim embedding).  The builders that read these objects accept either
-    a bare QPair or an analysis, through `of`.
+    D x dim embedding), with the W1 and W2 intertwining residuals that both
+    suites report (`lifts.pseudo_intertwining`).  The functions that read
+    these objects accept either a bare QPair or an analysis, through `of`.
     """
 
     pair: QPair

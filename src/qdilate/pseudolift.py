@@ -28,6 +28,7 @@ from .lifts import (
     intertwining_residual,
     isometry_residual,
     orbit_dimension,
+    pseudo_intertwining,
 )
 from .matcore import adj, frob, opnorm
 from .model import PairAnalysis
@@ -35,8 +36,9 @@ from .qpair import QPair
 from .report import Report
 
 
-def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
-    """Per-axiom residuals of the pseudo-triple conditions.
+def is_pseudo_triple(triple: PseudoTriple) -> Report:
+    """Per-axiom residuals of the pseudo-triple conditions, each gated at the
+    fixed 1e-9.
 
     Degree budgets: contractivity and the linear axiom consume one degree,
     the two twisted commutations consume two.  Contractivity gates the
@@ -48,10 +50,11 @@ def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
     bound for ||phi||_inf of `hardy.symbol_norm`, which no finite section
     exceeds.  A symbol of norm exactly 1 reads about 2e-12 there.
     """
+    tol = 1e-9
     rep = Report("pseudo-triple", {"trunc": triple.trunc, "tol": tol})
     q, w1, w2, w = triple.q, triple.w1, triple.w2, triple.w
     rep.check("axiom-i-contractions", "||W1||, ||W2|| <= 1",
-              max(0.0, max(interior_opnorm(w1), interior_opnorm(w2)) - 1.0), 1e-9)
+              max(0.0, max(interior_opnorm(w1), interior_opnorm(w2)) - 1.0), tol)
     rep.check("axiom-i-isometry", "W*W = I on degrees <= N-1", isometry_residual(w), tol)
     rep.check("axiom-ii-w1", "W1 W = q W W1 on degrees <= N-2",
               commutator_residual(w1, w, q), tol)
@@ -62,20 +65,21 @@ def is_pseudo_triple(triple: PseudoTriple, tol: float = 1e-9) -> Report:
     return rep
 
 
-def is_pseudo_lift(pi: np.ndarray, triple: PseudoTriple, pair: PairAnalysis | QPair,
-                   tol: float = 1e-9) -> Report:
+def is_pseudo_lift(pi: np.ndarray, triple: PseudoTriple, pair: PairAnalysis | QPair) -> Report:
     """Lift intertwinings plus minimality of (Pi, W).  The intertwinings are
     read on the rows where W_i* Pi reads only blocks of Pi that exist
-    (`lifts.intertwining_residual`), where they hold exactly.  The orbit
-    dimension of W on Pi, proved from the block shapes by
-    `lifts.orbit_dimension`, must be the whole lift space,
-    (N+1) dim ran D_{T*} + dim ran Q, the minimal dilation space."""
+    (`lifts.intertwining_residual`), where they hold exactly, and are gated
+    at the fixed 1e-9; on the analysis' cached Douglas pseudo lift, W1's and
+    W2's are the residuals the douglas suite reports too
+    (`lifts.pseudo_intertwining`).  The orbit dimension of W on Pi, proved
+    from the block shapes by `lifts.orbit_dimension`, must be the whole lift
+    space, (N+1) dim ran D_{T*} + dim ran Q, the minimal dilation space."""
     an = PairAnalysis.of(pair)
-    pair, t = an.pair, an.product
+    tol = 1e-9
     rep = Report("pseudo-lift", {"trunc": triple.trunc, "tol": tol})
-    rep.check("lift-w1", "W1* Pi = Pi T1*", intertwining_residual(triple.w1, pi, pair.t1), tol)
-    rep.check("lift-w2", "W2* Pi = Pi T2*", intertwining_residual(triple.w2, pi, pair.t2), tol)
-    rep.check("lift-w", "W* Pi = Pi T*", intertwining_residual(triple.w, pi, t), tol)
+    rep.check("lift-w1", "W1* Pi = Pi T1*", pseudo_intertwining(an, pi, triple, 1), tol)
+    rep.check("lift-w2", "W2* Pi = Pi T2*", pseudo_intertwining(an, pi, triple, 2), tol)
+    rep.check("lift-w", "W* Pi = Pi T*", intertwining_residual(triple.w, pi, an.product), tol)
     proof = orbit_dimension(triple.w, pi)
     rep.environment.update(proof.environment())
     full = triple.space.total_dim
@@ -98,9 +102,9 @@ def uniqueness_test(pair: QPair, candidate: PseudoTriple) -> Report:
     rep = Report("pseudo-uniqueness", {"trunc": candidate.trunc, "tol": tol})
     same_w = rep.check("same-douglas-isometry", "candidate W equals V_D",
                        interior_frob(1, (1.0, candidate.w), (-1.0, ref.w)), tol)
-    axioms = is_pseudo_triple(candidate, tol)
+    axioms = is_pseudo_triple(candidate)
     rep.merge(axioms, prefix="candidate-")
-    lift_rep = is_pseudo_lift(pi_d, candidate, an, tol)
+    lift_rep = is_pseudo_lift(pi_d, candidate, an)
     rep.merge(lift_rep, prefix="candidate-")
     if same_w and axioms.overall and lift_rep.overall:
         rep.check("uniqueness-w1", "W1 = W1_D on degrees <= N-1",
@@ -132,10 +136,11 @@ def perturbed_triple(triple: PseudoTriple, eps: float, seed: int = 0) -> PseudoT
     return replace(triple, w1=w1)
 
 
-def taylor_rigidity(triple: PseudoTriple, pair: PairAnalysis | QPair,
-                    tol: float = 1e-9) -> Report:
+def taylor_rigidity(triple: PseudoTriple, pair: PairAnalysis | QPair) -> Report:
     """Read the Hardy-block symbols of a passing triple and match them to
-    the fundamental operators: phi1 = G1* + z G2, phi2 = G2* + qbar z G1."""
+    the fundamental operators: phi1 = G1* + z G2, phi2 = G2* + qbar z G1.
+    Every residual is gated at the fixed 1e-9."""
+    tol = 1e-9
     rep = Report("taylor-rigidity", {"trunc": triple.trunc, "tol": tol})
     q, n = triple.q, triple.trunc
     fund = PairAnalysis.of(pair).fundamental

@@ -35,8 +35,8 @@ def test_criterion_1_ando_tuples(corpus):
     for name, pair, _ in corpus:
         tup = qd.special_ando_tuple(pair)
         star = qd.star_ando_tuple(pair)
-        r1 = qd.verify_prop1(tup, pair, tol=1e-10)
-        r2 = qd.verify_prop2(star, pair, tol=1e-10)
+        r1 = qd.verify_prop1(tup, pair)
+        r2 = qd.verify_prop2(star, pair)
         worst = max(worst, r1.worst(), r2.worst())
         if not (r1.overall and r2.overall):
             conclude(1, "tuple identities on the corpus", False, name)
@@ -269,7 +269,7 @@ def test_criterion_9_pseudo_uniqueness(corpus):
     worst_taylor = 0.0
     for name, pair, _ in corpus[::4]:
         _, tri = pseudolift.douglas_pseudo_lift(pair, n)
-        rep = pseudolift.taylor_rigidity(tri, pair, tol=1e-9)
+        rep = pseudolift.taylor_rigidity(tri, pair)
         taylor_ok &= rep.overall
         worst_taylor = max(worst_taylor, rep.worst())
     ok = axiom_ok and reject_ok and taylor_ok
@@ -298,18 +298,7 @@ def test_criterion_10_two_lifts_demo():
 # a literal at its check (or a module constant), not a parameter no caller
 # sets: a new one must name its caller here.
 TOLERANCE_PARAMETERS = {
-    ("ando.verify_prop1", "tol"): "the CLI --tol (ando suite); tests/test_ando.py at 1e-12",
-    ("ando.verify_prop2", "tol"): "the CLI --tol (ando suite); tests/test_ando.py at 1e-12",
     ("cli._load_pair", "tol"): "the CLI --tol (pair validation)",
-    # every suite of the verify table takes the CLI --tol, used or not
-    ("cli._suite_ando", "tol"): "the CLI --tol",
-    ("cli._suite_schaffer", "tol"): "the CLI --tol",
-    ("cli._suite_douglas", "tol"): "the CLI --tol",
-    ("cli._suite_fundamental", "tol"): "the CLI --tol",
-    ("cli._suite_canonical", "tol"): "the CLI --tol",
-    ("cli._suite_triple", "tol"): "the CLI --tol",
-    ("cli._suite_pseudo", "tol"): "the CLI --tol",
-    ("cli._suite_model", "tol"): "the CLI --tol",
     ("hardy.choose_trunc", "max_degree"): "tests/test_hardy.py at 16",
     ("hardy.extract_symbol", "tol"): "tests/test_hardy.py (the planted-precondition test)",
     ("matcore.numerical_rank", "rank_tol"): "tests/test_lifts.py and tests/test_matcore.py at 1e-8",
@@ -317,9 +306,6 @@ TOLERANCE_PARAMETERS = {
     ("matcore.power_limit", "tol"): "qpair.cnu_decompose at 1e-13",
     ("matcore.power_limit", "max_doublings"): "tests/test_matcore.py at 3",
     ("matcore.rank_gap", "rank_tol"): "lifts.orbit_dimension (lifts.RANK_TOL)",
-    ("pseudolift.is_pseudo_triple", "tol"): "the CLI --tol (pseudo suite and command)",
-    ("pseudolift.is_pseudo_lift", "tol"): "the CLI --tol (pseudo suite and command)",
-    ("pseudolift.taylor_rigidity", "tol"): "the CLI --tol (pseudo suite)",
     ("qpair.validate", "tol"): "the CLI --tol, through qpair.pair_from_json",
     ("qpair.pair_from_json", "tol"): "the CLI --tol (cli._load_pair)",
 }

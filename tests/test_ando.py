@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qdilate as qd
-from qdilate import ando
+from qdilate import ando, cli, model
 from qdilate.matcore import adj, eye, frob
 
 from conftest import rand_vec
@@ -67,25 +69,25 @@ class TestStructuralIdentities:
     def test_zero_pair_exact(self):
         pair = zero_pair()
         tup = qd.special_ando_tuple(pair)
-        rep = qd.verify_prop1(tup, pair, tol=1e-12)
-        assert rep.overall, rep.summary_lines()
+        rep = qd.verify_prop1(tup, pair)
+        assert rep.overall and rep.worst() <= 1e-12, rep.summary_lines()
         star = qd.star_ando_tuple(pair)
-        rep2 = qd.verify_prop2(star, pair, tol=1e-12)
-        assert rep2.overall, rep2.summary_lines()
+        rep2 = qd.verify_prop2(star, pair)
+        assert rep2.overall and rep2.worst() <= 1e-12, rep2.summary_lines()
 
     def test_unitary_pair_collapse(self):
         pair = qd.gen_clock_shift(3, 1.0)
         tup = qd.special_ando_tuple(pair)
-        rep = qd.verify_prop1(tup, pair, tol=1e-12)
-        assert rep.overall
+        rep = qd.verify_prop1(tup, pair)
+        assert rep.overall and rep.worst() <= 1e-12
 
     def test_conjugated_nilpotent(self):
         base = qd.gen_nilpotent(3, 1j, 0.9, 0.8)
         pair, _ = qd.gen_conjugated(base, seed=3)
         tup = qd.special_ando_tuple(pair)
-        assert qd.verify_prop1(tup, pair, tol=1e-10).overall
         star = qd.star_ando_tuple(pair)
-        assert qd.verify_prop2(star, pair, tol=1e-10).overall
+        for rep in (qd.verify_prop1(tup, pair), qd.verify_prop2(star, pair)):
+            assert rep.overall and rep.worst() <= 1e-10
 
     def test_star_tuple_shapes(self):
         pair = zero_pair()
@@ -98,8 +100,8 @@ class TestStructuralIdentities:
         for name, p, _ in corpus:
             tup = qd.special_ando_tuple(p)
             star = qd.star_ando_tuple(p)
-            assert qd.verify_prop1(tup, p, tol=1e-10).overall, name
-            assert qd.verify_prop2(star, p, tol=1e-10).overall, name
+            for rep in (qd.verify_prop1(tup, p), qd.verify_prop2(star, p)):
+                assert rep.overall and rep.worst() <= 1e-10, name
 
     def test_star_defect_matches_product_adjoint(self):
         # the starred tuple's product defect is D_{T*} for T = T1 T2
@@ -117,3 +119,37 @@ class TestJson:
         obj = tup.to_json()
         assert obj["e_dim"] == 0
         assert obj["lambda"]["rows"] == tup.f_dim
+
+
+class TestPropGates:
+    """The six prop1/prop2 ids of the ando suite are gated at the fixed
+    1e-9: a random bump of Lambda (of the forward tuple for prop1, of the
+    starred one for prop2) of spectral norm 100 x the gate fails each of
+    them, one of norm 1e-12 fails none."""
+
+    IDS = {"tup": ("fwd-prop1-t1", "fwd-prop1-t2", "fwd-prop1-third-a", "fwd-prop1-third-b"),
+           "star": ("star-prop2-t1", "star-prop2-t2")}
+
+    @staticmethod
+    def bumped_records(pair, which, eps):
+        """The ando suite's records with Lambda of the analysis' tuple
+        `which` bumped by a random block of spectral norm eps (seed 0)."""
+        an = model.PairAnalysis(pair)
+        tup = getattr(an, which)
+        rng = np.random.default_rng(0)
+        block = rng.standard_normal(tup.lam.shape) + 1j * rng.standard_normal(tup.lam.shape)
+        an.__dict__[which] = dataclasses.replace(
+            tup, lam=tup.lam + eps * block / np.linalg.norm(block, 2))
+        return {r.check_id: r for r in cli._SUITE_FNS["ando"](an, 12).records}
+
+    @pytest.mark.parametrize("which", ["tup", "star"])
+    @pytest.mark.parametrize("pair", [
+        qd.gen_nilpotent(3, -1, 0.9, 0.8),
+        qd.gen_conjugated(qd.gen_clock_shift(3, 0.9), 1)[0],
+    ], ids=["nilpotent", "conjugated-clock-shift"])
+    def test_bump_of_lambda(self, pair, which):
+        for eps, fails in ((1e-7, True), (1e-12, False)):
+            rec = self.bumped_records(pair, which, eps)
+            for cid in self.IDS[which]:
+                assert rec[cid].tolerance == 1e-9
+                assert rec[cid].passed is not fails, (eps, cid, rec[cid].residual)

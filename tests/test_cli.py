@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdilate as qd
-from qdilate import ando, cli, hardy, lifts, matcore, model, qpair
+from qdilate import ando, cli, hardy, lifts, matcore, model, pseudolift, qpair
 from qdilate.cli import main
 
 
@@ -183,6 +183,41 @@ class TestVerify:
         assert run(["verify", "--pair", pair_file, "--trunc", 8, "--out", out]) == 0
         assert (len(obs_builds), len(pseudo_builds)) == (1, 1)
 
+    def test_tol_moves_no_gate(self, tmp_path):
+        # --tol is the tolerance of pair validation only: every record of
+        # verify reads as in the default run
+        path = tmp_path / "p.json"
+        run(["gen", "nilpotent:n=3,q=-1,c=0.9,d=0.8", "--out", path])
+        records = []
+        for tol in ([], ["--tol", "1e-3"]):
+            out = tmp_path / "rep.json"
+            assert run(["verify", "--pair", path, "--trunc", 12, *tol, "--out", out]) == 0
+            records.append([(r["id"], r["tolerance"], r["pass"], r["residual"])
+                            for r in json.loads(out.read_text())["records"]])
+        assert len(records[0]) == 73 and records[0] == records[1]
+
+    def test_shared_intertwinings_computed_once(self, pair_file, tmp_path, monkeypatch):
+        # gform-intertwine-i of the douglas suite and lift-lift-wi of the
+        # pseudo suite are one residual on the cached Douglas pseudo lift:
+        # 2 schaffer + 2 douglas + 2 shared + lift-lift-w
+        calls = []
+        residual = lifts.intertwining_residual
+
+        def counted(*args):
+            calls.append(1)
+            return residual(*args)
+
+        monkeypatch.setattr(lifts, "intertwining_residual", counted)
+        monkeypatch.setattr(pseudolift, "intertwining_residual", counted)
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--pair", pair_file, "--suites", "schaffer,douglas,pseudo",
+                    "--trunc", 8, "--out", out]) == 0
+        assert len(calls) == 7
+        rec = {r["id"]: r for r in json.loads(out.read_text())["records"]}
+        for i in (1, 2):
+            assert (rec[f"douglas/gform-intertwine-{i}"]["residual"]
+                    == rec[f"pseudo/lift-lift-w{i}"]["residual"])
+
     def test_unitary_part_computed_once(self, pair_file, tmp_path, monkeypatch):
         # the cnu split is the one place that takes the power limit: the
         # canonical pair and the triple read its Q, and no eigendecomposition
@@ -325,12 +360,17 @@ class TestOtherCommands:
         ids = {r["id"]: r for r in rep["records"]}
         assert ids["perturbation-rejected"]["pass"] is True
 
-    def test_pseudo_applies_tol(self, tmp_path):
-        # exactly q-commuting, so --tol 1e-30 passes validation and reaches the axioms
-        path = tmp_path / "p.json"
+    def test_pseudo_tol_sets_no_gate(self, tmp_path):
+        # exactly q-commuting, so --tol 1e-30 passes validation; the axioms
+        # and intertwinings keep their fixed 1e-9
+        path, out = tmp_path / "p.json", tmp_path / "ps.json"
         run(["gen", "nilpotent:n=3,q=-1,c=0.9,d=0.8", "--out", path])
-        assert run(["pseudo", "--pair", path, "--trunc", 10]) == 0
-        assert run(["pseudo", "--pair", path, "--trunc", 10, "--tol", "1e-30"]) == 1
+        assert run(["pseudo", "--pair", path, "--trunc", 10, "--tol", "1e-30",
+                    "--out", out]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["environment"]["tol"] == 1e-9
+        gated = [r for r in rep["records"] if r["id"] != "lift-minimality"]
+        assert len(gated) == 8 and all(r["tolerance"] == 1e-9 for r in gated)
 
     def test_demo(self, tmp_path):
         out = tmp_path / "demo.json"

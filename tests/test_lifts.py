@@ -473,10 +473,11 @@ class TestFrobeniusGates:
         w = lift_matrix(scaled_w.w)
         spectral_norm = np.linalg.norm((adj(w) @ w - eye(w.shape[0]))[:, e1], 2)
         assert spectral_norm < tol
-        rec = {r.check_id: r for r in pseudolift.is_pseudo_triple(scaled_w, tol).records}
+        rec = {r.check_id: r for r in pseudolift.is_pseudo_triple(scaled_w).records}
+        assert rec["axiom-i-isometry"].tolerance == tol
         assert not rec["axiom-i-isometry"].passed
         assert abs(rec["axiom-i-isometry"].residual - excess * np.sqrt(len(e1))) <= 1e-3 * tol
-        assert pseudolift.is_pseudo_triple(tri, tol).overall
+        assert pseudolift.is_pseudo_triple(tri).overall
 
 
 class TestSymbolLevelProduct:
@@ -640,6 +641,18 @@ class TestOneSpace:
         (pi, tri), (pi_o, tri_o) = self.two_spaces(other)
         with pytest.raises(DimensionMismatchError):
             call(pi, tri, pi_o, tri_o)
+
+    @pytest.mark.parametrize("other", ["another-trunc", "another-fiber", "another-dimension"])
+    def test_intertwining_residual_on_another_pi_or_t_raises(self, other):
+        # W1 of clock-shift:n=2,scale=0.9 at N 6 against the Pi of N 12, the
+        # Pi of a fiber-3 Douglas space, or a T of dimension 3
+        pair, nilpotent = qd.gen_clock_shift(2, 0.9), qd.gen_nilpotent(3, -1, 0.9, 0.8)
+        pi, tri = qd.douglas_pseudo_lift(pair, 6)
+        pi, t = {"another-trunc": (qd.douglas_pseudo_lift(pair, 12)[0], pair.t1),
+                 "another-fiber": (qd.douglas_pseudo_lift(nilpotent, 6)[0], pair.t1),
+                 "another-dimension": (pi, nilpotent.t1)}[other]
+        with pytest.raises(DimensionMismatchError):
+            lifts.intertwining_residual(tri.w1, pi, t)
 
     def test_no_helper_takes_a_space_next_to_its_operators(self):
         # isometry_residual, interior_opnorm and _shape_residual take one

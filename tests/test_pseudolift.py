@@ -163,7 +163,7 @@ class TestIntertwiningGates:
                     pseudolift.is_pseudo_lift(*pseudolift.douglas_pseudo_lift(an, n), an)):
             assert rep.overall and rep.worst() < 1e-13
         pi, tri = bump(*pseudolift.douglas_pseudo_lift(an, n))
-        an.pseudo_lifts[n] = pi, tri
+        an.pseudo_lifts[n] = pi, tri, {}
         tail = 10.0 * hardy.defect_tail_norm(an.product, n)
         return pseudolift.is_pseudo_lift(pi, tri, an), qd.verify_lift(lift, an), tail
 
