@@ -3,7 +3,7 @@ characteristic-function grids, demos.
 
 Exit codes: 0 all checks pass, 1 a check or pair validation failed,
 2 unreadable or malformed input.  Reports are JSON with sorted keys so a
-fixed (input, seed, trunc, tol) always produces identical bytes.
+fixed input and options always produce identical bytes.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -155,13 +156,15 @@ def cmd_verify(args) -> int:
     if pair is None:
         return rc
     suites = args.suites.split(",") if args.suites else list(SUITES)
-    for s in suites:
+    for k, s in enumerate(suites):
         if s not in _SUITE_FNS:
             print(f"error: unknown suite {s!r}; choose from {','.join(SUITES)}",
                   file=sys.stderr)
             return 2
-    master = Report("verify", {"trunc": args.trunc, "tol": args.tol,
-                               "seed": args.seed, "suites": suites})
+        if s in suites[:k]:
+            print(f"error: suite {s!r} named twice", file=sys.stderr)
+            return 2
+    master = Report("verify", {"trunc": args.trunc, "tol": args.tol, "suites": suites})
     an = model.PairAnalysis(pair)
     for s in suites:
         try:
@@ -247,7 +250,7 @@ def cmd_lift(args) -> int:
         rep = _suite_douglas(an, args.trunc)
     if args.dump_ando:
         Path(args.dump_ando).write_text(dumps(tup.to_json()), encoding="utf-8")
-    return _emit(rep, args.report)
+    return _emit(rep, args.out)
 
 
 def cmd_pseudo(args) -> int:
@@ -277,6 +280,38 @@ def cmd_demo(args) -> int:
     return _emit(rep, args.out)
 
 
+# Every option of a command, written once: its argparse keywords and the
+# range `main` checks a given value against, as (test, rule) or None.  Each
+# command in `build_parser` names the options it reads, so none declares an
+# option it never reads.
+_OPTIONS = {
+    "spec": ({"help": 'e.g. "clock-shift:n=4,scale=0.9" or '
+                      '"nilpotent:n=3,q=0.5403+0.8415i,c=0.9,d=0.9"'}, None),
+    "--pair": ({"required": True, "help": "pair JSON file"}, None),
+    "--trunc": ({"type": int, "default": hardy.DEFAULT_TRUNC,
+                 "help": "Hardy truncation degree, at least 0 (default 24)"},
+                (lambda v: v >= 0, "at least 0")),
+    "--tol": ({"type": float, "default": 1e-9,
+               "help": "tolerance of pair validation only, finite and at "
+                       "least 0; every check keeps the fixed tolerance its "
+                       "report record carries (default 1e-9)"},
+              (lambda v: 0 <= v < math.inf, "finite and at least 0")),
+    "--suites": ({"help": f"comma-separated subset of {','.join(SUITES)}, "
+                          "each named once"}, None),
+    "--kind": ({"choices": ("schaffer", "douglas"), "required": True}, None),
+    "--dump-ando": ({"help": "also write the defect tuple (Lambda, P, U) as JSON"}, None),
+    "--grid": ({"default": "8x16", "help": "radii x angles (default 8x16)"}, None),
+    "--seed": ({"type": int, "default": 0,
+                "help": "seed of the --perturb block (default 0)"}, None),
+    "--perturb": ({"type": float,
+                   "help": "also add a block of this norm, finite and above 0, "
+                           "to W1's degree-0 symbol coefficient (its tail "
+                           "without a Hardy part)"},
+                  (lambda v: 0 < v < math.inf, "finite and above 0")),
+    "--out": ({"help": "output path (default stdout)"}, None),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `qdilate` parser, built once per process: `parse_args` leaves it
@@ -286,66 +321,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and verify dilation/model objects for "
                     "q-commuting contraction pairs at finite truncation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, pair_arg=True):
-        p.add_argument("--trunc", type=int, default=hardy.DEFAULT_TRUNC,
-                       help="Hardy truncation degree (default 24)")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="tolerance of pair validation only; every check "
-                            "keeps the fixed tolerance its report record "
-                            "carries (default 1e-9)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        if pair_arg:
-            p.add_argument("--pair", required=True, help="pair JSON file")
-
-    p = sub.add_parser("gen", help="generate a pair from a spec string")
-    p.add_argument("spec", help='e.g. "clock-shift:n=4,scale=0.9" or '
-                                '"nilpotent:n=3,q=0.5403+0.8415i,c=0.9,d=0.9"')
-    common(p, pair_arg=False)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("verify", help="run verification suites on a pair")
-    common(p)
-    p.add_argument("--suites", default=None,
-                   help=f"comma-separated subset of {','.join(SUITES)}")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("lift", help="build a lift and verify its axioms")
-    common(p)
-    p.add_argument("--kind", choices=("schaffer", "douglas"), required=True)
-    p.add_argument("--report", default=None, help="report path (default stdout)")
-    p.add_argument("--dump-ando", default=None,
-                   help="also write the defect tuple (Lambda, P, U) as JSON")
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("charfn", help="export a characteristic-function grid")
-    common(p)
-    p.add_argument("--grid", default="8x16", help="radii x angles (default 8x16)")
-    p.set_defaults(func=cmd_charfn)
-
-    p = sub.add_parser("triple", help="emit the characteristic triple as JSON")
-    common(p)
-    p.set_defaults(func=cmd_triple)
-
-    p = sub.add_parser("pseudo", help="pseudo-lift axiom report")
-    common(p)
-    p.add_argument("--perturb", type=float, default=None,
-                   help="also add a block of this norm to W1's degree-0 symbol "
-                        "coefficient (its tail without a Hardy part)")
-    p.set_defaults(func=cmd_pseudo)
-
-    p = sub.add_parser("demo", help="two non-equivalent minimal lifts of (0,0)")
-    common(p, pair_arg=False)
-    p.set_defaults(func=cmd_demo)
+    for name, func, text, options in (
+            ("gen", cmd_gen, "generate a pair from a spec string", ("spec", "--out")),
+            ("verify", cmd_verify, "run verification suites on a pair",
+             ("--pair", "--trunc", "--tol", "--suites", "--out")),
+            ("lift", cmd_lift, "build a lift and verify its axioms",
+             ("--pair", "--trunc", "--tol", "--kind", "--out", "--dump-ando")),
+            ("charfn", cmd_charfn, "export a characteristic-function grid",
+             ("--pair", "--tol", "--grid", "--out")),
+            ("triple", cmd_triple, "emit the characteristic triple as JSON",
+             ("--pair", "--tol", "--out")),
+            ("pseudo", cmd_pseudo, "pseudo-lift axiom report",
+             ("--pair", "--trunc", "--tol", "--seed", "--perturb", "--out")),
+            ("demo", cmd_demo, "two non-equivalent minimal lifts of (0,0)",
+             ("--trunc", "--out"))):
+        p = sub.add_parser(name, help=text)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option][0])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.trunc < 0:
-        print(f"error: --trunc must be at least 0, got {args.trunc}", file=sys.stderr)
-        return 2
+    for option, (_, limits) in _OPTIONS.items():
+        value = getattr(args, option.lstrip("-").replace("-", "_"), None)
+        if limits and value is not None and not limits[0](value):
+            print(f"error: {option} must be {limits[1]}, got {value}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except QDilateError as exc:

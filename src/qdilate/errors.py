@@ -91,7 +91,3 @@ class ParseError(QDilateError):
 
 class GeneratorError(QDilateError):
     pass
-
-
-class EmptyGridError(QDilateError):
-    pass

@@ -21,7 +21,6 @@ import numpy as np
 from . import hardy, matcore
 from .ando import AndoTuple, DefectData, special_ando_tuple, star_ando_tuple
 from .errors import (
-    EmptyGridError,
     FundamentalEquationResidualError,
     NonUnitarySolutionError,
     NotCnuError,
@@ -622,17 +621,14 @@ def induced_defect_unitaries(triple_a: CharTriple, triple_b: CharTriple,
 
 
 def verify_coincidence(triple_a: CharTriple, triple_b: CharTriple,
-                       u: np.ndarray, u_star: np.ndarray,
-                       radii=None, angles: int = 16) -> Report:
+                       u: np.ndarray, u_star: np.ndarray) -> Report:
     """Residuals of coincidence via the supplied defect unitaries.
 
-    (i) u_* Theta(z) = Theta'(z) u on a disk grid, (ii) conjugation of the
-    fundamental pairs, (iii) unitary parts (trivial at finite dimension)."""
+    (i) u_* Theta(z) = Theta'(z) u on the disk grid of 8 radii from 0.1 to
+    0.9 by 16 angles, (ii) conjugation of the fundamental pairs, (iii)
+    unitary parts (trivial at finite dimension)."""
     tol = 1e-9
-    radii = np.linspace(0.1, 0.9, 8) if radii is None else list(radii)
-    if len(radii) == 0 or angles < 1:
-        raise EmptyGridError(f"coincidence grid is empty: {len(radii)} radii "
-                             f"x {angles} angles")
+    radii, angles = np.linspace(0.1, 0.9, 8), 16
     rep = Report("coincidence", {"radii": len(radii), "angles": angles,
                                  "tol": tol})
     u, u_star = as_cmatrix(u), as_cmatrix(u_star)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -119,6 +120,15 @@ class TestVerify:
 
     def test_unknown_suite_exits_2(self, pair_file):
         assert run(["verify", "--pair", pair_file, "--suites", "nope"]) == 2
+
+    def test_repeated_suite_exits_2(self, pair_file, capsys):
+        # a suite run twice writes each of its ids twice, and a reader keyed
+        # by id keeps only one of them
+        assert run(["verify", "--pair", pair_file, "--suites",
+                    "fundamental,canonical,fundamental"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'fundamental' named twice" in captured.err
 
     def test_byte_stable(self, pair_file, tmp_path):
         out1 = tmp_path / "r1.json"
@@ -289,7 +299,7 @@ class TestCharfn:
         # the column is the root of the top clamped eigenvalue of I - Theta*Theta;
         # it agrees with the spectral norm of the formed square root
         path, out = tmp_path / "p.json", tmp_path / "grid.csv"
-        assert run(["gen", spec, "--seed", 4, "--out", path]) == 0
+        assert run(["gen", spec, "--out", path]) == 0
         pair = qpair.pair_from_json(json.loads(path.read_text()))
         theta = model.CharFn(pair.product())
         assert run(["charfn", "--pair", path, "--grid", "1x24", "--out", out]) == 0
@@ -345,12 +355,21 @@ class TestOtherCommands:
         out = tmp_path / "lift.json"
         dump = tmp_path / "tuple.json"
         assert run(["lift", "--pair", pair_file, "--kind", "schaffer",
-                    "--trunc", 10, "--report", out, "--dump-ando", dump]) == 0
+                    "--trunc", 10, "--out", out, "--dump-ando", dump]) == 0
         assert json.loads(out.read_text())["overall"] is True
         tup = json.loads(dump.read_text())
         assert {"d1_dim", "d2_dim", "e_dim", "lambda", "p", "u"} <= set(tup)
         assert run(["lift", "--pair", pair_file, "--kind", "douglas",
-                    "--trunc", 10, "--report", out]) == 0
+                    "--trunc", 10, "--out", out]) == 0
+
+    def test_lift_writes_its_report_to_out(self, pair_file, tmp_path, capsys):
+        out = tmp_path / "lift.json"
+        assert run(["lift", "--pair", pair_file, "--kind", "douglas", "--trunc", 6,
+                    "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(out.read_text())["overall"] is True
+        assert "[PASS]" in captured.err
 
     def test_pseudo_with_perturbation(self, pair_file, tmp_path):
         out = tmp_path / "ps.json"
@@ -432,15 +451,57 @@ class TestImports:
         assert next(r for r in records if r["id"] == "perturbation-rejected")["pass"] is True
 
 
+# the options each command reads, and nothing else
+COMMAND_OPTIONS = {
+    "gen": {"spec", "--out"},
+    "verify": {"--pair", "--trunc", "--tol", "--suites", "--out"},
+    "lift": {"--pair", "--trunc", "--tol", "--kind", "--out", "--dump-ando"},
+    "charfn": {"--pair", "--tol", "--grid", "--out"},
+    "triple": {"--pair", "--tol", "--out"},
+    "pseudo": {"--pair", "--trunc", "--tol", "--seed", "--perturb", "--out"},
+    "demo": {"--trunc", "--out"},
+}
+
+
+def command_argv(command, pair_file):
+    """The shortest argv of `command` that its parser accepts."""
+    return {"gen": ["gen", "clock-shift:n=2,scale=0.9"],
+            "lift": ["lift", "--pair", pair_file, "--kind", "douglas"],
+            "demo": ["demo"]}.get(command, [command, "--pair", pair_file])
+
+
 class TestParser:
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+    def test_each_command_declares_only_what_it_reads(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        declared = {name: {a.option_strings[0] if a.option_strings else a.dest
+                           for a in p._actions if a.dest != "help"}
+                    for name, p in sub.choices.items()}
+        assert declared == COMMAND_OPTIONS
+        assert sum(map(len, declared.values())) == 28
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("gen", "--trunc", 3), ("gen", "--tol", 5), ("gen", "--seed", 7),
+        ("verify", "--seed", 3), ("lift", "--seed", 1), ("lift", "--report", "r.json"),
+        ("charfn", "--trunc", 50), ("charfn", "--seed", 50),
+        ("triple", "--trunc", 50), ("triple", "--seed", 50),
+        ("demo", "--tol", 1), ("demo", "--seed", 9),
+    ])
+    def test_removed_option_exits_2(self, command, option, value, pair_file, capsys):
+        assert option not in COMMAND_OPTIONS[command]
+        with pytest.raises(SystemExit) as exc:
+            run([*command_argv(command, pair_file), option, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
     def test_no_option_leaks_between_calls(self, pair_file, tmp_path):
         # every option of the first call differs from its default; the second
         # call must see the defaults, as a fresh process does
         first = ["verify", "--pair", pair_file, "--suites", "fundamental,canonical",
-                 "--trunc", 3, "--tol", 1e-6, "--seed", 5]
+                 "--trunc", 3, "--tol", 1e-6]
         second = ["verify", "--pair", pair_file, "--suites", "triple"]
         for name, args in (("first", first), ("second", second)):
             assert run([*args, "--out", tmp_path / f"{name}-in.json"]) == 0
@@ -449,8 +510,44 @@ class TestParser:
             in_process = (tmp_path / f"{name}-in.json").read_bytes()
             assert in_process == (tmp_path / f"{name}-fresh.json").read_bytes(), name
         env = json.loads((tmp_path / "second-in.json").read_text())["environment"]
-        assert (env["trunc"], env["tol"], env["seed"], env["suites"]) == (
-            hardy.DEFAULT_TRUNC, 1e-9, 0, ["triple"])
+        assert env == {"trunc": hardy.DEFAULT_TRUNC, "tol": 1e-9, "suites": ["triple"]}
+
+
+@pytest.fixture()
+def non_commuting_file(tmp_path):
+    # q = 1 and T1 T2 - T2 T1 = diag(1/4, -1/4): passes validation only at a
+    # tolerance that checks nothing
+    path = tmp_path / "nc.json"
+    t1, t2 = np.array([[0.0, 0.5], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.5, 0.0]])
+    path.write_text(json.dumps({"q": [1.0, 0.0], "T1": matcore.matrix_to_json(t1),
+                                "T2": matcore.matrix_to_json(t2)}))
+    return path
+
+
+class TestOptionRanges:
+    def test_trunc_must_be_at_least_0(self, pair_file, capsys):
+        for command in sorted(c for c, opts in COMMAND_OPTIONS.items() if "--trunc" in opts):
+            assert run([*command_argv(command, pair_file), "--trunc", -1]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --trunc must be at least 0, got -1\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_tol_must_be_finite_and_at_least_0(self, value, non_commuting_file, capsys):
+        for command in sorted(c for c, opts in COMMAND_OPTIONS.items() if "--tol" in opts):
+            assert run([*command_argv(command, non_commuting_file), "--tol", value]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: --tol must be finite and at least 0, "
+                                    f"got {float(value)}\n")
+
+    @pytest.mark.parametrize("value", ["-0.01", "0", "nan", "inf"])
+    def test_perturb_must_be_finite_and_above_0(self, value, pair_file, capsys):
+        assert run(["pseudo", "--pair", pair_file, "--trunc", 4, "--perturb", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --perturb must be finite and above 0, "
+                                f"got {float(value)}\n")
 
 
 def json_leaves():
@@ -514,7 +611,7 @@ class TestJsonWriter:
     def test_gen_and_dump_ando_match_json_dumps(self, pair_file, tmp_path):
         dump = tmp_path / "tuple.json"
         assert run(["lift", "--pair", pair_file, "--kind", "douglas", "--trunc", 4,
-                    "--report", tmp_path / "rep.json", "--dump-ando", dump]) == 0
+                    "--out", tmp_path / "rep.json", "--dump-ando", dump]) == 0
         for path in (pair_file, dump):
             text = path.read_text()
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)

@@ -7,7 +7,6 @@ import qdilate as qd
 from qdilate import hardy, matcore, model, qpair
 from qdilate.ando import DefectData
 from qdilate.errors import (
-    EmptyGridError,
     NotCnuError,
     NotIntertwinerError,
     SingularResolventError,
@@ -592,29 +591,25 @@ class TestCoincidence:
                     tri_a, tri_b,
                     phase_u * eye(1), phase_us * eye(1))
                 assert rep.records[0].residual > 1e-2
-        # a one-shot iterator of radii is scanned, not used up by the count
-        rep = qd.verify_coincidence(tri_a, tri_b, eye(1), eye(1),
-                                    radii=(r for r in np.linspace(0.1, 0.9, 8)))
-        assert rep.environment["radii"] == 8
-        assert rep.records[0].residual > 1e-2
-        # an empty grid compares nothing: an error, not a vacuous pass
-        for grid in ({"radii": []}, {"angles": 0}):
-            with pytest.raises(EmptyGridError, match="grid is empty"):
-                qd.verify_coincidence(tri_a, tri_b, eye(1), eye(1), **grid)
 
     def test_evaluators_of_different_dimension_stay_aligned(self):
-        # Theta_a(z) = z of the zero pair on C^1, Theta_b of the 2 x 2 Jordan
-        # block is z^2 up to phases; their chunks hold 16384 and 4096 points,
-        # so a grid of 5120 points splits differently on the two sides
-        tri_a = qd.char_triple(zero_pair())
+        # Theta_a(z) = z I of the zero pair on C^12; Theta_b of zero(C^11) (+)
+        # the 2 x 2 Jordan pair is z I (+) z^2 up to phases, on C^13.  Both
+        # defects have dimension 12, but the evaluators' chunks hold 113 and
+        # 96 points, so the 128 points of the grid split as [113, 15] and
+        # [96, 32] on the two sides
+        tri_a = qd.char_triple(qd.validate(1.0, np.zeros((12, 12)), np.zeros((12, 12))))
         jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
-        tri_b = qd.char_triple(qd.validate(1.0, jordan, eye(2)))
-        assert (tri_a.dt.dim, tri_b.dt.dim) == (1, 1)
-        radii, angles = np.linspace(0.1, 0.9, 40), 128
-        rep = qd.verify_coincidence(tri_a, tri_b, eye(1), eye(1), radii=radii,
-                                    angles=angles)
+        tri_b = qd.char_triple(qd.gen_direct_sum([
+            qd.validate(1.0, np.zeros((11, 11)), np.zeros((11, 11))),
+            qd.validate(1.0, jordan, eye(2))]))
+        assert (tri_a.dt.dim, tri_b.dt.dim) == (12, 12)
+        radii = np.linspace(0.1, 0.9, 8)
+        assert [len(z) for z, _ in tri_a.theta.grid(radii, 16)] == [113, 15]
+        assert [len(z) for z, _ in tri_b.theta.grid(radii, 16)] == [96, 32]
+        rep = qd.verify_coincidence(tri_a, tri_b, eye(12), eye(12))
         worst = max(frob(tri_a.theta(z) - tri_b.theta(z))
-                    for r in radii for z in r * np.exp(2j * np.pi * np.arange(angles) / angles))
+                    for r in radii for z in r * np.exp(2j * np.pi * np.arange(16) / 16))
         assert not rep.overall
         assert rep.records[0].residual == pytest.approx(worst, rel=1e-12)
 
