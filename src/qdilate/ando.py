@@ -7,6 +7,9 @@ summand, and the unitary U extending D_{T1} T2 h (+) D_{T2} h ->
 D_{T1} h (+) D_{T2} T1 h.  In finite dimensions the two complements have equal
 dimension, so no extra summand is ever needed (e_dim stays 0); the free choice
 in the unitary extension is pinned by matcore's deterministic completion.
+The tuple keeps U on ran Lambda, M = U Lambda, and completes U the first time
+it is read: the fundamental operators and the characteristic triple read M
+only.
 
 All matrices here are expressed in defect-basis coordinates; `lam_dt()` gives
 the composite map H -> F actually used in block formulas.
@@ -15,6 +18,7 @@ the composite map H -> F actually used in block formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,8 +53,18 @@ class AndoTuple:
     defect_t: DefectData
     lam: np.ndarray  # f_dim x dt_dim isometry, blocks [D_{T1}-part; D_{T2}-part]
     p: np.ndarray    # projection of F onto the first summand
-    u: np.ndarray    # unitary on F
+    m: np.ndarray    # U Lambda, the f_dim x dt_dim isometry U carries Lambda to
     e_dim: int = 0
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """The unitary on F: M Lambda* on ran Lambda, completed off it by
+        matcore's deterministic pivoted QR.  Built, and checked unitary, on
+        the first read; a failed completion raises its typed error there."""
+        if not self.f_dim:
+            return np.zeros((0, 0), dtype=np.complex128)
+        return matcore.complete_to_unitary(SubspaceBasis(self.lam), SubspaceBasis(self.m),
+                                           self.m @ adj(self.lam))
 
     @property
     def d1_dim(self) -> int:
@@ -119,10 +133,12 @@ def special_ando_tuple(pair: QPair, dt: DefectData | None = None) -> AndoTuple:
     """Construct the special Andô tuple of a pair in defect coordinates.
 
     Lambda is solved against D_T on its range only (its action off the range
-    is irrelevant and absent from the coordinates).  The unitary U is the
-    deterministic completion of the partial map on ran Lambda.  A caller
-    that already holds D_T of the product (`matcore.defect`, at its rank
-    cutoff) passes it as `dt`.
+    is irrelevant and absent from the coordinates), and so is M = U Lambda.
+    The unitary U is the deterministic completion of the partial map
+    M Lambda* on ran Lambda; the input checks of that completion run here,
+    the completion itself on the first read of `u`.  A caller that already
+    holds D_T of the product (`matcore.defect`, at its rank cutoff) passes
+    it as `dt`.
     """
     if dt is None:
         dt = DefectData(*matcore.defect(pair.product()))
@@ -138,12 +154,10 @@ def special_ando_tuple(pair: QPair, dt: DefectData | None = None) -> AndoTuple:
 
     f_dim = d1.dim + d2.dim
     if f_dim:
-        u = matcore.complete_to_unitary(SubspaceBasis(lam), SubspaceBasis(m), m @ adj(lam))
-    else:
-        u = np.zeros((0, 0), dtype=np.complex128)
+        matcore.check_partial_isometry(SubspaceBasis(lam), SubspaceBasis(m), m @ adj(lam))
     p = np.zeros((f_dim, f_dim), dtype=np.complex128)
     p[:d1.dim, :d1.dim] = eye(d1.dim)
-    return AndoTuple(pair.q, d1, d2, dt, lam, p, u)
+    return AndoTuple(pair.q, d1, d2, dt, lam, p, m)
 
 
 def star_ando_tuple(pair: QPair) -> AndoTuple:

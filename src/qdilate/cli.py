@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
     pair, rc = _load_pair(args.pair, args.tol)
     if pair is None:
         return rc
-    suites = args.suites.split(",") if args.suites else list(SUITES)
+    suites = list(SUITES) if args.suites is None else args.suites.split(",")
     for k, s in enumerate(suites):
         if s not in _SUITE_FNS:
             print(f"error: unknown suite {s!r}; choose from {','.join(SUITES)}",

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from . import matcore
 from .ando import DefectData
@@ -202,6 +201,10 @@ def symbol_norm(s: TwistedSymbol) -> float:
     sigma_max on the whole circle and is returned.  Raises
     MaxIterationsExceededError after _MAX_LEVELS levels.
     """
+    # numpy has no generalized eigensolver (QZ); importing scipy here keeps
+    # it off the start-up of every command that takes no symbol norm
+    import scipy.linalg
+
     if s.degree == 0:
         return opnorm(s.coeffs[0])
     coeffs = np.array(s.coeffs)

@@ -17,7 +17,8 @@ once at construction.
 All routines are pure and deterministic: random input never enters here, and
 the one genuinely non-canonical construction (completing a partial isometry
 to a unitary) is pinned to a fixed pivoted-QR convention so results are
-reproducible across runs.
+reproducible across runs.  That pivoted QR is the one routine here that
+imports scipy, when it is called.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -223,11 +223,37 @@ def complement_basis(projector: np.ndarray, dim: int) -> np.ndarray:
     Pivoted QR of (I - projector) applied to the standard basis; the first
     `dim` Q-columns (pivot order) span the complement.
     """
+    # numpy's QR has no column pivoting; importing scipy here keeps it off
+    # the start-up of every command that completes no unitary
+    import scipy.linalg
+
     n = projector.shape[0]
     if dim == 0:
         return np.zeros((n, 0), dtype=np.complex128)
     qmat, _, _ = scipy.linalg.qr(eye(n) - projector, pivoting=True)
     return np.ascontiguousarray(qmat[:, :dim])
+
+
+def check_partial_isometry(source: SubspaceBasis, target: SubspaceBasis,
+                           partial: np.ndarray) -> np.ndarray:
+    """`partial` applied to the source columns, checked to map them
+    isometrically into the span of the target (both residuals at 1e-10).
+    These are the input checks of :func:`complete_to_unitary`, which a caller
+    can run on their own before it completes the map."""
+    if source.ambient_dim != target.ambient_dim:
+        raise DimensionMismatchError("source and target live in different ambient spaces")
+    if source.dim != target.dim:
+        raise DimensionMismatchError(
+            f"source dim {source.dim} != target dim {target.dim}")
+    ps = as_cmatrix(partial) @ source.columns
+    if source.dim:
+        iso_res = frob(adj(ps) @ ps - eye(source.dim))
+        range_res = frob(ps - target.projector() @ ps)
+        if iso_res > 1e-10 or range_res > 1e-10:
+            raise NotIsometricOnSourceError(
+                f"partial map not isometric onto target: isometry residual "
+                f"{iso_res:.3e}, range residual {range_res:.3e}")
+    return ps
 
 
 def complete_to_unitary(source: SubspaceBasis, target: SubspaceBasis,
@@ -238,20 +264,8 @@ def complete_to_unitary(source: SubspaceBasis, target: SubspaceBasis,
     isometrically into the span of the target.  The complements are matched in
     the deterministic pivoted-QR order from :func:`complement_basis`.
     """
-    if source.ambient_dim != target.ambient_dim:
-        raise DimensionMismatchError("source and target live in different ambient spaces")
-    if source.dim != target.dim:
-        raise DimensionMismatchError(
-            f"source dim {source.dim} != target dim {target.dim}")
+    ps = check_partial_isometry(source, target, partial)
     n, k = source.ambient_dim, source.dim
-    ps = as_cmatrix(partial) @ source.columns
-    if k:
-        iso_res = frob(adj(ps) @ ps - eye(k))
-        range_res = frob(ps - target.projector() @ ps)
-        if iso_res > 1e-10 or range_res > 1e-10:
-            raise NotIsometricOnSourceError(
-                f"partial map not isometric onto target: isometry residual "
-                f"{iso_res:.3e}, range residual {range_res:.3e}")
     u = ps @ adj(source.columns)
     m = n - k
     if m:

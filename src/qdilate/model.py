@@ -184,7 +184,9 @@ class PairAnalysis:
 def fundamental_ops(pair: PairAnalysis | QPair) -> FundamentalPair:
     """Fundamental operators (G1, G2) = Lambda_** (P_*perp U_*, U_** P_*) Lambda_*
     from the starred tuple, cross-checked against the independent
-    pseudoinverse solution of the defining equations.
+    pseudoinverse solution of the defining equations.  They read U_* on
+    ran Lambda_* only: G1 = Lambda_** P_*perp M_*, G2 = M_** P_* Lambda_*
+    with M_* = U_* Lambda_*, so U_* is never completed here.
 
     The oracle solves D G D = RHS in the kept defect coordinates, i.e.
     G_hat = (B*DB)^{-1} B* RHS B (B*DB)^{-1}; sandwiching by the basis keeps
@@ -192,10 +194,10 @@ def fundamental_ops(pair: PairAnalysis | QPair) -> FundamentalPair:
     """
     an = PairAnalysis.of(pair)
     pair, star_tup = an.pair, an.star
-    lam, p, u = star_tup.lam, star_tup.p, star_tup.u
+    lam, p, m = star_tup.lam, star_tup.p, star_tup.m
     p_perp = eye(star_tup.f_dim) - p
-    g1 = adj(lam) @ p_perp @ u @ lam
-    g2 = adj(lam) @ adj(u) @ p @ lam
+    g1 = adj(lam) @ p_perp @ m
+    g2 = adj(m) @ p @ lam
     dstar = star_tup.defect_t
     t_star = adj(an.product)
     rhs1 = adj(pair.t1) - pair.t2 @ t_star

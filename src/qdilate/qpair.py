@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import matcore
 from .errors import (
@@ -156,8 +155,14 @@ def gen_direct_sum(pairs) -> QPair:
     for p in pairs[1:]:
         if abs(p.q - q) > 1e-12:
             raise MixedTwistError(f"twists differ: {q} vs {p.q}")
-    t1 = scipy.linalg.block_diag(*[p.t1 for p in pairs]).astype(np.complex128)
-    t2 = scipy.linalg.block_diag(*[p.t2 for p in pairs]).astype(np.complex128)
+    n = sum(p.dim for p in pairs)
+    t1 = np.zeros((n, n), dtype=np.complex128)
+    t2 = np.zeros((n, n), dtype=np.complex128)
+    at = 0
+    for p in pairs:
+        block = slice(at, at + p.dim)
+        t1[block, block], t2[block, block] = p.t1, p.t2
+        at += p.dim
     return validate(q, t1, t2)
 
 
@@ -167,16 +172,16 @@ def cnu_decompose(t: np.ndarray) -> ProductDecomposition:
     The unitary part is ran Q for Q = (lim T^n T*^n)^{1/2}, the power limit
     at tolerance 1e-13: Q^2 is an orthogonal projection in finite dimensions,
     so the eigenvectors of Q above 1/2, by decreasing eigenvalue, are its
-    basis, and the cnu part is their complement.  The split must reduce T and
-    T must compress to a unitary on ran Q, or NotReducingError is raised.
+    basis, and the other eigenvectors, in the same order, are the basis of
+    the cnu part.  The split must reduce T and T must compress to a unitary
+    on ran Q, or NotReducingError is raised.
     """
     t = matcore.check_contraction(t)
-    n = t.shape[0]
     q_op = matcore.psd_sqrt(matcore.power_limit(t, tol=1e-13))
     w, v = np.linalg.eigh(q_op)
-    keep = [i for i in np.argsort(w)[::-1] if w[i] > 0.5]
-    b_u = v[:, keep] if keep else np.zeros((n, 0), dtype=np.complex128)
-    b_c = matcore.complement_basis(b_u @ adj(b_u), n - b_u.shape[1])
+    order = np.argsort(w)[::-1]
+    b_u = v[:, order[w[order] > 0.5]]
+    b_c = v[:, order[w[order] <= 0.5]]
     cross1 = opnorm(adj(b_c) @ t @ b_u)
     cross2 = opnorm(adj(b_u) @ t @ b_c)
     if max(cross1, cross2) > 1e-10:

@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import pytest
 
 import qdilate as qd
@@ -25,3 +27,11 @@ def rand_vec(rng, n):
 def rand_psd(rng, n):
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return b @ b.conj().T / n
+
+
+def with_u(tup, u, **changes):
+    """`dataclasses.replace(tup, **changes)` with the unitary of the new Ando
+    tuple set to `u`, not completed from the new tuple's Lambda and M."""
+    new = dataclasses.replace(tup, **changes)
+    new.__dict__["u"] = u
+    return new

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import qdilate as qd
-from qdilate import ando, cli, model
+from qdilate import ando, cli, matcore, model
+from qdilate.errors import NotIsometricOnSourceError
 from qdilate.matcore import adj, eye, frob
 
-from conftest import rand_vec
+from conftest import rand_vec, with_u
 
 
 def zero_pair(n=1):
@@ -121,6 +122,64 @@ class TestJson:
         assert obj["lambda"]["rows"] == tup.f_dim
 
 
+class TestLazyCompletion:
+    """The tuple keeps M = U Lambda and completes U on the first read of `u`;
+    the input checks of the completion run when the tuple is built."""
+
+    PAIR = qd.gen_nilpotent(3, 1j, 0.8, 0.9)
+
+    def test_build_completes_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("completion at build time")
+
+        monkeypatch.setattr(matcore, "complement_basis", forbidden)
+        tup = qd.special_ando_tuple(self.PAIR)
+        assert "u" not in tup.__dict__
+        assert frob(tup.m - tup.lam) > 0.1
+
+    def test_u_is_built_once_and_carries_lambda_to_m(self, monkeypatch):
+        tup = qd.special_ando_tuple(self.PAIR)
+        calls = []
+        complete = matcore.complete_to_unitary
+
+        def counted(*args):
+            calls.append(1)
+            return complete(*args)
+
+        monkeypatch.setattr(matcore, "complete_to_unitary", counted)
+        assert tup.u is tup.u
+        assert len(calls) == 1
+        assert frob(tup.u @ tup.lam - tup.m) < 1e-13
+
+    def test_failed_completion_raises_at_first_read_of_u(self, monkeypatch):
+        # complement columns that are not orthonormal leave U non-unitary:
+        # the build passes, the first read of u raises the typed error
+        monkeypatch.setattr(matcore, "complement_basis",
+                            lambda projector, dim: np.ones((projector.shape[0], dim)))
+        tup = qd.special_ando_tuple(self.PAIR)
+        with pytest.raises(NotIsometricOnSourceError, match="failed to be unitary"):
+            tup.u
+
+    def test_non_isometric_m_raises_at_first_read_of_u(self):
+        tup = qd.special_ando_tuple(self.PAIR)
+        bad = dataclasses.replace(tup, m=1.5 * tup.m)
+        with pytest.raises(NotIsometricOnSourceError, match="not orthonormal"):
+            bad.u
+
+    def test_input_checks_run_at_build(self, monkeypatch):
+        # an M whose columns miss orthonormality by 2e-9, above the 1e-12 of
+        # the completion's input check, fails the build, not the first read
+        polish = ando._polish_isometry
+
+        def scaled(m, what):
+            out = polish(m, what)
+            return (1 + 1e-9) * out if what.startswith("U") else out
+
+        monkeypatch.setattr(ando, "_polish_isometry", scaled)
+        with pytest.raises(NotIsometricOnSourceError, match="not orthonormal"):
+            qd.special_ando_tuple(self.PAIR)
+
+
 class TestPropGates:
     """The six prop1/prop2 ids of the ando suite are gated at the fixed
     1e-9: a random bump of Lambda (of the forward tuple for prop1, of the
@@ -138,8 +197,8 @@ class TestPropGates:
         tup = getattr(an, which)
         rng = np.random.default_rng(0)
         block = rng.standard_normal(tup.lam.shape) + 1j * rng.standard_normal(tup.lam.shape)
-        an.__dict__[which] = dataclasses.replace(
-            tup, lam=tup.lam + eps * block / np.linalg.norm(block, 2))
+        an.__dict__[which] = with_u(
+            tup, tup.u, lam=tup.lam + eps * block / np.linalg.norm(block, 2))
         return {r.check_id: r for r in cli._SUITE_FNS["ando"](an, 12).records}
 
     @pytest.mark.parametrize("which", ["tup", "star"])

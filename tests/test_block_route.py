@@ -21,6 +21,7 @@ from qdilate.hardy import TwistedSymbol, shift_symbol
 from qdilate.matcore import EPS, adj, eye, frob, opnorm
 from qdilate.report import Report
 
+from conftest import with_u
 from test_hardy import grid_norm
 from test_lifts import mixed_pair
 from test_report_snapshot import snapshot_pairs
@@ -130,7 +131,7 @@ def negative_controls(pair, n):
     schaffer = qd.schaffer_lift(an.pair, an.tup, n)
     douglas = qd.douglas_lift(an, n)
     pi, tri = pseudolift.douglas_pseudo_lift(an, n)
-    scaled = dataclasses.replace(an.tup, u=1.01 * an.tup.u)
+    scaled = with_u(an.tup, 1.01 * an.tup.u)
     v1, w = schaffer.v1, douglas.v2
     yield "ando-u-scaled", "lift", qd.schaffer_lift(an.pair, scaled, n)
     yield "schaffer-column", "lift", dataclasses.replace(schaffer, v1=dataclasses.replace(
@@ -171,7 +172,7 @@ def test_ando_scaling_moves_the_isometry_residuals():
     # column: both routes read the same residual, far above the tolerance
     pair = mixed_pair()
     an = model.PairAnalysis(pair)
-    lift = qd.schaffer_lift(an.pair, dataclasses.replace(an.tup, u=1.01 * an.tup.u), 12)
+    lift = qd.schaffer_lift(an.pair, with_u(an.tup, 1.01 * an.tup.u), 12)
     assert isinstance(lift.v1, lifts.LiftOperator)
     block = qd.verify_lift(lift, an)
     ref = dense_lift_residuals(lift, an.pair, 12)

@@ -121,6 +121,13 @@ class TestVerify:
     def test_unknown_suite_exits_2(self, pair_file):
         assert run(["verify", "--pair", pair_file, "--suites", "nope"]) == 2
 
+    def test_empty_suite_list_exits_2(self, pair_file, capsys):
+        # an empty --suites names no suite; it is not the default of all eight
+        assert run(["verify", "--pair", pair_file, "--suites", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown suite ''" in captured.err
+
     def test_repeated_suite_exits_2(self, pair_file, capsys):
         # a suite run twice writes each of its ids twice, and a reader keyed
         # by id keeps only one of them
@@ -416,6 +423,42 @@ def fresh_run(args, tmp_path):
 
 
 class TestImports:
+    # scipy.linalg costs about 0.2 s of start-up; only the pivoted QR of
+    # the Ando completion and the QZ pencil of the symbol norm import it
+    SCIPY = "[m for m in sys.modules if m.startswith('scipy')]"
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        done = fresh_python(["-c", f"import sys, qdilate, qdilate.cli; print({self.SCIPY})"],
+                            tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().splitlines()[-1] == "[]", done.stdout
+
+    def test_gen_charfn_and_triple_leave_scipy_unloaded(self, tmp_path):
+        script = ("import sys\n"
+                  "from qdilate import cli\n"
+                  "rc = [cli.main(['gen', 'clock-shift:n=16,scale=0.9', '--out', 'p.json']), "
+                  "cli.main(['charfn', '--pair', 'p.json', '--grid', '12x24', "
+                  "'--out', 'grid.csv']), "
+                  "cli.main(['triple', '--pair', 'p.json', '--out', 'triple.json'])]\n"
+                  f"print(rc, {self.SCIPY})\n")
+        done = fresh_python(["-c", script], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().splitlines()[-1] == "[0, 0, 0] []", done.stdout
+        assert (tmp_path / "grid.csv").read_text().startswith("re_z,im_z,")
+        assert json.loads((tmp_path / "triple.json").read_text())["defect_dims"]
+
+    def test_pseudo_suite_loads_scipy_on_demand(self, pair_file, tmp_path):
+        script = ("import sys\n"
+                  "from qdilate import cli\n"
+                  "before = 'scipy.linalg' in sys.modules\n"
+                  f"rc = cli.main(['verify', '--pair', {str(pair_file)!r}, "
+                  "'--suites', 'pseudo', '--out', 'rep.json'])\n"
+                  "print(rc, before, 'scipy.linalg' in sys.modules)\n")
+        done = fresh_python(["-c", script], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().splitlines()[-1] == "0 False True", done.stdout
+        assert json.loads((tmp_path / "rep.json").read_text())["overall"] is True
+
     def test_pseudo_suite_leaves_sparse_linalg_unloaded(self, pair_file, tmp_path):
         # every norm on the pseudo path is a pass over stored entries or a
         # dense/banded LAPACK call; scipy.sparse.linalg (norm, svds) and

@@ -56,6 +56,17 @@ class TestFundamental:
             assert opnorm(f.g1) <= 1 + 1e-9, name
             assert opnorm(f.g2) <= 1 + 1e-9, name
 
+    def test_route_through_m_matches_the_completed_unitary(self, corpus):
+        # G1 = Lambda_** P_*perp M_* and G2 = M_** P_* Lambda_* read U_* on
+        # ran Lambda_* only; the completed U_* gives the same operators
+        for name, pair, _ in corpus:
+            star = qd.star_ando_tuple(pair)
+            f = qd.fundamental_ops(pair)
+            lam, p, u = star.lam, star.p, star.u
+            p_perp = eye(star.f_dim) - p
+            assert frob(f.g1 - adj(lam) @ p_perp @ u @ lam) < 1e-13, name
+            assert frob(f.g2 - adj(lam) @ adj(u) @ p @ lam) < 1e-13, name
+
     @pytest.mark.parametrize("seed", range(8))
     def test_conjugated_mixed_pair_oracle_stability(self, seed):
         # regression: conjugation smears the unitary-part roundoff across all

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -160,6 +161,14 @@ class TestGenerators:
         dec = qd.cnu_decompose(s.product())
         assert dec.unitary_part.dim == 2
 
+    def test_direct_sum_matches_block_diag(self):
+        parts = [qd.gen_clock_shift(2, 1.0), qd.gen_nilpotent(3, -1.0 + 0j, 0.9, 0.8),
+                 qd.gen_conjugated(qd.gen_clock_shift(2, 0.9), 4)[0]]
+        s = qd.gen_direct_sum(parts)
+        assert np.array_equal(s.t1, scipy.linalg.block_diag(*[p.t1 for p in parts]))
+        assert np.array_equal(s.t2, scipy.linalg.block_diag(*[p.t2 for p in parts]))
+        assert s.t1.dtype == s.t2.dtype == np.complex128
+
     def test_direct_sum_single(self):
         a = qd.gen_clock_shift(2, 0.9)
         s = qd.gen_direct_sum([a])
@@ -216,6 +225,26 @@ class TestCnuDecompose:
         assert dec.unitary_part.dim == 0
         assert dec.cnu_part.dim == 2
         assert opnorm(dec.q_op) < 1e-6
+
+    @pytest.mark.parametrize("pair", [
+        qd.gen_clock_shift(3, 1.0),
+        qd.gen_direct_sum([qd.gen_clock_shift(2, 1.0), qd.gen_nilpotent(3, -1.0, 0.9, 0.8)]),
+        qd.gen_conjugated(qd.gen_direct_sum(
+            [qd.gen_clock_shift(2, 1.0), qd.gen_nilpotent(3, -1.0, 0.9, 0.8)]), 1)[0],
+        qd.gen_direct_sum([qd.gen_clock_shift(3, 1.0), qd.gen_clock_shift(3, 0.9)]),
+    ], ids=["clock-shift", "sum", "conjugated-sum", "clock-shift-sum"])
+    def test_eigen_complement_matches_the_pivoted_qr_one(self, pair):
+        # the cnu part is the rest of the eigenbasis of Q; the pivoted QR of
+        # I - b_u b_u* it replaced spans the same subspace
+        n = pair.dim
+        dec = qd.cnu_decompose(pair.product())
+        b_u, b_c = dec.unitary_part.columns, dec.cnu_part.columns
+        assert b_u.shape[1]
+        qr = matcore.complement_basis(b_u @ adj(b_u), n - b_u.shape[1])
+        assert frob(b_c @ adj(b_c) - qr @ adj(qr)) < 1e-12
+        b = np.hstack([b_u, b_c])
+        assert frob(adj(b) @ b - eye(n)) < 1e-12
+        assert frob(b @ adj(b) - eye(n)) < 1e-12
 
     def test_q_spans_the_unitary_part(self):
         t = np.diag([1j, 0.5, 0.2]).astype(complex)
