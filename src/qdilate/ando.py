@@ -59,8 +59,9 @@ class AndoTuple:
     @cached_property
     def u(self) -> np.ndarray:
         """The unitary on F: M Lambda* on ran Lambda, completed off it by
-        matcore's deterministic pivoted QR.  Built, and checked unitary, on
-        the first read; a failed completion raises its typed error there."""
+        matcore's deterministic `eigh` complements.  Built, and checked
+        unitary, on the first read; a failed completion raises its typed
+        error there."""
         if not self.f_dim:
             return np.zeros((0, 0), dtype=np.complex128)
         return matcore.complete_to_unitary(SubspaceBasis(self.lam), SubspaceBasis(self.m),

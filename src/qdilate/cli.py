@@ -200,12 +200,10 @@ def cmd_charfn(args) -> int:
         radii.append(1.0)
     done = 0
     for zs, thetas in theta_fn.grid(radii, angles_n):
-        for z, theta, svals in zip(zs, thetas, np.linalg.svd(thetas, compute_uv=False)):
+        for z, svals in zip(zs, np.linalg.svd(thetas, compute_uv=False)):
             sv_text = ";".join(map("{:.12e}".format, svals.tolist()))
-            if radii[done // angles_n] == 1.0:
-                d_text = f"{model.theta_defect_norm(theta):.12e}"
-            else:
-                d_text = ""
+            r = radii[done // angles_n]
+            d_text = f"{theta_fn.defect_norm(z, r):.12e}" if r == 1.0 else ""
             lines.append(f"{z.real:.12e},{z.imag:.12e},{sv_text},{d_text}")
             done += 1
     _write_or_print("\n".join(lines) + "\n", args.out)

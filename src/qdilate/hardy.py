@@ -181,6 +181,35 @@ LEVEL_EPS = 1e-12
 _MAX_LEVELS = 64
 
 
+def _pencil_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The eigenvalues lambda of the pencil (a, b) that can lie within
+    UNIMODULAR_WINDOW of the unit circle, by a shift-invert: for sigma off
+    the pencil's spectrum, det(a - lambda b) = 0 exactly when nu = 1 /
+    (lambda - sigma) is an eigenvalue of (a - sigma b)^{-1} b, and an
+    infinite lambda (b singular) is nu = 0.  The first shift whose solve
+    succeeds with every |nu| <= 1 / UNIMODULAR_WINDOW (no eigenvalue within
+    the window of sigma) is used.  The nu with |lambda - sigma| > 2 + |sigma|,
+    the infinite ones among them, lie off the window of the circle and are
+    dropped before the division.  Raises MaxIterationsExceededError when no
+    shift qualifies.
+    """
+    # |sigma| = 1/2 and 2, off the circle where the crossings are, at angles
+    # that are no rational multiple of pi: off the rays through the roots of
+    # unity, where rotation-symmetric symbols put their pencil eigenvalues
+    for sigma in (0.5 * np.exp(1j), 0.5 * np.exp(3j), 0.5 * np.exp(5j),
+                  2.0 * np.exp(1j), 2.0 * np.exp(3j), 2.0 * np.exp(5j)):
+        try:
+            nu = np.linalg.eigvals(np.linalg.solve(a - sigma * b, b))
+        except np.linalg.LinAlgError:
+            continue
+        if np.abs(nu).max() <= 1.0 / UNIMODULAR_WINDOW:
+            nu = nu[np.abs(nu) * (2.0 + abs(sigma)) >= 1.0]
+            return sigma + 1.0 / nu
+    raise MaxIterationsExceededError(
+        "symbol norm: every shift of the level-set pencil lies within "
+        f"{UNIMODULAR_WINDOW:g} of an eigenvalue or gives a singular solve")
+
+
 def symbol_norm(s: TwistedSymbol) -> float:
     """||phi||_inf = max_{|z|=1} sigma_max(phi(z)), the norm of M_phi R_rot on
     the untruncated Hardy space, which bounds the norm of every finite
@@ -198,13 +227,10 @@ def symbol_norm(s: TwistedSymbol) -> float:
     UNIMODULAR_WINDOW of the circle) raises best to the largest sigma_max at
     the midpoints of the arcs between them (Bruinsma & Steinbuch, Systems &
     Control Letters 14, 1990).  The first level without crossings lies above
-    sigma_max on the whole circle and is returned.  Raises
-    MaxIterationsExceededError after _MAX_LEVELS levels.
+    sigma_max on the whole circle and is returned.  The pencil is solved by
+    `_pencil_eigvals`.  Raises MaxIterationsExceededError after _MAX_LEVELS
+    levels, or where no shift of the pencil qualifies.
     """
-    # numpy has no generalized eigensolver (QZ); importing scipy here keeps
-    # it off the start-up of every command that takes no symbol norm
-    import scipy.linalg
-
     if s.degree == 0:
         return opnorm(s.coeffs[0])
     coeffs = np.array(s.coeffs)
@@ -232,8 +258,7 @@ def symbol_norm(s: TwistedSymbol) -> float:
     for _ in range(_MAX_LEVELS):
         level = best * (1.0 + 2.0 * LEVEL_EPS)
         a[m - f:, p * f:(p + 1) * f] = middle - level ** 2 * eye(f)
-        lam = scipy.linalg.eigvals(a, b)
-        lam = lam[np.isfinite(lam)]
+        lam = _pencil_eigvals(a, b)
         near = np.abs(np.abs(lam) - 1.0) <= UNIMODULAR_WINDOW
         if not near.any():
             return scale * level

@@ -16,9 +16,8 @@ Subspaces are wrapped in :class:`SubspaceBasis`, which checks orthonormality
 once at construction.
 All routines are pure and deterministic: random input never enters here, and
 the one genuinely non-canonical construction (completing a partial isometry
-to a unitary) is pinned to a fixed pivoted-QR convention so results are
-reproducible across runs.  That pivoted QR is the one routine here that
-imports scipy, when it is called.
+to a unitary) is pinned to the eigenvectors numpy's `eigh` returns for the
+projector, so results are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -173,13 +172,6 @@ def psd_sqrt(h: np.ndarray) -> np.ndarray:
     return hermitize(s)
 
 
-def psd_sqrt_norm(h: np.ndarray) -> float:
-    """||psd_sqrt(h)||, the root of the largest clamped eigenvalue of h, from
-    the same checked eigendecomposition (so the same errors are raised)."""
-    w, _ = _checked_eigh(h)
-    return float(np.sqrt(w[-1])) if w.size else 0.0
-
-
 def check_contraction(t: np.ndarray) -> np.ndarray:
     t = as_cmatrix(t)
     if t.shape[0] != t.shape[1]:
@@ -218,20 +210,15 @@ def defect(t: np.ndarray):
 
 
 def complement_basis(projector: np.ndarray, dim: int) -> np.ndarray:
-    """Deterministic orthonormal basis of ran(I - projector).
-
-    Pivoted QR of (I - projector) applied to the standard basis; the first
-    `dim` Q-columns (pivot order) span the complement.
+    """Deterministic orthonormal basis of ran(I - projector), for an
+    orthogonal projector of rank n - dim: the eigenvectors of its `dim`
+    smallest eigenvalues (those at 0), in `eigh`'s ascending order.
     """
-    # numpy's QR has no column pivoting; importing scipy here keeps it off
-    # the start-up of every command that completes no unitary
-    import scipy.linalg
-
     n = projector.shape[0]
     if dim == 0:
         return np.zeros((n, 0), dtype=np.complex128)
-    qmat, _, _ = scipy.linalg.qr(eye(n) - projector, pivoting=True)
-    return np.ascontiguousarray(qmat[:, :dim])
+    _, v = np.linalg.eigh(projector)
+    return np.ascontiguousarray(v[:, :dim])
 
 
 def check_partial_isometry(source: SubspaceBasis, target: SubspaceBasis,
@@ -262,7 +249,7 @@ def complete_to_unitary(source: SubspaceBasis, target: SubspaceBasis,
 
     `partial` acts on the ambient space and must map the source columns
     isometrically into the span of the target.  The complements are matched in
-    the deterministic pivoted-QR order from :func:`complement_basis`.
+    the deterministic `eigh` order of :func:`complement_basis`.
     """
     ps = check_partial_isometry(source, target, partial)
     n, k = source.ambient_dim, source.dim

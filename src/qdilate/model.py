@@ -429,12 +429,26 @@ class CharFn:
                 z.size, *krylov.shape[1:])
             yield z, self._theta0 + left @ y[np.arange(start, start + z.size) % cosets]
 
+    def defect_norm(self, z: complex, r: float) -> float:
+        """||(I - Theta(z)* Theta(z))^{1/2}|| at a point z of modulus r <= 1,
+        from I - Theta(z)* Theta(z) = (1 - r^2) Y*Y for Y = (I - zT*)^{-1} R
+        (Sz.-Nagy-Foias, Ch. VI Sec. 1): no cancellation, and exactly 0 on
+        the circle, where the norm of Y is not taken.  The factor is read
+        from r, not from |z|, whose rounding would leave sqrt(eps) at r = 1.
+        Raises SingularResolventError where `many` would."""
+        y = self._resolvent(np.array([z], dtype=np.complex128))[0]
+        factor = float(np.sqrt(1.0 - r * r))
+        return factor * opnorm(y) if factor else 0.0
+
     def _stack(self, z: np.ndarray) -> np.ndarray:
+        return self._theta0 + z[:, None, None] * (self._left @ self._resolvent(z))
+
+    def _resolvent(self, z: np.ndarray) -> np.ndarray:
+        """Y = (I - zT*)^{-1} R at each point of z, under the residual guard."""
         if not np.isfinite(z).all():
             raise SingularResolventError(
                 f"I - z T* undefined at z = {z[~np.isfinite(z)][0]}")
-        a = self._eye - z[:, None, None] * self._t_star
-        return self._theta0 + z[:, None, None] * (self._left @ self._solve(a, z, "at"))
+        return self._solve(self._eye - z[:, None, None] * self._t_star, z, "at")
 
     def _solve(self, a: np.ndarray, z: np.ndarray, where: str) -> np.ndarray:
         """The stacked solve of a X = R, one matrix per point of z, under the
@@ -470,11 +484,6 @@ def char_fn(t: np.ndarray, z: complex, dt: DefectData | None = None,
 def theta_defect(theta: np.ndarray) -> np.ndarray:
     """(I - Theta* Theta)^{1/2} on ran D_T, for a value Theta = Theta(z)."""
     return matcore.psd_sqrt(eye(theta.shape[1]) - adj(theta) @ theta)
-
-
-def theta_defect_norm(theta: np.ndarray) -> float:
-    """||(I - Theta* Theta)^{1/2}||, without forming the square root."""
-    return matcore.psd_sqrt_norm(eye(theta.shape[1]) - adj(theta) @ theta)
 
 
 def delta_fn(t: np.ndarray, zeta: complex, r: float | None = None,

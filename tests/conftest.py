@@ -1,7 +1,9 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 import qdilate as qd
 
@@ -35,3 +37,11 @@ def with_u(tup, u, **changes):
     new = dataclasses.replace(tup, **changes)
     new.__dict__["u"] = u
     return new
+
+
+def pivoted_qr_complement(projector, dim):
+    """Oracle for `matcore.complement_basis`: the first `dim` columns of the
+    column-pivoted QR of I - projector span ran(I - projector)."""
+    n = projector.shape[0]
+    qmat, _, _ = scipy.linalg.qr(np.eye(n) - projector, pivoting=True)
+    return qmat[:, :dim]

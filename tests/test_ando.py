@@ -8,7 +8,7 @@ from qdilate import ando, cli, matcore, model
 from qdilate.errors import NotIsometricOnSourceError
 from qdilate.matcore import adj, eye, frob
 
-from conftest import rand_vec, with_u
+from conftest import pivoted_qr_complement, rand_vec, with_u
 
 
 def zero_pair(n=1):
@@ -178,6 +178,24 @@ class TestLazyCompletion:
         monkeypatch.setattr(ando, "_polish_isometry", scaled)
         with pytest.raises(NotIsometricOnSourceError, match="not orthonormal"):
             qd.special_ando_tuple(self.PAIR)
+
+    def test_corpus_completion(self, corpus):
+        # U of both tuples is unitary and carries Lambda to M; the eigh
+        # complements of ran Lambda and ran M span what a pivoted QR spans
+        for name, p, _ in corpus:
+            for tup in (qd.special_ando_tuple(p), qd.star_ando_tuple(p)):
+                if not tup.f_dim:
+                    continue
+                assert frob(adj(tup.u) @ tup.u - eye(tup.f_dim)) <= 1e-13, name
+                assert frob(tup.u @ tup.lam - tup.m) <= 1e-13, name
+                for cols in (tup.lam, tup.m):
+                    proj = matcore.SubspaceBasis(cols).projector()
+                    dim = tup.f_dim - cols.shape[1]
+                    comp = matcore.complement_basis(proj, dim)
+                    oracle = pivoted_qr_complement(proj, dim)
+                    assert comp.shape == (tup.f_dim, dim), name
+                    assert frob(adj(comp) @ comp - eye(dim)) <= 1e-13, name
+                    assert frob(comp @ adj(comp) - oracle @ adj(oracle)) <= 1e-13, name
 
 
 class TestPropGates:

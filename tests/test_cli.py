@@ -283,12 +283,8 @@ class TestCharfn:
         assert checked  # boundary rows present for a cnu product
 
     def test_boundary_delta_column(self, pair_file, tmp_path):
-        # the ring's ||Delta|| comes from the Theta of its own row; it must
-        # read exactly as the standalone delta_fn at that point
-        pair = qpair.pair_from_json(json.loads(pair_file.read_text()))
-        t = pair.product()
-        dt = ando.DefectData(*matcore.defect(t))
-        dstar = ando.DefectData(*matcore.defect(matcore.adj(t)))
+        # I - Theta*Theta = (1 - r^2) Y*Y vanishes on the boundary ring: the
+        # column reads exactly 0 there, not the square root of rounding
         out = tmp_path / "grid.csv"
         assert run(["charfn", "--pair", pair_file, "--grid", "2x8", "--out", out]) == 0
         ring = [row.split(",") for row in out.read_text().strip().splitlines()[1:]
@@ -297,29 +293,26 @@ class TestCharfn:
         for k, row in enumerate(ring):
             z = 1.0 * np.exp(2j * np.pi * k / 8)
             assert row[:2] == [f"{z.real:.12e}", f"{z.imag:.12e}"]
-            delta = model.delta_fn(t, z, dt=dt, dstar=dstar)
-            assert row[3] == f"{matcore.opnorm(delta):.12e}"
+            assert row[3] == f"{0.0:.12e}"
 
     @pytest.mark.parametrize("spec", ["nilpotent:n=6,q=0.5403+0.8415i,c=0.9,d=0.9",
                                       "clock-shift:n=6,scale=0.9"])
     def test_delta_column_matches_the_square_root_route(self, spec, tmp_path):
-        # the column is the root of the top clamped eigenvalue of I - Theta*Theta;
-        # it agrees with the spectral norm of the formed square root
+        # inside the disk the resolvent identity gives the spectral norm of the
+        # formed square root (I - Theta*Theta)^{1/2}; the ring at r = 1 reads 0
         path, out = tmp_path / "p.json", tmp_path / "grid.csv"
         assert run(["gen", spec, "--out", path]) == 0
         pair = qpair.pair_from_json(json.loads(path.read_text()))
         theta = model.CharFn(pair.product())
+        for r in (0.0, 0.1, 0.5, 0.9):
+            for k in range(24):
+                z = r * np.exp(2j * np.pi * k / 24)
+                old = matcore.opnorm(model.theta_defect(theta(z)))
+                assert abs(theta.defect_norm(z, r) - old) <= 1e-12 * old, (r, k)
         assert run(["charfn", "--pair", path, "--grid", "1x24", "--out", out]) == 0
         ring = [row.split(",") for row in out.read_text().strip().splitlines()[1:]
                 if not row.endswith(",")]
-        assert len(ring) == 24
-        # Theta over the ring in one call, as the command evaluates it: near an
-        # inner Theta the norm is roundoff, which depends on the evaluation
-        points = [np.exp(2j * np.pi * k / 24) for k in range(24)]
-        values = [v for _, chunk in theta.many(points) for v in chunk]
-        for row, value in zip(ring, values):
-            old = matcore.opnorm(model.theta_defect(value))
-            assert abs(float(row[3]) - old) <= 1e-12 * old
+        assert [row[3] for row in ring] == [f"{0.0:.12e}"] * 24
 
     def test_validates_once(self, pair_file, tmp_path, monkeypatch):
         calls = []
@@ -423,8 +416,8 @@ def fresh_run(args, tmp_path):
 
 
 class TestImports:
-    # scipy.linalg costs about 0.2 s of start-up; only the pivoted QR of
-    # the Ando completion and the QZ pencil of the symbol norm import it
+    # scipy.linalg costs about 0.14 s and 27 MB of start-up; qdilate uses
+    # numpy alone, so no command loads any scipy module
     SCIPY = "[m for m in sys.modules if m.startswith('scipy')]"
 
     def test_import_loads_no_scipy(self, tmp_path):
@@ -447,49 +440,30 @@ class TestImports:
         assert (tmp_path / "grid.csv").read_text().startswith("re_z,im_z,")
         assert json.loads((tmp_path / "triple.json").read_text())["defect_dims"]
 
-    def test_pseudo_suite_loads_scipy_on_demand(self, pair_file, tmp_path):
+    def test_verify_lift_pseudo_and_demo_leave_scipy_unloaded(self, pair_file, tmp_path):
+        # all eight verify suites (the Ando completion and the symbol norms
+        # among them), both lifts, the perturbed pseudo triple and the dense
+        # demo; lift-space operators stay in block form, so scipy.sparse too
+        pair = str(pair_file)
         script = ("import sys\n"
                   "from qdilate import cli\n"
-                  "before = 'scipy.linalg' in sys.modules\n"
-                  f"rc = cli.main(['verify', '--pair', {str(pair_file)!r}, "
-                  "'--suites', 'pseudo', '--out', 'rep.json'])\n"
-                  "print(rc, before, 'scipy.linalg' in sys.modules)\n")
+                  f"rc = [cli.main(['verify', '--pair', {pair!r}, '--out', 'rep.json']), "
+                  f"cli.main(['lift', '--pair', {pair!r}, '--kind', 'schaffer', "
+                  "'--out', 'schaffer.json']), "
+                  f"cli.main(['lift', '--pair', {pair!r}, '--kind', 'douglas', "
+                  "'--out', 'douglas.json']), "
+                  f"cli.main(['pseudo', '--pair', {pair!r}, '--perturb', '0.01', "
+                  "'--out', 'pseudo.json']), "
+                  "cli.main(['demo', '--trunc', '6', '--out', 'demo.json'])]\n"
+                  f"print(rc, {self.SCIPY})\n")
         done = fresh_python(["-c", script], tmp_path)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.decode().splitlines()[-1] == "0 False True", done.stdout
-        assert json.loads((tmp_path / "rep.json").read_text())["overall"] is True
-
-    def test_pseudo_suite_leaves_sparse_linalg_unloaded(self, pair_file, tmp_path):
-        # every norm on the pseudo path is a pass over stored entries or a
-        # dense/banded LAPACK call; scipy.sparse.linalg (norm, svds) and
-        # scipy.sparse.csgraph are not needed and would raise the peak RSS
-        script = ("import sys, qdilate\n"
-                  "from qdilate import cli\n"
-                  f"rc = cli.main(['verify', '--pair', {str(pair_file)!r}, "
-                  "'--suites', 'pseudo', '--out', 'rep.json'])\n"
-                  "print(rc, [m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') "
-                  "if m in sys.modules])\n")
-        done = fresh_python(["-c", script], tmp_path)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.decode().splitlines()[-1] == "0 []", done.stdout
-        assert json.loads((tmp_path / "rep.json").read_text())["overall"] is True
-
-    def test_verify_and_perturbed_pseudo_leave_scipy_sparse_unloaded(self, pair_file,
-                                                                     tmp_path):
-        # lift-space operators are held in block form only: neither all eight
-        # verify suites nor the perturbed pseudo triple imports scipy.sparse
-        script = ("import sys\n"
-                  "from qdilate import cli\n"
-                  f"rc = [cli.main(['verify', '--pair', {str(pair_file)!r}, "
-                  "'--out', 'rep.json']), "
-                  f"cli.main(['pseudo', '--pair', {str(pair_file)!r}, '--perturb', '0.01', "
-                  "'--out', 'pseudo.json'])]\n"
-                  "print(rc, [m for m in sys.modules if m.startswith('scipy.sparse')])\n")
-        done = fresh_python(["-c", script], tmp_path)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.decode().splitlines()[-1] == "[0, 0] []", done.stdout
-        suites = json.loads((tmp_path / "rep.json").read_text())["environment"]["suites"]
-        assert len(suites) == 8
+        assert done.stdout.decode().splitlines()[-1] == "[0, 0, 0, 0, 0] []", done.stdout
+        report = json.loads((tmp_path / "rep.json").read_text())
+        assert report["overall"] is True
+        assert len(report["environment"]["suites"]) == 8
+        for kind in ("schaffer", "douglas"):
+            assert json.loads((tmp_path / f"{kind}.json").read_text())["overall"] is True
         records = json.loads((tmp_path / "pseudo.json").read_text())["records"]
         assert next(r for r in records if r["id"] == "perturbation-rejected")["pass"] is True
 

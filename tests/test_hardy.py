@@ -1,8 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdilate import hardy, matcore, model, pseudolift, qpair
 from qdilate.ando import DefectData
@@ -10,6 +14,7 @@ from qdilate.errors import (
     FiberMismatchError,
     MaxIterationsExceededError,
     NotQCommutantError,
+    QDilateError,
     TailTooLargeError,
 )
 from qdilate.hardy import (
@@ -24,6 +29,8 @@ from qdilate.hardy import (
     symbol_norm,
 )
 from qdilate.matcore import adj, defect, eye, frob, opnorm
+
+from test_report_snapshot import snapshot_pairs
 
 Q = np.exp(2j * np.pi / 7)
 
@@ -61,6 +68,26 @@ def grid_norm(sym, points: int = 2 ** 14, peaks: int = 4) -> float:
             method="bounded", options={"xatol": 1e-13})
         best = max(best, -float(res.fun))
     return best
+
+
+def qz_eigvals(a, b):
+    """The finite eigenvalues of the pencil (a, b) by QZ: the route the
+    shift-invert of `hardy._pencil_eigvals` replaced, kept as its oracle."""
+    lam = scipy.linalg.eigvals(a, b)
+    return lam[np.isfinite(lam)]
+
+
+def qz_symbol_norm(sym) -> float:
+    """`symbol_norm` with its pencil eigenvalues from QZ."""
+    with mock.patch.object(hardy, "_pencil_eigvals", qz_eigvals):
+        return symbol_norm(sym)
+
+
+def assert_matches_qz(sym) -> float:
+    """symbol_norm agrees with its QZ route within 2 LEVEL_EPS relative."""
+    got, want = symbol_norm(sym), qz_symbol_norm(sym)
+    assert abs(got - want) <= 2 * hardy.LEVEL_EPS * want, (got, want)
+    return got
 
 
 class TestPhases:
@@ -180,7 +207,7 @@ class TestSymbolNorm:
 
     @staticmethod
     def assert_oracle(sym):
-        got, want = symbol_norm(sym), grid_norm(sym)
+        got, want = assert_matches_qz(sym), grid_norm(sym)
         assert want <= got <= want + 1e-10 * want, (got, want)
         return got
 
@@ -251,13 +278,29 @@ class TestSymbolNorm:
         for degree in range(4):
             sym = TwistedSymbol(Q, tuple(rand_mat(rng, 2, 3) for _ in range(degree + 1)))
             section = np.linalg.norm(materialize(sym, n).matrix, 2)
-            assert symbol_norm(sym) >= section * (1 - 16 * matcore.EPS)
+            assert assert_matches_qz(sym) >= section * (1 - 16 * matcore.EPS)
 
     def test_iteration_cap_raises(self, monkeypatch):
-        # with every eigenvalue counted as a crossing no level ends the run
-        monkeypatch.setattr(hardy, "UNIMODULAR_WINDOW", np.inf)
+        # each level at half the best sigma_max lies inside [0.5, 1.5], the
+        # range of |1 + z/2| on the circle, so every level has crossings
+        monkeypatch.setattr(hardy, "LEVEL_EPS", -0.25)
         sym = TwistedSymbol(Q, (eye(2), 0.5 * eye(2)))
-        with pytest.raises(MaxIterationsExceededError):
+        with pytest.raises(MaxIterationsExceededError, match="after 64 levels"):
+            symbol_norm(sym)
+
+    @pytest.mark.parametrize("reject", ["window", "singular"])
+    def test_every_shift_rejected_raises(self, monkeypatch, reject):
+        # a window of inf puts every eigenvalue within it of each shift; a
+        # singular solve rejects a shift too
+        if reject == "window":
+            monkeypatch.setattr(hardy, "UNIMODULAR_WINDOW", np.inf)
+        else:
+            def singular(a, b):
+                raise np.linalg.LinAlgError("Singular matrix")
+
+            monkeypatch.setattr(np.linalg, "solve", singular)
+        sym = TwistedSymbol(Q, (eye(2), 0.5 * eye(2)))
+        with pytest.raises(MaxIterationsExceededError, match="every shift"):
             symbol_norm(sym)
 
     def test_sigma_max_only_on_the_start_grid_and_arc_midpoints(self, monkeypatch):
@@ -275,6 +318,59 @@ class TestSymbolNorm:
         symbol_norm(sym)
         assert (p, f) == (1, 32)
         assert sum(points) <= 2 * p + 2 + 2 * p * f, points
+
+
+class TestPencilAgainstQZ:
+    """The shift-invert pencil of `symbol_norm` against the QZ route on the
+    symbols the verifiers norm and on a derandomized family; the
+    `TestSymbolNorm` oracles compare it with QZ too."""
+
+    def test_snapshot_pair_symbols(self):
+        # W1 and W2, which the pseudo suite norms, and their product W, of
+        # every pair of the report snapshot at its truncation
+        normed = 0
+        for name, pair in snapshot_pairs():
+            try:
+                _, tri = pseudolift.douglas_pseudo_lift(model.PairAnalysis(pair), 12)
+            except QDilateError:
+                continue
+            for op in (tri.w1, tri.w2, tri.w):
+                assert_matches_qz(op.symbol)
+                normed += 1
+        assert normed >= 3 * 80
+
+    @pytest.mark.parametrize("spec", ["clock-shift:n=16,scale=0.9",
+                                      "nilpotent:n=16,q=-1,c=0.9,d=0.8"])
+    def test_dim_16_symbols(self, spec):
+        # on the clock-shift pair all 32 pencil eigenvalues of W1 and of W2
+        # lie on the circle at the first level
+        _, tri = pseudolift.douglas_pseudo_lift(model.PairAnalysis(qpair.from_spec(spec)), 6)
+        for op in (tri.w1, tri.w2):
+            assert_matches_qz(op.symbol)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(degree=st.integers(1, 3), fiber_out=st.integers(1, 3), fiber_in=st.integers(1, 3),
+           kind=st.sampled_from(["random", "rank-one-leading", "zero-constant", "inner"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_family(self, degree, fiber_out, fiber_in, kind, seed):
+        # G_p = C_0* C_p is singular for a rank-one C_p or a zero C_0 (the
+        # pencil then has infinite eigenvalues); an inner symbol has sigma_max
+        # 1 on the whole circle, so every pencil eigenvalue is a crossing
+        rng = np.random.default_rng(seed)
+        coeffs = [rand_mat(rng, fiber_out, fiber_in) for _ in range(degree + 1)]
+        if kind == "rank-one-leading":
+            coeffs[-1] = rand_mat(rng, fiber_out, 1) @ rand_mat(rng, 1, fiber_in)
+        elif kind == "zero-constant":
+            coeffs[0] = np.zeros((fiber_out, fiber_in), dtype=complex)
+        elif kind == "inner":
+            n = fiber_in
+            sym = TwistedSymbol(1.0, (np.linalg.qr(rand_mat(rng, n, n))[0],))
+            for _ in range(degree):
+                u = np.linalg.qr(rand_mat(rng, n, n))[0]
+                proj = np.diag(rng.integers(0, 2, n)).astype(complex)
+                sym = symbol_compose(sym, TwistedSymbol(Q, ((eye(n) - proj) @ u, proj @ u)))
+            coeffs = list(sym.coeffs)
+        assert_matches_qz(TwistedSymbol(Q, tuple(coeffs)))
 
 
 class TestMaterialize:

@@ -23,6 +23,7 @@ from qdilate.errors import (
 from qdilate.matcore import adj, eye, frob, opnorm
 from qdilate.report import Report
 
+from conftest import pivoted_qr_complement
 from test_report_snapshot import snapshot_pairs
 
 
@@ -240,7 +241,7 @@ class TestCnuDecompose:
         dec = qd.cnu_decompose(pair.product())
         b_u, b_c = dec.unitary_part.columns, dec.cnu_part.columns
         assert b_u.shape[1]
-        qr = matcore.complement_basis(b_u @ adj(b_u), n - b_u.shape[1])
+        qr = pivoted_qr_complement(b_u @ adj(b_u), n - b_u.shape[1])
         assert frob(b_c @ adj(b_c) - qr @ adj(qr)) < 1e-12
         b = np.hstack([b_u, b_c])
         assert frob(adj(b) @ b - eye(n)) < 1e-12
@@ -261,7 +262,7 @@ def eig_unitary_split(t: np.ndarray, tol: float = 1e-8) -> int:
     w, vecs = np.linalg.eig(t)
     uni = np.abs(w) > 1.0 - tol
     b_u = matcore.orth_columns(vecs[:, uni]) if np.any(uni) else np.zeros((n, 0), complex)
-    b_c = matcore.complement_basis(b_u @ adj(b_u), n - b_u.shape[1])
+    b_c = pivoted_qr_complement(b_u @ adj(b_u), n - b_u.shape[1])
     if max(opnorm(adj(b_c) @ t @ b_u), opnorm(adj(b_u) @ t @ b_c)) > 1e-10:
         raise NotReducingError("unimodular eigenspace fails to reduce")
     t_u = adj(b_u) @ t @ b_u
