@@ -440,32 +440,56 @@ class TestImports:
         assert (tmp_path / "grid.csv").read_text().startswith("re_z,im_z,")
         assert json.loads((tmp_path / "triple.json").read_text())["defect_dims"]
 
-    def test_verify_lift_pseudo_and_demo_leave_scipy_unloaded(self, pair_file, tmp_path):
+    def test_pseudo_suite_leaves_sparse_linalg_unloaded(self, pair_file, tmp_path):
+        # every norm on the pseudo path is a pass over stored entries or a
+        # dense numpy call; no scipy module, scipy.sparse.linalg and
+        # scipy.sparse.csgraph among them, is loaded
+        script = ("import sys, qdilate\n"
+                  "from qdilate import cli\n"
+                  f"rc = cli.main(['verify', '--pair', {str(pair_file)!r}, "
+                  "'--suites', 'pseudo', '--out', 'rep.json'])\n"
+                  f"print(rc, {self.SCIPY})\n")
+        done = fresh_python(["-c", script], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().splitlines()[-1] == "0 []", done.stdout
+        assert json.loads((tmp_path / "rep.json").read_text())["overall"] is True
+
+    def test_verify_and_perturbed_pseudo_leave_scipy_sparse_unloaded(self, pair_file,
+                                                                     tmp_path):
         # all eight verify suites (the Ando completion and the symbol norms
-        # among them), both lifts, the perturbed pseudo triple and the dense
-        # demo; lift-space operators stay in block form, so scipy.sparse too
+        # among them) and the perturbed pseudo triple; lift-space operators
+        # stay in block form, so scipy.sparse too stays unloaded
+        script = ("import sys\n"
+                  "from qdilate import cli\n"
+                  f"rc = [cli.main(['verify', '--pair', {str(pair_file)!r}, "
+                  "'--out', 'rep.json']), "
+                  f"cli.main(['pseudo', '--pair', {str(pair_file)!r}, '--perturb', '0.01', "
+                  "'--out', 'pseudo.json'])]\n"
+                  f"print(rc, {self.SCIPY})\n")
+        done = fresh_python(["-c", script], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().splitlines()[-1] == "[0, 0] []", done.stdout
+        report = json.loads((tmp_path / "rep.json").read_text())
+        assert report["overall"] is True
+        assert len(report["environment"]["suites"]) == 8
+        records = json.loads((tmp_path / "pseudo.json").read_text())["records"]
+        assert next(r for r in records if r["id"] == "perturbation-rejected")["pass"] is True
+
+    def test_lifts_and_demo_leave_scipy_unloaded(self, pair_file, tmp_path):
         pair = str(pair_file)
         script = ("import sys\n"
                   "from qdilate import cli\n"
-                  f"rc = [cli.main(['verify', '--pair', {pair!r}, '--out', 'rep.json']), "
-                  f"cli.main(['lift', '--pair', {pair!r}, '--kind', 'schaffer', "
+                  f"rc = [cli.main(['lift', '--pair', {pair!r}, '--kind', 'schaffer', "
                   "'--out', 'schaffer.json']), "
                   f"cli.main(['lift', '--pair', {pair!r}, '--kind', 'douglas', "
                   "'--out', 'douglas.json']), "
-                  f"cli.main(['pseudo', '--pair', {pair!r}, '--perturb', '0.01', "
-                  "'--out', 'pseudo.json']), "
                   "cli.main(['demo', '--trunc', '6', '--out', 'demo.json'])]\n"
                   f"print(rc, {self.SCIPY})\n")
         done = fresh_python(["-c", script], tmp_path)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.decode().splitlines()[-1] == "[0, 0, 0, 0, 0] []", done.stdout
-        report = json.loads((tmp_path / "rep.json").read_text())
-        assert report["overall"] is True
-        assert len(report["environment"]["suites"]) == 8
+        assert done.stdout.decode().splitlines()[-1] == "[0, 0, 0] []", done.stdout
         for kind in ("schaffer", "douglas"):
             assert json.loads((tmp_path / f"{kind}.json").read_text())["overall"] is True
-        records = json.loads((tmp_path / "pseudo.json").read_text())["records"]
-        assert next(r for r in records if r["id"] == "perturbation-rejected")["pass"] is True
 
 
 # the options each command reads, and nothing else
